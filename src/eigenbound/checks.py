@@ -128,7 +128,7 @@ def _check_duality() -> CheckResult:
     for d in (2, 5):
         for alpha in (Alpha.negative(1.0), Alpha.positive(0.8)):
             worst = max(worst, duality_gap(d, alpha)[2])
-    return _result("duality", worst < 1e-9, f"max primal-dual gap {worst:.2e}")
+    return _result("duality", worst < 1e-9, f"max relative primal-dual gap {worst:.2e}")
 
 
 def _check_sandwich() -> CheckResult:
@@ -220,7 +220,7 @@ def _check_edge_eigenvalue() -> CheckResult:
 def _check_edge_duality() -> CheckResult:
     worst = max(duality_gap(d, Alpha.positive(HALF_PI))[2] for d in (2, 5))
     return _result(
-        "edge_duality", worst < 1e-8, f"max primal-dual gap at the edge {worst:.2e}"
+        "edge_duality", worst < 1e-8, f"max relative primal-dual gap at the edge {worst:.2e}"
     )
 
 

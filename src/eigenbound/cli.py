@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .checks import run_suite, suite_names
 from .classical import ESTIMATE_NAMES, beta_quadratic_bound, get_estimate
-from .correction import curvature_multiplier, middle_term
+from .correction import combined_lower_bound, curvature_multiplier, middle_term
 from .errors import EigenboundError
 from .geometry import (
     Alpha,
@@ -130,23 +130,11 @@ SWEEP_ESTIMATORS = {
     "star_ratio": lambda d, a, p: delta1_star(p) / delta1_star_prime(p),
     "middle": lambda d, a, p: middle_term(d, a)[0],
     "multiplier": lambda d, a, p: curvature_multiplier(a),
-    "combined": lambda d, a, p: max(
-        1.0 / delta1_star(p),
-        middle_term(d, a)[0],
-        _sphere_or_zero(d, a),
-    ),
+    "combined": lambda d, a, p: combined_lower_bound(_canonical_triple(d, a), profile=p).value,
     "oracle": lambda d, a, p: solve_lambda_bar(d, a, profile=p).eigenvalue,
 }
 for _name in ESTIMATE_NAMES:
     SWEEP_ESTIMATORS[_name] = _classical_reduced(_name)
-
-
-def _sphere_or_zero(d: int, alpha: Alpha) -> float:
-    from .classical import chen_wang_sphere_reduced
-
-    if alpha.signed_x <= 0.0:
-        return 0.0
-    return chen_wang_sphere_reduced(d, alpha)
 
 
 DEFAULT_SWEEP = (

@@ -2,17 +2,14 @@
 
 The two entry points integrate the first-order system
 
-    f' = g,    g' = -lam * f - F(r) * g        (drift families)
-    f' = g,    g' = -lam * a(r) * f            (coefficient families)
+    f' = g,    g' = -lam * f - F(r) * g
 
-with a Dormand-Prince 5(4) embedded pair.  The drift/coefficient is encoded
-by an integer so the whole loop stays jittable:
+with a Dormand-Prince 5(4) embedded pair.  The drift is encoded by an
+integer so the whole loop stays jittable:
 
     kind 0: F(r) = c1 * r
     kind 1: F(r) = c1 * tanh(c2 * r)
     kind 2: F(r) = c1 * tan(c2 * r)
-    kind 3: a(r) = sech^2(c2 * r)
-    kind 4: a(r) = sec^2(c2 * r)
 
 When numba is importable and EIGENBOUND_NO_NUMBA is unset the kernels are
 compiled with @njit; otherwise the same functions run as plain Python.
@@ -101,14 +98,8 @@ def _deriv(kind, c1, c2, lam, r, f, g):
         dg = -lam * f - (c1 * r) * g
     elif kind == 1:
         dg = -lam * f - (c1 * math.tanh(c2 * r)) * g
-    elif kind == 2:
-        dg = -lam * f - (c1 * math.tan(c2 * r)) * g
-    elif kind == 3:
-        ch = math.cosh(c2 * r)
-        dg = -lam * f / (ch * ch)
     else:
-        cs = math.cos(c2 * r)
-        dg = -lam * f / (cs * cs)
+        dg = -lam * f - (c1 * math.tan(c2 * r)) * g
     return g, dg
 
 

@@ -41,17 +41,16 @@ NEUMANN = "neumann"
 KIND_LINEAR = 0  # F(r) = c1 r
 KIND_TANH = 1    # F(r) = c1 tanh(c2 r)
 KIND_TAN = 2     # F(r) = c1 tan(c2 r)
-KIND_SECH2 = 3   # no drift, weight sech^2(c2 r) multiplying lambda
-KIND_SEC2 = 4    # no drift, weight sec^2(c2 r) multiplying lambda
 
 
 @dataclass(frozen=True)
 class EigenProblem:
-    """One shooting family: f'' + F f' + lam w f = 0 on [0, r_end].
+    """One shooting family: f'' + F f' + lam f = 0 on [0, r_end].
 
-    kind, c1, c2 select the drift F (or the weight w) inside the compiled
-    kernel; the boundary conditions fix which end states are imposed at 0
-    and which boundary functional is driven to zero at r_end.
+    kind (KIND_LINEAR, KIND_TANH or KIND_TAN), c1 and c2 select the drift F
+    inside the compiled kernel; the boundary conditions fix which end
+    states are imposed at 0 and which boundary functional is driven to zero
+    at r_end.
     """
 
     kind: int
@@ -63,7 +62,7 @@ class EigenProblem:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in (0, 1, 2, 3, 4):
+        if self.kind not in (KIND_LINEAR, KIND_TANH, KIND_TAN):
             raise DomainError(f"unknown kernel kind {self.kind}")
         for bc in (self.bc_left, self.bc_right):
             if bc not in (DIRICHLET, NEUMANN):
@@ -79,9 +78,7 @@ class EigenProblem:
             return self.c1 * r
         if self.kind == KIND_TANH:
             return self.c1 * np.tanh(self.c2 * r)
-        if self.kind == KIND_TAN:
-            return self.c1 * np.tan(self.c2 * r)
-        return np.zeros_like(r)
+        return self.c1 * np.tan(self.c2 * r)
 
     def drift_slope(self, r):
         """dF/dr, needed by the derivative-identity checker."""
@@ -90,9 +87,7 @@ class EigenProblem:
             return np.full_like(r, self.c1)
         if self.kind == KIND_TANH:
             return self.c1 * self.c2 / np.cosh(self.c2 * r) ** 2
-        if self.kind == KIND_TAN:
-            return self.c1 * self.c2 / np.cos(self.c2 * r) ** 2
-        return np.zeros_like(r)
+        return self.c1 * self.c2 / np.cos(self.c2 * r) ** 2
 
 
 def _check_pair(d: int, alpha: Alpha) -> None:
@@ -402,13 +397,18 @@ def duality_gap(
     profile: CoefficientProfile | None = None,
     tol: float = 1e-11,
 ) -> tuple[EigenResult, EigenResult, float]:
-    """(primal, dual, |difference|): both families share one eigenvalue."""
+    """(primal, dual, relative gap): both families share one eigenvalue.
+
+    The gap is |primal - dual| / max(|primal|, |dual|), so it reads the
+    same at every eigenvalue scale.
+    """
     _check_pair(d, alpha)
     p = _resolve_profile(d, alpha, profile)
     hi = scan_ceiling(p)
     primal = principal_eigenvalue(reduced_problem(d, alpha), tol=tol, lam_max=hi)
     adjoint = principal_eigenvalue(dual_problem(d, alpha), tol=tol, lam_max=hi)
-    return primal, adjoint, abs(primal.eigenvalue - adjoint.eigenvalue)
+    p_val, d_val = primal.eigenvalue, adjoint.eigenvalue
+    return primal, adjoint, abs(p_val - d_val) / max(abs(p_val), abs(d_val))
 
 
 def beta_eigenvalue(beta: float, tol: float = 1e-11) -> EigenResult:

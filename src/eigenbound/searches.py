@@ -83,16 +83,6 @@ def sup_on_unit_interval(f, resolution: int = 2001) -> tuple[float, float]:
     return float(xs[k]), float(finite[k])
 
 
-def inf_on_unit_interval(f, resolution: int = 2001) -> tuple[float, float]:
-    """Infimum counterpart of sup_on_unit_interval; returns (arginf, inf)."""
-    x, v = sup_on_unit_interval(lambda t: -_neg(f, t), resolution)
-    return x, -v
-
-
-def _neg(f, t):
-    return np.asarray(f(t), dtype=float)
-
-
 def first_sign_change(f, xs: np.ndarray, f0: float) -> tuple[float, float, float, float]:
     """First interval along xs where sign(f) departs from sign(f0).
 

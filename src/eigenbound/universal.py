@@ -29,20 +29,73 @@ import numpy as np
 
 from .errors import DomainError, EigenboundError, InvalidTestFunction
 from .geometry import Alpha, CoefficientProfile, CurvatureSign
-from .searches import golden_max, sup_on_unit_interval
-
-DELTA_NAMES = (
-    "delta",
-    "delta1",
-    "delta1_prime",
-    "delta1_star",
-    "delta1_star_prime",
-)
+from .searches import golden_max
 
 MAX_ITERATIONS = 10
 
 
-# -- lattice plumbing ---------------------------------------------------------
+# -- the five functionals -----------------------------------------------------
+
+#: The six weighted integrals behind the functionals, as name -> (weight,
+#: power, forward).  The integrand is k * x**power with (k, x) = (C, phi)
+#: for weight "C" and (1/C, psi) for weight "Cinv".  Forward integrals run
+#: over (0, r) and tail integrals over (r, 1), so neither side ever comes
+#: out of a catastrophic subtraction.
+_INTEGRANDS = {
+    "A1": ("C", 1.5, True),
+    "A2": ("C", 0.5, False),
+    "A3": ("C", 2.0, True),
+    "B1": ("Cinv", 1.5, False),
+    "B2": ("Cinv", 0.5, True),
+    "B3": ("Cinv", 2.0, False),
+}
+
+#: name -> the functional as an expression over a view of phi, psi and the
+#: integrals; its sup over r in (0, 1) is the bracketing value.
+_FUNCTIONALS = {
+    "delta": lambda v: v.phi * v.psi,
+    "delta1": lambda v: v.A1 / np.sqrt(v.phi) + np.sqrt(v.phi) * v.A2,
+    "delta1_prime": lambda v: v.A3 / v.phi + v.phi * v.psi,
+    "delta1_star": lambda v: v.B1 / np.sqrt(v.psi) + np.sqrt(v.psi) * v.B2,
+    "delta1_star_prime": lambda v: v.B3 / v.psi + v.phi * v.psi,
+}
+
+DELTA_NAMES = tuple(_FUNCTIONALS)
+
+
+class _View:
+    """Named quantities at a set of points, each computed by read(name) on first use."""
+
+    def __init__(self, read):
+        self._read = read
+
+    def __getattr__(self, name):
+        value = self._read(name)
+        setattr(self, name, value)
+        return value
+
+
+def _coefficients(p: CoefficientProfile, y) -> _View:
+    """C, 1/C, phi and psi at the points y."""
+    at = {"C": p.coeff, "Cinv": p.coeff_inv, "phi": p.phi_at, "psi": p.psi_at}
+    return _View(lambda name: at[name](y))
+
+
+def _integrand(name: str, v: _View) -> np.ndarray:
+    """Integrand `name` from a view holding C, Cinv, phi and psi.
+
+    Powers are spelled with sqrt and products, not x**power, so the tables
+    keep their rounding.
+    """
+    weight, power, _ = _INTEGRANDS[name]
+    # x before k: on a full page, phi or psi is the costly read, and its
+    # temporaries then peak with fewer finished pages alive.
+    x, k = (v.phi, v.C) if weight == "C" else (v.psi, v.Cinv)
+    if power == 0.5:
+        return k * np.sqrt(x)
+    if power == 1.5:
+        return k * x * np.sqrt(x)
+    return k * x * x
 
 
 def _scrub(p: CoefficientProfile, vals: np.ndarray) -> np.ndarray:
@@ -54,7 +107,7 @@ def _scrub(p: CoefficientProfile, vals: np.ndarray) -> np.ndarray:
     is below 1e-150 relative to the rest of the table.  The collapse zone
     is confined to 1 - u < ~1e-3 and every bracketing functional decays
     like (1 - u)^2 of its own sup inside it, so zeroing cannot move a sup
-    or an inf.  On the other branches a non-finite product is a bug and is
+    or an inf.  On the other branches a non-finite value is a bug and is
     raised as such.
     """
     bad = ~np.isfinite(vals)
@@ -62,8 +115,8 @@ def _scrub(p: CoefficientProfile, vals: np.ndarray) -> np.ndarray:
         return vals
     if p.alpha.sign is not CurvatureSign.POSITIVE_K:
         raise EigenboundError(
-            "non-finite integrand table on a branch where the coefficient "
-            "cannot underflow; this indicates a bug in the profile"
+            "non-finite integrand table or functional value on a branch where "
+            "the coefficient cannot underflow; this indicates a bug in the profile"
         )
     out = vals.copy()
     out[bad] = 0.0
@@ -90,184 +143,79 @@ def _flat(table) -> np.ndarray:
 
 
 def _tables(p: CoefficientProfile):
-    """The six cumulative/tail tables behind the five functionals.
-
-    Forward tables accumulate from 0, tail tables from 1, so neither side
-    ever comes out of a catastrophic subtraction.  Cached per profile.
-    """
+    """The six integral tables (nodes, sub-nodes), cached per profile."""
     tabs = p._cache.get("delta_tables")
     if tabs is not None:
         return tabs
     seg = p.seg
-    with np.errstate(all="ignore"):
-        sqphi = np.sqrt(p.phi_sub)
-        sqpsi = np.sqrt(p.psi_sub)
-        rows = {
-            "A1": (p.c_sub * p.phi_sub * sqphi, True),
-            "A2": (p.c_sub * sqphi, False),
-            "A3": (p.c_sub * p.phi_sub * p.phi_sub, True),
-            "B1": (p.cinv_sub * p.psi_sub * sqpsi, False),
-            "B2": (p.cinv_sub * sqpsi, True),
-            "B3": (p.cinv_sub * p.psi_sub * p.psi_sub, False),
-        }
-    pages = None
-    if p.alpha.at_half_pi and p.d >= 4:
-        # At the Myers edge the forward integrands C phi^{3/2}, C phi^2 and
-        # C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens
-        # of orders of magnitude inside the final graded segments, which no
-        # in-segment polynomial interpolant can represent.  Build the pages
-        # from direct evaluations instead; the panel quadratures then see
-        # genuine (positive, monotone) values and stay bounded and sane.
-        with np.errstate(all="ignore"):
-            phi_ss = p.phi_at(seg.subsub)
-            psi_ss = p.psi_at(seg.subsub)
-            c_ss = p.coeff(seg.subsub)
-            ci_ss = p.coeff_inv(seg.subsub)
-            sqphi_ss = np.sqrt(phi_ss)
-            sqpsi_ss = np.sqrt(psi_ss)
-            pages = {
-                "A1": c_ss * phi_ss * sqphi_ss,
-                "A2": c_ss * sqphi_ss,
-                "A3": c_ss * phi_ss * phi_ss,
-                "B1": ci_ss * psi_ss * sqpsi_ss,
-                "B2": ci_ss * sqpsi_ss,
-                "B3": ci_ss * psi_ss * psi_ss,
-            }
-    tabs = {}
-    for name, (vals, forward) in rows.items():
-        vals = _scrub(p, vals)
+    rows = _View({"C": p.c_sub, "Cinv": p.cinv_sub, "phi": p.phi_sub, "psi": p.psi_sub}.get)
+    # At the Myers edge the forward integrands C phi^{3/2}, C phi^2 and
+    # C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens of
+    # orders of magnitude inside the final graded segments, which no
+    # in-segment polynomial interpolant can represent.  Build the pages
+    # from direct evaluations instead; the panel quadratures then see
+    # genuine (positive, monotone) values and stay bounded and sane.
+    pages = _coefficients(p, seg.subsub) if p.alpha.at_half_pi and p.d >= 4 else None
+
+    def build(name, forward):
+        vals = _scrub(p, _integrand(name, rows))
         if pages is None:
-            tabs[name] = (
-                seg.cumulative_from_sub(vals)
-                if forward
-                else seg.reverse_from_sub(vals, p.tail_floor)
-            )
-        else:
-            page = _scrub(p, pages[name])
-            tabs[name] = (
-                seg.build_cumulative(vals, page)
-                if forward
-                else seg.build_reverse(vals, page, p.tail_floor)
-            )
+            if forward:
+                return seg.cumulative_from_sub(vals)
+            return seg.reverse_from_sub(vals, p.tail_floor)
+        page = _scrub(p, _integrand(name, pages))
+        if forward:
+            return seg.build_cumulative(vals, page)
+        return seg.build_reverse(vals, page, p.tail_floor)
+
+    with np.errstate(all="ignore"):
+        tabs = {name: build(name, forward) for name, (_, _, forward) in _INTEGRANDS.items()}
     p._cache["delta_tables"] = tabs
     return tabs
 
 
-def _guard_vals(p: CoefficientProfile, vals: np.ndarray) -> np.ndarray:
-    """Functional values on the lattice with collapse-zone artifacts zeroed.
-
-    Same justification as _scrub: only the positive branch can produce
-    them, and only where the true functional value is O((1-r)^2) of its
-    sup, far below any attained maximum.
-    """
-    bad = ~np.isfinite(vals)
-    if not bad.any():
-        return vals
-    if p.alpha.sign is not CurvatureSign.POSITIVE_K:
-        raise EigenboundError("non-finite functional values off the positive branch")
-    return np.where(bad, 0.0, vals)
-
-
-# -- the five functionals -----------------------------------------------------
-
-
-def _lattice_vals(p: CoefficientProfile, name: str) -> np.ndarray:
-    xs, phi_l, psi_l = _lattice(p)
+def _lattice_view(p: CoefficientProfile) -> _View:
+    """phi, psi and the integrals on the interior lattice, as arrays."""
+    _, phi_l, psi_l = _lattice(p)
     tabs = _tables(p)
-    with np.errstate(all="ignore"):
-        if name == "delta":
-            vals = phi_l * psi_l
-        elif name == "delta1":
-            s = np.sqrt(phi_l)
-            vals = _flat(tabs["A1"]) / s + s * _flat(tabs["A2"])
-        elif name == "delta1_prime":
-            vals = _flat(tabs["A3"]) / phi_l + phi_l * psi_l
-        elif name == "delta1_star":
-            s = np.sqrt(psi_l)
-            vals = _flat(tabs["B1"]) / s + s * _flat(tabs["B2"])
-        elif name == "delta1_star_prime":
-            vals = _flat(tabs["B3"]) / psi_l + phi_l * psi_l
-        else:
-            raise DomainError(f"unknown functional {name!r}")
-    return _guard_vals(p, vals)
+    known = {"phi": phi_l, "psi": psi_l}
+    return _View(lambda name: known[name] if name in known else _flat(tabs[name]))
 
 
-def _pointwise(p: CoefficientProfile, name: str):
-    """Scalar off-lattice evaluator for one functional (polish path).
+def _point_view(p: CoefficientProfile, r: float) -> _View:
+    """phi, psi and the integrals at one off-lattice r, as floats.
 
-    Partial-segment panels re-integrate the integrand, so an off-node r
+    A partial-segment panel re-integrates the integrand, so an off-node r
     carries the same accuracy as the tables themselves.
     """
     seg = p.seg
     tabs = _tables(p)
 
-    def cum(table, integrand, r):
-        return float(seg.cum_eval(table[0], integrand, r)[0])
+    def read(name):
+        if name == "phi":
+            return float(p.phi_at(r))
+        if name == "psi":
+            return float(p.psi_at(r))
 
-    def tail(table, integrand, r):
-        return float(seg.tail_eval(table[0], integrand, r)[0])
+        def integrand(y):
+            return _integrand(name, _coefficients(p, y))
 
-    def a1(y):
-        ph = p.phi_at(y)
-        return p.coeff(y) * ph * np.sqrt(ph)
+        evaluate = seg.cum_eval if _INTEGRANDS[name][2] else seg.tail_eval
+        return float(evaluate(tabs[name][0], integrand, r)[0])
 
-    def a2(y):
-        return p.coeff(y) * np.sqrt(p.phi_at(y))
-
-    def a3(y):
-        ph = p.phi_at(y)
-        return p.coeff(y) * ph * ph
-
-    def b1(y):
-        ps = p.psi_at(y)
-        return p.coeff_inv(y) * ps * np.sqrt(ps)
-
-    def b2(y):
-        return p.coeff_inv(y) * np.sqrt(p.psi_at(y))
-
-    def b3(y):
-        ps = p.psi_at(y)
-        return p.coeff_inv(y) * ps * ps
-
-    if name == "delta":
-        return lambda r: float(p.phi_psi_at(r))
-    if name == "delta1":
-
-        def f(r):
-            s = math.sqrt(float(p.phi_at(r)))
-            return cum(tabs["A1"], a1, r) / s + s * tail(tabs["A2"], a2, r)
-
-        return f
-    if name == "delta1_prime":
-
-        def f(r):
-            ph = float(p.phi_at(r))
-            return cum(tabs["A3"], a3, r) / ph + float(p.phi_psi_at(r))
-
-        return f
-    if name == "delta1_star":
-
-        def f(r):
-            s = math.sqrt(float(p.psi_at(r)))
-            return tail(tabs["B1"], b1, r) / s + s * cum(tabs["B2"], b2, r)
-
-        return f
-    if name == "delta1_star_prime":
-
-        def f(r):
-            ps = float(p.psi_at(r))
-            return tail(tabs["B3"], b3, r) / ps + float(p.phi_psi_at(r))
-
-        return f
-    raise DomainError(f"unknown functional {name!r}")
+    return _View(read)
 
 
-def _polish_max(p: CoefficientProfile, xs, vals, pointwise):
-    """Golden polish around the lattice argmax; never worse than the grid."""
+def _polish(p: CoefficientProfile, xs, vals, point):
+    """Golden polish of max(vals) near its lattice argmax; never worse than the grid.
+
+    point(r) evaluates the same quantity off the lattice; a point where it
+    is non-finite or raises counts as -inf.  Returns (argmax, max).
+    """
     k = int(np.argmax(vals))
     x0 = float(xs[k])
     v0 = float(vals[k])
-    if not math.isfinite(v0):
+    if v0 == math.inf:
         return x0, v0
     w = float(p.seg.width[int(p.seg.locate(np.array([x0]))[0])])
     a = max(x0 - w, 1e-12)
@@ -276,7 +224,7 @@ def _polish_max(p: CoefficientProfile, xs, vals, pointwise):
     def safe(r):
         with np.errstate(all="ignore"):
             try:
-                v = float(pointwise(r))
+                v = float(point(r))
             except (ValueError, OverflowError, ZeroDivisionError):
                 return -math.inf
         return v if math.isfinite(v) else -math.inf
@@ -287,60 +235,49 @@ def _polish_max(p: CoefficientProfile, xs, vals, pointwise):
     return x0, v0
 
 
-def functional_sup(
-    p: CoefficientProfile, name: str, resolution: int | None = None
-) -> tuple[float, float]:
+def functional_sup(p: CoefficientProfile, name: str) -> tuple[float, float]:
     """(argsup, sup) of one bracketing functional over r in (0, 1).
 
-    With the default resolution the sup is taken over the full profile
-    lattice (exact table values, no interpolation) and polished locally.
-    An explicit resolution scans a uniform grid of that many points with
-    the off-lattice evaluator instead; this is slower and only useful to
-    study grid sensitivity.
+    The sup is taken over the full profile lattice (exact table values, no
+    interpolation) and polished locally with off-lattice evaluations.
     """
-    if name not in DELTA_NAMES:
+    if name not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {name!r}; expected one of {DELTA_NAMES}")
-    if resolution is not None:
-        pointwise = _pointwise(p, name)
-
-        def vec(r):
-            with np.errstate(all="ignore"):
-                return pointwise(float(r))
-
-        return sup_on_unit_interval(vec, resolution=resolution)
     key = ("delta_sup", name)
     got = p._cache.get(key)
     if got is None:
+        expr = _FUNCTIONALS[name]
         xs, _, _ = _lattice(p)
-        vals = _lattice_vals(p, name)
-        got = _polish_max(p, xs, vals, _pointwise(p, name))
+        with np.errstate(all="ignore"):
+            vals = _scrub(p, expr(_lattice_view(p)))
+        got = _polish(p, xs, vals, lambda r: expr(_point_view(p, r)))
         p._cache[key] = got
     return got
 
 
-def delta(p: CoefficientProfile, resolution: int | None = None) -> float:
+def delta(p: CoefficientProfile) -> float:
     """sup of phi * psi; 1/delta and 1/(4 delta) are the crude bracket."""
-    return functional_sup(p, "delta", resolution)[1]
+    return functional_sup(p, "delta")[1]
 
 
-def delta1(p: CoefficientProfile, resolution: int | None = None) -> float:
+def delta1(p: CoefficientProfile) -> float:
     """sup of (1/sqrt(phi)) int_0^r C phi^{3/2} + sqrt(phi) int_r^1 C phi^{1/2}."""
-    return functional_sup(p, "delta1", resolution)[1]
+    return functional_sup(p, "delta1")[1]
 
 
-def delta1_prime(p: CoefficientProfile, resolution: int | None = None) -> float:
+def delta1_prime(p: CoefficientProfile) -> float:
     """sup of (1/phi) int_0^r C phi^2 + phi psi."""
-    return functional_sup(p, "delta1_prime", resolution)[1]
+    return functional_sup(p, "delta1_prime")[1]
 
 
-def delta1_star(p: CoefficientProfile, resolution: int | None = None) -> float:
+def delta1_star(p: CoefficientProfile) -> float:
     """Dual of delta1: psi and 1/C take the roles of phi and C."""
-    return functional_sup(p, "delta1_star", resolution)[1]
+    return functional_sup(p, "delta1_star")[1]
 
 
-def delta1_star_prime(p: CoefficientProfile, resolution: int | None = None) -> float:
+def delta1_star_prime(p: CoefficientProfile) -> float:
     """Dual of delta1_prime."""
-    return functional_sup(p, "delta1_star_prime", resolution)[1]
+    return functional_sup(p, "delta1_star_prime")[1]
 
 
 # -- the bracket --------------------------------------------------------------
@@ -471,7 +408,7 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
             rat = np.concatenate(
                 (nf_nodes[1:-1] / f_nodes[1:-1], (nf_sub / f_sub).ravel())
             )
-        rat = _guard_vals(p, rat)
+        rat = _scrub(p, rat)
         d_n = float(np.max(rat))
         deltas.append(d_n)
         f_nodes = nf_nodes / d_n
@@ -654,11 +591,8 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     fv = _vectorized(f)
     f_sub = fv(seg.sub)
     f_nodes = fv(seg.nodes)
-    if not np.all(np.isfinite(f_sub)) or np.any(f_sub <= 0.0):
-        raise InvalidTestFunction(
-            "test function must be finite and strictly positive on (0, 1)"
-        )
-    if np.any(f_nodes[1:-1] <= 0.0) or not np.all(np.isfinite(f_nodes[1:-1])):
+    inner = np.concatenate((f_nodes[1:-1], f_sub.ravel()))
+    if not np.all(np.isfinite(inner)) or np.any(inner <= 0.0):
         raise InvalidTestFunction(
             "test function must be finite and strictly positive on (0, 1)"
         )
@@ -699,26 +633,13 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
         )
     rat = np.where(np.isfinite(rat), rat, math.inf)
     xs, _, _ = _lattice(p)
-    j = int(np.argmin(rat))
-    x0 = float(xs[j])
-    v0 = float(rat[j])
 
-    def neg(r):
-        with np.errstate(all="ignore"):
-            try:
-                dv = den_at(float(r))
-                fvv = float(fv(np.array([r]))[0])
-            except (ValueError, OverflowError, ZeroDivisionError):
-                return -math.inf
-            # a point where either factor degenerates cannot improve the inf
-            if dv <= 0 or fvv <= 0 or not math.isfinite(dv) or not math.isfinite(fvv):
-                return -math.inf
-            return -fvv / dv
+    def neg_ratio(r):
+        dv = den_at(r)
+        fvv = float(fv(np.array([r]))[0])
+        # a point where either factor degenerates cannot improve the inf
+        if not (0.0 < dv < math.inf and fvv > 0.0):
+            return -math.inf
+        return -fvv / dv
 
-    w = float(seg.width[int(seg.locate(np.array([x0]))[0])])
-    a = max(x0 - w, 1e-12)
-    b = min(x0 + w, 1.0 - 1e-12)
-    _, nv = golden_max(neg, a, b, tol=1e-12)
-    if math.isfinite(nv) and -nv < v0:
-        return float(-nv)
-    return v0
+    return -_polish(p, xs, -rat, neg_ratio)[1]

@@ -9,11 +9,14 @@ reruns of the same command.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eigenbound.cli import DEFAULT_SWEEP, main
+from eigenbound.geometry import GeometryTriple
+from eigenbound.report import ReportRow, build_report, render_table
 
 HALF_PI = math.pi / 2.0
 
@@ -53,6 +56,15 @@ class TestBound:
         out = capsys.readouterr().out
         assert rc == 0
         assert "oracle eigenvalue: 2.46740110027" in out
+        assert "at or below the oracle" in out
+
+    def test_tiny_diameter_oracle_report_is_clean(self, capsys):
+        # The manifold scale 4/D^2 = 4e12 multiplies reduced-scale rounding;
+        # the sandwich check is relative, so rounding stays rounding.
+        rc = main(["bound", "-d", "2", "-D", "1e-6", "-K", "-1", "--oracle"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "SANDWICH VIOLATION" not in out
         assert "at or below the oracle" in out
 
     def test_csv_contract_and_determinism(self, tmp_path):
@@ -106,6 +118,21 @@ class TestBound:
         out = capsys.readouterr().out
         assert rc == 0
         assert "best lower bound" in out
+
+
+class TestSandwich:
+    def test_planted_violation_reports_relative_excess(self, capsys):
+        report = build_report(GeometryTriple(2, 2.0, 0.0), oracle=True)
+        lam = report.oracle_value
+        planted = (
+            ReportRow("planted", "above the oracle", lam * (1.0 + 1e-3), True, False),
+            ReportRow("rounding", "within the slack", lam * (1.0 + 1e-9), True, False),
+        )
+        report = replace(report, rows=report.rows + planted)
+        bad = report.sandwich_violations()
+        assert [n for n, _ in bad] == ["planted"]
+        assert bad[0][1] == pytest.approx(1e-3, rel=1e-9)
+        assert "SANDWICH VIOLATION: planted (+0.001 relative)" in render_table(report)
 
 
 class TestFigure:

@@ -2,8 +2,8 @@
 
 Both paths execute the same statements on the same floats.  The tableau
 arithmetic agrees bit for bit; numba's transcendental intrinsics (tanh,
-cosh) may round one ulp away from the C library's, so the contract for the
-drift/coefficient families is agreement to a couple of ulps per component
+tan) may round one ulp away from the C library's, so the contract for the
+drift families is agreement to a couple of ulps per component
 with an identical step count — tight enough that frozen oracle values
 cannot move between environments, as the subprocess replay check confirms
 at 17 significant digits.  numba is optional: where it is not importable
@@ -86,13 +86,6 @@ class TestShooting:
         assert g == pytest.approx(0.0, abs=1e-10)
         assert steps > 0
 
-    def test_coefficient_family_with_zero_rate_is_flat(self):
-        # kind 3 has a(r) = sech^2(c2 r); c2 = 0 collapses onto kind 0
-        # with no drift, and the step controller sees identical numbers.
-        flat = kernels.shoot(0, 0.0, 0.0, 2.3, 1.0, 0.0, 1.0)
-        coeff = kernels.shoot(3, 0.0, 0.0, 2.3, 1.0, 0.0, 1.0)
-        assert flat == coeff
-
     def test_max_steps_status(self):
         _, _, _, status, _ = kernels.shoot(
             1, 2.0, 1.5, 3.7, 1.0, 0.0, 1.0, 1e-11, 1e-11, 5
@@ -134,8 +127,6 @@ class TestFallbackAgreement:
         (0, 0.0, 0.0, FLAT_LAMBDA),
         (1, 2.0, 1.5, 3.7),
         (2, -1.0, 1.2, 9.0),
-        (3, 0.0, 1.0, 2.0),
-        (4, 0.0, 0.9, 5.0),
     ]
 
     @staticmethod

@@ -129,6 +129,14 @@ class TestDuality:
             adjoint.eigenvalue, abs=1e-9
         )
 
+    def test_gap_is_relative(self):
+        # lambda_bar ~ 0.019 here: an absolute gap would read ~50x smaller
+        # than the relative one and pass any absolute threshold too easily.
+        primal, adjoint, gap = duality_gap(10, Alpha.negative(1.5))
+        p, q = primal.eigenvalue, adjoint.eigenvalue
+        assert gap == abs(p - q) / max(p, q)
+        assert gap < 1e-7
+
     def test_dual_flag_solves_adjoint_family(self):
         res = solve_lambda_bar(3, Alpha.negative(1.5), dual=True)
         assert res.problem.label.startswith("dual")

@@ -10,7 +10,6 @@ from eigenbound.searches import (
     bisect_root,
     first_sign_change,
     golden_max,
-    inf_on_unit_interval,
     sup_on_unit_interval,
 )
 
@@ -53,11 +52,6 @@ class TestUnitIntervalSup:
 
         _, v = sup_on_unit_interval(f)
         assert v == pytest.approx(1.0, abs=1e-10)
-
-    def test_inf_counterpart(self):
-        x, v = inf_on_unit_interval(lambda t: np.cos(math.pi * np.asarray(t)))
-        assert v == pytest.approx(-1.0, abs=1e-6)
-        assert x == pytest.approx(1.0, abs=2e-3)
 
 
 class TestFirstSignChange:

@@ -8,8 +8,10 @@ import pytest
 from conftest import get_lambda, get_profile
 from eigenbound.errors import DomainError, InvalidTestFunction
 from eigenbound.geometry import Alpha, CoefficientProfile, HALF_PI
+from eigenbound import universal
 from eigenbound.searches import sup_on_unit_interval
 from eigenbound.universal import (
+    DELTA_NAMES,
     delta,
     delta1,
     delta1_prime,
@@ -54,6 +56,35 @@ class TestFlatExactValues:
         p = get_profile(2, Alpha.zero())
         assert delta1(p) == pytest.approx(delta1_star(p), abs=5e-13)
         assert delta1_prime(p) == pytest.approx(delta1_star_prime(p), abs=5e-13)
+
+
+class TestPointView:
+    """The polish path's contract: evaluated at a lattice point, the
+    off-lattice point view of each functional reproduces its lattice value."""
+
+    @pytest.mark.parametrize("name", DELTA_NAMES)
+    @pytest.mark.parametrize(
+        "d, alpha",
+        [(2, Alpha.zero()), (3, Alpha.negative(1.5)), (5, Alpha.positive(1.0))],
+        ids=["flat", "neg", "pos"],
+    )
+    def test_point_view_matches_lattice(self, name, d, alpha):
+        p = get_profile(d, alpha)
+        xs, _, _ = universal._lattice(p)
+        expr = universal._FUNCTIONALS[name]
+        with np.errstate(all="ignore"):
+            lattice = expr(universal._lattice_view(p))
+        n_nodes = p.seg.n - 1
+        picks = {
+            int(np.argmax(lattice)),  # where the polish starts
+            n_nodes // 4,  # interior partition nodes
+            n_nodes // 2,
+            n_nodes + 15 * (p.seg.n // 3) + 4,  # sub-nodes
+            n_nodes + 15 * (2 * p.seg.n // 3) + 11,
+        }
+        for j in sorted(picks):
+            point = float(expr(universal._point_view(p, float(xs[j]))))
+            assert point == pytest.approx(lattice[j], rel=1e-12), (name, float(xs[j]))
 
 
 class TestBruteForceCrossCheck:

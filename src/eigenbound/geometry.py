@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentIntegral, DomainError, MyersViolation
-from .quadrature import Segmentation, get_segmentation
+from .quadrature import Segmentation, get_segmentation, page_means
 
 HALF_PI = math.pi / 2.0
 MYERS_SLACK = 1e-12
@@ -169,9 +169,9 @@ class CoefficientProfile:
             ci_ss = self.coeff_inv(seg.subsub)
             self.c_sub = c_sub
             self.cinv_sub = ci_sub
-            self.phi_nodes, self.phi_sub = seg.build_cumulative(ci_sub, ci_ss)
+            self.phi_nodes, self.phi_sub = seg.build_cumulative(ci_sub, page_means(ci_ss))
             self.psi_nodes, self.psi_sub = seg.build_reverse(
-                c_sub, c_ss, self.tail_floor
+                c_sub, page_means(c_ss), self.tail_floor
             )
         self.phi_total = float(self.phi_nodes[-1])
         self.psi_total = float(self.psi_nodes[0])

@@ -18,6 +18,16 @@ at every partition node and every sub-node with panel-exact accuracy, and
 `cum_eval` extends that to arbitrary interior points by re-integrating the
 tail of one segment.  All heavy evaluation is vectorized; integrands must
 accept numpy arrays.
+
+The tables take the within-segment means of the integrand: row k, column j
+holds the GL15 mean of f over [node_k, sub_kj].  Callers that evaluate f
+at the sub-sub points reduce those pages with `page_means`.  Callers that
+know f only at the sub-nodes interpolate it in-segment (degree 14), and
+for such a row the means are one product with the 15x15 spectral
+integration matrix `SPECTRAL[q, j] = sum_m INTERP[15j+m, q] WH[m]`
+(Greengard, SIAM J. Numer. Anal. 28, 1991).  A row whose interpolant may
+overshoot its conditioning cap instead takes the clipped-page path; see
+`needs_clip`.
 """
 
 from __future__ import annotations
@@ -128,15 +138,58 @@ def _lagrange_matrix(points: np.ndarray) -> np.ndarray:
     return m
 
 
+#: (225, 15) degree-14 interpolation from a segment's 15 sub-nodes to its
+#: sub-sub points; row 15j+m is GL node m of [0, XI[j]] on the reference
+#: segment.
+INTERP = _lagrange_matrix((XI[:, None] * XI[None, :]).ravel())
+#: (15, 15) spectral integration matrix: v_sub @ SPECTRAL equals the
+#: WH-weighted page means of the interpolated row, without the page.
+SPECTRAL = INTERP.T.reshape(15, 15, 15) @ WH
+#: Lebesgue constant of the sub-sub positions (largest absolute row sum of
+#: INTERP, ~6.604), padded so the guard in `needs_clip` also covers the
+#: rounding of the page values it vouches for.
+LEBESGUE = float(np.max(np.sum(np.abs(INTERP), axis=1))) * (1.0 + 1e-12)
+
+
+def page_means(pages: np.ndarray) -> np.ndarray:
+    """(n, 15) within-segment means from (n, 15, 15) sub-sub pages."""
+    return np.einsum("njm,m->nj", pages, WH)
+
+
+def needs_clip(v_sub: np.ndarray) -> np.ndarray:
+    """Rows whose interpolated page might exceed the cap 2 * max|row|.
+
+    Interpolation reproduces constants, so every page value of a row lies
+    within mid +- LEBESGUE * half, where mid and half are the row's
+    midrange and half-range.  Rows that keep that interval inside the cap
+    are provably untouched by the clip; non-finite rows are always
+    flagged.
+    """
+    # Reduced along the first axis of a transposed copy: numpy reduces
+    # 15-value rows one at a time, which would cost more than the matrix
+    # product this guard serves.
+    cols = np.ascontiguousarray(v_sub.T)
+    hi = cols.max(axis=0)
+    lo = cols.min(axis=0)
+    cap = 2.0 * np.maximum(hi, -lo)
+    with np.errstate(invalid="ignore", over="ignore"):
+        reach = np.abs(0.5 * (hi + lo)) + LEBESGUE * (0.5 * (hi - lo))
+        return ~(np.isfinite(cap) & (reach <= cap))
+
+
 class Segmentation:
     """Shared Chebyshev partition with nested Gauss-Legendre structure.
 
     nodes:    (n+1,) partition of [0, 1]
     sub:      (n, 15) GL nodes of each segment
     subsub:   (n, 15, 15) GL nodes of [node_k, sub_kj] for every sub-node
-    interp:   (225, 15) in-segment degree-14 interpolation matrix mapping
-              values at the segment's sub-nodes to values at its sub-sub
-              points (used where a further exact nesting level would recurse)
+
+    Integrands known only at the sub-nodes (`cumulative_from_sub`,
+    `reverse_from_sub`) get their means from one product with SPECTRAL.
+    Rows flagged by `needs_clip` (a few per table in practice, where a
+    row changes sign or varies by a large factor) are interpolated onto
+    their sub-sub pages (`interp_sub`), clipped (`_interp_pages`) and
+    reduced like direct pages instead.
     """
 
     def __init__(self, n_segments: int = 4096):
@@ -151,28 +204,26 @@ class Segmentation:
         # a tail integral of order 1e-9.  Subtraction is exact there.
         self.offs = self.sub - a[:, None]
         self.subsub = a[:, None, None] + self.offs[:, :, None] * XI[None, None, :]
-        tt = (XI[:, None] * XI[None, :]).ravel()  # 225 reference positions
-        self.interp = _lagrange_matrix(tt)
 
     def segment_integrals(self, v_sub: np.ndarray) -> np.ndarray:
         """(n,) integrals over each segment from integrand values at sub."""
         return self.width * (v_sub @ WH)
 
-    def build_cumulative(self, v_sub: np.ndarray, v_subsub: np.ndarray):
+    def build_cumulative(self, v_sub: np.ndarray, means: np.ndarray):
         """Cumulative integral tables from integrand values.
 
-        Returns (cum_nodes, cum_sub): the running integral from 0 at every
-        node and at every sub-node.  Both levels are exact GL15 values, no
-        interpolation involved.
+        v_sub holds the integrand at the sub-nodes and means its (n, 15)
+        within-segment means over [node_k, sub_kj].  Returns (cum_nodes,
+        cum_sub): the running integral from 0 at every node and at every
+        sub-node.  Both levels are GL15 values.
         """
         seg = self.segment_integrals(v_sub)
         cum_nodes = np.concatenate(([0.0], np.cumsum(seg)))
-        partial = np.einsum("njm,m->nj", v_subsub, WH)
-        cum_sub = cum_nodes[:-1, None] + self.offs * partial
+        cum_sub = cum_nodes[:-1, None] + self.offs * means
         return cum_nodes, cum_sub
 
     def build_reverse(
-        self, v_sub: np.ndarray, v_subsub: np.ndarray, rel_floor: float = 0.0
+        self, v_sub: np.ndarray, means: np.ndarray, rel_floor: float = 0.0
     ):
         """Tail integral tables: int_x^1 f at nodes and sub-nodes.
 
@@ -192,8 +243,7 @@ class Segmentation:
         """
         seg = self.segment_integrals(v_sub)
         tail_nodes = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-        partial = np.einsum("njm,m->nj", v_subsub, WH)
-        within = self.offs * partial
+        within = self.offs * means
         tail_sub = tail_nodes[1:, None] + (seg[:, None] - within)
         rel = max(64.0 * np.finfo(float).eps, rel_floor)
         floor = rel * np.abs(tail_nodes[:-1, None])
@@ -212,8 +262,8 @@ class Segmentation:
 
     def interp_sub(self, v_sub: np.ndarray) -> np.ndarray:
         """Values at sub-sub points interpolated from values at sub-nodes."""
-        out = v_sub @ self.interp.T
-        return out.reshape(self.n, 15, 15)
+        out = v_sub @ INTERP.T
+        return out.reshape(-1, 15, 15)
 
     def _interp_pages(self, v_sub: np.ndarray) -> np.ndarray:
         """Interpolated sub-sub pages, clamped to each row's conditioning cap.
@@ -229,6 +279,19 @@ class Segmentation:
         cap = 2.0 * np.max(np.abs(v_sub), axis=1)[:, None, None]
         return np.clip(pages, -cap, cap)
 
+    def interp_means(self, v_sub: np.ndarray) -> np.ndarray:
+        """Within-segment means of the in-segment interpolant of each row.
+
+        Equal to page_means(self._interp_pages(v_sub)) up to rounding:
+        rows the clip provably leaves alone go through SPECTRAL, and only
+        rows flagged by `needs_clip` are paged and clipped.
+        """
+        means = v_sub @ SPECTRAL
+        bad = needs_clip(v_sub)
+        if bad.any():
+            means[bad] = page_means(self._interp_pages(v_sub[bad]))
+        return means
+
     def cumulative_from_sub(self, v_sub: np.ndarray):
         """build_cumulative with the sub-sub level filled by interpolation.
 
@@ -236,11 +299,11 @@ class Segmentation:
         test functions); the integrand restricted to one segment is smooth,
         so the degree-14 in-segment interpolant is panel-exact in practice.
         """
-        return self.build_cumulative(v_sub, self._interp_pages(v_sub))
+        return self.build_cumulative(v_sub, self.interp_means(v_sub))
 
     def reverse_from_sub(self, v_sub: np.ndarray, rel_floor: float = 0.0):
         """build_reverse with the sub-sub level filled by interpolation."""
-        return self.build_reverse(v_sub, self._interp_pages(v_sub), rel_floor)
+        return self.build_reverse(v_sub, self.interp_means(v_sub), rel_floor)
 
     def locate(self, x: np.ndarray) -> np.ndarray:
         k = np.searchsorted(self.nodes, x, side="right") - 1

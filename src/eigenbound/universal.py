@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DomainError, EigenboundError, InvalidTestFunction
 from .geometry import Alpha, CoefficientProfile, CurvatureSign
+from .quadrature import page_means
 from .searches import golden_max
 
 MAX_ITERATIONS = 10
@@ -88,8 +89,6 @@ def _integrand(name: str, v: _View) -> np.ndarray:
     keep their rounding.
     """
     weight, power, _ = _INTEGRANDS[name]
-    # x before k: on a full page, phi or psi is the costly read, and its
-    # temporaries then peak with fewer finished pages alive.
     x, k = (v.phi, v.C) if weight == "C" else (v.psi, v.Cinv)
     if power == 0.5:
         return k * np.sqrt(x)
@@ -142,6 +141,23 @@ def _flat(table) -> np.ndarray:
     return np.concatenate((nodes[1:-1], sub.ravel()))
 
 
+#: Segments per block of direct sub-sub evaluations at the Myers edge.  A
+#: block's pages are reduced to means and dropped before the next, so peak
+#: memory follows the block, not the 921,600 sub-sub points of the lattice.
+_EDGE_BLOCK = 256
+
+
+def _edge_means(p: CoefficientProfile) -> dict[str, np.ndarray]:
+    """Within-segment means of every integrand from direct sub-sub values."""
+    seg = p.seg
+    means = {name: np.empty_like(seg.sub) for name in _INTEGRANDS}
+    for lo in range(0, seg.n, _EDGE_BLOCK):
+        block = _coefficients(p, seg.subsub[lo : lo + _EDGE_BLOCK])
+        for name, out in means.items():
+            out[lo : lo + _EDGE_BLOCK] = page_means(_scrub(p, _integrand(name, block)))
+    return means
+
+
 def _tables(p: CoefficientProfile):
     """The six integral tables (nodes, sub-nodes), cached per profile."""
     tabs = p._cache.get("delta_tables")
@@ -149,26 +165,25 @@ def _tables(p: CoefficientProfile):
         return tabs
     seg = p.seg
     rows = _View({"C": p.c_sub, "Cinv": p.cinv_sub, "phi": p.phi_sub, "psi": p.psi_sub}.get)
-    # At the Myers edge the forward integrands C phi^{3/2}, C phi^2 and
-    # C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens of
-    # orders of magnitude inside the final graded segments, which no
-    # in-segment polynomial interpolant can represent.  Build the pages
-    # from direct evaluations instead; the panel quadratures then see
-    # genuine (positive, monotone) values and stay bounded and sane.
-    pages = _coefficients(p, seg.subsub) if p.alpha.at_half_pi and p.d >= 4 else None
 
     def build(name, forward):
         vals = _scrub(p, _integrand(name, rows))
-        if pages is None:
+        if means is None:
             if forward:
                 return seg.cumulative_from_sub(vals)
             return seg.reverse_from_sub(vals, p.tail_floor)
-        page = _scrub(p, _integrand(name, pages))
         if forward:
-            return seg.build_cumulative(vals, page)
-        return seg.build_reverse(vals, page, p.tail_floor)
+            return seg.build_cumulative(vals, means[name])
+        return seg.build_reverse(vals, means[name], p.tail_floor)
 
     with np.errstate(all="ignore"):
+        # At the Myers edge the forward integrands C phi^{3/2}, C phi^2 and
+        # C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens
+        # of orders of magnitude inside the final graded segments, which no
+        # in-segment polynomial interpolant can represent.  Take the means
+        # from direct evaluations instead; the panel quadratures then see
+        # genuine (positive, monotone) values and stay bounded and sane.
+        means = _edge_means(p) if p.alpha.at_half_pi and p.d >= 4 else None
         tabs = {name: build(name, forward) for name, (_, _, forward) in _INTEGRANDS.items()}
     p._cache["delta_tables"] = tabs
     return tabs

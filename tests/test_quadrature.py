@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from eigenbound.quadrature import (
+    INTERP,
+    LEBESGUE,
+    XI,
     Segmentation,
     chebyshev_nodes,
     gl15,
     get_segmentation,
     integrate,
+    needs_clip,
+    page_means,
 )
 
 SEG = Segmentation(256)
@@ -118,9 +123,72 @@ class TestInterpolation:
 
     def test_consistency_of_direct_and_interpolated_builds(self):
         v_sub = np.cos(2.0 * SEG.sub)
-        direct = SEG.build_cumulative(v_sub, np.cos(2.0 * SEG.subsub))
+        direct = SEG.build_cumulative(v_sub, page_means(np.cos(2.0 * SEG.subsub)))
         interp = SEG.cumulative_from_sub(v_sub)
         assert direct[1] == pytest.approx(interp[1], abs=1e-12)
+
+
+class TestSpectralMatrix:
+    """The 15x15 matrix path against the clipped-page path it replaces."""
+
+    @staticmethod
+    def _clipped_page_means(v_sub):
+        return page_means(SEG._interp_pages(v_sub))
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: np.sin(3.0 * x), np.exp, lambda x: np.cos(2.0 * x), lambda x: 1.0 / (1.0 + x)],
+        ids=["sin", "exp", "cos", "rational"],
+    )
+    def test_matches_clipped_pages_on_smooth_rows(self, f):
+        v_sub = f(SEG.sub)
+        got = SEG.interp_means(v_sub)
+        want = self._clipped_page_means(v_sub)
+        scale = np.max(np.abs(v_sub), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    def test_flagged_rows_take_the_clipped_path(self):
+        mixed = np.exp(SEG.sub)
+        mixed[3] = np.geomspace(1.0, 1e30, SEG.sub.shape[1])
+        mixed[7, 4] = np.nan
+        mixed[9, 2] = np.inf
+        bad = needs_clip(mixed)
+        assert np.flatnonzero(bad).tolist() == [3, 7, 9]
+        with np.errstate(invalid="ignore"):
+            got = SEG.interp_means(mixed)
+            want = self._clipped_page_means(mixed)
+        np.testing.assert_array_equal(got[bad], want[bad])
+        assert np.isnan(got[7]).all()
+        scale = np.max(np.abs(mixed[~bad]), axis=1, keepdims=True)
+        assert np.all(np.abs(got[~bad] - want[~bad]) <= 1e-14 * scale)
+
+    def test_guard_is_sound_on_the_worst_row(self):
+        # The row that attains the Lebesgue constant, offset so that it
+        # just passes the guard: its interpolant reaches the cap.
+        k = int(np.argmax(np.sum(np.abs(INTERP), axis=1)))
+        row = (1.0 + np.sign(INTERP[k]) * (1.0 - 1e-9) / (LEBESGUE - 2.0))[None, :]
+        assert not needs_clip(row)[0]
+        reach = np.max(np.abs(SEG.interp_sub(row)))
+        cap = 2.0 * np.max(np.abs(row))
+        assert cap * (1.0 - 1e-8) < reach <= cap
+
+    def test_guard_vouches_for_the_clip(self):
+        # Steep exponentials, sign changes and constants: every row the
+        # guard lets through interpolates inside the clip's cap.
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coef = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+        @hyp.settings(max_examples=400, deadline=None)
+        @hyp.given(st.floats(-200.0, 200.0), coef, coef, coef)
+        def check(rate, a, b, c):
+            with np.errstate(over="ignore"):
+                row = (a * np.exp(rate * XI) + b * XI + c)[None, :]
+            hyp.assume(np.all(np.isfinite(row)))
+            if not needs_clip(row)[0]:
+                assert np.max(np.abs(SEG.interp_sub(row))) <= 2.0 * np.max(np.abs(row))
+
+        check()
 
 
 class TestEvaluators:

@@ -1,6 +1,7 @@
 """Weighted-integral functionals, the two-sided bracket, and iteration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import get_lambda, get_profile
 from eigenbound.errors import DomainError, InvalidTestFunction
 from eigenbound.geometry import Alpha, CoefficientProfile, HALF_PI
 from eigenbound import universal
+from eigenbound.quadrature import page_means
 from eigenbound.searches import sup_on_unit_interval
 from eigenbound.universal import (
     DELTA_NAMES,
@@ -144,6 +146,29 @@ class TestFrozenProfiles:
             assert delta1_star(p) / delta1_star_prime(p) == pytest.approx(
                 want, rel=1e-10
             )
+
+
+class TestEdgeTables:
+    """The Myers-edge tables from direct sub-sub values, built in blocks."""
+
+    def test_blocks_match_whole_pages(self):
+        p = CoefficientProfile(5, Alpha.positive(HALF_PI), segments=512)
+        whole = universal._coefficients(p, p.seg.subsub)
+        with np.errstate(all="ignore"):
+            got = universal._edge_means(p)
+            for name in universal._INTEGRANDS:
+                want = page_means(universal._scrub(p, universal._integrand(name, whole)))
+                np.testing.assert_array_equal(got[name], want)
+
+    def test_peak_memory(self):
+        p = CoefficientProfile(10, Alpha.positive(HALF_PI))
+        tracemalloc.start()
+        try:
+            universal._tables(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestBracket:

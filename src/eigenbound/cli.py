@@ -171,7 +171,7 @@ def cmd_bound(args) -> int:
             ["name", "value", "valid", "clamped"],
             report_records(report),
         )
-    bad = report.sandwich_violations()
+    bad = report.sandwich_violations() or report.upper_violation() is not None
     return 1 if bad else 0
 
 

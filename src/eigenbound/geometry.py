@@ -249,21 +249,3 @@ class CoefficientProfile:
         if r == 1.0:
             return 0.0
         return float(self.psi_at(np.array([r]))[0])
-
-    def phi_psi_at(self, x) -> np.ndarray:
-        """The product phi * psi with the 0 * inf endpoint degeneracy zeroed.
-
-        Near |alpha| = pi/2 the float phi overflows where psi has already
-        underflowed (this happens slightly shy of pi/2 too, C(1) being a
-        subnormal rather than an exact zero); the true product decays like
-        (1 - r)^2 there, so nan and inf * 0 artifacts are mapped to 0.  On
-        the other branches non-finite values propagate: they would be bugs.
-        """
-        phi = self.phi_at(x)
-        psi = self.psi_at(x)
-        with np.errstate(invalid="ignore", over="ignore"):
-            prod = phi * psi
-        if self.alpha.sign is CurvatureSign.POSITIVE_K:
-            bad = ~np.isfinite(prod)
-            prod = np.where(bad & (psi == 0.0), 0.0, prod)
-        return prod

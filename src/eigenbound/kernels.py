@@ -1,56 +1,32 @@
-"""Hot integration kernels for the shooting oracle.
+"""Integration kernel for the shooting oracle.
 
-The two entry points integrate the first-order system
+One loop integrates the first-order system
 
     f' = g,    g' = -lam * f - F(r) * g
 
-with a Dormand-Prince 5(4) embedded pair.  The drift is encoded by an
-integer so the whole loop stays jittable:
+from r = 0 with a Dormand-Prince 5(4) embedded pair.  The drift is encoded
+by an integer:
 
     kind 0: F(r) = c1 * r
     kind 1: F(r) = c1 * tanh(c2 * r)
     kind 2: F(r) = c1 * tan(c2 * r)
 
-When numba is importable and EIGENBOUND_NO_NUMBA is unset the kernels are
-compiled with @njit; otherwise the same functions run as plain Python.
-`benchmarks/bench_kernels.py` compares the two paths on an identical
-workload.  The system is linear, so whenever the state grows past RENORM
-the pair (f, g) is rescaled and the log of the accumulated factor is
-returned; signs and zero crossings are unaffected.
+`shoot` returns the end state only.  `shoot_path` also records the state at
+a set of sample points, read off the pair's free quartic continuous
+extension (Shampine, Math. Comp. 46, 1986) instead of stepping onto each
+sample; its steps are capped at r_end / PATH_STEPS so the interpolant stays
+well below the integration tolerance.  The system is linear, so whenever
+the state grows past RENORM the pair (f, g) is rescaled and the log of the
+accumulated factor is returned; signs and zero crossings are unaffected.
 """
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    _HAVE_NUMBA = False
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("EIGENBOUND_NO_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-NUMBA_ENABLED = _HAVE_NUMBA and not _env_disabled()
-
-
-def _jit(fn):
-    if NUMBA_ENABLED:
-        # nogil lets sweep worker threads integrate concurrently.
-        return numba.njit(cache=True, nogil=True)(fn)
-    return fn
-
+#: Always False: the kernel is plain Python.  Kept as a constant because
+#: perfbench/run.py reads it.
+NUMBA_ENABLED = False
 
 # Dormand-Prince 5(4) tableau.
 _A21 = 1.0 / 5.0
@@ -85,6 +61,26 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     11.0 / 84.0 - 187.0 / 2100.0,
     -1.0 / 40.0,
 )
+# Continuous extension: over an accepted step of size h from r,
+# y(r + x h) = y + h * sum_j (sum_i k_i * _P[i][j]) * x^(j + 1), i over the
+# stages k1, k3, k4, k5, k6, k7 (k2's row is zero).
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+#: A path takes at least this many steps; coarser steps let the
+#: interpolated samples drift by ~1e-10 relative.
+PATH_STEPS = 512
 
 RENORM = 1e250
 
@@ -103,19 +99,43 @@ def _deriv(kind, c1, c2, lam, r, f, g):
     return g, dg
 
 
-def _integrate(kind, c1, c2, lam, r0, r1, f, g, h0, atol, rtol, max_steps):
-    """March (f, g) from r0 to r1.  Returns (f, g, log_scale, h_last, status, steps)."""
-    r = r0
-    span = r1 - r0
-    h = h0
-    if h <= 0.0 or h > span:
-        h = span / 100.0
+def _extension(h, k1, k3, k4, k5, k6, k7):
+    """Coefficients (q1..q4) of h * (q1 x + q2 x^2 + q3 x^3 + q4 x^4)."""
+    return tuple(
+        h * (k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7)
+        for p1, p3, p4, p5, p6, p7 in zip(*_P)
+    )
+
+
+def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
+    """March (f, g) from 0 to r1.
+
+    Returns (f, g, log_scale, status, steps).  With rs (increasing, from 0
+    to r1) f, g and log_scale are arrays of the state at every rs[i] instead,
+    equal to (f[i], g[i]) * exp(log_scale[i]); the last entry is the end
+    state itself.
+    """
+    r = 0.0
+    h = r1 / 100.0
+    hmax = math.inf
     log_scale = 0.0
     steps = 0
-    hmin = 1e-15 * span + 1e-300
+    status = STATUS_OK
+    hmin = 1e-15 * r1 + 1e-300
+    if rs is not None:
+        hmax = r1 / PATH_STEPS
+        ts = rs.tolist()
+        fs = np.empty(len(ts))
+        gs = np.empty(len(ts))
+        ls = np.empty(len(ts))
+        fs[0], gs[0], ls[0] = f, g, 0.0
+        j = 1
     while r < r1:
         if steps >= max_steps:
-            return f, g, log_scale, h, STATUS_MAX_STEPS, steps
+            status = STATUS_MAX_STEPS
+            break
+        if h > hmax:
+            h = hmax
         if h > r1 - r:
             h = r1 - r
         k1f, k1g = _deriv(kind, c1, c2, lam, r, f, g)
@@ -171,6 +191,15 @@ def _integrate(kind, c1, c2, lam, r0, r1, f, g, h0, atol, rtol, max_steps):
         sg = atol + rtol * max(abs(g), abs(gn))
         err = math.sqrt(0.5 * ((ef / sf) ** 2 + (eg / sg) ** 2))
         if err <= 1.0:
+            if rs is not None and j < len(ts) and ts[j] <= r + h:
+                qf1, qf2, qf3, qf4 = _extension(h, k1f, k3f, k4f, k5f, k6f, k7f)
+                qg1, qg2, qg3, qg4 = _extension(h, k1g, k3g, k4g, k5g, k6g, k7g)
+                while j < len(ts) and ts[j] <= r + h:
+                    x = (ts[j] - r) / h
+                    fs[j] = f + x * (qf1 + x * (qf2 + x * (qf3 + x * qf4)))
+                    gs[j] = g + x * (qg1 + x * (qg2 + x * (qg3 + x * qg4)))
+                    ls[j] = log_scale
+                    j += 1
             r = r + h
             f = fn
             g = gn
@@ -188,75 +217,38 @@ def _integrate(kind, c1, c2, lam, r0, r1, f, g, h0, atol, rtol, max_steps):
             h *= fac
         else:
             h *= 5.0
-        if h < hmin:
-            return f, g, log_scale, h, STATUS_STEP_UNDERFLOW, steps
+        # Capped steps can leave a last sliver of a step below hmin; only
+        # a step with ground still to cover counts as an underflow.
+        if h < hmin and r < r1:
+            status = STATUS_STEP_UNDERFLOW
+            break
         steps += 1
-    return f, g, log_scale, h, STATUS_OK, steps
-
-
-def _integrate_path(kind, c1, c2, lam, rs, f0, g0, atol, rtol, max_steps):
-    """Like _integrate, but records the state at every point of rs.
-
-    rs must be increasing with rs[0] the starting abscissa.  Returns
-    (f_arr, g_arr, logscale_arr, status, steps); the state at rs[i] equals
-    (f_arr[i], g_arr[i]) * exp(logscale_arr[i]).
-    """
-    n = rs.shape[0]
-    fs = np.empty(n)
-    gs = np.empty(n)
-    ls = np.empty(n)
-    fs[0] = f0
-    gs[0] = g0
-    ls[0] = 0.0
-    f = f0
-    g = g0
-    total_log = 0.0
-    total_steps = 0
-    h = (rs[n - 1] - rs[0]) / 100.0
-    for i in range(1, n):
-        f, g, dlog, h, status, steps = _integrate(
-            kind, c1, c2, lam, rs[i - 1], rs[i], f, g, h, atol, rtol,
-            max_steps - total_steps,
-        )
-        total_log += dlog
-        total_steps += steps
-        fs[i] = f
-        gs[i] = g
-        ls[i] = total_log
-        if status != STATUS_OK:
-            return fs, gs, ls, status, total_steps
-    return fs, gs, ls, STATUS_OK, total_steps
-
-
-# Compiled (or plain) entry points; the *_impl names keep the pure-Python
-# versions reachable so the two paths can be compared in tests.
-_integrate_impl = _integrate
-_integrate_path_impl = _integrate_path
-_deriv = _jit(_deriv)
-_integrate = _jit(_integrate)
-_integrate_path = _jit(_integrate_path)
+    if rs is None:
+        return f, g, log_scale, status, steps
+    if status == STATUS_OK:
+        fs[-1], gs[-1], ls[-1] = f, g, log_scale
+    return fs, gs, ls, status, steps
 
 
 def shoot(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
           max_steps=2_000_000):
     """Integrate to r_end and return (f, g, log_scale, status, steps)."""
-    f, g, log_scale, _h, status, steps = _integrate(
-        kind, c1, c2, float(lam), 0.0, float(r_end), float(f0), float(g0),
-        0.0, atol, rtol, max_steps,
+    return _integrate(
+        kind, c1, c2, float(lam), float(r_end), float(f0), float(g0),
+        atol, rtol, max_steps,
     )
-    return f, g, log_scale, status, steps
 
 
 def shoot_path(kind, c1, c2, lam, rs, f0, g0, atol=1e-11, rtol=1e-11,
-               max_steps=4_000_000):
-    """Integrate along the sample points rs; see _integrate_path."""
-    rs = np.ascontiguousarray(rs, dtype=np.float64)
-    return _integrate_path(
-        kind, c1, c2, float(lam), rs, float(f0), float(g0), atol, rtol, max_steps
+               max_steps=2_000_000):
+    """Integrate along the sample points rs, which run from 0 up to r_end.
+
+    Returns (f_arr, g_arr, logscale_arr, status, steps); see _integrate.
+    """
+    rs = np.asarray(rs, dtype=float)
+    if rs[0] != 0.0:
+        raise ValueError("a path starts at r = 0")
+    return _integrate(
+        kind, c1, c2, float(lam), float(rs[-1]), float(f0), float(g0),
+        atol, rtol, max_steps, rs,
     )
-
-
-def warmup():
-    """Trigger jit compilation once so timings elsewhere stay honest."""
-    shoot(1, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1e-8, 1e-8, 10000)
-    shoot_path(0, 0.0, 0.0, 1.0, np.array([0.0, 0.5, 1.0]), 0.0, 1.0, 1e-8, 1e-8, 10000)

@@ -2,8 +2,8 @@
 
 Everything downstream of a coefficient profile can be cross-checked here:
 eigenvalues are located by integrating the initial value problem with the
-compiled Dormand-Prince kernel and bisecting a boundary functional in
-lambda, with no reference to the quadrature lattice.
+Dormand-Prince kernel and bisecting a boundary functional in lambda, with
+no reference to the quadrature lattice.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class EigenProblem:
     """One shooting family: f'' + F f' + lam f = 0 on [0, r_end].
 
     kind (KIND_LINEAR, KIND_TANH or KIND_TAN), c1 and c2 select the drift F
-    inside the compiled kernel; the boundary conditions fix which end
+    inside the integration kernel; the boundary conditions fix which end
     states are imposed at 0 and which boundary functional is driven to zero
     at r_end.
     """

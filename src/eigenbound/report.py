@@ -28,6 +28,10 @@ __all__ = [
     "report_records",
 ]
 
+#: Relative slack of both sides of the oracle sandwich: lower bounds over
+#: the oracle, and the oracle over the certified upper bound.
+_SANDWICH_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -72,7 +76,9 @@ class BoundReport:
             return None
         return self.scale * self.oracle.eigenvalue
 
-    def sandwich_violations(self, slack: float = 1e-6) -> list[tuple[str, float]]:
+    def sandwich_violations(
+        self, slack: float = _SANDWICH_SLACK
+    ) -> list[tuple[str, float]]:
         """Valid rows above the oracle eigenvalue by more than slack, relatively.
 
         Returns (name, relative excess) pairs.  The comparison is scale-free:
@@ -86,6 +92,20 @@ class BoundReport:
             for row in self.rows
             if row.valid and math.isfinite(row.value) and row.value > lam * (1.0 + slack)
         ]
+
+    def upper_violation(self) -> float | None:
+        """Relative excess of the oracle over the certified upper bound.
+
+        None when there is no oracle or it sits at or below
+        upper * (1 + _SANDWICH_SLACK); the other side of the sandwich check.
+        """
+        if self.oracle is None:
+            return None
+        upper = self.scale * self.bracket.upper
+        lam = self.oracle_value
+        if lam > upper * (1.0 + _SANDWICH_SLACK):
+            return (lam - upper) / upper
+        return None
 
 
 def build_report(
@@ -202,11 +222,20 @@ def render_table(report: BoundReport) -> str:
         lines.append("")
         lines.append(f"oracle eigenvalue: {_fmt(report.oracle_value)}")
         bad = report.sandwich_violations()
+        over = report.upper_violation()
         if bad:
             worst = ", ".join(f"{n} (+{e:.3g} relative)" for n, e in bad)
             lines.append(f"  SANDWICH VIOLATION: {worst}")
-        else:
-            lines.append("  all valid lower bounds sit at or below the oracle value")
+        if over is not None:
+            lines.append(
+                "  UPPER BOUND VIOLATION: oracle above the certified upper"
+                f" bound (+{over:.3g} relative)"
+            )
+        if not bad and over is None:
+            lines.append(
+                "  all valid lower bounds sit at or below the oracle value,"
+                " and the oracle at or below the certified upper bound"
+            )
     return "\n".join(lines)
 
 

@@ -134,6 +134,23 @@ class TestSandwich:
         assert bad[0][1] == pytest.approx(1e-3, rel=1e-9)
         assert "SANDWICH VIOLATION: planted (+0.001 relative)" in render_table(report)
 
+    def test_oracle_above_upper_bound_is_flagged(self, capsys, monkeypatch):
+        report = build_report(GeometryTriple(2, 2.0, 0.0), oracle=True)
+        assert report.upper_violation() is None
+        upper = report.bracket.upper
+        within = replace(report.oracle, eigenvalue=upper * (1.0 + 1e-9))
+        assert replace(report, oracle=within).upper_violation() is None
+        above = replace(report.oracle, eigenvalue=upper * (1.0 + 1e-3))
+        report = replace(report, oracle=above)
+        assert report.upper_violation() == pytest.approx(1e-3, rel=1e-9)
+        assert not report.sandwich_violations()
+        text = render_table(report)
+        assert "UPPER BOUND VIOLATION: oracle above the certified upper bound" in text
+        assert "at or below the oracle" not in text
+        monkeypatch.setattr("eigenbound.cli.build_report", lambda *a, **k: report)
+        assert main(["bound", "-d", "2", "-D", "2", "-K", "0", "--oracle"]) == 1
+        assert "UPPER BOUND VIOLATION" in capsys.readouterr().out
+
 
 class TestFigure:
     def test_multiplier_figure_signs(self, tmp_path):

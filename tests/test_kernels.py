@@ -1,20 +1,6 @@
-"""Tests for the jitted integration kernels and their pure-Python fallback.
+"""Tests for the Dormand-Prince shooting kernel and its dense samples."""
 
-Both paths execute the same statements on the same floats.  The tableau
-arithmetic agrees bit for bit; numba's transcendental intrinsics (tanh,
-tan) may round one ulp away from the C library's, so the contract for the
-drift families is agreement to a couple of ulps per component
-with an identical step count — tight enough that frozen oracle values
-cannot move between environments, as the subprocess replay check confirms
-at 17 significant digits.  numba is optional: where it is not importable
-the agreement tests skip and every other test runs the fallback.
-"""
-
-import importlib.util
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -23,55 +9,15 @@ from eigenbound import kernels
 
 FLAT_LAMBDA = math.pi**2 / 4.0
 
+#: One case per drift family: kind, c1, c2, lam.
+CASES = [
+    (0, 0.0, 0.0, FLAT_LAMBDA),
+    (1, 2.0, 1.5, 3.7),
+    (2, -1.0, 1.2, 9.0),
+]
 
-class TestConfiguration:
-    def test_jit_flag_reflects_environment(self):
-        # The jit is on iff numba is importable and EIGENBOUND_NO_NUMBA is
-        # not one of its documented "on" spellings.
-        value = os.environ.get("EIGENBOUND_NO_NUMBA", "")
-        want = importlib.util.find_spec("numba") is not None and (
-            value.strip().lower() not in {"1", "true", "yes", "on"}
-        )
-        assert kernels.NUMBA_ENABLED is want
-
-    @pytest.mark.parametrize(
-        "value, disabled",
-        [
-            ("1", True),
-            ("true", True),
-            ("YES", True),
-            (" on ", True),
-            (None, False),
-            ("", False),
-            ("0", False),
-            ("false", False),
-            ("no", False),
-        ],
-    )
-    def test_env_flag_spellings(self, monkeypatch, value, disabled):
-        if value is None:
-            monkeypatch.delenv("EIGENBOUND_NO_NUMBA", raising=False)
-        else:
-            monkeypatch.setenv("EIGENBOUND_NO_NUMBA", value)
-        assert kernels._env_disabled() is disabled
-
-    def test_env_flag_disables_jit_in_subprocess(self):
-        env = dict(os.environ, EIGENBOUND_NO_NUMBA="true")
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from eigenbound import kernels; print(kernels.NUMBA_ENABLED)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_warmup_runs(self):
-        kernels.warmup()
+#: Interior samples checked against a shot to the same radius.
+PROBES = (1, 7, 500, 1001, 2048, 3001, 4095)
 
 
 class TestShooting:
@@ -107,92 +53,55 @@ class TestShooting:
         assert math.log(abs(f)) + log_scale == pytest.approx(
             true_log, rel=1e-8
         )
+        # The dense path carries its own scale per sample: sinh(rate r)/rate.
+        # Its ~26,600 steps are shorter than 4 sample spacings, so samples
+        # fall inside the step that triggers the rescale (near r = 0.91):
+        # they must carry the log-scale from before it.  Every sample from
+        # r = 1/8 on is checked, before and after the rescale.
+        rs = np.linspace(0.0, 1.0, 65537)
+        fs, _, ls, status, _ = kernels.shoot_path(0, 0.0, 0.0, lam, rs, 0.0, 1.0)
+        assert status == kernels.STATUS_OK
+        tail = slice(8192, None)
+        assert ls[tail][0] == 0.0 and ls[-1] > 0.0
+        x = rate * rs[tail]
+        want = x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0 * rate)
+        np.testing.assert_allclose(
+            np.log(np.abs(fs[tail])) + ls[tail], want, rtol=1e-8
+        )
 
     def test_path_endpoint_matches_single_shot(self):
-        rs = np.array([0.0, 0.3, 0.7, 1.0])
-        fs, gs, ls, status, _ = kernels.shoot_path(
-            1, 2.0, 1.5, 3.7, rs, 0.0, 1.0
-        )
+        rs = np.linspace(0.0, 1.0, 4097)
+        for kind, c1, c2, lam in CASES:
+            fs, gs, ls, status, steps = kernels.shoot_path(
+                kind, c1, c2, lam, rs, 0.0, 1.0
+            )
+            assert status == kernels.STATUS_OK
+            assert fs[0] == 0.0 and gs[0] == 1.0 and ls[0] == 0.0
+            # Samples come off the continuous extension, not one step each.
+            assert steps <= 600
+            for i in PROBES:
+                f, g, log_scale, _, _ = kernels.shoot(
+                    kind, c1, c2, lam, rs[i], 0.0, 1.0
+                )
+                scale = max(abs(f), abs(g))
+                w = math.exp(ls[i] - log_scale)
+                assert abs(fs[i] * w - f) <= 1e-8 * scale
+                assert abs(gs[i] * w - g) <= 1e-8 * scale
+            # The last sample is the end state, not an interpolant.  The
+            # absolute floor is the kernel's atol: it only bites on the
+            # components that cancel to near zero (the flat g(1) = cos(pi/2),
+            # kind 2's f(1) = 0.0024), where two step sequences of tolerance
+            # 1e-11 differ by ~5e-12.
+            f, g, log_scale, _, _ = kernels.shoot(kind, c1, c2, lam, 1.0, 0.0, 1.0)
+            w = math.exp(ls[-1] - log_scale)
+            assert fs[-1] * w == pytest.approx(f, rel=1e-9, abs=1e-11)
+            assert gs[-1] * w == pytest.approx(g, rel=1e-9, abs=1e-11)
+
+    def test_path_ending_on_a_sliver_step_finishes(self):
+        # 512 capped steps of 0.67/512 sum to one ulp short of 0.67; the
+        # closing step is that ulp and must not read as a step underflow.
+        rs = np.linspace(0.0, 0.67, 65)
+        fs, _, _, status, _ = kernels.shoot_path(0, 0.0, 0.0, 2.0, rs, 0.0, 1.0)
         assert status == kernels.STATUS_OK
-        assert fs[0] == 0.0 and gs[0] == 1.0 and ls[0] == 0.0
-        f, g, _, _, _ = kernels.shoot(1, 2.0, 1.5, 3.7, 1.0, 0.0, 1.0)
-        assert fs[-1] == pytest.approx(f, rel=1e-9)
-        assert gs[-1] == pytest.approx(g, rel=1e-9)
-
-
-class TestFallbackAgreement:
-    """The *_impl names hold the plain-Python versions of the kernels."""
-
-    CASES = [
-        (0, 0.0, 0.0, FLAT_LAMBDA),
-        (1, 2.0, 1.5, 3.7),
-        (2, -1.0, 1.2, 9.0),
-    ]
-
-    @staticmethod
-    def _assert_ulp_close(jit, plain):
-        # (f, g, log_scale, h, status, steps): solution components to a few
-        # ulp and counters exact.  h is only the controller's next-step
-        # hint — err^(-1/5) turns a one-ulp error-estimate difference into
-        # a visible one — so it is not part of the agreement contract.
-        for a, b in zip(jit[:3], plain[:3]):
-            assert abs(a - b) <= 8.0 * math.ulp(max(abs(a), abs(b), 1e-300))
-        assert jit[4:] == plain[4:]
-
-    @pytest.mark.skipif(
-        not kernels.NUMBA_ENABLED, reason="jit path disabled in this process"
-    )
-    @pytest.mark.parametrize("kind, c1, c2, lam", CASES)
-    def test_single_shot_agrees_to_ulp(self, kind, c1, c2, lam):
-        jit = kernels._integrate(
-            kind, c1, c2, lam, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-11, 1e-11, 2_000_000
-        )
-        plain = kernels._integrate_impl(
-            kind, c1, c2, lam, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-11, 1e-11, 2_000_000
-        )
-        self._assert_ulp_close(jit, plain)
-        if kind == 0:
-            # No transcendentals in the flat family: exactly equal.
-            assert jit == plain
-
-    @pytest.mark.skipif(
-        not kernels.NUMBA_ENABLED, reason="jit path disabled in this process"
-    )
-    def test_path_agrees_to_ulp(self):
-        rs = np.linspace(0.0, 1.0, 17)
-        jit = kernels._integrate_path(
-            1, 2.0, 1.5, 3.7, rs, 0.0, 1.0, 1e-11, 1e-11, 4_000_000
-        )
-        plain = kernels._integrate_path_impl(
-            1, 2.0, 1.5, 3.7, rs, 0.0, 1.0, 1e-11, 1e-11, 4_000_000
-        )
-        for a, b in zip(jit[:3], plain[:3]):
-            scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-            assert np.all(np.abs(a - b) <= 2.0 * np.spacing(scale))
-        assert jit[3:] == plain[3:]
-
-    def test_eigenvalue_stable_across_subprocess_paths(self):
-        # Full-stack replay: one subprocess runs jitted, one runs fallback;
-        # the solved eigenvalue must agree far below the 1e-9 freeze level
-        # (empirically the printed 17 digits coincide).
-        code = (
-            "from eigenbound.geometry import Alpha\n"
-            "from eigenbound.oracle import solve_lambda_bar\n"
-            "print('%.17g' % solve_lambda_bar(3, Alpha.negative(1.5)).eigenvalue)\n"
-        )
-        env_jit = dict(os.environ)
-        env_jit.pop("EIGENBOUND_NO_NUMBA", None)
-        env_plain = dict(os.environ, EIGENBOUND_NO_NUMBA="1")
-        outs = [
-            subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            ).stdout.strip()
-            for env in (env_jit, env_plain)
-        ]
-        assert abs(float(outs[0]) - float(outs[1])) <= 1e-12
-        for text in outs:
-            assert float(text) == pytest.approx(1.096922393533319, abs=1e-9)
+        k = math.sqrt(2.0)
+        assert fs[-1] == pytest.approx(math.sin(k * 0.67) / k, rel=1e-9)

@@ -163,10 +163,8 @@ class CoefficientProfile:
             16.0 * max(self.d - 1, 1) * np.spacing(1.0) / float(seg.width.min())
         )
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            c_sub = self.coeff(seg.sub)
-            c_ss = self.coeff(seg.subsub)
-            ci_sub = self.coeff_inv(seg.sub)
-            ci_ss = self.coeff_inv(seg.subsub)
+            c_sub, ci_sub = self._coeff_pair(seg.sub)
+            c_ss, ci_ss = self._coeff_pair(seg.subsub)
             self.c_sub = c_sub
             self.cinv_sub = ci_sub
             self.phi_nodes, self.phi_sub = seg.build_cumulative(ci_sub, page_means(ci_ss))
@@ -193,11 +191,27 @@ class CoefficientProfile:
         # the damage.  The angle-sum form in the complement u = 1 - x has all
         # four factors nonnegative for a <= pi/2, so no cancellation, and u
         # itself is exact where it matters (x near 1).
-        u = 1.0 - x
-        c = math.cos(a) * np.cos(a * u) + math.sin(a) * np.sin(a * u)
+        # Evaluated in place to spare full-lattice temporaries; `out=` keeps
+        # a 0-d input a 0-d array, which the in-place ufuncs need.
+        c = np.subtract(1.0, x, out=np.empty_like(x))  # u, then a * u
+        c *= a
+        s = np.sin(c)
+        s *= math.sin(a)
+        np.cos(c, out=c)
+        c *= math.cos(a)
+        c += s
+        np.maximum(c, 0.0, out=c)
         with np.errstate(divide="ignore"):
-            lc = np.log(np.maximum(c, 0.0))
-        return (self.d - 1) * lc
+            np.log(c, out=c)
+        c *= self.d - 1
+        return c
+
+    def _coeff_pair(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(C(x), 1/C(x)) from one evaluation of log C."""
+        lc = self._log_coeff(x)
+        c = np.exp(lc)
+        np.negative(lc, out=lc)
+        return c, np.exp(lc, out=lc)
 
     def coeff(self, x) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore"):

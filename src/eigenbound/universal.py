@@ -16,8 +16,8 @@ positive test function into a certified lower bound for lam.
 
 Everything here works on the shared Chebyshev/Gauss-Legendre lattice of
 the profile: sups and infs are taken over the ~65k interior lattice points
-where the cumulative tables are exact, then polished by a local golden
-search with off-lattice panel evaluation.
+where the cumulative tables are exact, then polished by a local zoom whose
+rounds each evaluate ZOOM off-lattice points in one batch of panels.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ import numpy as np
 from .errors import DomainError, EigenboundError, InvalidTestFunction
 from .geometry import Alpha, CoefficientProfile, CurvatureSign
 from .quadrature import page_means
-from .searches import golden_max
 
 MAX_ITERATIONS = 10
+
+#: Interior points per round of the off-lattice polish.
+ZOOM = 32
 
 
 # -- the five functionals -----------------------------------------------------
@@ -197,35 +199,55 @@ def _lattice_view(p: CoefficientProfile) -> _View:
     return _View(lambda name: known[name] if name in known else _flat(tabs[name]))
 
 
-def _point_view(p: CoefficientProfile, r: float) -> _View:
-    """phi, psi and the integrals at one off-lattice r, as floats.
+def _point_view(p: CoefficientProfile, rs) -> _View:
+    """phi, psi and the integrals at off-lattice points rs, as (n,) arrays.
 
     A partial-segment panel re-integrates the integrand, so an off-node r
     carries the same accuracy as the tables themselves.
     """
     seg = p.seg
     tabs = _tables(p)
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
 
     def read(name):
         if name == "phi":
-            return float(p.phi_at(r))
+            return p.phi_at(rs)
         if name == "psi":
-            return float(p.psi_at(r))
+            return p.psi_at(rs)
 
         def integrand(y):
             return _integrand(name, _coefficients(p, y))
 
         evaluate = seg.cum_eval if _INTEGRANDS[name][2] else seg.tail_eval
-        return float(evaluate(tabs[name][0], integrand, r)[0])
+        return evaluate(tabs[name][0], integrand, rs)
 
     return _View(read)
 
 
-def _polish(p: CoefficientProfile, xs, vals, point):
-    """Golden polish of max(vals) near its lattice argmax; never worse than the grid.
+def _safe_batch(point, rs: np.ndarray) -> np.ndarray:
+    """point(rs) with every non-finite value, or raising point, as -inf.
 
-    point(r) evaluates the same quantity off the lattice; a point where it
-    is non-finite or raises counts as -inf.  Returns (argmax, max).
+    A batch that raises is re-evaluated one point at a time, so only the
+    points that raise on their own count as -inf.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            v = np.asarray(point(rs), dtype=float)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            if rs.size == 1:
+                return np.array([-math.inf])
+            return np.concatenate([_safe_batch(point, rs[i : i + 1]) for i in range(rs.size)])
+    return np.where(np.isfinite(v), v, -math.inf)
+
+
+def _polish(p: CoefficientProfile, xs, vals, point):
+    """Zoom polish of max(vals) near its lattice argmax; never worse than the grid.
+
+    point(rs) evaluates the same quantity off the lattice on an array of
+    points; a point where it is non-finite or raises counts as -inf.  Each
+    round evaluates ZOOM interior points of the bracket [a, b] in one
+    call and narrows the bracket to the two grid neighbours of the
+    round's argmax, until b - a <= 1e-12.  Returns (argmax, max).
     """
     k = int(np.argmax(vals))
     x0 = float(xs[k])
@@ -235,19 +257,17 @@ def _polish(p: CoefficientProfile, xs, vals, point):
     w = float(p.seg.width[int(p.seg.locate(np.array([x0]))[0])])
     a = max(x0 - w, 1e-12)
     b = min(x0 + w, 1.0 - 1e-12)
-
-    def safe(r):
-        with np.errstate(all="ignore"):
-            try:
-                v = float(point(r))
-            except (ValueError, OverflowError, ZeroDivisionError):
-                return -math.inf
-        return v if math.isfinite(v) else -math.inf
-
-    x1, v1 = golden_max(safe, a, b, tol=1e-12)
-    if v1 > v0:
-        return float(x1), float(v1)
-    return x0, v0
+    grid = np.arange(1, ZOOM + 1) / (ZOOM + 1)
+    best_x, best_v = x0, v0
+    while b - a > 1e-12:
+        rs = a + (b - a) * grid
+        v = _safe_batch(point, rs)
+        j = int(np.argmax(v))
+        if v[j] > best_v:
+            best_x, best_v = float(rs[j]), float(v[j])
+        a = float(rs[j - 1]) if j > 0 else a
+        b = float(rs[j + 1]) if j + 1 < ZOOM else b
+    return best_x, best_v
 
 
 def functional_sup(p: CoefficientProfile, name: str) -> tuple[float, float]:
@@ -344,8 +364,9 @@ class BoundBracket:
         return (self.crude_lower, self.lower, self.upper, self.crude_upper)
 
     def chain_ok(self, slack: float = 1e-9) -> bool:
+        """Whether each link of the chain holds up to a relative slack."""
         a, b, c, d = self.chain()
-        return a <= b + slack and b <= c + slack and c <= d + slack
+        return a <= b * (1 + slack) and b <= c * (1 + slack) and c <= d * (1 + slack)
 
 
 def universal_bracket(
@@ -622,11 +643,9 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
             def g_at(y):
                 return seg.tail_eval(g_nodes, lambda z: p.coeff(z) * fv(z), y)
 
-            def den_at(r):
-                return float(
-                    seg.cum_eval(
-                        den_nodes, lambda z: p.coeff_inv(z) * g_at(z.ravel()).reshape(z.shape), r
-                    )[0]
+            def den_at(rs):
+                return seg.cum_eval(
+                    den_nodes, lambda z: p.coeff_inv(z) * g_at(z.ravel()).reshape(z.shape), rs
                 )
 
         else:
@@ -636,11 +655,9 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
             def u_at(y):
                 return seg.cum_eval(u_nodes, lambda z: p.coeff_inv(z) * fv(z), y)
 
-            def den_at(r):
-                return float(
-                    seg.tail_eval(
-                        den_nodes, lambda z: p.coeff(z) * u_at(z.ravel()).reshape(z.shape), r
-                    )[0]
+            def den_at(rs):
+                return seg.tail_eval(
+                    den_nodes, lambda z: p.coeff(z) * u_at(z.ravel()).reshape(z.shape), rs
                 )
 
         rat = np.concatenate(
@@ -649,12 +666,11 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     rat = np.where(np.isfinite(rat), rat, math.inf)
     xs, _, _ = _lattice(p)
 
-    def neg_ratio(r):
-        dv = den_at(r)
-        fvv = float(fv(np.array([r]))[0])
+    def neg_ratio(rs):
+        dv = den_at(rs)
+        fvv = fv(rs)
         # a point where either factor degenerates cannot improve the inf
-        if not (0.0 < dv < math.inf and fvv > 0.0):
-            return -math.inf
-        return -fvv / dv
+        ok = (0.0 < dv) & (dv < math.inf) & (fvv > 0.0)
+        return np.where(ok, -fvv / dv, -math.inf)
 
     return -_polish(p, xs, -rat, neg_ratio)[1]

@@ -344,6 +344,16 @@ class TestVerify:
         names = [item["name"] for item in payload]
         assert len(names) == len(set(names))
 
+    def test_sandwich_check_fails_on_upper_violation(self, monkeypatch):
+        from eigenbound import checks
+        from eigenbound.report import BoundReport
+
+        assert checks._check_sandwich().passed
+        monkeypatch.setattr(BoundReport, "upper_violation", lambda self: 0.0308)
+        res = checks._check_sandwich()
+        assert not res.passed
+        assert "2,1.0,0.0:upper" in res.detail
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "leisurely"])

@@ -130,6 +130,17 @@ class TestCoefficientProfile:
             want = float(mp.cos(mp.pi / 2 * x) ** 5)
             assert p.coeff(np.array([x]))[0] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [Alpha.zero(), Alpha.negative(1.5), Alpha.positive(1.2)],
+        ids=["flat", "neg", "pos"],
+    )
+    def test_coefficient_accepts_zero_dimensional_input(self, alpha):
+        p = get_profile(4, alpha)
+        for x in (np.float64(0.3), np.array(0.3), 0.3):
+            assert float(p.coeff(x)) == p.coeff(np.array([0.3]))[0]
+            assert float(p.coeff_inv(x)) == p.coeff_inv(np.array([0.3]))[0]
+
     def test_phi_divergence_flag_and_error(self):
         p = get_profile(6, Alpha.positive(HALF_PI))
         assert p.phi_diverges

@@ -1,5 +1,6 @@
 """Weighted-integral functionals, the two-sided bracket, and iteration."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,10 +9,11 @@ import pytest
 
 from conftest import get_lambda, get_profile
 from eigenbound.errors import DomainError, InvalidTestFunction
-from eigenbound.geometry import Alpha, CoefficientProfile, HALF_PI
+from eigenbound.geometry import Alpha, CoefficientProfile, GeometryTriple, HALF_PI
 from eigenbound import universal
-from eigenbound.quadrature import page_means
-from eigenbound.searches import sup_on_unit_interval
+from eigenbound.quadrature import Segmentation, page_means
+from eigenbound.report import build_report
+from eigenbound.searches import golden_max, sup_on_unit_interval
 from eigenbound.universal import (
     DELTA_NAMES,
     delta,
@@ -85,8 +87,89 @@ class TestPointView:
             n_nodes + 15 * (2 * p.seg.n // 3) + 11,
         }
         for j in sorted(picks):
-            point = float(expr(universal._point_view(p, float(xs[j]))))
+            point = float(expr(universal._point_view(p, float(xs[j])))[0])
             assert point == pytest.approx(lattice[j], rel=1e-12), (name, float(xs[j]))
+
+
+class TestPolish:
+    """The zoom polish: batched, never below the lattice, blind to bad points."""
+
+    X0 = 0.5
+
+    def _bracket(self, p):
+        w = float(p.seg.width[int(p.seg.locate(np.array([self.X0]))[0])])
+        return w, self.X0 - w, self.X0 + w
+
+    def test_finds_max_among_finite_points_of_a_mixed_batch(self):
+        p = get_profile(2, Alpha.zero())
+        w, _, _ = self._bracket(p)
+        peak = self.X0 + 0.3 * w
+        calls = []
+
+        def point(rs):
+            calls.append(rs.size)
+            if np.any(rs < self.X0 - 0.5 * w):
+                raise ValueError("left of the bracket's middle")
+            v = 1.0 - np.abs(rs - peak) / w
+            v[(rs > self.X0 - 0.2 * w) & (rs < self.X0)] = math.nan
+            v[(rs > self.X0 + 0.6 * w)] = math.inf
+            return v
+
+        x, v = universal._polish(p, np.array([self.X0]), np.array([0.0]), point)
+        assert x == pytest.approx(peak, abs=1e-12)
+        assert v == pytest.approx(1.0, abs=1e-12 / w)
+        # the first batch raised and was re-evaluated point by point
+        assert calls[0] == universal.ZOOM and calls[1 : 1 + universal.ZOOM] == [1] * universal.ZOOM
+
+    def test_never_below_the_lattice_max(self):
+        p = get_profile(2, Alpha.zero())
+        xs, vals = np.array([0.25, self.X0, 0.75]), np.array([0.0, 2.0, 1.0])
+
+        def below(rs):
+            return np.ones_like(rs)
+
+        def raising(rs):
+            raise OverflowError
+
+        assert universal._polish(p, xs, vals, below) == (self.X0, 2.0)
+        assert universal._polish(p, xs, vals, raising) == (self.X0, 2.0)
+
+    def test_infinite_lattice_max_returns_at_once(self):
+        p = get_profile(2, Alpha.zero())
+
+        def point(rs):
+            raise AssertionError("polished an infinite lattice max")
+
+        got = universal._polish(p, np.array([self.X0]), np.array([math.inf]), point)
+        assert got == (self.X0, math.inf)
+
+    def test_agrees_with_golden_section_on_a_smooth_peak(self):
+        p = get_profile(2, Alpha.zero())
+        w, a, b = self._bracket(p)
+        peak = self.X0 - 0.37 * w
+
+        def f(r):
+            return 1.0 + np.cos((r - peak) / w)
+
+        _, v = universal._polish(p, np.array([self.X0]), np.array([f(self.X0)]), f)
+        _, want = golden_max(f, a, b, tol=1e-12)
+        assert v == pytest.approx(want, rel=1e-15)
+        assert v >= f(self.X0)
+
+    def test_report_panel_evaluations_bounded(self, monkeypatch):
+        # Each polish round evaluates one batch of panels per integral; a
+        # scalar search pays one per point and per integral, ~900 calls here.
+        calls = []
+        for attr in ("cum_eval", "tail_eval"):
+            orig = getattr(Segmentation, attr)
+
+            def counted(self, *args, _orig=orig, **kwargs):
+                calls.append(1)
+                return _orig(self, *args, **kwargs)
+
+            monkeypatch.setattr(Segmentation, attr, counted)
+        build_report(GeometryTriple(3, 2.0, -1.0))
+        assert 0 < len(calls) <= 300
 
 
 class TestBruteForceCrossCheck:
@@ -188,6 +271,17 @@ class TestBracket:
         assert lo4 <= lo + 1e-9
         assert lo <= hi + 1e-9
         assert hi <= hi4 + 1e-9
+
+    def test_chain_slack_is_relative(self):
+        # lam is ~1.2e-19 here, so an absolute slack would pass any order.
+        alpha = Alpha.negative(10.0 / 3.0)
+        b = universal_bracket(20, alpha, profile=get_profile(20, alpha))
+        assert b.chain_ok()
+        swapped = dataclasses.replace(
+            b, delta1=0.5 / b.upper, delta1_star=0.5 / b.upper
+        )
+        assert swapped.lower == pytest.approx(2.0 * b.upper)
+        assert not swapped.chain_ok()
 
     @pytest.mark.parametrize(
         "d,alpha",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentIntegral, DomainError, MyersViolation
-from .quadrature import Segmentation, get_segmentation, page_means
+from .quadrature import Segmentation, get_segmentation
 
 HALF_PI = math.pi / 2.0
 MYERS_SLACK = 1e-12
@@ -164,13 +164,11 @@ class CoefficientProfile:
         )
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
             c_sub, ci_sub = self._coeff_pair(seg.sub)
-            c_ss, ci_ss = self._coeff_pair(seg.subsub)
+            c_means, ci_means = seg.pointwise_means((c_sub, ci_sub), self._coeff_pair)
             self.c_sub = c_sub
             self.cinv_sub = ci_sub
-            self.phi_nodes, self.phi_sub = seg.build_cumulative(ci_sub, page_means(ci_ss))
-            self.psi_nodes, self.psi_sub = seg.build_reverse(
-                c_sub, page_means(c_ss), self.tail_floor
-            )
+            self.phi_nodes, self.phi_sub = seg.build_cumulative(ci_sub, ci_means)
+            self.psi_nodes, self.psi_sub = seg.build_reverse(c_sub, c_means, self.tail_floor)
         self.phi_total = float(self.phi_nodes[-1])
         self.psi_total = float(self.psi_nodes[0])
         self._cache: dict[str, object] = {}

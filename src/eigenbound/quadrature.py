@@ -20,14 +20,14 @@ tail of one segment.  All heavy evaluation is vectorized; integrands must
 accept numpy arrays.
 
 The tables take the within-segment means of the integrand: row k, column j
-holds the GL15 mean of f over [node_k, sub_kj].  Callers that evaluate f
-at the sub-sub points reduce those pages with `page_means`.  Callers that
-know f only at the sub-nodes interpolate it in-segment (degree 14), and
-for such a row the means are one product with the 15x15 spectral
-integration matrix `SPECTRAL[q, j] = sum_m INTERP[15j+m, q] WH[m]`
-(Greengard, SIAM J. Numer. Anal. 28, 1991).  A row whose interpolant may
-overshoot its conditioning cap instead takes the clipped-page path; see
-`needs_clip`.
+holds the GL15 mean of f over [node_k, sub_kj].  A row's means are one
+product of its sub-node values with the 15x15 spectral integration matrix
+`SPECTRAL[q, j] = sum_m INTERP[15j+m, q] WH[m]` (Greengard, SIAM J.
+Numer. Anal. 28, 1991), the means of its degree-14 in-segment interpolant.
+A row whose interpolant may overshoot its conditioning cap (`needs_clip`)
+takes sub-sub pages instead: direct ones (`pointwise_means`) when f can be
+evaluated pointwise, clipped interpolated ones (`interp_means`) when f is
+known only at the sub-nodes.
 """
 
 from __future__ import annotations
@@ -151,6 +151,13 @@ SPECTRAL = INTERP.T.reshape(15, 15, 15) @ WH
 LEBESGUE = float(np.max(np.sum(np.abs(INTERP), axis=1))) * (1.0 + 1e-12)
 
 
+#: Flagged rows per block of direct sub-sub evaluations in `pointwise_means`.
+#: A block's pages are reduced to means and dropped before the next, so peak
+#: memory follows the block, not the number of flagged rows: 64 rows are
+#: 14,400 points, whose 15-point phi/psi panels take ~2 MB per temporary.
+PAGE_BLOCK = 64
+
+
 def page_means(pages: np.ndarray) -> np.ndarray:
     """(n, 15) within-segment means from (n, 15, 15) sub-sub pages."""
     return np.einsum("njm,m->nj", pages, WH)
@@ -184,10 +191,12 @@ class Segmentation:
     sub:      (n, 15) GL nodes of each segment
     subsub:   (n, 15, 15) GL nodes of [node_k, sub_kj] for every sub-node
 
-    Integrands known only at the sub-nodes (`cumulative_from_sub`,
-    `reverse_from_sub`) get their means from one product with SPECTRAL.
-    Rows flagged by `needs_clip` (a few per table in practice, where a
-    row changes sign or varies by a large factor) are interpolated onto
+    Every table takes its means from one product with SPECTRAL, except on
+    the rows flagged by `needs_clip` (a few per table in practice, where a
+    row changes sign or varies by a large factor).  Integrands that can be
+    evaluated pointwise get direct sub-sub pages on those rows only
+    (`pointwise_means`); integrands known only at the sub-nodes
+    (`cumulative_from_sub`, `reverse_from_sub`) are interpolated onto
     their sub-sub pages (`interp_sub`), clipped (`_interp_pages`) and
     reduced like direct pages instead.
     """
@@ -290,6 +299,25 @@ class Segmentation:
         bad = needs_clip(v_sub)
         if bad.any():
             means[bad] = page_means(self._interp_pages(v_sub[bad]))
+        return means
+
+    def pointwise_means(self, v_subs, pages_at) -> list[np.ndarray]:
+        """Within-segment means of integrands that can be evaluated pointwise.
+
+        v_subs holds each integrand's (n, 15) values at the sub-nodes and
+        pages_at(y) returns all of them at the points y, in the same order.
+        A row that no integrand flags by `needs_clip` takes v_sub @ SPECTRAL;
+        a row that any of them flags takes direct sub-sub pages for all of
+        them, evaluated PAGE_BLOCK rows at a time.
+        """
+        # Non-finite rows turn to nan here; needs_clip flags them all.
+        with np.errstate(invalid="ignore"):
+            means = [v @ SPECTRAL for v in v_subs]
+        rows = np.flatnonzero(np.logical_or.reduce([needs_clip(v) for v in v_subs]))
+        for lo in range(0, rows.size, PAGE_BLOCK):
+            block = rows[lo : lo + PAGE_BLOCK]
+            for m, pages in zip(means, pages_at(self.subsub[block])):
+                m[block] = page_means(pages)
         return means
 
     def cumulative_from_sub(self, v_sub: np.ndarray):

@@ -17,7 +17,11 @@ positive test function into a certified lower bound for lam.
 Everything here works on the shared Chebyshev/Gauss-Legendre lattice of
 the profile: sups and infs are taken over the ~65k interior lattice points
 where the cumulative tables are exact, then polished by a local zoom whose
-rounds each evaluate ZOOM off-lattice points in one batch of panels.
+rounds each evaluate ZOOM off-lattice points in one batch of panels.  The
+six integral tables take their within-segment means from the spectral
+product on the sub-node values, and from direct sub-sub pages only on the
+rows the spectral guard flags (`Segmentation.pointwise_means`), the
+Myers edge included.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError, EigenboundError, InvalidTestFunction
 from .geometry import Alpha, CoefficientProfile, CurvatureSign
-from .quadrature import page_means
 
 MAX_ITERATIONS = 10
 
@@ -79,9 +82,21 @@ class _View:
 
 
 def _coefficients(p: CoefficientProfile, y) -> _View:
-    """C, 1/C, phi and psi at the points y."""
-    at = {"C": p.coeff, "Cinv": p.coeff_inv, "phi": p.phi_at, "psi": p.psi_at}
-    return _View(lambda name: at[name](y))
+    """C, 1/C, phi and psi at the points y; C and 1/C share one log C."""
+    pair = []
+
+    def read(name):
+        if name == "phi":
+            return p.phi_at(y)
+        if name == "psi":
+            return p.psi_at(y)
+        if not pair:
+            with np.errstate(over="ignore", under="ignore"):
+                pair.extend(p._coeff_pair(y))
+        c, cinv = pair
+        return cinv if name == "Cinv" else c
+
+    return _View(read)
 
 
 def _integrand(name: str, v: _View) -> np.ndarray:
@@ -124,6 +139,11 @@ def _scrub(p: CoefficientProfile, vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integrands(p: CoefficientProfile, at: _View) -> list[np.ndarray]:
+    """All six integrands from a view holding C, Cinv, phi and psi, scrubbed."""
+    return [_scrub(p, _integrand(name, at)) for name in _INTEGRANDS]
+
+
 def _lattice(p: CoefficientProfile):
     """Interior evaluation lattice: all interior nodes plus all sub-nodes."""
     lat = p._cache.get("lattice")
@@ -143,50 +163,28 @@ def _flat(table) -> np.ndarray:
     return np.concatenate((nodes[1:-1], sub.ravel()))
 
 
-#: Segments per block of direct sub-sub evaluations at the Myers edge.  A
-#: block's pages are reduced to means and dropped before the next, so peak
-#: memory follows the block, not the 921,600 sub-sub points of the lattice.
-_EDGE_BLOCK = 256
-
-
-def _edge_means(p: CoefficientProfile) -> dict[str, np.ndarray]:
-    """Within-segment means of every integrand from direct sub-sub values."""
-    seg = p.seg
-    means = {name: np.empty_like(seg.sub) for name in _INTEGRANDS}
-    for lo in range(0, seg.n, _EDGE_BLOCK):
-        block = _coefficients(p, seg.subsub[lo : lo + _EDGE_BLOCK])
-        for name, out in means.items():
-            out[lo : lo + _EDGE_BLOCK] = page_means(_scrub(p, _integrand(name, block)))
-    return means
-
-
 def _tables(p: CoefficientProfile):
     """The six integral tables (nodes, sub-nodes), cached per profile."""
     tabs = p._cache.get("delta_tables")
     if tabs is not None:
         return tabs
-    seg = p.seg
     rows = _View({"C": p.c_sub, "Cinv": p.cinv_sub, "phi": p.phi_sub, "psi": p.psi_sub}.get)
-
-    def build(name, forward):
-        vals = _scrub(p, _integrand(name, rows))
-        if means is None:
-            if forward:
-                return seg.cumulative_from_sub(vals)
-            return seg.reverse_from_sub(vals, p.tail_floor)
-        if forward:
-            return seg.build_cumulative(vals, means[name])
-        return seg.build_reverse(vals, means[name], p.tail_floor)
-
     with np.errstate(all="ignore"):
-        # At the Myers edge the forward integrands C phi^{3/2}, C phi^2 and
-        # C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens
-        # of orders of magnitude inside the final graded segments, which no
-        # in-segment polynomial interpolant can represent.  Take the means
-        # from direct evaluations instead; the panel quadratures then see
-        # genuine (positive, monotone) values and stay bounded and sane.
-        means = _edge_means(p) if p.alpha.at_half_pi and p.d >= 4 else None
-        tabs = {name: build(name, forward) for name, (_, _, forward) in _INTEGRANDS.items()}
+        # Rows an in-segment interpolant cannot represent take their means
+        # from direct sub-sub values.  At the Myers edge the forward
+        # integrands C phi^{3/2}, C phi^2 and C^{-1} psi^{1/2} blow up
+        # toward r = 1 hard enough to span dozens of orders of magnitude
+        # inside the final graded segments; on those rows the panel
+        # quadratures then see genuine (positive, monotone) values and
+        # stay bounded and sane.
+        vals = _integrands(p, rows)
+        means = p.seg.pointwise_means(vals, lambda y: _integrands(p, _coefficients(p, y)))
+        tabs = {}
+        for (name, (_, _, forward)), v, m in zip(_INTEGRANDS.items(), vals, means):
+            if forward:
+                tabs[name] = p.seg.build_cumulative(v, m)
+            else:
+                tabs[name] = p.seg.build_reverse(v, m, p.tail_floor)
     p._cache["delta_tables"] = tabs
     return tabs
 

@@ -10,8 +10,8 @@ import pytest
 from conftest import get_lambda, get_profile
 from eigenbound.errors import DomainError, InvalidTestFunction
 from eigenbound.geometry import Alpha, CoefficientProfile, GeometryTriple, HALF_PI
-from eigenbound import universal
-from eigenbound.quadrature import Segmentation, page_means
+from eigenbound import quadrature, universal
+from eigenbound.quadrature import Segmentation, needs_clip, page_means
 from eigenbound.report import build_report
 from eigenbound.searches import golden_max, sup_on_unit_interval
 from eigenbound.universal import (
@@ -231,17 +231,38 @@ class TestFrozenProfiles:
             )
 
 
+def _sub_values(p):
+    """The six scrubbed integrands at the sub-nodes, as `_tables` builds them."""
+    rows = universal._View(
+        {"C": p.c_sub, "Cinv": p.cinv_sub, "phi": p.phi_sub, "psi": p.psi_sub}.get
+    )
+    with np.errstate(all="ignore"):
+        return universal._integrands(p, rows)
+
+
+def _integrand_pages(p):
+    return lambda y: universal._integrands(p, universal._coefficients(p, y))
+
+
+def _flagged(v_subs):
+    return np.logical_or.reduce([needs_clip(v) for v in v_subs])
+
+
 class TestEdgeTables:
-    """The Myers-edge tables from direct sub-sub values, built in blocks."""
+    """Direct sub-sub pages on the rows the spectral guard flags."""
 
     def test_blocks_match_whole_pages(self):
-        p = CoefficientProfile(5, Alpha.positive(HALF_PI), segments=512)
-        whole = universal._coefficients(p, p.seg.subsub)
+        # 225 of this profile's 512 rows are flagged, several blocks' worth.
+        p = CoefficientProfile(63, Alpha.positive(HALF_PI), segments=512)
+        vals = _sub_values(p)
+        flagged = np.flatnonzero(_flagged(vals))
+        assert flagged.size > 3 * quadrature.PAGE_BLOCK
+        pages = _integrand_pages(p)
         with np.errstate(all="ignore"):
-            got = universal._edge_means(p)
-            for name in universal._INTEGRANDS:
-                want = page_means(universal._scrub(p, universal._integrand(name, whole)))
-                np.testing.assert_array_equal(got[name], want)
+            got = p.seg.pointwise_means(vals, pages)
+            whole = pages(p.seg.subsub[flagged])
+        for means, want in zip(got, whole):
+            np.testing.assert_array_equal(means[flagged], page_means(want))
 
     def test_peak_memory(self):
         p = CoefficientProfile(10, Alpha.positive(HALF_PI))
@@ -252,6 +273,60 @@ class TestEdgeTables:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_flagged_rows_take_direct_pages(self):
+        # Clipped interpolated pages on the flagged rows move this lattice
+        # argmax by 0.79 and the sup by a factor ~1e12.
+        x, v = universal.functional_sup(get_profile(20, Alpha.positive(HALF_PI)), "delta1_prime")
+        assert x == pytest.approx(0.20515414534396853, rel=1e-12)
+        assert v == pytest.approx(0.01635696466086855, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "d,alpha",
+        [
+            (3, Alpha.negative(1.0)),
+            (63, Alpha.negative(3.0)),
+            (20, Alpha.positive(1.5)),
+            (5, Alpha.positive(0.8)),
+            (2, Alpha.negative(10.0 / 3.0)),
+            (20, Alpha.negative(10.0 / 3.0)),
+            (10, Alpha.positive(HALF_PI)),
+            (63, Alpha.positive(HALF_PI)),
+        ],
+    )
+    def test_spectral_means_match_direct_pages(self, d, alpha):
+        # On every row the guard leaves alone, the spectral means of C, 1/C
+        # and the six integrands stand in for whole direct pages.
+        p = get_profile(d, alpha)
+        for vals, pages in (
+            ((p.c_sub, p.cinv_sub), p._coeff_pair),
+            (_sub_values(p), _integrand_pages(p)),
+        ):
+            with np.errstate(all="ignore"):
+                got = p.seg.pointwise_means(vals, pages)
+                kept = np.flatnonzero(~_flagged(vals))
+                for lo in range(0, kept.size, 512):
+                    rows = kept[lo : lo + 512]
+                    for means, v, want in zip(got, vals, pages(p.seg.subsub[rows])):
+                        scale = np.max(np.abs(v[rows]), axis=1, keepdims=True)
+                        err = np.abs(means[rows] - page_means(want))
+                        assert np.all(err <= 5e-11 * scale)
+
+    def test_log_coefficient_work_bounded(self, monkeypatch):
+        # Whole direct pages cost 30,873,600 log C points at the edge and
+        # 1,382,400 off it.
+        points = []
+        orig = CoefficientProfile._log_coeff
+
+        def counted(self, x):
+            points.append(np.size(x))
+            return orig(self, x)
+
+        monkeypatch.setattr(CoefficientProfile, "_log_coeff", counted)
+        for g, cap in ((GeometryTriple(10, math.pi, 9.0), 2_000_000), (GeometryTriple(3, 2.0, -1.0), 1_000_000)):
+            points.clear()
+            build_report(g)
+            assert 0 < sum(points) <= cap
 
 
 class TestBracket:

@@ -11,7 +11,9 @@ by an integer:
     kind 1: F(r) = c1 * tanh(c2 * r)
     kind 2: F(r) = c1 * tan(c2 * r)
 
-`shoot` returns the end state only.  `shoot_path` also records the state at
+`shoot` returns the end state and the number of sign changes of f over
+the accepted steps, the Sturm oscillation count that tells the oracle a
+ground state from a higher mode.  `shoot_path` records the state at
 a set of sample points, read off the pair's free quartic continuous
 extension (Shampine, Math. Comp. 46, 1986) instead of stepping onto each
 sample; its steps are capped at r_end / PATH_STEPS so the interpolant stays
@@ -110,16 +112,20 @@ def _extension(h, k1, k3, k4, k5, k6, k7):
 def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
     """March (f, g) from 0 to r1.
 
-    Returns (f, g, log_scale, status, steps).  With rs (increasing, from 0
-    to r1) f, g and log_scale are arrays of the state at every rs[i] instead,
-    equal to (f[i], g[i]) * exp(log_scale[i]); the last entry is the end
-    state itself.
+    Returns (f, g, log_scale, status, steps, nodes), nodes being the sign
+    changes of f over the accepted steps (the start's sign is that of f0, or
+    of g0 when f0 = 0).  With rs (increasing, from 0 to r1) it returns
+    (f, g, log_scale, status, steps) with f, g and log_scale arrays of the
+    state at every rs[i] instead, equal to (f[i], g[i]) * exp(log_scale[i]);
+    the last entry is the end state itself.
     """
     r = 0.0
     h = r1 / 100.0
     hmax = math.inf
     log_scale = 0.0
     steps = 0
+    nodes = 0
+    positive = f > 0.0 or (f == 0.0 and g > 0.0)
     status = STATUS_OK
     hmin = 1e-15 * r1 + 1e-300
     if rs is not None:
@@ -203,6 +209,9 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
             r = r + h
             f = fn
             g = gn
+            if f != 0.0 and (f > 0.0) != positive:
+                positive = not positive
+                nodes += 1
             mag = abs(f) + abs(g)
             if mag > RENORM:
                 f /= RENORM
@@ -224,7 +233,7 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
             break
         steps += 1
     if rs is None:
-        return f, g, log_scale, status, steps
+        return f, g, log_scale, status, steps, nodes
     if status == STATUS_OK:
         fs[-1], gs[-1], ls[-1] = f, g, log_scale
     return fs, gs, ls, status, steps
@@ -232,7 +241,7 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
 
 def shoot(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
           max_steps=2_000_000):
-    """Integrate to r_end and return (f, g, log_scale, status, steps)."""
+    """Integrate to r_end and return (f, g, log_scale, status, steps, nodes)."""
     return _integrate(
         kind, c1, c2, float(lam), float(r_end), float(f0), float(g0),
         atol, rtol, max_steps,

@@ -2,14 +2,19 @@
 
 Everything downstream of a coefficient profile can be cross-checked here:
 eigenvalues are located by integrating the initial value problem with the
-Dormand-Prince kernel and bisecting a boundary functional in lambda, with
-no reference to the quadrature lattice.
+Dormand-Prince kernel and bisecting in lambda, with no reference to the
+quadrature lattice.  By Sturm oscillation (Pryce, *Numerical Solution of
+Sturm-Liouville Problems*, 1993) lambda lies below the ground state exactly
+when f keeps its sign on (0, r_end] and the end functional keeps the sign
+it has at lambda = 0, so one bisection on that predicate from lambda = 0
+finds the ground state and never a higher mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -19,12 +24,11 @@ from .errors import (
     DomainError,
     EigenboundError,
     NoBracket,
-    NoRoot,
     StiffIntegration,
 )
 from .geometry import Alpha, CoefficientProfile, CurvatureSign
 from .quadrature import integrate
-from .searches import bisect_root, first_sign_change
+from .searches import bisect_root
 from .universal import delta1_prime, delta1_star_prime
 
 HALF_PI = math.pi / 2.0
@@ -32,7 +36,7 @@ HALF_PI = math.pi / 2.0
 #: Domain shortening at the singular endpoint (|alpha| = pi/2 exactly).
 SINGULAR_TRIM = 1e-8
 
-#: Scan window when no profile is available to seed one.
+#: Top of the first lambda bracket when no profile is available to seed one.
 DEFAULT_CEILING = 50.0
 
 DIRICHLET = "dirichlet"
@@ -146,19 +150,35 @@ def beta_problem(beta: float) -> EigenProblem:
 class EigenResult:
     """Solved principal eigenvalue with dense eigenfunction samples.
 
-    f and fp share one overall scale.  When the integrator never had to
-    renormalize, that scale is the raw one (unit initial slope after a
-    Dirichlet start, unit initial value after a Neumann start); otherwise
-    the pair is rescaled so the largest magnitude stays representable.
+    r, f and fp are `samples` uniformly spaced points of the eigenfunction
+    on [0, r_end], integrated once, on first read.  f and fp share one
+    overall scale.  When the integrator never had to renormalize, that scale
+    is the raw one (unit initial slope after a Dirichlet start, unit initial
+    value after a Neumann start); otherwise the pair is rescaled so the
+    largest magnitude stays representable.
     """
 
     problem: EigenProblem
     eigenvalue: float
     boundary_mismatch: float
     scan_ceiling: float
-    r: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
+    samples: int = 4097
+
+    @cached_property
+    def _path(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _sample_path(self.problem, self.eigenvalue, self.samples)
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._path[0]
+
+    @property
+    def f(self) -> np.ndarray:
+        return self._path[1]
+
+    @property
+    def fp(self) -> np.ndarray:
+        return self._path[2]
 
     def interpolant(self) -> "HermitePath":
         return HermitePath(self.r, self.f, self.fp)
@@ -217,9 +237,15 @@ def _left_state(prob: EigenProblem) -> tuple[float, float]:
 
 
 def _shoot_once(prob, lam, atol, rtol):
-    """Boundary functional at one lambda: (signed value, normalized mismatch)."""
+    """Boundary functional at one lambda: (signed value, normalized mismatch).
+
+    The value is -inf when f changes sign on (0, r_end] other than by
+    crossing a Dirichlet end, which is the functional's own sign change:
+    lambda then lies above the ground state whatever the end functional
+    reads.
+    """
     f0, g0 = _left_state(prob)
-    f, g, _, status, steps = kernels.shoot(
+    f, g, _, status, steps, nodes = kernels.shoot(
         prob.kind, prob.c1, prob.c2, lam, prob.r_end, f0, g0, atol, rtol
     )
     if status != kernels.STATUS_OK:
@@ -229,7 +255,8 @@ def _shoot_once(prob, lam, atol, rtol):
     target = g if prob.bc_right == NEUMANN else f
     scale = max(abs(f), abs(g))
     mismatch = abs(target) / scale if scale > 0.0 else abs(target)
-    return target, mismatch
+    own = 1 if prob.bc_right == DIRICHLET else 0
+    return (target if nodes <= own else -math.inf), mismatch
 
 
 def _unfold(fs, gs, ls):
@@ -246,18 +273,8 @@ def _unfold(fs, gs, ls):
     return fs * w, gs * w
 
 
-def _interior_nodes(f: np.ndarray, rel: float = 1e-6) -> bool:
-    """True when f changes sign away from the endpoint roundoff layer."""
-    peak = float(np.max(np.abs(f)))
-    if peak == 0.0:
-        return False
-    body = f[np.abs(f) > rel * peak]
-    if body.size < 2:
-        return False
-    return bool(np.any(np.signbit(body[1:]) != np.signbit(body[0])))
-
-
-def _path_result(prob, lam, ceiling, mismatch, atol, rtol, samples):
+def _sample_path(prob, lam, samples, atol=1e-11, rtol=1e-11):
+    """(r, f, fp) on `samples` uniformly spaced points of [0, r_end]."""
     rs = np.linspace(0.0, prob.r_end, samples)
     f0, g0 = _left_state(prob)
     fs, gs, ls, status, steps = kernels.shoot_path(
@@ -269,15 +286,7 @@ def _path_result(prob, lam, ceiling, mismatch, atol, rtol, samples):
             f" (status {status}, {steps} steps)"
         )
     f, fp = _unfold(fs, gs, ls)
-    return EigenResult(
-        problem=prob,
-        eigenvalue=lam,
-        boundary_mismatch=mismatch,
-        scan_ceiling=ceiling,
-        r=rs,
-        f=f,
-        fp=fp,
-    )
+    return rs, f, fp
 
 
 def principal_eigenvalue(
@@ -287,16 +296,15 @@ def principal_eigenvalue(
     lam_max: float | None = None,
     atol: float = 1e-11,
     rtol: float = 1e-11,
-    scan_steps: int = 64,
-    samples: int = 4097,
 ) -> EigenResult:
     """Smallest positive eigenvalue of one shooting family.
 
-    Scans (0, lam_max] for the first sign change of the boundary functional,
-    bisects it to tol, then integrates once more along a dense path.  The
-    window doubles a few times when the scan comes up empty, and a denser
-    rescan below the root guards against the grid stepping over the ground
-    state (two roots inside one scan cell).
+    Bisects (0, lam_max] on the Sturm predicate of the module docstring
+    until the lambda bracket is tol wide (tol is absolute).  When lam_max is
+    still below the ground state, the top of the bracket doubles up to five
+    times.  atol and rtol are the shots' tolerances; the eigenfunction is
+    integrated at the kernel's 1e-11 only when the result's samples are
+    first read.
     """
     ceiling = float(lam_max) if lam_max is not None else DEFAULT_CEILING
     if not (ceiling > 0.0 and math.isfinite(ceiling)):
@@ -305,63 +313,35 @@ def principal_eigenvalue(
     def m(lam):
         return _shoot_once(prob, lam, atol, rtol)[0]
 
-    ref_x = ceiling * 1e-9
-    ref = m(ref_x)
-    while not ref > 0.0 and ref_x > 1e-250:
-        # Strong drift can push the ground state below any fixed reference
-        # point; walk down until the functional is positive below the root.
-        ref_x *= 1e-3
-        ref = m(ref_x)
-    if not ref > 0.0:
+    lo, f_lo = 0.0, m(0.0)
+    if not f_lo > 0.0:
         raise EigenboundError(
-            "boundary functional is not positive near lambda = 0;"
+            "boundary functional is not positive at lambda = 0;"
             " the shooting setup is inconsistent"
         )
-
-    lam = None
+    f_hi = m(ceiling)
     for _ in range(5):
-        xs = ceiling * np.arange(1, scan_steps + 1) / scan_steps
-        try:
-            a, b, fa, fb = first_sign_change(m, xs, ref)
-        except NoRoot:
-            ceiling *= 2.0
-            continue
-        lam = bisect_root(m, a, b, fa, fb, tol=tol)
-        break
-    if lam is None:
+        if not f_hi > 0.0:
+            break
+        lo, f_lo = ceiling, f_hi
+        ceiling *= 2.0
+        f_hi = m(ceiling)
+    if f_hi > 0.0:
         raise NoBracket(
             "no sign change of the boundary functional for lambda in"
-            f" (0, {ceiling / 2.0:.6g}]"
+            f" (0, {ceiling:.6g}]"
         )
-
+    lam = bisect_root(m, lo, ceiling, f_lo, f_hi, tol=tol)
     mismatch = _shoot_once(prob, lam, atol, rtol)[1]
-    result = _path_result(prob, lam, ceiling, mismatch, atol, rtol, samples)
-    if not _interior_nodes(result.f):
-        return result
-
-    # Landed on a higher mode: look for an earlier crossing below it.
-    xs = lam * (1.0 - 1e-12) * np.arange(1, 513) / 512
-    try:
-        a, b, fa, fb = first_sign_change(m, xs, ref)
-    except NoRoot:
-        raise NoBracket(
-            "eigenfunction has interior zeros but no earlier sign change exists;"
-            " the boundary functional is not behaving like a ground-state scan"
-        )
-    lam = bisect_root(m, a, b, fa, fb, tol=tol)
-    mismatch = _shoot_once(prob, lam, atol, rtol)[1]
-    result = _path_result(prob, lam, ceiling, mismatch, atol, rtol, samples)
-    if _interior_nodes(result.f):
-        raise NoBracket("eigenfunction keeps interior zeros after a denser rescan")
-    return result
+    return EigenResult(prob, lam, mismatch, ceiling)
 
 
 def scan_ceiling(profile: CoefficientProfile) -> float:
     """Four times the lattice route's guaranteed upper bound, plus slack.
 
-    Seeding the scan from the functional machinery means the two independent
-    routes meet: the oracle only searches where the lattice says the
-    eigenvalue can live.
+    Seeding the bracket from the functional machinery means the two
+    independent routes meet: the oracle only searches where the lattice says
+    the eigenvalue can live.
     """
     upper = min(1.0 / delta1_prime(profile), 1.0 / delta1_star_prime(profile))
     return 4.0 * upper + 10.0
@@ -462,18 +442,9 @@ def derivative_identity_residual(
     if not 0.0 < s < 1.0:
         raise DomainError(f"the exponent parameter must lie in (0, 1), got {s}")
     prob = reduced_problem(d, alpha)
-    base = principal_eigenvalue(prob, tol=tol, samples=samples)
+    base = principal_eigenvalue(prob, tol=tol)
     lam = base.eigenvalue * (1.0 + _IDENTITY_LIFT)
-
-    rs = np.linspace(0.0, prob.r_end, samples)
-    fs, gs, ls, status, steps = kernels.shoot_path(
-        prob.kind, prob.c1, prob.c2, lam, rs, 0.0, 1.0, tol, tol
-    )
-    if status != kernels.STATUS_OK:
-        raise StiffIntegration(
-            f"path integration failed during the identity check ({steps} steps)"
-        )
-    f, fp = _unfold(fs, gs, ls)
+    rs, f, fp = _sample_path(prob, lam, samples, tol, tol)
     path = HermitePath(rs, f, fp)
 
     nonpos = np.nonzero(fp <= 0.0)[0]
@@ -560,16 +531,8 @@ class ConsistencyReport:
 
 
 def resample(result: EigenResult, samples: int) -> EigenResult:
-    """Re-integrate the solved eigenfunction on a denser uniform path."""
-    return _path_result(
-        result.problem,
-        result.eigenvalue,
-        result.scan_ceiling,
-        result.boundary_mismatch,
-        1e-11,
-        1e-11,
-        samples,
-    )
+    """The same solution, sampled on `samples` uniformly spaced points."""
+    return replace(result, samples=samples)
 
 
 def _resolve_layer(result: EigenResult, cells_per_layer: int = 8) -> EigenResult:

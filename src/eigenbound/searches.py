@@ -103,7 +103,13 @@ def first_sign_change(f, xs: np.ndarray, f0: float) -> tuple[float, float, float
 
 def bisect_root(f, a: float, b: float, fa: float, fb: float,
                 tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Plain bisection; final midpoint once the bracket is below tol."""
+    """Bisect to a bracket no wider than tol, then return the root of the
+    line through its two end values.
+
+    That root lies in the final bracket; an infinite end value puts it at
+    the other, finite end.  The midpoint is the fallback when the line
+    gives no root inside the bracket.
+    """
     if fa == 0.0:
         return a
     if fb == 0.0:

@@ -23,7 +23,7 @@ PROBES = (1, 7, 500, 1001, 2048, 3001, 4095)
 class TestShooting:
     def test_flat_shot_matches_sine_solution(self):
         # f'' = -lam f, f(0)=0, f'(0)=1  ->  sin(sqrt(lam) r)/sqrt(lam).
-        f, g, log_scale, status, steps = kernels.shoot(
+        f, g, log_scale, status, steps, _ = kernels.shoot(
             0, 0.0, 0.0, FLAT_LAMBDA, 1.0, 0.0, 1.0
         )
         assert status == kernels.STATUS_OK
@@ -33,7 +33,7 @@ class TestShooting:
         assert steps > 0
 
     def test_max_steps_status(self):
-        _, _, _, status, _ = kernels.shoot(
+        _, _, _, status, _, _ = kernels.shoot(
             1, 2.0, 1.5, 3.7, 1.0, 0.0, 1.0, 1e-11, 1e-11, 5
         )
         assert status == kernels.STATUS_MAX_STEPS
@@ -43,7 +43,7 @@ class TestShooting:
         # must be rescaled while log(f) + log_scale stays the true log.
         lam = -4.0e5
         rate = math.sqrt(-lam)
-        f, g, log_scale, status, _ = kernels.shoot(
+        f, g, log_scale, status, _, _ = kernels.shoot(
             0, 0.0, 0.0, lam, 1.0, 0.0, 1.0
         )
         assert status == kernels.STATUS_OK
@@ -80,7 +80,7 @@ class TestShooting:
             # Samples come off the continuous extension, not one step each.
             assert steps <= 600
             for i in PROBES:
-                f, g, log_scale, _, _ = kernels.shoot(
+                f, g, log_scale, _, _, _ = kernels.shoot(
                     kind, c1, c2, lam, rs[i], 0.0, 1.0
                 )
                 scale = max(abs(f), abs(g))
@@ -92,7 +92,7 @@ class TestShooting:
             # components that cancel to near zero (the flat g(1) = cos(pi/2),
             # kind 2's f(1) = 0.0024), where two step sequences of tolerance
             # 1e-11 differ by ~5e-12.
-            f, g, log_scale, _, _ = kernels.shoot(kind, c1, c2, lam, 1.0, 0.0, 1.0)
+            f, g, log_scale, _, _, _ = kernels.shoot(kind, c1, c2, lam, 1.0, 0.0, 1.0)
             w = math.exp(ls[-1] - log_scale)
             assert fs[-1] * w == pytest.approx(f, rel=1e-9, abs=1e-11)
             assert gs[-1] * w == pytest.approx(g, rel=1e-9, abs=1e-11)
@@ -105,3 +105,25 @@ class TestShooting:
         assert status == kernels.STATUS_OK
         k = math.sqrt(2.0)
         assert fs[-1] == pytest.approx(math.sin(k * 0.67) / k, rel=1e-9)
+
+
+class TestNodeCount:
+    def test_flat_count_is_number_of_interior_zeros(self):
+        # sin(2.5 pi r) vanishes at r = 0.4 and 0.8; sin(pi r / 2) nowhere
+        # on (0, 1].
+        for lam, want in (((2.5 * math.pi) ** 2, 2), (FLAT_LAMBDA, 0)):
+            *_, status, _, nodes = kernels.shoot(0, 0.0, 0.0, lam, 1.0, 0.0, 1.0)
+            assert status == kernels.STATUS_OK
+            assert nodes == want
+
+    @pytest.mark.parametrize(
+        "kind, c1, c2, lam", [(1, 2.0, 1.5, 140.0), (2, -1.0, 1.2, 260.0)]
+    )
+    def test_count_matches_dense_path(self, kind, c1, c2, lam):
+        rs = np.linspace(0.0, 1.0, 4097)
+        fs, _, _, status, _ = kernels.shoot_path(kind, c1, c2, lam, rs, 0.0, 1.0)
+        assert status == kernels.STATUS_OK
+        changes = int(np.count_nonzero(np.diff(np.signbit(fs[1:]))))
+        assert changes >= 3
+        *_, nodes = kernels.shoot(kind, c1, c2, lam, 1.0, 0.0, 1.0)
+        assert nodes == changes

@@ -1,8 +1,8 @@
 """Tests for the shooting solver for the reduced eigenvalue problems.
 
 The solver is the independent referee for every bound in the package, so
-it gets referee treatment itself: frozen regression values at the solver's
-own reproducibility level (1e-9; bisection noise sits near 1e-10), exact
+it gets referee treatment itself: frozen regression values at 1e-9, well
+above the 1e-11 width of the solver's final lambda bracket, exact
 analytic anchors where the problem is solvable in closed form, a duality
 cross-check (primal and adjoint families must share one eigenvalue), a
 fully external reimplementation of the shooting loop on scipy's DOP853, and
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import get_lambda, get_profile, requires_full
+from eigenbound import kernels
 from eigenbound.correction import convex_mean
 from eigenbound.errors import DomainError
 from eigenbound.geometry import HALF_PI, Alpha, CurvatureSign
@@ -73,7 +74,7 @@ class TestFrozenEigenvalues:
 
     def test_strong_negative_drift_collapses_eigenvalue(self):
         # d=12, alpha=-3: the spectral gap closes to ~2.6e-9 but stays
-        # strictly positive; the reference-point walk-down must find it.
+        # strictly positive; bisection from lambda = 0 must find it.
         lam = get_lambda(12, Alpha.negative(3.0)).eigenvalue
         assert 0.0 < lam < 1e-8
         assert lam == pytest.approx(2.5503054036959313e-09, abs=1e-9)
@@ -378,6 +379,35 @@ class TestVariationalConsistency:
         assert rep.eigenvalue == pytest.approx(
             get_lambda(d, alpha).eigenvalue, abs=1e-9
         )
+
+
+class TestGroundStateSearch:
+    def test_wide_bracket_finds_ground_state(self):
+        # (0, 5000] holds 23 eigenvalues of the flat problem; the node count
+        # keeps the bisection on the lowest.
+        res = principal_eigenvalue(beta_problem(0.0), lam_max=5000.0)
+        assert res.eigenvalue == pytest.approx(PI2 / 4.0, abs=1e-9)
+
+    def test_low_ceiling_doubles_up_to_ground_state(self):
+        # 0.1 * 2^5 = 3.2 is the first doubled top above pi^2/4 = 2.47.
+        res = principal_eigenvalue(beta_problem(0.0), lam_max=0.1)
+        assert res.eigenvalue == pytest.approx(PI2 / 4.0, abs=1e-9)
+
+    def test_eigenfunction_is_integrated_once_on_first_read(self, monkeypatch):
+        calls = []
+        shoot_path = kernels.shoot_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shoot_path(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "shoot_path", counted)
+        res = solve_lambda_bar(3, Alpha.negative(1.5))
+        assert calls == []
+        f = res.f
+        assert len(calls) == 1
+        assert res.f is f and len(res.r) == len(res.fp) == len(f)
+        assert len(calls) == 1
 
 
 class TestSolutionSurface:

@@ -82,6 +82,18 @@ class TestBisect:
         assert bisect_root(lambda x: x, 0.0, 1.0, 0.0, 1.0) == 0.0
         assert bisect_root(lambda x: x - 1.0, 0.0, 1.0, -1.0, 0.0) == 1.0
 
+    def test_infinite_end_value_keeps_the_finite_end(self):
+        # The oracle marks every lambda above the ground state's node-free
+        # range with -inf; the answer must still sit within tol of the root.
+        root = 0.3
+
+        def f(x):
+            return root - x if x <= root else -math.inf
+
+        x = bisect_root(f, 0.0, 1.0, root, -math.inf, tol=1e-12)
+        assert 0.0 <= x <= 1.0
+        assert abs(x - root) <= 1e-12
+
     def test_same_sign_raises(self):
         with pytest.raises(NoRoot):
             bisect_root(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0)

@@ -9,7 +9,6 @@ never aborting the suite.
 
 from __future__ import annotations
 
-import math
 import traceback
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .classical import beta_quadratic_bound
 from .correction import curvature_kernel, curvature_multiplier
-from .geometry import Alpha, CoefficientProfile, GeometryTriple, HALF_PI
+from .geometry import PI2, Alpha, CoefficientProfile, GeometryTriple, HALF_PI
 from .oracle import (
     beta_eigenvalue,
     derivative_identity_residual,
@@ -28,8 +27,6 @@ from .report import build_report
 from .universal import iterate_lower, iterate_upper, universal_bracket
 
 __all__ = ["CheckResult", "run_suite", "suite_names"]
-
-PI2 = math.pi**2
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoConvergence, NoRoot
-from .geometry import Alpha, CurvatureSign, GeometryTriple, make_alpha
+from .geometry import PI2, Alpha, CurvatureSign, GeometryTriple, log_cosh, make_alpha
 from .quadrature import integrate
 from .searches import bisect_root, first_sign_change
 
 import numpy as np
-
-PI2 = math.pi * math.pi
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -80,10 +78,7 @@ def chen_wang_sphere(g: GeometryTriple) -> float:
     """4 d |alpha|^2 / (D^2 (1 - cos^d|alpha|)), with the limit 8/D^2 at alpha=0."""
     _require(g.d > 1, "needs d > 1")
     _require(g.K >= 0.0, "needs K >= 0")
-    a = _mag(g)
-    if a == 0.0:
-        return 8.0 / g.D**2
-    return 4.0 * g.d * a * a / (g.D**2 * _one_minus_cos_pow(g.d, a))
+    return 4.0 / g.D**2 * chen_wang_sphere_reduced(g.d, make_alpha(g))
 
 
 def zhong_yang(g: GeometryTriple) -> float:
@@ -101,11 +96,6 @@ def exp_decay(g: GeometryTriple) -> float:
     return PI2 / g.D**2 * math.exp(-(g.d - 1) * _mag(g))
 
 
-def _log_cosh(t: float) -> float:
-    a = abs(t)
-    return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
-
-
 def chen_wang_negative(g: GeometryTriple) -> float:
     """sqrt(pi^4 + 8(d-1)alpha^2) cosh^{1-d}(alpha) / D^2."""
     _require(g.d > 1, "needs d > 1")
@@ -113,7 +103,7 @@ def chen_wang_negative(g: GeometryTriple) -> float:
     a = _mag(g)
     return (
         math.sqrt(PI2 * PI2 + 8.0 * (g.d - 1) * a * a)
-        * math.exp((1 - g.d) * _log_cosh(a))
+        * math.exp((1 - g.d) * float(log_cosh(a)))
         / g.D**2
     )
 
@@ -174,21 +164,26 @@ def linear_combo(g: GeometryTriple) -> float:
     return PI2 / g.D**2 + 0.5 * g.K
 
 
-def shi_zhang(g: GeometryTriple) -> float:
-    """sup over s in (0,1) of s [4(1-s) pi^2/D^2 + K], in closed form.
+def parabola_sup(kappa: float) -> float:
+    """sup over s in (0, 1) of s [(1 - s) pi^2 + kappa], in closed form.
 
-    The sup of the downward parabola sits at an interior vertex for
-    |K D^2| <= 4 pi^2, runs off to s -> 1 (value K) above that, and off to
-    s -> 0 (value 0) below -4 pi^2.
+    The sup of the downward parabola sits at an interior vertex,
+    (pi/2 + kappa/(2 pi))^2, for |kappa| <= pi^2, runs off to s -> 1
+    (value kappa) above that, and off to s -> 0 (value 0) below -pi^2.
     """
+    if abs(kappa) <= PI2:
+        return (0.5 * math.pi + kappa / (2.0 * math.pi)) ** 2
+    if kappa > PI2:
+        return kappa
+    return 0.0
+
+
+def shi_zhang(g: GeometryTriple) -> float:
+    """sup over s in (0,1) of s [4(1-s) pi^2/D^2 + K]: parabola_sup(K D^2/4) * 4/D^2."""
     x = g.K * g.D**2
     if g.K > 0.0 and x > (g.d - 1) * PI2 * (1.0 + 1e-12):
         raise DomainError("K D^2 beyond the diameter cap for positive curvature")
-    if -4.0 * PI2 <= x <= 4.0 * PI2:
-        return (math.pi / g.D + g.K * g.D / (4.0 * math.pi)) ** 2
-    if x > 4.0 * PI2:
-        return g.K
-    return 0.0
+    return 4.0 / g.D**2 * parabola_sup(0.25 * x)
 
 
 def csy_quadratic(g: GeometryTriple) -> float:
@@ -245,8 +240,8 @@ def alpha_clamp_root(d: int) -> float:
 def chen_wang_sphere_reduced(d: int, alpha: Alpha) -> float:
     """The sphere-branch term on the reduced scale: d |alpha|^2 / (1 - cos^d).
 
-    Equals chen_wang_sphere times D^2/4; the combined bound takes a max
-    against other reduced-scale terms before the 4/D^2 factor is applied.
+    chen_wang_sphere is this times 4/D^2; the combined bound takes a max
+    against other reduced-scale terms before that factor is applied.
     Limit 2 at alpha = 0.
     """
     if alpha.sign is CurvatureSign.NEGATIVE_K:

@@ -32,20 +32,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import alpha_clamp_root, chen_wang_sphere_reduced, csy_quadratic
+from .classical import (
+    alpha_clamp_root,
+    chen_wang_sphere_reduced,
+    csy_quadratic,
+    parabola_sup,
+)
 from .errors import DomainError, NonPositiveCoefficient
 from .geometry import (
     HALF_PI,
+    PI2,
     Alpha,
     CoefficientProfile,
     CurvatureSign,
     GeometryTriple,
     make_alpha,
+    resolve_profile,
 )
 from .quadrature import integrate
 from .universal import delta1_star, delta1_star_prime
-
-PI2 = math.pi**2
 
 # Inside this distance of x = 1 the kernel is evaluated by extrapolation:
 # sec(pi x / 2) amplifies quadrature noise by 2/(pi (1 - x)) while the
@@ -255,22 +260,10 @@ def clamped_correction(d: int, alpha: Alpha) -> CurvatureCorrection:
 
 
 def middle_term(d: int, alpha: Alpha) -> tuple[float, CurvatureCorrection]:
-    """sup_s s[(1-s) pi^2 + kappa] on the reduced scale, kappa = (d-1) x M.
-
-    Closed form of the parabola sup: ((pi/2 + kappa/(2 pi))^2 while the
-    vertex is interior (|kappa| <= pi^2), kappa itself once the sup moves
-    to s = 1 (kappa > pi^2), and 0 when the whole parabola is below the
-    axis (kappa < -pi^2).
-    """
+    """parabola_sup(kappa) on the reduced scale, kappa = (d-1) x M."""
     corr = clamped_correction(d, alpha)
     kappa = (d - 1) * corr.alpha_used.signed_x * corr.multiplier
-    if abs(kappa) <= PI2:
-        value = (HALF_PI + kappa / (2.0 * math.pi)) ** 2
-    elif kappa > PI2:
-        value = kappa
-    else:
-        value = 0.0
-    return value, corr
+    return parabola_sup(kappa), corr
 
 
 def curvature_corrected_bound(g: GeometryTriple) -> tuple[float, CurvatureCorrection]:
@@ -306,7 +299,7 @@ def combined_lower_bound(
     in, so the three-term certificate stays exactly as stated).
     """
     alpha = make_alpha(g)
-    prof = profile if profile is not None else CoefficientProfile(g.d, alpha)
+    prof = resolve_profile(g.d, alpha, profile)
     scale = 4.0 / g.D**2
     mid, corr = middle_term(g.d, alpha)
     terms = {
@@ -355,16 +348,12 @@ def convex_mean(
     if anchor == "at_zero":
         gamma = GAMMA_ZERO
     elif anchor == "at_half_pi":
-        ep = (
-            edge_profile
-            if edge_profile is not None
-            else CoefficientProfile(d, Alpha.positive(HALF_PI))
-        )
+        ep = resolve_profile(d, Alpha.positive(HALF_PI), edge_profile)
         inv_s = 1.0 / delta1_star(ep)
         inv_p = 1.0 / delta1_star_prime(ep)
         gamma = (d * PI2 / 4.0 - inv_s) / (inv_p - inv_s)
     else:
         raise DomainError(f"anchor must be at_zero or at_half_pi, got {anchor!r}")
-    prof = profile if profile is not None else CoefficientProfile(d, alpha)
+    prof = resolve_profile(d, alpha, profile)
     value = gamma / delta1_star_prime(prof) + (1.0 - gamma) / delta1_star(prof)
     return ConvexMean(gamma, value, anchor)

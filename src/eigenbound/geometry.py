@@ -32,6 +32,7 @@ from .errors import DivergentIntegral, DomainError, MyersViolation
 from .quadrature import Segmentation, get_segmentation
 
 HALF_PI = math.pi / 2.0
+PI2 = math.pi**2
 MYERS_SLACK = 1e-12
 
 
@@ -139,7 +140,8 @@ def alpha_to_curvature(alpha: Alpha, d: int, D: float) -> float:
     return k if alpha.sign is CurvatureSign.POSITIVE_K else -k
 
 
-def _log_cosh(t: np.ndarray) -> np.ndarray:
+def log_cosh(t):
+    """log cosh t without overflow, for scalars and arrays."""
     a = np.abs(t)
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
@@ -182,7 +184,7 @@ class CoefficientProfile:
             return np.zeros_like(x)
         a = self.alpha.magnitude
         if self.alpha.sign is CurvatureSign.NEGATIVE_K:
-            return (self.d - 1) * _log_cosh(a * x)
+            return (self.d - 1) * log_cosh(a * x)
         # cos(a*x) loses relative accuracy near its zero: the argument a*x
         # carries absolute rounding ~ulp(pi/2), which is huge relative to a
         # value of cos that is about to vanish, and the (d-1) power multiplies
@@ -261,3 +263,26 @@ class CoefficientProfile:
         if r == 1.0:
             return 0.0
         return float(self.psi_at(np.array([r]))[0])
+
+
+def resolve_profile(
+    d: int, alpha: Alpha, profile: CoefficientProfile | None
+) -> CoefficientProfile:
+    """profile if it was built for (d, alpha), a fresh profile if it is None.
+
+    The magnitudes may differ by rounding, as when alpha is recovered from a
+    triple through (D, K); anything more raises DomainError.
+    """
+    if profile is None:
+        return CoefficientProfile(d, alpha)
+    got = profile.alpha
+    if (
+        profile.d != d
+        or got.sign is not alpha.sign
+        or not math.isclose(got.magnitude, alpha.magnitude, rel_tol=1e-12)
+    ):
+        raise DomainError(
+            f"profile is for d = {profile.d}, alpha = {got.signed_x:+.6g} (signed"
+            f" square), not the requested d = {d}, alpha = {alpha.signed_x:+.6g}"
+        )
+    return profile

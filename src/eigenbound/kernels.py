@@ -13,13 +13,14 @@ by an integer:
 
 `shoot` returns the end state and the number of sign changes of f over
 the accepted steps, the Sturm oscillation count that tells the oracle a
-ground state from a higher mode.  `shoot_path` records the state at
-a set of sample points, read off the pair's free quartic continuous
-extension (Shampine, Math. Comp. 46, 1986) instead of stepping onto each
-sample; its steps are capped at r_end / PATH_STEPS so the interpolant stays
-well below the integration tolerance.  The system is linear, so whenever
-the state grows past RENORM the pair (f, g) is rescaled and the log of the
-accumulated factor is returned; signs and zero crossings are unaffected.
+ground state from a higher mode.  `shoot_path` records every accepted step
+instead: its start, width and state, and the quartic coefficients of the
+pair's free continuous extension (Shampine, Math. Comp. 46, 1986), which
+give the solution anywhere inside the step.  Its steps are capped at
+r_end / PATH_STEPS so the quartic stays well below the integration
+tolerance.  The system is linear, so whenever the state grows past RENORM
+the pair (f, g) is rescaled and the log of the accumulated factor is
+returned; signs and zero crossings are unaffected.
 """
 
 import math
@@ -80,8 +81,8 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 
-#: A path takes at least this many steps; coarser steps let the
-#: interpolated samples drift by ~1e-10 relative.
+#: A path takes at least this many steps; coarser steps let the quartic
+#: between step ends drift by ~1e-10 relative.
 PATH_STEPS = 512
 
 RENORM = 1e250
@@ -109,15 +110,17 @@ def _extension(h, k1, k3, k4, k5, k6, k7):
     )
 
 
-def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
+def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, path=False):
     """March (f, g) from 0 to r1.
 
     Returns (f, g, log_scale, status, steps, nodes), nodes being the sign
     changes of f over the accepted steps (the start's sign is that of f0, or
-    of g0 when f0 = 0).  With rs (increasing, from 0 to r1) it returns
-    (f, g, log_scale, status, steps) with f, g and log_scale arrays of the
-    state at every rs[i] instead, equal to (f[i], g[i]) * exp(log_scale[i]);
-    the last entry is the end state itself.
+    of g0 when f0 = 0).  With path=True it returns
+    (f, g, log_scale, status, steps, r, h) instead, with one row per
+    accepted step, of start r and width h, and a closing row for the end
+    state.  Row i of f is (f_i, q1..q4) with f = f_i + q1 x + ... + q4 x^4
+    at r_i + x h_i, 0 <= x <= 1, likewise for g, both at the scale
+    exp(log_scale[i]); the closing row has zero coefficients.
     """
     r = 0.0
     h = r1 / 100.0
@@ -128,14 +131,9 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
     positive = f > 0.0 or (f == 0.0 and g > 0.0)
     status = STATUS_OK
     hmin = 1e-15 * r1 + 1e-300
-    if rs is not None:
+    if path:
         hmax = r1 / PATH_STEPS
-        ts = rs.tolist()
-        fs = np.empty(len(ts))
-        gs = np.empty(len(ts))
-        ls = np.empty(len(ts))
-        fs[0], gs[0], ls[0] = f, g, 0.0
-        j = 1
+        rows_r, rows_h, rows_f, rows_g, rows_l = [], [], [], [], []
     while r < r1:
         if steps >= max_steps:
             status = STATUS_MAX_STEPS
@@ -197,15 +195,12 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
         sg = atol + rtol * max(abs(g), abs(gn))
         err = math.sqrt(0.5 * ((ef / sf) ** 2 + (eg / sg) ** 2))
         if err <= 1.0:
-            if rs is not None and j < len(ts) and ts[j] <= r + h:
-                qf1, qf2, qf3, qf4 = _extension(h, k1f, k3f, k4f, k5f, k6f, k7f)
-                qg1, qg2, qg3, qg4 = _extension(h, k1g, k3g, k4g, k5g, k6g, k7g)
-                while j < len(ts) and ts[j] <= r + h:
-                    x = (ts[j] - r) / h
-                    fs[j] = f + x * (qf1 + x * (qf2 + x * (qf3 + x * qf4)))
-                    gs[j] = g + x * (qg1 + x * (qg2 + x * (qg3 + x * qg4)))
-                    ls[j] = log_scale
-                    j += 1
+            if path:
+                rows_r.append(r)
+                rows_h.append(h)
+                rows_l.append(log_scale)
+                rows_f.append((f,) + _extension(h, k1f, k3f, k4f, k5f, k6f, k7f))
+                rows_g.append((g,) + _extension(h, k1g, k3g, k4g, k5g, k6g, k7g))
             r = r + h
             f = fn
             g = gn
@@ -232,11 +227,18 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, rs=None):
             status = STATUS_STEP_UNDERFLOW
             break
         steps += 1
-    if rs is None:
+    if not path:
         return f, g, log_scale, status, steps, nodes
-    if status == STATUS_OK:
-        fs[-1], gs[-1], ls[-1] = f, g, log_scale
-    return fs, gs, ls, status, steps
+    # The closing row has zero coefficients, so any width serves.
+    rows_r.append(r)
+    rows_h.append(1.0)
+    rows_l.append(log_scale)
+    rows_f.append((f, 0.0, 0.0, 0.0, 0.0))
+    rows_g.append((g, 0.0, 0.0, 0.0, 0.0))
+    return (
+        np.array(rows_f), np.array(rows_g), np.array(rows_l), status, steps,
+        np.array(rows_r), np.array(rows_h),
+    )
 
 
 def shoot(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
@@ -248,16 +250,13 @@ def shoot(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
     )
 
 
-def shoot_path(kind, c1, c2, lam, rs, f0, g0, atol=1e-11, rtol=1e-11,
+def shoot_path(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
                max_steps=2_000_000):
-    """Integrate along the sample points rs, which run from 0 up to r_end.
+    """Integrate to r_end, recording every step.
 
-    Returns (f_arr, g_arr, logscale_arr, status, steps); see _integrate.
+    Returns (f, g, log_scale, status, steps, r, h); see _integrate.
     """
-    rs = np.asarray(rs, dtype=float)
-    if rs[0] != 0.0:
-        raise ValueError("a path starts at r = 0")
     return _integrate(
-        kind, c1, c2, float(lam), float(rs[-1]), float(f0), float(g0),
-        atol, rtol, max_steps, rs,
+        kind, c1, c2, float(lam), float(r_end), float(f0), float(g0),
+        atol, rtol, max_steps, True,
     )

@@ -13,7 +13,7 @@ finds the ground state and never a higher mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,12 +26,10 @@ from .errors import (
     NoBracket,
     StiffIntegration,
 )
-from .geometry import Alpha, CoefficientProfile, CurvatureSign
+from .geometry import Alpha, CoefficientProfile, CurvatureSign, resolve_profile
 from .quadrature import integrate
 from .searches import bisect_root
 from .universal import delta1_prime, delta1_star_prime
-
-HALF_PI = math.pi / 2.0
 
 #: Domain shortening at the singular endpoint (|alpha| = pi/2 exactly).
 SINGULAR_TRIM = 1e-8
@@ -146,88 +144,91 @@ def beta_problem(beta: float) -> EigenProblem:
     )
 
 
+#: Binomial coefficients C(j, k): the quartic's coefficients in x, times
+#: this, are its coefficients in x - 1.
+_ABOUT_END = np.array(
+    [[math.comb(j, k) for k in range(5)] for j in range(5)], dtype=float
+)
+
+
+class EigenPath:
+    """The eigenfunction as the integrator's own continuous extension.
+
+    One path integration, at atol = rtol = tol, records every accepted step;
+    f and f' anywhere in a step come off its quartic, and exactly at a step
+    end they are the stored state.  r, f and fp are the step-end arrays, from
+    0 to r_end.  All values share one overall scale: the raw one (unit
+    initial slope after a Dirichlet start, unit initial value after a
+    Neumann start) when the integrator never had to renormalize; otherwise
+    the pair is rescaled so the largest magnitude stays representable.
+
+    Each half step is evaluated from its nearer end, the second half on the
+    quartic re-expanded about the step end.  Summed from the far end, the
+    quartic would miss the end state by rounding of the start state, which
+    is most of f itself next to a Dirichlet end.
+    """
+
+    def __init__(self, prob: EigenProblem, lam: float, tol: float = 1e-11):
+        f0, g0 = _left_state(prob)
+        fq, gq, ls, status, steps, r, h = kernels.shoot_path(
+            prob.kind, prob.c1, prob.c2, lam, prob.r_end, f0, g0, tol, tol
+        )
+        if status != kernels.STATUS_OK:
+            raise StiffIntegration(
+                f"path integration failed at lambda = {lam:.6g}"
+                f" (status {status}, {steps} steps)"
+            )
+        w = _unfold(fq[:, 0], gq[:, 0], ls)[:, None]
+        self._fq = self._halves(fq * w)
+        self._gq = self._halves(gq * w)
+        self.r = r
+        self.f = self._fq[0, ::2]
+        self.fp = self._gq[0, ::2]
+        # Half step 2i starts at r_i and 2i + 1 at its midpoint, anchored
+        # at r_i and r_i+1; the closing row anchors the end.
+        self._start = np.empty(2 * r.size - 1)
+        self._start[::2] = r
+        self._start[1::2] = r[:-1] + 0.5 * h[:-1]
+        self._anchor = np.repeat(r, 2)[1:]
+        self._h = np.repeat(h, 2)[:-1]
+
+    @staticmethod
+    def _halves(q):
+        """Rows (start state, q1..q4) to one column per half step."""
+        back = q[:-1] @ _ABOUT_END
+        back[:, 0] = q[1:, 0]
+        out = np.empty((5, 2 * len(q) - 1))
+        out[:, ::2] = q.T
+        out[:, 1::2] = back.T
+        return out
+
+    def _eval(self, q, x):
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        i = np.searchsorted(self._start, flat, side="right") - 1
+        np.clip(i, 0, self._start.size - 1, out=i)
+        t = (flat - self._anchor[i]) / self._h[i]
+        c = q[:, i]
+        out = c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))
+        return out.reshape(x.shape)
+
+    def __call__(self, x):
+        return self._eval(self._fq, x)
+
+    def deriv(self, x):
+        return self._eval(self._gq, x)
+
+
 @dataclass(frozen=True, eq=False)
 class EigenResult:
-    """Solved principal eigenvalue with dense eigenfunction samples.
-
-    r, f and fp are `samples` uniformly spaced points of the eigenfunction
-    on [0, r_end], integrated once, on first read.  f and fp share one
-    overall scale.  When the integrator never had to renormalize, that scale
-    is the raw one (unit initial slope after a Dirichlet start, unit initial
-    value after a Neumann start); otherwise the pair is rescaled so the
-    largest magnitude stays representable.
-    """
+    """Solved principal eigenvalue; `path`, its eigenfunction, is integrated on first read."""
 
     problem: EigenProblem
     eigenvalue: float
-    boundary_mismatch: float
-    scan_ceiling: float
-    samples: int = 4097
 
     @cached_property
-    def _path(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _sample_path(self.problem, self.eigenvalue, self.samples)
-
-    @property
-    def r(self) -> np.ndarray:
-        return self._path[0]
-
-    @property
-    def f(self) -> np.ndarray:
-        return self._path[1]
-
-    @property
-    def fp(self) -> np.ndarray:
-        return self._path[2]
-
-    def interpolant(self) -> "HermitePath":
-        return HermitePath(self.r, self.f, self.fp)
-
-
-class HermitePath:
-    """Cubic Hermite interpolant through uniformly spaced (f, f') samples.
-
-    The integrator already paid for a derivative at every node, so each cell
-    carries an O(h^4) interpolant with no further solves.
-    """
-
-    def __init__(self, r: np.ndarray, f: np.ndarray, fp: np.ndarray):
-        self.r = np.asarray(r, dtype=float)
-        self.f = np.asarray(f, dtype=float)
-        self.fp = np.asarray(fp, dtype=float)
-        if self.r.size < 2:
-            raise DomainError("an interpolant needs at least two samples")
-        self.h = float(self.r[1] - self.r[0])
-
-    def _locate(self, x):
-        x = np.asarray(x, dtype=float)
-        i = np.clip((x - self.r[0]) // self.h, 0, self.r.size - 2).astype(np.intp)
-        t = (x - self.r[i]) / self.h
-        return i, t
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        i, t = self._locate(x.ravel())
-        t2 = t * t
-        t3 = t2 * t
-        out = (
-            (2.0 * t3 - 3.0 * t2 + 1.0) * self.f[i]
-            + (t3 - 2.0 * t2 + t) * self.h * self.fp[i]
-            + (3.0 * t2 - 2.0 * t3) * self.f[i + 1]
-            + (t3 - t2) * self.h * self.fp[i + 1]
-        )
-        return out.reshape(x.shape)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        i, t = self._locate(x.ravel())
-        t2 = t * t
-        out = (
-            (6.0 * t2 - 6.0 * t) / self.h * (self.f[i] - self.f[i + 1])
-            + (3.0 * t2 - 4.0 * t + 1.0) * self.fp[i]
-            + (3.0 * t2 - 2.0 * t) * self.fp[i + 1]
-        )
-        return out.reshape(x.shape)
+    def path(self) -> EigenPath:
+        return EigenPath(self.problem, self.eigenvalue)
 
 
 def _left_state(prob: EigenProblem) -> tuple[float, float]:
@@ -237,12 +238,11 @@ def _left_state(prob: EigenProblem) -> tuple[float, float]:
 
 
 def _shoot_once(prob, lam, atol, rtol):
-    """Boundary functional at one lambda: (signed value, normalized mismatch).
+    """Signed boundary functional at one lambda.
 
-    The value is -inf when f changes sign on (0, r_end] other than by
-    crossing a Dirichlet end, which is the functional's own sign change:
-    lambda then lies above the ground state whatever the end functional
-    reads.
+    It is -inf when f changes sign on (0, r_end] other than by crossing a
+    Dirichlet end, which is the functional's own sign change: lambda then
+    lies above the ground state whatever the end functional reads.
     """
     f0, g0 = _left_state(prob)
     f, g, _, status, steps, nodes = kernels.shoot(
@@ -253,40 +253,21 @@ def _shoot_once(prob, lam, atol, rtol):
             f"integrator gave up at lambda = {lam:.6g} (status {status}, {steps} steps)"
         )
     target = g if prob.bc_right == NEUMANN else f
-    scale = max(abs(f), abs(g))
-    mismatch = abs(target) / scale if scale > 0.0 else abs(target)
     own = 1 if prob.bc_right == DIRICHLET else 0
-    return (target if nodes <= own else -math.inf), mismatch
+    return target if nodes <= own else -math.inf
 
 
 def _unfold(fs, gs, ls):
-    """Undo the running renormalization with one overall bounded scale.
+    """Weights that undo the running renormalization with one overall scale.
 
     The raw left-end normalization is kept whenever the true magnitudes fit
     comfortably in doubles; otherwise everything is rescaled so the largest
-    sample sits near one.
+    state sits near one.
     """
     mag = np.maximum(np.abs(fs), np.abs(gs))
     peak = float(np.max(ls + np.log(np.maximum(mag, 1e-300))))
     shift = 0.0 if peak < 100.0 else peak
-    w = np.exp(ls - shift)
-    return fs * w, gs * w
-
-
-def _sample_path(prob, lam, samples, atol=1e-11, rtol=1e-11):
-    """(r, f, fp) on `samples` uniformly spaced points of [0, r_end]."""
-    rs = np.linspace(0.0, prob.r_end, samples)
-    f0, g0 = _left_state(prob)
-    fs, gs, ls, status, steps = kernels.shoot_path(
-        prob.kind, prob.c1, prob.c2, lam, rs, f0, g0, atol, rtol
-    )
-    if status != kernels.STATUS_OK:
-        raise StiffIntegration(
-            f"path integration failed at lambda = {lam:.6g}"
-            f" (status {status}, {steps} steps)"
-        )
-    f, fp = _unfold(fs, gs, ls)
-    return rs, f, fp
+    return np.exp(ls - shift)
 
 
 def principal_eigenvalue(
@@ -303,15 +284,15 @@ def principal_eigenvalue(
     until the lambda bracket is tol wide (tol is absolute).  When lam_max is
     still below the ground state, the top of the bracket doubles up to five
     times.  atol and rtol are the shots' tolerances; the eigenfunction is
-    integrated at the kernel's 1e-11 only when the result's samples are
-    first read.
+    integrated at the kernel's 1e-11 only when the result's path is first
+    read.
     """
     ceiling = float(lam_max) if lam_max is not None else DEFAULT_CEILING
     if not (ceiling > 0.0 and math.isfinite(ceiling)):
         raise DomainError(f"scan ceiling must be finite > 0, got {ceiling}")
 
     def m(lam):
-        return _shoot_once(prob, lam, atol, rtol)[0]
+        return _shoot_once(prob, lam, atol, rtol)
 
     lo, f_lo = 0.0, m(0.0)
     if not f_lo > 0.0:
@@ -331,9 +312,7 @@ def principal_eigenvalue(
             "no sign change of the boundary functional for lambda in"
             f" (0, {ceiling:.6g}]"
         )
-    lam = bisect_root(m, lo, ceiling, f_lo, f_hi, tol=tol)
-    mismatch = _shoot_once(prob, lam, atol, rtol)[1]
-    return EigenResult(prob, lam, mismatch, ceiling)
+    return EigenResult(prob, bisect_root(m, lo, ceiling, f_lo, f_hi, tol=tol))
 
 
 def scan_ceiling(profile: CoefficientProfile) -> float:
@@ -347,14 +326,6 @@ def scan_ceiling(profile: CoefficientProfile) -> float:
     return 4.0 * upper + 10.0
 
 
-def _resolve_profile(d: int, alpha: Alpha, profile) -> CoefficientProfile:
-    if profile is None:
-        return CoefficientProfile(d, alpha)
-    if profile.d != d or profile.alpha != alpha:
-        raise DomainError("profile does not match the requested (d, alpha)")
-    return profile
-
-
 def solve_lambda_bar(
     d: int,
     alpha: Alpha,
@@ -365,7 +336,7 @@ def solve_lambda_bar(
 ) -> EigenResult:
     """Principal eigenvalue of the reduced problem (or its dual form)."""
     _check_pair(d, alpha)
-    p = _resolve_profile(d, alpha, profile)
+    p = resolve_profile(d, alpha, profile)
     prob = dual_problem(d, alpha) if dual else reduced_problem(d, alpha)
     return principal_eigenvalue(prob, tol=tol, lam_max=scan_ceiling(p))
 
@@ -383,7 +354,7 @@ def duality_gap(
     same at every eigenvalue scale.
     """
     _check_pair(d, alpha)
-    p = _resolve_profile(d, alpha, profile)
+    p = resolve_profile(d, alpha, profile)
     hi = scan_ceiling(p)
     primal = principal_eigenvalue(reduced_problem(d, alpha), tol=tol, lam_max=hi)
     adjoint = principal_eigenvalue(dual_problem(d, alpha), tol=tol, lam_max=hi)
@@ -422,7 +393,6 @@ def derivative_identity_residual(
     s: float,
     *,
     tol: float = 1e-11,
-    samples: int = 8193,
 ) -> IdentityReport:
     """Residual of 4s(1-s) int g'^2 = int (lam + s F') g^2 for g = (f')^(1/(2(1-s))).
 
@@ -444,8 +414,8 @@ def derivative_identity_residual(
     prob = reduced_problem(d, alpha)
     base = principal_eigenvalue(prob, tol=tol)
     lam = base.eigenvalue * (1.0 + _IDENTITY_LIFT)
-    rs, f, fp = _sample_path(prob, lam, samples, tol, tol)
-    path = HermitePath(rs, f, fp)
+    path = EigenPath(prob, lam, tol)
+    rs, fp = path.r, path.fp
 
     nonpos = np.nonzero(fp <= 0.0)[0]
     if nonpos.size == 0:
@@ -530,36 +500,6 @@ class ConsistencyReport:
         )
 
 
-def resample(result: EigenResult, samples: int) -> EigenResult:
-    """The same solution, sampled on `samples` uniformly spaced points."""
-    return replace(result, samples=samples)
-
-
-def _resolve_layer(result: EigenResult, cells_per_layer: int = 8) -> EigenResult:
-    """Resample until the steepest boundary layer spans several cells.
-
-    A strong drift concentrates the eigenfunction's fall near one endpoint;
-    interpolating across an unresolved layer overshoots and can even turn
-    the samples negative.
-    """
-    span = float(result.r[-1] - result.r[0])
-    peak_slope = float(np.max(np.abs(result.fp)))
-    if peak_slope == 0.0:
-        return result
-    layer = float(np.max(np.abs(result.f))) / peak_slope
-    h = float(result.r[1] - result.r[0])
-    if h <= layer / cells_per_layer:
-        return result
-    need = cells_per_layer * span / layer
-    if need > float(1 << 20):
-        raise DomainError(
-            "eigenfunction boundary layer is too thin to sample; the"
-            " consistency check does not apply this deep into the drift"
-        )
-    n = 1 << max(12, math.ceil(math.log2(need)))
-    return resample(result, n + 1)
-
-
 def variational_consistency(
     d: int,
     alpha: Alpha,
@@ -577,23 +517,20 @@ def variational_consistency(
     """
     from .universal import variational_ratio
 
-    p = _resolve_profile(d, alpha, profile)
+    p = resolve_profile(d, alpha, profile)
     if reduced_problem(d, alpha).r_end < 1.0:
         raise DomainError(
             "the consistency check needs the untrimmed domain; move off the"
             " borderline positive parameter"
         )
     primal, adjoint, _ = duality_gap(d, alpha, profile=p, tol=tol)
-    primal = _resolve_layer(primal)
-    adjoint = _resolve_layer(adjoint)
-
-    fstar = adjoint.interpolant()
-    end = float(fstar(np.array([1.0]))[0])
+    fstar = adjoint.path
+    end = float(fstar.f[-1])
 
     def corrected(x):
         x = np.asarray(x, dtype=float)
         return fstar(x) - end * x
 
-    pr = variational_ratio(primal.interpolant(), p, form="primal")
+    pr = variational_ratio(primal.path, p, form="primal")
     du = variational_ratio(corrected, p, form="dual")
     return ConsistencyReport(primal.eigenvalue, pr, du)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .classical import ESTIMATES
 from .correction import CombinedBound, combined_lower_bound
-from .geometry import Alpha, CoefficientProfile, GeometryTriple, make_alpha
+from .geometry import Alpha, CoefficientProfile, GeometryTriple, make_alpha, resolve_profile
 from .oracle import EigenResult, solve_lambda_bar
 from .universal import BoundBracket, universal_bracket
 
@@ -122,7 +122,7 @@ def build_report(
     invalid with a NaN value rather than a misleading number.
     """
     alpha = make_alpha(g)
-    prof = profile if profile is not None else CoefficientProfile(g.d, alpha)
+    prof = resolve_profile(g.d, alpha, profile)
     scale = 4.0 / g.D**2
 
     rows: list[ReportRow] = []

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EigenboundError, InvalidTestFunction
-from .geometry import Alpha, CoefficientProfile, CurvatureSign
+from .geometry import Alpha, CoefficientProfile, CurvatureSign, resolve_profile
 
 MAX_ITERATIONS = 10
 
@@ -371,10 +371,7 @@ def universal_bracket(
     d: int, alpha: Alpha, *, profile: CoefficientProfile | None = None
 ) -> BoundBracket:
     """Assemble all five functionals into the two-sided bracket."""
-    if profile is None:
-        profile = CoefficientProfile(d, alpha)
-    elif profile.d != d or profile.alpha != alpha:
-        raise DomainError("profile does not match the requested (d, alpha)")
+    profile = resolve_profile(d, alpha, profile)
     return BoundBracket(
         d=d,
         alpha=alpha,
@@ -397,7 +394,8 @@ class IterationTrace:
     toward the reduced eigenvalue; upper_sequence and rayleigh_sequence
     hold the clamped sup-inf ratios and the clamped Rayleigh quotients,
     whose reciprocals decrease toward it.  test_functions carries coarse
-    node samples of the iterates (normalized by each step's ratio value).
+    node samples of the lower iterates (normalized by each step's ratio
+    value), or the clamp radius of the upper sequence's last sup.
     """
 
     n: int
@@ -408,6 +406,10 @@ class IterationTrace:
 
 
 _SAMPLE_STRIDE = 64
+
+#: Node-snapped quantiles of the clamp radius that iterate_upper scans
+#: before refining.
+_R_CANDIDATES = 101
 
 
 def _check_n_max(n_max: int) -> None:
@@ -457,7 +459,7 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
     )
 
 
-def _clamped_sequences(p: CoefficientProfile, k: int, n_max: int, collect=None):
+def _clamped_sequences(p: CoefficientProfile, k: int, n_max: int):
     """delta_n' and Rayleigh values at clamp radius r = nodes[k].
 
     The clamped smoothing operator integrates only up to r, so iterates
@@ -495,8 +497,6 @@ def _clamped_sequences(p: CoefficientProfile, k: int, n_max: int, collect=None):
         rat = np.where(np.isfinite(rat), rat, math.inf)
         d_n = float(np.min(rat))
         primes.append(d_n)
-        if collect is not None:
-            collect[f"clamped_f{n}"] = f_nodes[::_SAMPLE_STRIDE].copy()
         scale = d_n if d_n > 0 and math.isfinite(d_n) else 1.0
         f_nodes = nf_nodes / scale
         f_sub = nf_sub / scale
@@ -517,12 +517,10 @@ def _int_ternary_max(evaluate, lo: int, hi: int):
     return best, evaluate(best)
 
 
-def iterate_upper(
-    p: CoefficientProfile, n_max: int, r_candidates: int = 101
-) -> IterationTrace:
+def iterate_upper(p: CoefficientProfile, n_max: int) -> IterationTrace:
     """Clamped sup-inf ratios and Rayleigh quotients over clamp radii.
 
-    The sup over the clamp radius r scans r_candidates node-snapped
+    The sup over the clamp radius r scans _R_CANDIDATES node-snapped
     quantiles, then refines around each per-depth argmax with an integer
     ternary search over the intervening nodes.  All probed radii share one
     cache, and the reported value at each depth is the max over every
@@ -530,7 +528,7 @@ def iterate_upper(
     """
     _check_n_max(n_max)
     n_seg = p.seg.n
-    qs = (np.arange(1, r_candidates + 1)) / (r_candidates + 1)
+    qs = (np.arange(1, _R_CANDIDATES + 1)) / (_R_CANDIDATES + 1)
     theta = np.arccos(1.0 - 2.0 * qs)
     ks = np.unique(np.clip(np.rint(n_seg * theta / math.pi), 1, n_seg - 1).astype(int))
 
@@ -576,9 +574,7 @@ def iterate_upper(
     rayleigh = [finite_max(1, n_idx) for n_idx in range(n_max)]
 
     best_k = max(cache, key=probe(0, n_max - 1))
-    samples: dict[str, np.ndarray] = {}
-    _clamped_sequences(p, best_k, n_max, collect=samples)
-    samples["clamp_radius"] = np.array([p.seg.nodes[best_k]])
+    samples = {"clamp_radius": np.array([p.seg.nodes[best_k]])}
     return IterationTrace(
         n=n_max,
         lower_sequence=(),

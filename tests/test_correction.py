@@ -250,6 +250,15 @@ class TestCombinedBound:
         without = combined_lower_bound(g)
         assert with_profile.value == pytest.approx(without.value, rel=1e-12)
 
+    def test_rejects_profile_of_another_point(self):
+        # A (5, alpha = -1) profile once read 1.0648 for the delta1_star
+        # term at (3, 2, -1), where it is 1.9342.
+        g = GeometryTriple(3, 2.0, -1.0)
+        with pytest.raises(DomainError):
+            combined_lower_bound(g, profile=get_profile(5, Alpha.negative(1.0)))
+        with pytest.raises(DomainError):
+            combined_lower_bound(g, profile=get_profile(3, Alpha.negative(1.0)))
+
 
 class TestConvexMean:
     def test_gamma_zero_closed_form(self):
@@ -287,6 +296,20 @@ class TestConvexMean:
         lo = 1.0 / delta1_star(p)
         hi = 1.0 / delta1_star_prime(p)
         assert lo <= mean.value <= hi
+
+    def test_rejects_profile_of_another_point(self):
+        # A (10, alpha = +1) profile once gave a mean of 10.14 at (3, -0.5).
+        with pytest.raises(DomainError):
+            convex_mean(
+                3, Alpha.negative(0.5), profile=get_profile(10, Alpha.positive(1.0))
+            )
+        with pytest.raises(DomainError):
+            convex_mean(
+                3,
+                Alpha.negative(0.5),
+                anchor="at_half_pi",
+                edge_profile=get_profile(5, Alpha.positive(HALF_PI)),
+            )
 
     def test_rejects_unknown_anchor(self):
         with pytest.raises(DomainError):

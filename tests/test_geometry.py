@@ -16,6 +16,7 @@ from eigenbound.geometry import (
     HALF_PI,
     alpha_to_curvature,
     make_alpha,
+    resolve_profile,
 )
 
 
@@ -167,3 +168,28 @@ class TestCoefficientProfile:
     def test_profile_rejects_mismatched_alpha_type(self):
         with pytest.raises(DomainError):
             CoefficientProfile(0, Alpha.zero())
+
+
+class TestResolveProfile:
+    def test_builds_or_passes_through(self):
+        p = get_profile(3, Alpha.negative(1.0))
+        assert resolve_profile(3, Alpha.negative(1.0), p) is p
+        fresh = resolve_profile(2, Alpha.zero(), None)
+        assert (fresh.d, fresh.alpha) == (2, Alpha.zero())
+
+    def test_accepts_alpha_recovered_through_a_triple(self):
+        # alpha -> K -> alpha moves the magnitude by rounding only.
+        alpha = Alpha.negative(0.7)
+        p = get_profile(5, alpha)
+        for D in (0.3, 2.0, 7.1):
+            back = make_alpha(GeometryTriple(5, D, alpha_to_curvature(alpha, 5, D)))
+            assert resolve_profile(5, back, p) is p
+
+    @pytest.mark.parametrize(
+        "d, alpha",
+        [(5, Alpha.negative(1.0)), (3, Alpha.positive(1.0)), (3, Alpha.negative(1.001))],
+        ids=["dimension", "sign", "magnitude"],
+    )
+    def test_rejects_another_point(self, d, alpha):
+        with pytest.raises(DomainError):
+            resolve_profile(d, alpha, get_profile(3, Alpha.negative(1.0)))

@@ -1,4 +1,4 @@
-"""Tests for the Dormand-Prince shooting kernel and its dense samples."""
+"""Tests for the Dormand-Prince shooting kernel and its recorded steps."""
 
 import math
 
@@ -16,8 +16,15 @@ CASES = [
     (2, -1.0, 1.2, 9.0),
 ]
 
-#: Interior samples checked against a shot to the same radius.
-PROBES = (1, 7, 500, 1001, 2048, 3001, 4095)
+#: Recorded steps checked against a shot to a radius inside them.
+PROBES = (0, 1, 7, 100, 255, 400, -2)
+
+
+def quartic(rows, x):
+    """Each recorded row (state, q1..q4) at the step fraction x."""
+    return rows[:, 0] + x * (
+        rows[:, 1] + x * (rows[:, 2] + x * (rows[:, 3] + x * rows[:, 4]))
+    )
 
 
 class TestShooting:
@@ -53,58 +60,78 @@ class TestShooting:
         assert math.log(abs(f)) + log_scale == pytest.approx(
             true_log, rel=1e-8
         )
-        # The dense path carries its own scale per sample: sinh(rate r)/rate.
-        # Its ~26,600 steps are shorter than 4 sample spacings, so samples
-        # fall inside the step that triggers the rescale (near r = 0.91):
-        # they must carry the log-scale from before it.  Every sample from
-        # r = 1/8 on is checked, before and after the rescale.
-        rs = np.linspace(0.0, 1.0, 65537)
-        fs, _, ls, status, _ = kernels.shoot_path(0, 0.0, 0.0, lam, rs, 0.0, 1.0)
+        # The path carries its own scale per step: sinh(rate r)/rate.  The
+        # rescale falls inside a step near r = 0.91, whose quartic must
+        # carry the log-scale from before it.  Every step start from r = 1/8
+        # on is checked, and every step's quartic at its midpoint, before
+        # and after the rescale.
+        fq, _, ls, status, _, r, h = kernels.shoot_path(
+            0, 0.0, 0.0, lam, 1.0, 0.0, 1.0
+        )
         assert status == kernels.STATUS_OK
-        tail = slice(8192, None)
+        tail = r >= 0.125
         assert ls[tail][0] == 0.0 and ls[-1] > 0.0
-        x = rate * rs[tail]
-        want = x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0 * rate)
+
+        def want(x):
+            x = rate * x
+            return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0 * rate)
+
         np.testing.assert_allclose(
-            np.log(np.abs(fs[tail])) + ls[tail], want, rtol=1e-8
+            np.log(np.abs(fq[tail, 0])) + ls[tail], want(r[tail]), rtol=1e-8
+        )
+        tail = tail[:-1]
+        mid = quartic(fq[:-1], 0.5)[tail]
+        np.testing.assert_allclose(
+            np.log(np.abs(mid)) + ls[:-1][tail],
+            want(r[:-1][tail] + 0.5 * h[:-1][tail]),
+            rtol=1e-8,
         )
 
     def test_path_endpoint_matches_single_shot(self):
-        rs = np.linspace(0.0, 1.0, 4097)
         for kind, c1, c2, lam in CASES:
-            fs, gs, ls, status, steps = kernels.shoot_path(
-                kind, c1, c2, lam, rs, 0.0, 1.0
+            fq, gq, ls, status, steps, r, h = kernels.shoot_path(
+                kind, c1, c2, lam, 1.0, 0.0, 1.0
             )
             assert status == kernels.STATUS_OK
-            assert fs[0] == 0.0 and gs[0] == 1.0 and ls[0] == 0.0
-            # Samples come off the continuous extension, not one step each.
-            assert steps <= 600
+            assert fq[0, 0] == 0.0 and gq[0, 0] == 1.0 and ls[0] == 0.0
+            assert r[0] == 0.0 and r[-1] == 1.0
+            # Steps are capped at 1/PATH_STEPS, not one per evaluation point.
+            assert kernels.PATH_STEPS <= len(r) - 1 <= steps <= 600
+            # Each step's quartic runs from its start state to the next.
+            scale = np.maximum(np.abs(fq[1:, 0]), np.abs(gq[1:, 0]))
+            for rows in (fq, gq):
+                gap = np.abs(quartic(rows[:-1], 1.0) - rows[1:, 0])
+                assert np.all(gap <= 1e-12 * scale)
             for i in PROBES:
+                x = r[i] + 0.3 * h[i]
                 f, g, log_scale, _, _, _ = kernels.shoot(
-                    kind, c1, c2, lam, rs[i], 0.0, 1.0
+                    kind, c1, c2, lam, x, 0.0, 1.0
                 )
-                scale = max(abs(f), abs(g))
+                bound = 1e-8 * max(abs(f), abs(g))
                 w = math.exp(ls[i] - log_scale)
-                assert abs(fs[i] * w - f) <= 1e-8 * scale
-                assert abs(gs[i] * w - g) <= 1e-8 * scale
-            # The last sample is the end state, not an interpolant.  The
+                assert abs(quartic(fq[i : i + 1], 0.3)[0] * w - f) <= bound
+                assert abs(quartic(gq[i : i + 1], 0.3)[0] * w - g) <= bound
+            # The closing row is the end state, with zero coefficients.  The
             # absolute floor is the kernel's atol: it only bites on the
             # components that cancel to near zero (the flat g(1) = cos(pi/2),
             # kind 2's f(1) = 0.0024), where two step sequences of tolerance
             # 1e-11 differ by ~5e-12.
+            assert not np.any(fq[-1, 1:]) and not np.any(gq[-1, 1:])
             f, g, log_scale, _, _, _ = kernels.shoot(kind, c1, c2, lam, 1.0, 0.0, 1.0)
             w = math.exp(ls[-1] - log_scale)
-            assert fs[-1] * w == pytest.approx(f, rel=1e-9, abs=1e-11)
-            assert gs[-1] * w == pytest.approx(g, rel=1e-9, abs=1e-11)
+            assert fq[-1, 0] * w == pytest.approx(f, rel=1e-9, abs=1e-11)
+            assert gq[-1, 0] * w == pytest.approx(g, rel=1e-9, abs=1e-11)
 
     def test_path_ending_on_a_sliver_step_finishes(self):
         # 512 capped steps of 0.67/512 sum to one ulp short of 0.67; the
         # closing step is that ulp and must not read as a step underflow.
-        rs = np.linspace(0.0, 0.67, 65)
-        fs, _, _, status, _ = kernels.shoot_path(0, 0.0, 0.0, 2.0, rs, 0.0, 1.0)
+        fq, _, _, status, _, r, _ = kernels.shoot_path(
+            0, 0.0, 0.0, 2.0, 0.67, 0.0, 1.0
+        )
         assert status == kernels.STATUS_OK
+        assert r[-1] == 0.67
         k = math.sqrt(2.0)
-        assert fs[-1] == pytest.approx(math.sin(k * 0.67) / k, rel=1e-9)
+        assert fq[-1, 0] == pytest.approx(math.sin(k * 0.67) / k, rel=1e-9)
 
 
 class TestNodeCount:
@@ -120,10 +147,13 @@ class TestNodeCount:
         "kind, c1, c2, lam", [(1, 2.0, 1.5, 140.0), (2, -1.0, 1.2, 260.0)]
     )
     def test_count_matches_dense_path(self, kind, c1, c2, lam):
-        rs = np.linspace(0.0, 1.0, 4097)
-        fs, _, _, status, _ = kernels.shoot_path(kind, c1, c2, lam, rs, 0.0, 1.0)
+        # Sign changes of the recorded quartics, read at eight points a step.
+        fq, _, _, status, _, _, _ = kernels.shoot_path(
+            kind, c1, c2, lam, 1.0, 0.0, 1.0
+        )
         assert status == kernels.STATUS_OK
-        changes = int(np.count_nonzero(np.diff(np.signbit(fs[1:]))))
+        fs = np.stack([quartic(fq[:-1], x) for x in np.arange(1, 9) / 8.0], axis=1)
+        changes = int(np.count_nonzero(np.diff(np.signbit(fs.ravel()))))
         assert changes >= 3
         *_, nodes = kernels.shoot(kind, c1, c2, lam, 1.0, 0.0, 1.0)
         assert nodes == changes

@@ -32,7 +32,6 @@ from eigenbound.oracle import (
     duality_gap,
     principal_eigenvalue,
     reduced_problem,
-    resample,
     solve_lambda_bar,
     variational_consistency,
 )
@@ -404,28 +403,41 @@ class TestGroundStateSearch:
         monkeypatch.setattr(kernels, "shoot_path", counted)
         res = solve_lambda_bar(3, Alpha.negative(1.5))
         assert calls == []
-        f = res.f
+        path = res.path
         assert len(calls) == 1
-        assert res.f is f and len(res.r) == len(res.fp) == len(f)
+        assert res.path is path
+        assert len(path.r) == len(path.fp) == len(path.f)
         assert len(calls) == 1
 
 
 class TestSolutionSurface:
     def test_primal_satisfies_both_boundary_conditions(self):
-        res = solve_lambda_bar(2, Alpha.zero())
-        scale = float(np.max(np.abs(res.f)))
-        assert res.f[0] == 0.0
-        assert abs(res.fp[-1]) / float(np.max(np.abs(res.fp))) < 1e-9
+        path = solve_lambda_bar(2, Alpha.zero()).path
+        scale = float(np.max(np.abs(path.f)))
+        assert path.f[0] == 0.0
+        assert abs(path.fp[-1]) / float(np.max(np.abs(path.fp))) < 1e-9
         assert scale > 0.0
 
-    def test_resample_preserves_solution(self):
-        res = solve_lambda_bar(2, Alpha.zero())
-        dense = resample(res, 8193)
-        assert len(dense.r) == 8193
-        assert dense.eigenvalue == res.eigenvalue
-        xs = np.linspace(0.0, 1.0, 777)
-        gap = np.max(np.abs(res.interpolant()(xs) - dense.interpolant()(xs)))
-        assert float(gap) < 1e-10
+    def test_path_is_exact_at_step_ends_and_accurate_between(self):
+        # Flat dual: f = cos(pi r / 2), which falls to the bisection's
+        # residual at its Dirichlet end; the path must keep relative
+        # accuracy there, where f is far below its start state's rounding.
+        res = solve_lambda_bar(2, Alpha.zero(), dual=True)
+        path = res.path
+        assert path.r[0] == 0.0 and path.r[-1] == 1.0
+        assert np.array_equal(path(path.r), path.f)
+        assert np.array_equal(path.deriv(path.r), path.fp)
+        k = math.sqrt(res.eigenvalue)
+        xs = np.linspace(0.0, 1.0, 7777)
+        np.testing.assert_allclose(path(xs), np.cos(k * xs), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            path.deriv(xs), -k * np.sin(k * xs), rtol=0, atol=1e-10
+        )
+        near = 1.0 - np.logspace(-13, -5, 41)
+        want = path.f[-1] * np.cos(k * (near - 1.0)) + path.fp[-1] / k * np.sin(
+            k * (near - 1.0)
+        )
+        np.testing.assert_allclose(path(near), want, rtol=1e-9)
 
     def test_positive_edge_trims_domain(self):
         prob = reduced_problem(2, Alpha.positive(HALF_PI))

@@ -416,6 +416,42 @@ class TestIteration:
             iterate_lower(get_profile(2, Alpha.zero()), 0)
 
 
+    @pytest.mark.parametrize(
+        "d, alpha",
+        [
+            (2, Alpha.zero()),
+            (3, Alpha.negative(1.0)),
+            (5, Alpha.negative(1.5)),
+            (5, Alpha.positive(1.0)),
+            (10, Alpha.negative(2.0)),
+            (3, Alpha.positive(1.5)),
+            (10, Alpha.positive(0.8)),
+            (20, Alpha.negative(10.0 / 3.0)),
+            (63, Alpha.negative(1.0)),
+            (5, Alpha.positive(HALF_PI)),
+        ],
+    )
+    def test_clamped_infimum_sits_at_the_clamp_radius(self, d, alpha):
+        # The clamped operator makes f_{n+1}/f_n non-increasing in r and
+        # constant past the clamp node k, so the lattice min that
+        # _clamped_sequences takes is the ratio at node k.
+        p = get_profile(d, alpha)
+        seg = p.seg
+        for k in (seg.n // 8, seg.n // 2, 7 * seg.n // 8):
+            primes, _ = universal._clamped_sequences(p, k, 3)
+            f_nodes = np.minimum(p.phi_nodes, p.phi_nodes[k])
+            f_sub = np.minimum(p.phi_sub, p.phi_nodes[k])
+            for prime in primes:
+                _, g_sub = seg.reverse_from_sub(p.c_sub * f_sub, p.tail_floor)
+                inner = p.cinv_sub * g_sub
+                inner[k:, :] = 0.0
+                f_nodes_next, f_sub_next = seg.cumulative_from_sub(inner)
+                at_k = f_nodes_next[k] / f_nodes[k]
+                assert prime == pytest.approx(at_k, rel=1e-14, abs=0.0)
+                f_nodes = f_nodes_next / prime
+                f_sub = f_sub_next / prime
+
+
 class TestVariationalRatio:
     def test_exact_eigenfunction_flat(self):
         # sin(pi r / 2) is the exact reduced eigenfunction at alpha = 0;

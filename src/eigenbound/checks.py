@@ -167,16 +167,19 @@ def _check_chain() -> CheckResult:
 
 def _check_iteration_monotone() -> CheckResult:
     p = CoefficientProfile(2, Alpha.zero())
-    lows = iterate_lower(p, 3).lower_sequence
+    lows = [1.0 / v for v in iterate_lower(p, 3).lower_sequence]
     ups = iterate_upper(p, 3)
-    inc = all(
-        1.0 / lows[i + 1] >= 1.0 / lows[i] - 1e-12 for i in range(len(lows) - 1)
-    )
+    highs = [1.0 / v for v in ups.upper_sequence]
+    inc = all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
+    dec = all(b <= a * (1.0 + 1e-12) for a, b in zip(highs, highs[1:]))
+    ordered = all(hi >= lo for lo, hi in zip(lows, highs))
     gap = abs(ups.upper_sequence[0] - universal_bracket(2, Alpha.zero()).delta1_prime)
     return _result(
         "iteration_monotone",
-        inc and gap < 1e-6,
+        inc and dec and ordered and gap < 1e-6,
         f"lower sequence {'nondecreasing' if inc else 'NOT MONOTONE'};"
+        f" upper sequence {'nonincreasing' if dec else 'NOT MONOTONE'};"
+        f" upper {'above' if ordered else 'NOT ABOVE'} lower at every n;"
         f" first upper vs prime functional gap {gap:.2e}",
     )
 

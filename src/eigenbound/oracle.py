@@ -423,7 +423,7 @@ def derivative_identity_residual(
             "f' never crosses zero; the eigenvalue lift was too small"
         )
     k = int(nonpos[0])
-    if k == 0 or np.any(fp[:k] <= 0.0):
+    if k == 0:
         raise DegenerateDerivative("f' is not positive up to its first zero")
     ell = bisect_root(
         path.deriv, rs[k - 1], rs[k], fp[k - 1], fp[k], tol=1e-15, max_iter=120
@@ -433,7 +433,9 @@ def derivative_identity_residual(
         x = np.asarray(x, dtype=float)
         return -lam * path(x) - prob.drift(x) * path.deriv(x)
 
-    body = second(rs[1:k])
+    # Step ends and step midpoints on (0, ell], the last step cut at ell.
+    ends = np.append(rs[1:k], ell)
+    body = second(np.concatenate((rs[1:k], 0.5 * (rs[:k] + ends))))
     if np.any(body >= 0.0):
         raise DegenerateDerivative(
             "f'' changes sign on (0, ell]; the exponent substitution needs"

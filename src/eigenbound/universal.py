@@ -21,7 +21,8 @@ rounds each evaluate ZOOM off-lattice points in one batch of panels.  The
 six integral tables take their within-segment means from the spectral
 product on the sub-node values, and from direct sub-sub pages only on the
 rows the spectral guard flags (`Segmentation.pointwise_means`), the
-Myers edge included.
+Myers edge included.  The iteration sequences are lattice maxes with no
+polish; the upper ones are read off moment tables at every node radius.
 """
 
 from __future__ import annotations
@@ -391,11 +392,13 @@ class IterationTrace:
     """Monotone approximation sequences from the smoothing double integral.
 
     lower_sequence[n-1] holds the n-th ratio sup whose reciprocals increase
-    toward the reduced eigenvalue; upper_sequence and rayleigh_sequence
-    hold the clamped sup-inf ratios and the clamped Rayleigh quotients,
-    whose reciprocals decrease toward it.  test_functions carries coarse
-    node samples of the lower iterates (normalized by each step's ratio
-    value), or the clamp radius of the upper sequence's last sup.
+    toward the reduced eigenvalue; upper_sequence[n-1] and
+    rayleigh_sequence[n-1] hold the n-th clamped sup-inf ratio and clamped
+    Rayleigh quotient, each maxed over the interior node radii, whose
+    reciprocals decrease toward it.  test_functions carries coarse node
+    samples of the lower iterates (normalized by each step's ratio value),
+    or, as "clamp_radius", the node radius where the last sup-inf ratio
+    peaks.
     """
 
     n: int
@@ -406,10 +409,6 @@ class IterationTrace:
 
 
 _SAMPLE_STRIDE = 64
-
-#: Node-snapped quantiles of the clamp radius that iterate_upper scans
-#: before refining.
-_R_CANDIDATES = 101
 
 
 def _check_n_max(n_max: int) -> None:
@@ -459,128 +458,66 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
     )
 
 
-def _clamped_sequences(p: CoefficientProfile, k: int, n_max: int):
-    """delta_n' and Rayleigh values at clamp radius r = nodes[k].
+def _clamped_moments(p: CoefficientProfile, n_max: int):
+    """delta_n' and Rayleigh values at every clamp radius r in nodes[1:-1].
 
-    The clamped smoothing operator integrates only up to r, so iterates
-    stay constant beyond it and their derivative is exactly 1/C times the
-    previous tail integral, vanishing past r; the Rayleigh denominators
-    use that identity instead of numerical differentiation.
+    Clamping the smoothing operator at r gives K_r, whose kernel
+    min(phi(x), phi(u), phi(r)) is symmetric in L^2(C du).  Its iterates
+    f_1 = min(phi, phi(r)), f_{m+1} = K_r f_m are constant past r, where the
+    clamped inf of f_{n+1}/f_n sits, so both bounds are ratios of the
+    moments mu_m(r) = f_m(r):
+
+        delta_n'(r) = mu_{n+1} / mu_n,    Rayleigh_n(r) = mu_{2n} / mu_{2n-1}.
+
+    Differentiating the kernel chain in phi(r) gives mu_1 = phi and
+
+        d mu_m / dr = (1/C) sum_{j=0}^{m-1} A_j A_{m-1-j},  A_0 = 1,  A_j = psi mu_j,
+
+    so each mu_m is one cumulative table of a positive integrand: no
+    cancellation and no search over radii.  The tables carry
+    mu_m / s^(m-1), with psi / s in place of psi and s the largest finite
+    phi psi on the nodes, so that deep moments neither under- nor overflow;
+    the ratios are multiplied back by s.  Returns two (n_max, n - 1) arrays,
+    non-finite where a moment collapsed.
     """
     seg = p.seg
-    phi_r = float(p.phi_nodes[k])
-    f_nodes = np.minimum(p.phi_nodes, phi_r)
-    f_sub = np.minimum(p.phi_sub, phi_r)
-    g_prev_sub = None
-    primes = []
-    rayleigh = []
-    for n in range(1, n_max + 1):
-        with np.errstate(all="ignore"):
-            num = float(np.sum(seg.segment_integrals(_scrub(p, p.c_sub * f_sub**2))))
-            if g_prev_sub is None:
-                den = phi_r
-            else:
-                contrib = seg.segment_integrals(
-                    _scrub(p, p.cinv_sub * g_prev_sub**2)
-                )
-                den = float(np.sum(contrib[:k]))
-        rayleigh.append(num / den if den > 0 else math.inf)
-
-        with np.errstate(all="ignore"):
-            _, g_sub = seg.reverse_from_sub(_scrub(p, p.c_sub * f_sub), p.tail_floor)
-            integrand = _scrub(p, p.cinv_sub * g_sub)
-            integrand[k:, :] = 0.0
-            nf_nodes, nf_sub = seg.cumulative_from_sub(integrand)
-            rat = np.concatenate(
-                (nf_nodes[1:-1] / f_nodes[1:-1], (nf_sub / f_sub).ravel())
-            )
-        rat = np.where(np.isfinite(rat), rat, math.inf)
-        d_n = float(np.min(rat))
-        primes.append(d_n)
-        scale = d_n if d_n > 0 and math.isfinite(d_n) else 1.0
-        f_nodes = nf_nodes / scale
-        f_sub = nf_sub / scale
-        g_prev_sub = g_sub / scale
+    with np.errstate(all="ignore"):
+        scale = p.phi_nodes * p.psi_nodes
+        s = float(np.max(scale[np.isfinite(scale)]))
+        psi_s = p.psi_sub / s
+        mu_nodes = [None, p.phi_nodes[1:-1]]
+        a_sub = [np.ones_like(psi_s), psi_s * p.phi_sub]
+        for m in range(2, 2 * n_max + 1):
+            inner = sum(a_sub[j] * a_sub[m - 1 - j] for j in range(m))
+            nodes, sub = seg.cumulative_from_sub(_scrub(p, p.cinv_sub * inner))
+            mu_nodes.append(nodes[1:-1])
+            a_sub.append(psi_s * sub)
+        primes = np.array([s * mu_nodes[n + 1] / mu_nodes[n] for n in range(1, n_max + 1)])
+        rayleigh = np.array(
+            [s * mu_nodes[2 * n] / mu_nodes[2 * n - 1] for n in range(1, n_max + 1)]
+        )
     return primes, rayleigh
 
 
-def _int_ternary_max(evaluate, lo: int, hi: int):
-    """Maximize evaluate(k) over integers in [lo, hi] (unimodal assumed)."""
-    while hi - lo > 2:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if evaluate(m1) < evaluate(m2):
-            lo = m1 + 1
-        else:
-            hi = m2
-    best = max(range(lo, hi + 1), key=evaluate)
-    return best, evaluate(best)
-
-
 def iterate_upper(p: CoefficientProfile, n_max: int) -> IterationTrace:
-    """Clamped sup-inf ratios and Rayleigh quotients over clamp radii.
+    """Clamped sup-inf ratios and Rayleigh quotients, maxed over every node radius.
 
-    The sup over the clamp radius r scans _R_CANDIDATES node-snapped
-    quantiles, then refines around each per-depth argmax with an integer
-    ternary search over the intervening nodes.  All probed radii share one
-    cache, and the reported value at each depth is the max over every
-    radius probed, which preserves the per-radius monotonicity in n.
+    The 2 n_max - 1 moment tables of `_clamped_moments` give both values at
+    every interior node radius at once, and each depth reports the largest
+    finite one over all of them.  Per radius both sequences are
+    non-decreasing in n, so their maxes are too.
     """
     _check_n_max(n_max)
-    n_seg = p.seg.n
-    qs = (np.arange(1, _R_CANDIDATES + 1)) / (_R_CANDIDATES + 1)
-    theta = np.arccos(1.0 - 2.0 * qs)
-    ks = np.unique(np.clip(np.rint(n_seg * theta / math.pi), 1, n_seg - 1).astype(int))
-
-    cache: dict[int, tuple[list, list]] = {}
-
-    def seqs(k: int):
-        got = cache.get(k)
-        if got is None:
-            got = _clamped_sequences(p, k, n_max)
-            cache[k] = got
-        return got
-
-    for k in ks:
-        seqs(int(k))
-
-    def probe(which: int, n_idx: int):
-        def value(k: int) -> float:
-            v = seqs(k)[which][n_idx]
-            return v if math.isfinite(v) else -math.inf
-
-        return value
-
-    for which in (0, 1):
-        for n_idx in range(n_max):
-            value = probe(which, n_idx)
-            snap = sorted(cache)
-            kb = max(snap, key=value)
-            pos = snap.index(kb)
-            lo = snap[pos - 1] + 1 if pos > 0 else 1
-            hi = snap[pos + 1] - 1 if pos + 1 < len(snap) else n_seg - 1
-            if lo <= hi:
-                _int_ternary_max(value, lo, hi)
-
-    def finite_max(which: int, n_idx: int) -> float:
-        best = -math.inf
-        for k in cache:
-            v = cache[k][which][n_idx]
-            if math.isfinite(v) and v > best:
-                best = v
-        return best
-
-    primes = [finite_max(0, n_idx) for n_idx in range(n_max)]
-    rayleigh = [finite_max(1, n_idx) for n_idx in range(n_max)]
-
-    best_k = max(cache, key=probe(0, n_max - 1))
-    samples = {"clamp_radius": np.array([p.seg.nodes[best_k]])}
+    primes, rayleigh = _clamped_moments(p, n_max)
+    primes = np.where(np.isfinite(primes), primes, -math.inf)
+    rayleigh = np.where(np.isfinite(rayleigh), rayleigh, -math.inf)
+    best_k = 1 + int(np.argmax(primes[-1]))
     return IterationTrace(
         n=n_max,
         lower_sequence=(),
-        upper_sequence=tuple(primes),
-        rayleigh_sequence=tuple(rayleigh),
-        test_functions=samples,
+        upper_sequence=tuple(float(v) for v in primes.max(axis=1)),
+        rayleigh_sequence=tuple(float(v) for v in rayleigh.max(axis=1)),
+        test_functions={"clamp_radius": np.array([p.seg.nodes[best_k]])},
     )
 
 

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from conftest import get_lambda, get_profile, requires_full
-from eigenbound import kernels
+from eigenbound import kernels, oracle
 from eigenbound.correction import convex_mean
-from eigenbound.errors import DomainError
+from eigenbound.errors import DegenerateDerivative, DomainError
 from eigenbound.geometry import HALF_PI, Alpha, CurvatureSign
 from eigenbound.oracle import (
     DIRICHLET,
@@ -364,6 +364,21 @@ class TestDerivativeIdentity:
         rep = derivative_identity_residual(2, Alpha.negative(1.0), 0.5)
         lam = get_lambda(2, Alpha.negative(1.0)).eigenvalue
         assert rep.eigenvalue == pytest.approx(lam, rel=1e-5)
+
+    def test_curvature_sign_change_between_step_ends_raises(self, monkeypatch):
+        # Dent f inside one step only: f'' = -lam f - F f' turns positive
+        # there while every step end keeps its true, negative f''.
+        class DentedPath(oracle.EigenPath):
+            def __call__(self, x):
+                x = np.asarray(x, dtype=float)
+                lo, hi = self.r[5], self.r[6]
+                inside = (x > lo) & (x < hi)
+                dent = 10.0 * np.sin(math.pi * (x - lo) / (hi - lo)) ** 2
+                return super().__call__(x) - np.where(inside, dent, 0.0)
+
+        monkeypatch.setattr(oracle, "EigenPath", DentedPath)
+        with pytest.raises(DegenerateDerivative):
+            derivative_identity_residual(2, Alpha.negative(1.0), 0.5)
 
 
 class TestVariationalConsistency:

@@ -1,13 +1,16 @@
 """Weighted-integral functionals, the two-sided bracket, and iteration."""
 
 import dataclasses
+import functools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import get_lambda, get_profile
+from conftest import FULL, get_lambda, get_profile
 from eigenbound.errors import DomainError, InvalidTestFunction
 from eigenbound.geometry import Alpha, CoefficientProfile, GeometryTriple, HALF_PI
 from eigenbound import quadrature, universal
@@ -373,6 +376,68 @@ class TestBracket:
             universal_bracket(3, Alpha.zero(), profile=get_profile(2, Alpha.zero()))
 
 
+#: Profiles on which the clamped iterates are checked radius by radius.
+CLAMP_PROFILES = [
+    (2, Alpha.zero()),
+    (3, Alpha.negative(1.0)),
+    (5, Alpha.negative(1.5)),
+    (5, Alpha.positive(1.0)),
+    (10, Alpha.negative(2.0)),
+    (3, Alpha.positive(1.5)),
+    (10, Alpha.positive(0.8)),
+    (20, Alpha.negative(10.0 / 3.0)),
+    (63, Alpha.negative(1.0)),
+    (5, Alpha.positive(HALF_PI)),
+]
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _clamped_sequences(p, k: int, n_max: int):
+    """delta_n' and Rayleigh values at clamp radius r = nodes[k], by brute force.
+
+    Iterates the clamped smoothing operator on the lattice at this one
+    radius.  It integrates only up to r, so iterates stay constant beyond
+    it and their derivative is exactly 1/C times the previous tail
+    integral, vanishing past r; the Rayleigh denominators use that
+    identity instead of numerical differentiation.
+    """
+    seg = p.seg
+    scrub = functools.partial(universal._scrub, p)
+    phi_r = float(p.phi_nodes[k])
+    f_nodes = np.minimum(p.phi_nodes, phi_r)
+    f_sub = np.minimum(p.phi_sub, phi_r)
+    g_prev_sub = None
+    primes = []
+    rayleigh = []
+    for _ in range(n_max):
+        with np.errstate(all="ignore"):
+            num = float(np.sum(seg.segment_integrals(scrub(p.c_sub * f_sub**2))))
+            if g_prev_sub is None:
+                den = phi_r
+            else:
+                contrib = seg.segment_integrals(scrub(p.cinv_sub * g_prev_sub**2))
+                den = float(np.sum(contrib[:k]))
+        rayleigh.append(num / den if den > 0 else math.inf)
+
+        with np.errstate(all="ignore"):
+            _, g_sub = seg.reverse_from_sub(scrub(p.c_sub * f_sub), p.tail_floor)
+            integrand = scrub(p.cinv_sub * g_sub)
+            integrand[k:, :] = 0.0
+            nf_nodes, nf_sub = seg.cumulative_from_sub(integrand)
+            rat = np.concatenate(
+                (nf_nodes[1:-1] / f_nodes[1:-1], (nf_sub / f_sub).ravel())
+            )
+        rat = np.where(np.isfinite(rat), rat, math.inf)
+        d_n = float(np.min(rat))
+        primes.append(d_n)
+        scale = d_n if d_n > 0 and math.isfinite(d_n) else 1.0
+        f_nodes = nf_nodes / scale
+        f_sub = nf_sub / scale
+        g_prev_sub = g_sub / scale
+    return primes, rayleigh
+
+
 class TestIteration:
     def test_flat_lower_sequence_frozen(self):
         tr = iterate_lower(get_profile(2, Alpha.zero()), 6)
@@ -416,21 +481,7 @@ class TestIteration:
             iterate_lower(get_profile(2, Alpha.zero()), 0)
 
 
-    @pytest.mark.parametrize(
-        "d, alpha",
-        [
-            (2, Alpha.zero()),
-            (3, Alpha.negative(1.0)),
-            (5, Alpha.negative(1.5)),
-            (5, Alpha.positive(1.0)),
-            (10, Alpha.negative(2.0)),
-            (3, Alpha.positive(1.5)),
-            (10, Alpha.positive(0.8)),
-            (20, Alpha.negative(10.0 / 3.0)),
-            (63, Alpha.negative(1.0)),
-            (5, Alpha.positive(HALF_PI)),
-        ],
-    )
+    @pytest.mark.parametrize("d, alpha", CLAMP_PROFILES)
     def test_clamped_infimum_sits_at_the_clamp_radius(self, d, alpha):
         # The clamped operator makes f_{n+1}/f_n non-increasing in r and
         # constant past the clamp node k, so the lattice min that
@@ -438,7 +489,7 @@ class TestIteration:
         p = get_profile(d, alpha)
         seg = p.seg
         for k in (seg.n // 8, seg.n // 2, 7 * seg.n // 8):
-            primes, _ = universal._clamped_sequences(p, k, 3)
+            primes, _ = _clamped_sequences(p, k, 3)
             f_nodes = np.minimum(p.phi_nodes, p.phi_nodes[k])
             f_sub = np.minimum(p.phi_sub, p.phi_nodes[k])
             for prime in primes:
@@ -450,6 +501,54 @@ class TestIteration:
                 assert prime == pytest.approx(at_k, rel=1e-14, abs=0.0)
                 f_nodes = f_nodes_next / prime
                 f_sub = f_sub_next / prime
+
+    @pytest.mark.parametrize("d, alpha", CLAMP_PROFILES)
+    def test_moment_tables_match_per_radius_iterates(self, d, alpha):
+        # iterate_upper reads every radius off the moment tables; at five
+        # radii across (0, 1) they must give what iterating the clamped
+        # operator at that one radius gives.
+        p = get_profile(d, alpha)
+        n = p.seg.n
+        primes, rayleigh = universal._clamped_moments(p, 3)
+        for k in (n // 64, n // 8, n // 2, 7 * n // 8, n - n // 64):
+            want_primes, want_rayleigh = _clamped_sequences(p, k, 3)
+            assert list(primes[:, k - 1]) == pytest.approx(want_primes, rel=1e-13, abs=0.0)
+            assert list(rayleigh[:, k - 1]) == pytest.approx(want_rayleigh, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 4])
+    def test_upper_iterates_build_two_n_minus_one_tables(self, monkeypatch, n_max):
+        p = get_profile(3, Alpha.negative(1.0))
+        built = []
+        for name in ("build_cumulative", "build_reverse"):
+            original = getattr(Segmentation, name)
+
+            def counted(self, *args, _original=original, **kwargs):
+                built.append(1)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Segmentation, name, counted)
+        iterate_upper(p, n_max)
+        assert len(built) == 2 * n_max - 1
+
+    def test_upper_sequences_bound_the_reference_on_the_grid(self):
+        # Every 8th (d, alpha) of the benchmark's reference grid; all of
+        # them with EIGENBOUND_FULL=1.
+        grid = json.loads(REFERENCE.read_text())["curvature"]
+        bad = []
+        for d, x, lam in grid if FULL else grid[::8]:
+            # The grid holds signed alpha, not the signed square of from_signed_x.
+            alpha = Alpha.negative(-x) if x < 0 else (Alpha.positive(x) if x > 0 else Alpha.zero())
+            tr = iterate_upper(CoefficientProfile(d, alpha), 10)
+            for name, seq in (("upper", tr.upper_sequence), ("rayleigh", tr.rayleigh_sequence)):
+                if not all(math.isfinite(v) for v in seq):
+                    bad.append(f"{name} not finite at d={d} x={x}: {seq}")
+                    continue
+                bounds = [1.0 / v for v in seq]
+                if any(b > a * (1.0 + 1e-12) for a, b in zip(bounds, bounds[1:])):
+                    bad.append(f"{name} bounds rise at d={d} x={x}: {bounds}")
+                if min(bounds) < lam * (1.0 - 5e-12):
+                    bad.append(f"{name} bound below lambda {lam!r} at d={d} x={x}: {bounds}")
+        assert not bad, bad
 
 
 class TestVariationalRatio:

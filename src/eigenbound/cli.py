@@ -400,7 +400,7 @@ def _parser() -> argparse.ArgumentParser:
         " overrides -K",
     )
     b.add_argument("--oracle", action="store_true", help="add the shooting solve")
-    b.add_argument("--tol", type=float, default=1e-11, help="oracle tolerance")
+    b.add_argument("--tol", type=float, default=1e-11, help="oracle relative tolerance")
     b.add_argument("--format", choices=("table", "csv"), default="table")
     b.add_argument("--out", default=None, help="output path (default stdout)")
     b.set_defaults(func=cmd_bound)
@@ -408,7 +408,7 @@ def _parser() -> argparse.ArgumentParser:
     f = sub.add_parser("figure", help="emit curve data behind the standard plots")
     f.add_argument("id", type=int, help="figure number, 1..9")
     f.add_argument("--grid", type=int, default=200, help="points per axis")
-    f.add_argument("--tol", type=float, default=1e-11, help="oracle tolerance")
+    f.add_argument("--tol", type=float, default=1e-11, help="oracle relative tolerance")
     f.add_argument("--out", default=None, help="output path (default stdout)")
     f.set_defaults(func=cmd_figure)
 
@@ -422,7 +422,7 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma-separated estimate names (default {DEFAULT_SWEEP})",
     )
-    s.add_argument("--tol", type=float, default=1e-11, help="oracle tolerance")
+    s.add_argument("--tol", type=float, default=1e-11, help="oracle relative tolerance")
     s.add_argument("--out", default=None, help="output path or per-dimension template")
     s.set_defaults(func=cmd_sweep)
 

@@ -1,26 +1,36 @@
 """Integration kernel for the shooting oracle.
 
-One loop integrates the first-order system
+One Dormand-Prince 5(4) loop integrates a pair of states from 0 to some
+end.  Every problem is a flux-form Sturm-Liouville problem
 
-    f' = g,    g' = -lam * f - F(r) * g
+    (C f')' + lam C f = 0,    log C(r) = int_0^r F,
 
-from r = 0 with a Dormand-Prince 5(4) embedded pair.  The drift is encoded
-by an integer:
+whose drift F is encoded by an integer:
 
-    kind 0: F(r) = c1 * r
-    kind 1: F(r) = c1 * tanh(c2 * r)
-    kind 2: F(r) = c1 * tan(c2 * r)
+    kind 0: F(r) = c1 * r,             log C = c1 r^2 / 2
+    kind 1: F(r) = c1 * tanh(c2 * r),  log C = (c1 / c2) log cosh(c2 r)
+    kind 2: F(r) = c1 * tan(c2 * r),   log C = -(c1 / c2) log cos(c2 r)
 
-`shoot` returns the end state and the number of sign changes of f over
-the accepted steps, the Sturm oscillation count that tells the oracle a
-ground state from a higher mode.  `shoot_path` records every accepted step
-instead: its start, width and state, and the quartic coefficients of the
-pair's free continuous extension (Shampine, Math. Comp. 46, 1986), which
-give the solution anywhere inside the step.  Its steps are capped at
-r_end / PATH_STEPS so the quartic stays well below the integration
-tolerance.  The system is linear, so whenever the state grows past RENORM
-the pair (f, g) is rescaled and the log of the accumulated factor is
-returned; signs and zero crossings are unaffected.
+Negating c1 gives 1/C, the adjoint family's coefficient.
+
+`shoot` integrates the Pruefer angle in flux variables, f = rho sin(theta)
+and C f' = rho cos(theta):
+
+    theta' = cos(theta)^2 / C + lam C sin(theta)^2,
+
+with C and lam C evaluated from log C, so no state overflows and the
+angle carries the Sturm count: it crosses each multiple of pi once,
+upwards, at a zero of f (Pryce, *Numerical Solution of Sturm-Liouville
+Problems*, 1993).  It runs in either direction from either end.
+
+`shoot_path` integrates the drift form f' = g, g' = -lam f - F g from
+r = 0 and records every accepted step: its start, width and state, and the
+quartic coefficients of the pair's free continuous extension (Shampine,
+Math. Comp. 46, 1986), which give the solution anywhere inside the step.
+Its steps are capped at r_end / PATH_STEPS so the quartic stays well below
+the integration tolerance.  The system is linear, so whenever the state
+grows past RENORM the pair (f, g) is rescaled and the log of the
+accumulated factor is recorded; signs and zero crossings are unaffected.
 """
 
 import math
@@ -91,15 +101,47 @@ STATUS_OK = 0
 STATUS_MAX_STEPS = 1
 STATUS_STEP_UNDERFLOW = 2
 
+_LOG2 = math.log(2.0)
 
-def _deriv(kind, c1, c2, lam, r, f, g):
+
+def log_coeff(kind, c1, c2):
+    """The scalar function r -> log C(r) of one drift encoding.
+
+    kind 1 uses the overflow-free form of log cosh; kind 2 takes cos(c2 r)
+    as cos(c2) cos(c2 u) + sin(c2) sin(c2 u) with u = 1 - r, whose terms
+    are nonnegative for c2 <= pi/2, so C keeps its relative accuracy where
+    it vanishes at the Myers edge.
+    """
     if kind == 0:
-        dg = -lam * f - (c1 * r) * g
+        half = 0.5 * c1
+        return lambda r: half * r * r
+    p = c1 / c2
+    if kind == 1:
+        def lc(r):
+            t = c2 * r
+            return p * (t + math.log1p(math.exp(-2.0 * t)) - _LOG2)
+
+        return lc
+    ca, sa = math.cos(c2), math.sin(c2)
+
+    def lc(r):
+        u = c2 * (1.0 - r)
+        return -p * math.log(ca * math.cos(u) + sa * math.sin(u))
+
+    return lc
+
+
+def _drift_rhs(kind, c1, c2, lam):
+    if kind == 0:
+        def rhs(r, f, g):
+            return g, -lam * f - (c1 * r) * g
     elif kind == 1:
-        dg = -lam * f - (c1 * math.tanh(c2 * r)) * g
+        def rhs(r, f, g):
+            return g, -lam * f - (c1 * math.tanh(c2 * r)) * g
     else:
-        dg = -lam * f - (c1 * math.tan(c2 * r)) * g
-    return g, dg
+        def rhs(r, f, g):
+            return g, -lam * f - (c1 * math.tan(c2 * r)) * g
+    return rhs
 
 
 def _extension(h, k1, k3, k4, k5, k6, k7):
@@ -110,12 +152,11 @@ def _extension(h, k1, k3, k4, k5, k6, k7):
     )
 
 
-def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, path=False):
-    """March (f, g) from 0 to r1.
+def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
+    """March the pair (f, g) under (f, g)' = rhs(r, f, g) from r = 0 to r1.
 
-    Returns (f, g, log_scale, status, steps, nodes), nodes being the sign
-    changes of f over the accepted steps (the start's sign is that of f0, or
-    of g0 when f0 = 0).  With path=True it returns
+    Returns (f, g, r, status, steps), r being where the march stopped.
+    With path=True it rescales (f, g) past RENORM and returns
     (f, g, log_scale, status, steps, r, h) instead, with one row per
     accepted step, of start r and width h, and a closing row for the end
     state.  Row i of f is (f_i, q1..q4) with f = f_i + q1 x + ... + q4 x^4
@@ -127,13 +168,13 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, path=False):
     hmax = math.inf
     log_scale = 0.0
     steps = 0
-    nodes = 0
-    positive = f > 0.0 or (f == 0.0 and g > 0.0)
     status = STATUS_OK
     hmin = 1e-15 * r1 + 1e-300
     if path:
         hmax = r1 / PATH_STEPS
         rows_r, rows_h, rows_f, rows_g, rows_l = [], [], [], [], []
+    # First same as last: an accepted step's k7 is the next step's k1.
+    k1f, k1g = rhs(r, f, g)
     while r < r1:
         if steps >= max_steps:
             status = STATUS_MAX_STEPS
@@ -142,49 +183,30 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, path=False):
             h = hmax
         if h > r1 - r:
             h = r1 - r
-        k1f, k1g = _deriv(kind, c1, c2, lam, r, f, g)
-        k2f, k2g = _deriv(
-            kind, c1, c2, lam, r + _A21 * h, f + h * _A21 * k1f, g + h * _A21 * k1g
-        )
-        k3f, k3g = _deriv(
-            kind,
-            c1,
-            c2,
-            lam,
+        k2f, k2g = rhs(r + _A21 * h, f + h * _A21 * k1f, g + h * _A21 * k1g)
+        k3f, k3g = rhs(
             r + 0.3 * h,
             f + h * (_A31 * k1f + _A32 * k2f),
             g + h * (_A31 * k1g + _A32 * k2g),
         )
-        k4f, k4g = _deriv(
-            kind,
-            c1,
-            c2,
-            lam,
+        k4f, k4g = rhs(
             r + 0.8 * h,
             f + h * (_A41 * k1f + _A42 * k2f + _A43 * k3f),
             g + h * (_A41 * k1g + _A42 * k2g + _A43 * k3g),
         )
-        k5f, k5g = _deriv(
-            kind,
-            c1,
-            c2,
-            lam,
+        k5f, k5g = rhs(
             r + (8.0 / 9.0) * h,
             f + h * (_A51 * k1f + _A52 * k2f + _A53 * k3f + _A54 * k4f),
             g + h * (_A51 * k1g + _A52 * k2g + _A53 * k3g + _A54 * k4g),
         )
-        k6f, k6g = _deriv(
-            kind,
-            c1,
-            c2,
-            lam,
+        k6f, k6g = rhs(
             r + h,
             f + h * (_A61 * k1f + _A62 * k2f + _A63 * k3f + _A64 * k4f + _A65 * k5f),
             g + h * (_A61 * k1g + _A62 * k2g + _A63 * k3g + _A64 * k4g + _A65 * k5g),
         )
         fn = f + h * (_B1 * k1f + _B3 * k3f + _B4 * k4f + _B5 * k5f + _B6 * k6f)
         gn = g + h * (_B1 * k1g + _B3 * k3g + _B4 * k4g + _B5 * k5g + _B6 * k6g)
-        k7f, k7g = _deriv(kind, c1, c2, lam, r + h, fn, gn)
+        k7f, k7g = rhs(r + h, fn, gn)
         ef = h * (
             _E1 * k1f + _E3 * k3f + _E4 * k4f + _E5 * k5f + _E6 * k6f + _E7 * k7f
         )
@@ -202,15 +224,12 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, path=False):
                 rows_f.append((f,) + _extension(h, k1f, k3f, k4f, k5f, k6f, k7f))
                 rows_g.append((g,) + _extension(h, k1g, k3g, k4g, k5g, k6g, k7g))
             r = r + h
-            f = fn
-            g = gn
-            if f != 0.0 and (f > 0.0) != positive:
-                positive = not positive
-                nodes += 1
-            mag = abs(f) + abs(g)
-            if mag > RENORM:
+            f, g, k1f, k1g = fn, gn, k7f, k7g
+            if path and abs(f) + abs(g) > RENORM:
                 f /= RENORM
                 g /= RENORM
+                k1f /= RENORM
+                k1g /= RENORM
                 log_scale += math.log(RENORM)
         if err > 0.0:
             fac = 0.9 * err ** (-0.2)
@@ -228,7 +247,7 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, path=False):
             break
         steps += 1
     if not path:
-        return f, g, log_scale, status, steps, nodes
+        return f, g, r, status, steps
     # The closing row has zero coefficients, so any width serves.
     rows_r.append(r)
     rows_h.append(1.0)
@@ -241,22 +260,44 @@ def _integrate(kind, c1, c2, lam, r1, f, g, atol, rtol, max_steps, path=False):
     )
 
 
-def shoot(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
-          max_steps=2_000_000):
-    """Integrate to r_end and return (f, g, log_scale, status, steps, nodes)."""
+def shoot(kind, c1, c2, lam, shift, r0, r1, theta0=0.0, atol=1e-11,
+          rtol=1e-11, max_steps=2_000_000):
+    """Pruefer angle from r0 to r1; r1 < r0 runs backwards.
+
+    Integrates theta' = cos(theta)^2 / C~ + lam C~ sin(theta)^2 in the
+    distance t = |r - r0|, with log C~ = log C + shift, from theta0.  A
+    constant shift rescales the flux and leaves every eigenvalue where it
+    is.  The angle is measured from a Dirichlet condition at r0; measured
+    from a Neumann one (theta - pi/2) it obeys the same equation with
+    log C~ replaced by -log C~ - log(lam), that is with c1 negated and the
+    shift moved.  Returns (theta, 0.0, t, status, steps): the loop's
+    second state is unused here, and t is the distance covered.
+    """
+    lam = float(lam)
+    lc = log_coeff(kind, c1, c2)
+    ll = math.log(lam)
+    r0 = float(r0)
+    sign = 1.0 if r1 >= r0 else -1.0
+    cos, sin, exp = math.cos, math.sin, math.exp
+
+    def rhs(t, y, _):
+        L = lc(r0 + sign * t) + shift
+        c = cos(y)
+        s = sin(y)
+        return exp(-L) * c * c + exp(ll + L) * s * s, 0.0
+
     return _integrate(
-        kind, c1, c2, float(lam), float(r_end), float(f0), float(g0),
-        atol, rtol, max_steps,
+        rhs, abs(float(r1) - r0), float(theta0), 0.0, atol, rtol, max_steps
     )
 
 
 def shoot_path(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
                max_steps=2_000_000):
-    """Integrate to r_end, recording every step.
+    """Integrate the drift form to r_end, recording every step.
 
     Returns (f, g, log_scale, status, steps, r, h); see _integrate.
     """
     return _integrate(
-        kind, c1, c2, float(lam), float(r_end), float(f0), float(g0),
-        atol, rtol, max_steps, True,
+        _drift_rhs(kind, c1, c2, float(lam)), float(r_end), float(f0),
+        float(g0), atol, rtol, max_steps, True,
     )

@@ -1,13 +1,25 @@
 """Shooting oracle for the one-dimensional reduced eigenvalue problems.
 
-Everything downstream of a coefficient profile can be cross-checked here:
-eigenvalues are located by integrating the initial value problem with the
-Dormand-Prince kernel and bisecting in lambda, with no reference to the
-quadrature lattice.  By Sturm oscillation (Pryce, *Numerical Solution of
-Sturm-Liouville Problems*, 1993) lambda lies below the ground state exactly
-when f keeps its sign on (0, r_end] and the end functional keeps the sign
-it has at lambda = 0, so one bisection on that predicate from lambda = 0
-finds the ground state and never a higher mode.
+Everything downstream of a coefficient profile can be cross-checked here,
+with no reference to the quadrature lattice.  Each family is the flux-form
+problem (C f')' + lam C f = 0 with one Dirichlet and one Neumann end, and
+an eigenvalue is located by a two-sided Pruefer shot (Pryce, *Numerical
+Solution of Sturm-Liouville Problems*, 1993; Bailey-Everitt-Zettl,
+SLEIGN2, ACM TOMS 27, 2001): the angle of (f, C f') is integrated from each
+end, measured from that end's condition, to a matching point m.  The
+mismatch
+
+    M(lam) = theta_left(m) + theta_right(m) - pi/2
+
+is continuous and strictly increasing in lam, negative at lam = 0, and
+equal to k pi at the k-th eigenvalue, so its one root is the ground state
+and the Sturm count needs no node counter.  Brent's method finds that root
+in log(lam), so the tolerance is relative.
+
+At the Myers edge C vanishes at r = 1 like (1 - r)^(d-1).  The right half
+then starts EDGE_OFFSET inside the end, from the leading term of the
+bounded solution: the angle is int e^(-L) over the offset, which is
+lam int C for the primal family and int C for the dual.
 """
 
 from __future__ import annotations
@@ -22,20 +34,23 @@ from . import kernels
 from .errors import (
     DegenerateDerivative,
     DomainError,
-    EigenboundError,
     NoBracket,
     StiffIntegration,
 )
-from .geometry import Alpha, CoefficientProfile, CurvatureSign, resolve_profile
+from .geometry import HALF_PI, Alpha, CoefficientProfile, CurvatureSign, resolve_profile
 from .quadrature import integrate
-from .searches import bisect_root
-from .universal import delta1_prime, delta1_star_prime
+from .searches import bisect_root, brent_root
+from .universal import universal_bracket
 
-#: Domain shortening at the singular endpoint (|alpha| = pi/2 exactly).
-SINGULAR_TRIM = 1e-8
+#: Distance from a vanishing-coefficient end where the right half starts.
+EDGE_OFFSET = 1e-4
 
-#: Top of the first lambda bracket when no profile is available to seed one.
-DEFAULT_CEILING = 50.0
+#: Intervals of the trapezoid scan that places the matching point and the
+#: crude window.
+CRUDE_INTERVALS = 256
+
+#: Narrowest starting window, as a width in log(lam).
+MIN_WINDOW = 1e-6
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -50,9 +65,8 @@ class EigenProblem:
     """One shooting family: f'' + F f' + lam f = 0 on [0, r_end].
 
     kind (KIND_LINEAR, KIND_TANH or KIND_TAN), c1 and c2 select the drift F
-    inside the integration kernel; the boundary conditions fix which end
-    states are imposed at 0 and which boundary functional is driven to zero
-    at r_end.
+    inside the integration kernel, and with it C = exp(int_0^r F); one end
+    is Dirichlet and the other Neumann.
     """
 
     kind: int
@@ -71,8 +85,19 @@ class EigenProblem:
                 raise DomainError(
                     f"boundary condition must be {DIRICHLET!r} or {NEUMANN!r}, got {bc!r}"
                 )
+        if self.bc_left == self.bc_right:
+            raise DomainError("one end must be Dirichlet and the other Neumann")
         if not (0.0 < self.r_end <= 1.0):
             raise DomainError(f"r_end must lie in (0, 1], got {self.r_end}")
+        if self.kind != KIND_LINEAR and not self.c2 > 0.0:
+            raise DomainError(f"c2 must be positive, got {self.c2}")
+        if self.kind == KIND_TAN and self.c2 * self.r_end > HALF_PI:
+            raise DomainError("the tangent drift has a pole inside the domain")
+
+    @property
+    def singular_end(self) -> bool:
+        """Whether C vanishes at r_end (the Myers edge)."""
+        return self.kind == KIND_TAN and self.c2 * self.r_end == HALF_PI
 
     def drift(self, r):
         r = np.asarray(r, dtype=float)
@@ -103,8 +128,7 @@ def reduced_problem(d: int, alpha: Alpha) -> EigenProblem:
     """Dirichlet-at-0 / Neumann-at-1 drift problem for the diameter-scale bound.
 
     The drift is the logarithmic derivative of the model coefficient; at the
-    borderline positive parameter the tangent blows up at 1, so the domain is
-    trimmed by SINGULAR_TRIM there.
+    borderline positive parameter C vanishes at r = 1.
     """
     _check_pair(d, alpha)
     if d == 1 or alpha.sign is CurvatureSign.ZERO:
@@ -114,10 +138,7 @@ def reduced_problem(d: int, alpha: Alpha) -> EigenProblem:
         return EigenProblem(
             KIND_TANH, (d - 1) * a, a, DIRICHLET, NEUMANN, label="tanh drift"
         )
-    r_end = 1.0 - SINGULAR_TRIM if alpha.at_half_pi else 1.0
-    return EigenProblem(
-        KIND_TAN, -(d - 1) * a, a, DIRICHLET, NEUMANN, r_end=r_end, label="tan drift"
-    )
+    return EigenProblem(KIND_TAN, -(d - 1) * a, a, DIRICHLET, NEUMANN, label="tan drift")
 
 
 def dual_problem(d: int, alpha: Alpha) -> EigenProblem:
@@ -169,6 +190,11 @@ class EigenPath:
     """
 
     def __init__(self, prob: EigenProblem, lam: float, tol: float = 1e-11):
+        if prob.singular_end:
+            raise DomainError(
+                "the drift-form path cannot reach the Myers edge, where the"
+                " drift blows up"
+            )
         f0, g0 = _left_state(prob)
         fq, gq, ls, status, steps, r, h = kernels.shoot_path(
             prob.kind, prob.c1, prob.c2, lam, prob.r_end, f0, g0, tol, tol
@@ -237,26 +263,6 @@ def _left_state(prob: EigenProblem) -> tuple[float, float]:
     return 1.0, 0.0
 
 
-def _shoot_once(prob, lam, atol, rtol):
-    """Signed boundary functional at one lambda.
-
-    It is -inf when f changes sign on (0, r_end] other than by crossing a
-    Dirichlet end, which is the functional's own sign change: lambda then
-    lies above the ground state whatever the end functional reads.
-    """
-    f0, g0 = _left_state(prob)
-    f, g, _, status, steps, nodes = kernels.shoot(
-        prob.kind, prob.c1, prob.c2, lam, prob.r_end, f0, g0, atol, rtol
-    )
-    if status != kernels.STATUS_OK:
-        raise StiffIntegration(
-            f"integrator gave up at lambda = {lam:.6g} (status {status}, {steps} steps)"
-        )
-    target = g if prob.bc_right == NEUMANN else f
-    own = 1 if prob.bc_right == DIRICHLET else 0
-    return target if nodes <= own else -math.inf
-
-
 def _unfold(fs, gs, ls):
     """Weights that undo the running renormalization with one overall scale.
 
@@ -270,60 +276,117 @@ def _unfold(fs, gs, ls):
     return np.exp(ls - shift)
 
 
+def _landmarks(prob: EigenProblem) -> tuple[float, float, float, float]:
+    """(m, log kappa, log lo, log hi) from a trapezoid scan of log C.
+
+    With phi = int 1/C from the Dirichlet end and psi = int C from the
+    Neumann end, delta = sup phi psi gives Chen's crude bracket
+    1/(4 delta) <= lam <= 1/delta; the eigenfunction changes over from
+    f ~ phi to f ~ const at its argmax m, where f / (C f') ~ phi(m).
+    Scaling C by kappa = phi(m) puts the angle near pi/4 there, where it
+    moves fastest with lam.  Sums run in logs, so no scale overflows.
+    """
+    lc = kernels.log_coeff(prob.kind, prob.c1, prob.c2)
+    r = np.linspace(0.0, prob.r_end, CRUDE_INTERVALS + 1)
+    v = np.array([lc(x) for x in r])
+    half = math.log(0.5 * prob.r_end / CRUDE_INTERVALS)
+    inv = half + np.logaddexp(-v[:-1], -v[1:])
+    coef = half + np.logaddexp(v[:-1], v[1:])
+    acc = np.logaddexp.accumulate
+    if prob.bc_left == DIRICHLET:
+        lphi, lpsi = acc(inv)[:-1], acc(coef[::-1])[::-1][1:]
+    else:
+        lphi, lpsi = acc(inv[::-1])[::-1][1:], acc(coef)[:-1]
+    k = int(np.argmax(lphi + lpsi))
+    log_delta = float(lphi[k] + lpsi[k])
+    return float(r[k + 1]), float(lphi[k]), -log_delta - math.log(4.0), -log_delta
+
+
+def _half_angle(prob, bc, ll, log_kappa, r0, r1, tol):
+    """Angle from the condition bc at r0, integrated to r1, at lam = e^ll."""
+    if bc == DIRICHLET:
+        c1, shift = prob.c1, log_kappa
+    else:
+        c1, shift = -prob.c1, -ll - log_kappa
+    theta0 = 0.0
+    if r0 == prob.r_end and prob.singular_end:
+        # e^(-L) ~ (r_end - r)^q near the end: integrate its leading term.
+        r0 = prob.r_end - EDGE_OFFSET
+        lc = kernels.log_coeff(prob.kind, c1, prob.c2)(r0)
+        theta0 = EDGE_OFFSET * math.exp(-lc - shift) / (1.0 + abs(prob.c1 / prob.c2))
+    try:
+        theta, _, _, status, steps = kernels.shoot(
+            prob.kind, c1, prob.c2, math.exp(ll), shift, r0, r1, theta0, tol, tol
+        )
+    except OverflowError as exc:
+        raise StiffIntegration(
+            f"angle rates overflow at lambda = {math.exp(ll):.6g}"
+        ) from exc
+    if status != kernels.STATUS_OK:
+        raise StiffIntegration(
+            f"integrator gave up at lambda = {math.exp(ll):.6g}"
+            f" (status {status}, {steps} steps)"
+        )
+    return theta
+
+
 def principal_eigenvalue(
     prob: EigenProblem,
     tol: float = 1e-11,
     *,
-    lam_max: float | None = None,
-    atol: float = 1e-11,
-    rtol: float = 1e-11,
+    window: tuple[float, float] | None = None,
 ) -> EigenResult:
     """Smallest positive eigenvalue of one shooting family.
 
-    Bisects (0, lam_max] on the Sturm predicate of the module docstring
-    until the lambda bracket is tol wide (tol is absolute).  When lam_max is
-    still below the ground state, the top of the bracket doubles up to five
-    times.  atol and rtol are the shots' tolerances; the eigenfunction is
-    integrated at the kernel's 1e-11 only when the result's path is first
-    read.
+    Finds the root of the mismatch of the module docstring by Brent's
+    method in log(lam), to a bracket of relative width tol; each half shot
+    runs at tol / 10.  The search starts from window (lo, hi), by default
+    the crude bracket of _landmarks, and widens outward until the mismatch
+    changes sign, so a window that misses the eigenvalue costs shots but
+    never the answer.  The eigenfunction is integrated at the kernel's
+    1e-11 only when the result's path is first read.
     """
-    ceiling = float(lam_max) if lam_max is not None else DEFAULT_CEILING
-    if not (ceiling > 0.0 and math.isfinite(ceiling)):
-        raise DomainError(f"scan ceiling must be finite > 0, got {ceiling}")
+    if not (0.0 < tol < 1.0):
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
+    m, log_kappa, a, b = _landmarks(prob)
+    if window is not None:
+        lo, hi = sorted(float(x) for x in window)
+        if not (lo > 0.0 and math.isfinite(hi)):
+            raise DomainError(f"window must be finite and positive, got {window}")
+        a, b = math.log(lo), math.log(hi)
+    if b - a < MIN_WINDOW:
+        a, b = 0.5 * (a + b - MIN_WINDOW), 0.5 * (a + b + MIN_WINDOW)
+    shot_tol = 0.1 * tol
 
-    def m(lam):
-        return _shoot_once(prob, lam, atol, rtol)
+    def mismatch(ll):
+        left = _half_angle(prob, prob.bc_left, ll, log_kappa, 0.0, m, shot_tol)
+        right = _half_angle(prob, prob.bc_right, ll, log_kappa, prob.r_end, m, shot_tol)
+        return left + right - HALF_PI
 
-    lo, f_lo = 0.0, m(0.0)
-    if not f_lo > 0.0:
-        raise EigenboundError(
-            "boundary functional is not positive at lambda = 0;"
-            " the shooting setup is inconsistent"
-        )
-    f_hi = m(ceiling)
-    for _ in range(5):
-        if not f_hi > 0.0:
-            break
-        lo, f_lo = ceiling, f_hi
-        ceiling *= 2.0
-        f_hi = m(ceiling)
-    if f_hi > 0.0:
-        raise NoBracket(
-            "no sign change of the boundary functional for lambda in"
-            f" (0, {ceiling:.6g}]"
-        )
-    return EigenResult(prob, bisect_root(m, lo, ceiling, f_lo, f_hi, tol=tol))
+    fa, fb = mismatch(a), mismatch(b)
+    width = b - a
+    while fa > 0.0 or fb < 0.0:
+        if not (-700.0 < a and b < 700.0):
+            raise NoBracket(
+                "no sign change of the mismatch for lambda in"
+                f" [{math.exp(a):.6g}, {math.exp(b):.6g}]"
+            )
+        if fa > 0.0:
+            b, fb, a = a, fa, a - width
+            fa = mismatch(a)
+        else:
+            a, fa, b = b, fb, b + width
+            fb = mismatch(b)
+        width *= 2.0
+    return EigenResult(prob, math.exp(brent_root(mismatch, a, b, fa, fb, tol)))
 
 
-def scan_ceiling(profile: CoefficientProfile) -> float:
-    """Four times the lattice route's guaranteed upper bound, plus slack.
-
-    Seeding the bracket from the functional machinery means the two
-    independent routes meet: the oracle only searches where the lattice says
-    the eigenvalue can live.
-    """
-    upper = min(1.0 / delta1_prime(profile), 1.0 / delta1_star_prime(profile))
-    return 4.0 * upper + 10.0
+def _bracket_window(d, alpha, profile):
+    """The certified bracket cached on profile, as a search window."""
+    b = universal_bracket(d, alpha, profile=resolve_profile(d, alpha, profile))
+    if b.lower > 0.0 and math.isfinite(b.upper):
+        return b.lower, b.upper
+    return None
 
 
 def solve_lambda_bar(
@@ -334,11 +397,14 @@ def solve_lambda_bar(
     profile: CoefficientProfile | None = None,
     tol: float = 1e-11,
 ) -> EigenResult:
-    """Principal eigenvalue of the reduced problem (or its dual form)."""
+    """Principal eigenvalue of the reduced problem (or its dual form).
+
+    With a profile the search starts from its certified bracket.
+    """
     _check_pair(d, alpha)
-    p = resolve_profile(d, alpha, profile)
     prob = dual_problem(d, alpha) if dual else reduced_problem(d, alpha)
-    return principal_eigenvalue(prob, tol=tol, lam_max=scan_ceiling(p))
+    window = None if profile is None else _bracket_window(d, alpha, profile)
+    return principal_eigenvalue(prob, tol=tol, window=window)
 
 
 def duality_gap(
@@ -354,19 +420,16 @@ def duality_gap(
     same at every eigenvalue scale.
     """
     _check_pair(d, alpha)
-    p = resolve_profile(d, alpha, profile)
-    hi = scan_ceiling(p)
-    primal = principal_eigenvalue(reduced_problem(d, alpha), tol=tol, lam_max=hi)
-    adjoint = principal_eigenvalue(dual_problem(d, alpha), tol=tol, lam_max=hi)
+    window = None if profile is None else _bracket_window(d, alpha, profile)
+    primal = principal_eigenvalue(reduced_problem(d, alpha), tol=tol, window=window)
+    adjoint = principal_eigenvalue(dual_problem(d, alpha), tol=tol, window=window)
     p_val, d_val = primal.eigenvalue, adjoint.eigenvalue
     return primal, adjoint, abs(p_val - d_val) / max(abs(p_val), abs(d_val))
 
 
 def beta_eigenvalue(beta: float, tol: float = 1e-11) -> EigenResult:
     """Principal eigenvalue of the polynomial-model drift problem."""
-    beta = float(beta)
-    hi = 4.0 * (math.pi**2 / 4.0 + 3.0 * abs(beta) + 1.0) + 10.0
-    return principal_eigenvalue(beta_problem(beta), tol=tol, lam_max=hi)
+    return principal_eigenvalue(beta_problem(beta), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -520,10 +583,10 @@ def variational_consistency(
     from .universal import variational_ratio
 
     p = resolve_profile(d, alpha, profile)
-    if reduced_problem(d, alpha).r_end < 1.0:
+    if reduced_problem(d, alpha).singular_end:
         raise DomainError(
-            "the consistency check needs the untrimmed domain; move off the"
-            " borderline positive parameter"
+            "the consistency check needs the eigenfunctions, which have no"
+            " path at the Myers edge; move off the borderline positive parameter"
         )
     primal, adjoint, _ = duality_gap(d, alpha, profile=p, tol=tol)
     fstar = adjoint.path

@@ -2,15 +2,19 @@
 
 `perfbench/tracing.py` patches package functions by name and reads the
 integrator's step count off element 4 of `kernels.shoot` and
-`kernels.shoot_path`, so reshaping either breaks `perfbench/run.py
---trace 1` with nothing in the package's own tests noticing.  The tracer
-patches module attributes process-wide, so it runs in a child process.
+`kernels.shoot_path`, so renaming a patched function or reshaping either
+return breaks `perfbench/run.py --trace 1` with nothing in the package's
+own tests noticing.  The tracer patches module attributes process-wide,
+so traced runs go in a child process.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,18 +28,51 @@ from eigenbound.geometry import Alpha, GeometryTriple
 tracer = tracing.Tracer()
 tracing.install(tracer)
 tracer.operation = 0
-report.build_report(GeometryTriple(3, 2.0, -1.0), oracle=True)
-oracle.variational_consistency(2, Alpha.zero())
+{body}
 print(json.dumps(dict(tracer.counts)))
 """
 
 
-def test_tracer_counts_shot_and_path_steps():
-    code = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"))
+def traced_counts(body):
+    code = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"), body=body)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
-    counts = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def patched_names():
+    """Every dotted eigenbound name the tracer's layer tables refer to."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    names = {n for group in tracing.SELF_TIME.values() for n in group}
+    return sorted(names | set(tracing.CALLS.values()))
+
+
+@pytest.mark.parametrize("name", patched_names())
+def test_patched_name_resolves(name):
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"eigenbound.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)
+
+
+def test_tracer_counts_shot_and_path_steps():
+    counts = traced_counts(
+        "report.build_report(GeometryTriple(3, 2.0, -1.0), oracle=True)\n"
+        "oracle.variational_consistency(2, Alpha.zero())"
+    )
     assert counts.get("kernels.shot_steps", 0) > 0
     assert counts.get("kernels.path_steps", 0) > 0
+
+
+def test_traced_myers_edge_report_counts_shot_steps():
+    # The round sphere of dimension 10: D = pi, K = d - 1.
+    counts = traced_counts("report.build_report(GeometryTriple(10, 3.141592653589793, 9.0), oracle=True)")
+    assert 0 < counts.get("kernels.shot_steps", 0) <= 20_000
+    assert counts.get("kernels.path_steps", 0) == 0

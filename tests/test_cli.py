@@ -67,6 +67,18 @@ class TestBound:
         assert "SANDWICH VIOLATION" not in out
         assert "at or below the oracle" in out
 
+    def test_tiny_eigenvalue_oracle_sits_inside_certified_bracket(self, capsys):
+        # lambda_bar(10, -10/3) ~ 1.1e-8: an absolute shooting tolerance
+        # once put the oracle 3.08% above the certified upper bound here.
+        rc = main(["bound", "-d", "10", "-D", "20", "-K", "-1", "--oracle"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "VIOLATION" not in out
+        assert "at or below the certified upper bound" in out
+        report = build_report(GeometryTriple(10, 20.0, -1.0), oracle=True)
+        lam, b = report.oracle.eigenvalue, report.bracket
+        assert b.lower * (1.0 - 1e-9) <= lam <= b.upper * (1.0 + 1e-9)
+
     def test_csv_contract_and_determinism(self, tmp_path):
         args = ["bound", "-d", "3", "-D", "2", "-K", "-1", "--format", "csv"]
         first = tmp_path / "a.csv"

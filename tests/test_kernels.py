@@ -1,4 +1,4 @@
-"""Tests for the Dormand-Prince shooting kernel and its recorded steps."""
+"""Tests for the Dormand-Prince kernel: the Pruefer shot and the recorded path."""
 
 import math
 
@@ -27,50 +27,76 @@ def quartic(rows, x):
     )
 
 
+def angle(kind, c1, c2, lam, r):
+    """Pruefer angle at r of the Dirichlet-start solution, from r = 0."""
+    theta, _, t, status, _ = kernels.shoot(kind, c1, c2, lam, 0.0, 0.0, r)
+    assert status == kernels.STATUS_OK and t == r
+    return theta
+
+
+def assert_same_angle(theta, f, flux, tol):
+    """theta is the polar angle of (f, flux), up to whole turns."""
+    rho = math.hypot(f, flux)
+    assert abs(math.sin(theta) - f / rho) <= tol
+    assert abs(math.cos(theta) - flux / rho) <= tol
+
+
 class TestShooting:
     def test_flat_shot_matches_sine_solution(self):
-        # f'' = -lam f, f(0)=0, f'(0)=1  ->  sin(sqrt(lam) r)/sqrt(lam).
-        f, g, log_scale, status, steps, _ = kernels.shoot(
-            0, 0.0, 0.0, FLAT_LAMBDA, 1.0, 0.0, 1.0
+        # f'' = -lam f, f(0)=0, f'(0)=1: f = sin(k r)/k and C f' = cos(k r),
+        # so tan(theta) = tan(k r)/k, and theta(1) = pi/2 at k = pi/2.
+        theta, _, t, status, steps = kernels.shoot(
+            0, 0.0, 0.0, FLAT_LAMBDA, 0.0, 0.0, 1.0
         )
         assert status == kernels.STATUS_OK
-        assert log_scale == 0.0
-        assert f == pytest.approx(2.0 / math.pi, abs=1e-10)
-        assert g == pytest.approx(0.0, abs=1e-10)
-        assert steps > 0
+        assert t == 1.0 and steps > 0
+        assert theta == pytest.approx(math.pi / 2.0, abs=1e-10)
+        k = math.pi / 2.0
+        assert angle(0, 0.0, 0.0, FLAT_LAMBDA, 0.3) == pytest.approx(
+            math.atan(math.tan(0.3 * k) / k), abs=1e-11
+        )
+
+    def test_neumann_form_and_backward_shots(self):
+        # From a Neumann start f = cos(k r), C f' = -k sin(k r): the angle
+        # less pi/2 is atan(k tan(k r)), which the same equation gives with
+        # c1 negated and the shift moved by -log(lam).
+        lam = 5.0
+        k = math.sqrt(lam)
+        chi, *_ = kernels.shoot(0, -0.0, 0.0, lam, -math.log(lam), 0.0, 0.4)
+        assert chi == pytest.approx(math.atan(k * math.tan(0.4 * k)), abs=1e-11)
+        # C = 1 is symmetric about 1/2: backwards from 1 to 0.3 is forwards
+        # from 0 to 0.7, and a shift s scales the flux by e^s, so
+        # tan(theta) = tan(0.7 k) / (k e^s) with 0.7 k just below pi/2.
+        back, _, t, status, _ = kernels.shoot(0, 0.0, 0.0, lam, 0.7, 1.0, 0.3)
+        assert status == kernels.STATUS_OK and t == pytest.approx(0.7)
+        want = math.atan(math.tan(0.7 * k) / (k * math.exp(0.7)))
+        assert back == pytest.approx(want, abs=1e-10)
 
     def test_max_steps_status(self):
-        _, _, _, status, _, _ = kernels.shoot(
-            1, 2.0, 1.5, 3.7, 1.0, 0.0, 1.0, 1e-11, 1e-11, 5
+        *_, status, steps = kernels.shoot(
+            1, 2.0, 1.5, 3.7, 0.0, 0.0, 1.0, 0.0, 1e-11, 1e-11, 5
         )
         assert status == kernels.STATUS_MAX_STEPS
+        assert steps == 5
 
     def test_renormalization_tracks_log_scale(self):
-        # lam = -4e5 grows like sinh(632 r): far past RENORM, so the state
-        # must be rescaled while log(f) + log_scale stays the true log.
-        lam = -4.0e5
-        rate = math.sqrt(-lam)
-        f, g, log_scale, status, _, _ = kernels.shoot(
-            0, 0.0, 0.0, lam, 1.0, 0.0, 1.0
-        )
-        assert status == kernels.STATUS_OK
-        assert log_scale > 0.0
-        assert abs(f) < kernels.RENORM
-        true_log = rate - math.log(2.0) - math.log(rate)
-        assert math.log(abs(f)) + log_scale == pytest.approx(
-            true_log, rel=1e-8
-        )
-        # The path carries its own scale per step: sinh(rate r)/rate.  The
+        # lam = -4e5 grows like sinh(632 r): far past RENORM, so the path
+        # must be rescaled while log(f) + log_scale stays the true log.  The
         # rescale falls inside a step near r = 0.91, whose quartic must
         # carry the log-scale from before it.  Every step start from r = 1/8
-        # on is checked, and every step's quartic at its midpoint, before
-        # and after the rescale.
+        # on is checked, the end state, and every step's quartic at its
+        # midpoint, before and after the rescale.
+        lam = -4.0e5
+        rate = math.sqrt(-lam)
         fq, _, ls, status, _, r, h = kernels.shoot_path(
             0, 0.0, 0.0, lam, 1.0, 0.0, 1.0
         )
         assert status == kernels.STATUS_OK
         tail = r >= 0.125
         assert ls[tail][0] == 0.0 and ls[-1] > 0.0
+        assert abs(fq[-1, 0]) < kernels.RENORM
+        true_log = rate - math.log(2.0) - math.log(rate)
+        assert math.log(abs(fq[-1, 0])) + ls[-1] == pytest.approx(true_log, rel=1e-8)
 
         def want(x):
             x = rate * x
@@ -88,10 +114,14 @@ class TestShooting:
         )
 
     def test_path_endpoint_matches_single_shot(self):
+        # The drift-form path and the Pruefer shot are two integrations of
+        # one solution: the path's (f, C f') must point along the shot's
+        # angle inside any step and at the end.
         for kind, c1, c2, lam in CASES:
             fq, gq, ls, status, steps, r, h = kernels.shoot_path(
                 kind, c1, c2, lam, 1.0, 0.0, 1.0
             )
+            lc = kernels.log_coeff(kind, c1, c2)
             assert status == kernels.STATUS_OK
             assert fq[0, 0] == 0.0 and gq[0, 0] == 1.0 and ls[0] == 0.0
             assert r[0] == 0.0 and r[-1] == 1.0
@@ -104,23 +134,13 @@ class TestShooting:
                 assert np.all(gap <= 1e-12 * scale)
             for i in PROBES:
                 x = r[i] + 0.3 * h[i]
-                f, g, log_scale, _, _, _ = kernels.shoot(
-                    kind, c1, c2, lam, x, 0.0, 1.0
-                )
-                bound = 1e-8 * max(abs(f), abs(g))
-                w = math.exp(ls[i] - log_scale)
-                assert abs(quartic(fq[i : i + 1], 0.3)[0] * w - f) <= bound
-                assert abs(quartic(gq[i : i + 1], 0.3)[0] * w - g) <= bound
-            # The closing row is the end state, with zero coefficients.  The
-            # absolute floor is the kernel's atol: it only bites on the
-            # components that cancel to near zero (the flat g(1) = cos(pi/2),
-            # kind 2's f(1) = 0.0024), where two step sequences of tolerance
-            # 1e-11 differ by ~5e-12.
+                f = quartic(fq[i : i + 1], 0.3)[0]
+                flux = quartic(gq[i : i + 1], 0.3)[0] * math.exp(lc(x))
+                assert_same_angle(angle(kind, c1, c2, lam, x), f, flux, 1e-9)
+            # The closing row is the end state, with zero coefficients.
             assert not np.any(fq[-1, 1:]) and not np.any(gq[-1, 1:])
-            f, g, log_scale, _, _, _ = kernels.shoot(kind, c1, c2, lam, 1.0, 0.0, 1.0)
-            w = math.exp(ls[-1] - log_scale)
-            assert fq[-1, 0] * w == pytest.approx(f, rel=1e-9, abs=1e-11)
-            assert gq[-1, 0] * w == pytest.approx(g, rel=1e-9, abs=1e-11)
+            flux = gq[-1, 0] * math.exp(lc(1.0))
+            assert_same_angle(angle(kind, c1, c2, lam, 1.0), fq[-1, 0], flux, 1e-9)
 
     def test_path_ending_on_a_sliver_step_finishes(self):
         # 512 capped steps of 0.67/512 sum to one ulp short of 0.67; the
@@ -135,13 +155,14 @@ class TestShooting:
 
 
 class TestNodeCount:
+    """The angle crosses each multiple of pi once, upwards, at a zero of f."""
+
     def test_flat_count_is_number_of_interior_zeros(self):
         # sin(2.5 pi r) vanishes at r = 0.4 and 0.8; sin(pi r / 2) nowhere
         # on (0, 1].
         for lam, want in (((2.5 * math.pi) ** 2, 2), (FLAT_LAMBDA, 0)):
-            *_, status, _, nodes = kernels.shoot(0, 0.0, 0.0, lam, 1.0, 0.0, 1.0)
-            assert status == kernels.STATUS_OK
-            assert nodes == want
+            theta = angle(0, 0.0, 0.0, lam, 1.0)
+            assert math.floor(theta / math.pi) == want
 
     @pytest.mark.parametrize(
         "kind, c1, c2, lam", [(1, 2.0, 1.5, 140.0), (2, -1.0, 1.2, 260.0)]
@@ -155,5 +176,5 @@ class TestNodeCount:
         fs = np.stack([quartic(fq[:-1], x) for x in np.arange(1, 9) / 8.0], axis=1)
         changes = int(np.count_nonzero(np.diff(np.signbit(fs.ravel()))))
         assert changes >= 3
-        *_, nodes = kernels.shoot(kind, c1, c2, lam, 1.0, 0.0, 1.0)
-        assert nodes == changes
+        theta = angle(kind, c1, c2, lam, 1.0)
+        assert math.floor(theta / math.pi) == changes

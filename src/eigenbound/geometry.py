@@ -166,7 +166,10 @@ class CoefficientProfile:
         )
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
             c_sub, ci_sub = self._coeff_pair(seg.sub)
-            c_means, ci_means = seg.pointwise_means((c_sub, ci_sub), self._coeff_pair)
+            # paged: the segments whose phi and psi rows come from direct pages
+            (c_means, ci_means), self.paged = seg.pointwise_means(
+                (c_sub, ci_sub), self._coeff_pair
+            )
             self.c_sub = c_sub
             self.cinv_sub = ci_sub
             self.phi_nodes, self.phi_sub = seg.build_cumulative(ci_sub, ci_means)

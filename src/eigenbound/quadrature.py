@@ -14,10 +14,12 @@ by evaluating at it.
 (quadratic clustering at both endpoints) together with the Gauss-Legendre
 sub-nodes of every segment and the sub-sub-nodes needed to integrate up to
 a sub-node exactly.  Cumulative tables built on it give F(x) = int_0^x f
-at every partition node and every sub-node with panel-exact accuracy, and
-`cum_eval` extends that to arbitrary interior points by re-integrating the
-tail of one segment.  All heavy evaluation is vectorized; integrands must
-accept numpy arrays.
+at every partition node and every sub-node with panel-exact accuracy.
+`cum_eval` and `tail_eval` extend that to arbitrary interior points by
+re-integrating the integrand over part of one segment;
+`partial_weights` does it with no integrand at all, integrating the
+in-segment interpolant of a row's sub-node values (`partial_means`).  All
+heavy evaluation is vectorized; integrands must accept numpy arrays.
 
 The tables take the within-segment means of the integrand: row k, column j
 holds the GL15 mean of f over [node_k, sub_kj].  A row's means are one
@@ -27,7 +29,10 @@ Numer. Anal. 28, 1991), the means of its degree-14 in-segment interpolant.
 A row whose interpolant may overshoot its conditioning cap (`needs_clip`)
 takes sub-sub pages instead: direct ones (`pointwise_means`) when f can be
 evaluated pointwise, clipped interpolated ones (`interp_means`) when f is
-known only at the sub-nodes.
+known only at the sub-nodes.  The same interpolant integrated to any
+tau in [0, 1] gives W(tau) = tau * partial_means(tau), with
+W(XI[j]) = XI[j] * SPECTRAL[:, j] and W(1) = WH, so off-lattice values on
+a spectral row continue the table between its sub-nodes.
 """
 
 from __future__ import annotations
@@ -149,6 +154,40 @@ SPECTRAL = INTERP.T.reshape(15, 15, 15) @ WH
 #: INTERP, ~6.604), padded so the guard in `needs_clip` also covers the
 #: rounding of the page values it vouches for.
 LEBESGUE = float(np.max(np.sum(np.abs(INTERP), axis=1))) * (1.0 + 1e-12)
+
+
+#: Chebyshev points of the second kind on [0, 1], both ends included, their
+#: barycentric weights, and the partial means of the degree-14 Lagrange basis
+#: through XI at each of them (row i, column q: the mean of basis polynomial q
+#: over [0, _CHEB[i]]).  The partial means are polynomials of degree 14 in
+#: the upper limit, so these 16 samples carry them exactly.
+_CHEB = 0.5 * (1.0 - np.cos(np.pi * np.arange(16) / 15))
+_CHEB_WEIGHTS = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
+_CHEB_WEIGHTS[[0, -1]] *= 0.5
+_CHEB_MEANS = (_lagrange_matrix((_CHEB[:, None] * XI[None, :]).ravel()).T.reshape(15, 16, 15) @ WH).T
+
+
+def partial_means(tau: np.ndarray) -> np.ndarray:
+    """(m, 15) means over [0, tau] of the degree-14 Lagrange basis through XI.
+
+    Row i times tau[i] is W(tau[i]), the antiderivative from 0 of every basis
+    polynomial, so a segment row's values v give the integral of its
+    in-segment interpolant over [0, tau] as tau * (partial_means(tau) @ v)
+    on the reference segment.  partial_means(XI[j]) is SPECTRAL[:, j] and
+    partial_means(1) is WH: on the lattice this is the integral the tables
+    already hold.  Evaluated by the barycentric formula on 16 Chebyshev
+    points (Berrut and Trefethen, SIAM Review 46, 2004), which is stable in
+    floating point and keeps the relative accuracy of W for small tau; a tau
+    on one of those points takes that point's tabulated row, where the
+    formula would divide by zero.
+    """
+    tau = np.asarray(tau, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = _CHEB_WEIGHTS / (tau[:, None] - _CHEB)
+        out = (q @ _CHEB_MEANS) / q.sum(axis=1, keepdims=True)
+    i, j = np.nonzero(np.isinf(q))
+    out[i] = _CHEB_MEANS[j]
+    return out
 
 
 #: Flagged rows per block of direct sub-sub evaluations in `pointwise_means`.
@@ -308,7 +347,9 @@ class Segmentation:
         pages_at(y) returns all of them at the points y, in the same order.
         A row that no integrand flags by `needs_clip` takes v_sub @ SPECTRAL;
         a row that any of them flags takes direct sub-sub pages for all of
-        them, evaluated PAGE_BLOCK rows at a time.
+        them, evaluated PAGE_BLOCK rows at a time.  Returns the means and the
+        indices of the paged rows, the rows where the tables are not the
+        integrals of the in-segment interpolant.
         """
         # Non-finite rows turn to nan here; needs_clip flags them all.
         with np.errstate(invalid="ignore"):
@@ -318,7 +359,7 @@ class Segmentation:
             block = rows[lo : lo + PAGE_BLOCK]
             for m, pages in zip(means, pages_at(self.subsub[block])):
                 m[block] = page_means(pages)
-        return means
+        return means, rows
 
     def cumulative_from_sub(self, v_sub: np.ndarray):
         """build_cumulative with the sub-sub level filled by interpolation.
@@ -336,6 +377,24 @@ class Segmentation:
     def locate(self, x: np.ndarray) -> np.ndarray:
         k = np.searchsorted(self.nodes, x, side="right") - 1
         return np.clip(k, 0, self.n - 1)
+
+    def partial_weights(self, x: np.ndarray):
+        """(k, head, tail): the segment of each x and its partial-segment weights.
+
+        head @ row integrates segment k's degree-14 interpolant through the
+        sub-node values row over [node_k, x], and tail @ row over
+        [x, node_{k+1}].  Both scale the means of `partial_means` by the
+        exact partial length, as `cum_eval` and `tail_eval` scale their
+        panels; the tail reads the head of the mirrored segment (XI is
+        symmetric about 1/2), so a short tail keeps its relative accuracy
+        instead of coming out of WH - W(tau).
+        """
+        k = self.locate(x)
+        t = x - self.nodes[k]
+        u = self.nodes[k + 1] - x
+        w = self.width[k]
+        means = partial_means(np.concatenate((t / w, u / w)))
+        return k, t[:, None] * means[: x.size], u[:, None] * means[x.size :, ::-1]
 
     def cum_eval(self, cum_nodes: np.ndarray, f, x) -> np.ndarray:
         """Evaluate int_0^x f at arbitrary x from a node table plus a local panel.

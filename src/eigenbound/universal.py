@@ -17,12 +17,16 @@ positive test function into a certified lower bound for lam.
 Everything here works on the shared Chebyshev/Gauss-Legendre lattice of
 the profile: sups and infs are taken over the ~65k interior lattice points
 where the cumulative tables are exact, then polished by a local zoom whose
-rounds each evaluate ZOOM off-lattice points in one batch of panels.  The
-six integral tables take their within-segment means from the spectral
-product on the sub-node values, and from direct sub-sub pages only on the
-rows the spectral guard flags (`Segmentation.pointwise_means`), the
-Myers edge included.  The iteration sequences are lattice maxes with no
-polish; the upper ones are read off moment tables at every node radius.
+rounds each evaluate ZOOM off-lattice points at once.  The six integral
+tables take their within-segment means from the spectral product on the
+sub-node values, and from direct sub-sub pages only on the rows the
+spectral guard flags (`Segmentation.pointwise_means`), the Myers edge
+included.  Off the lattice, the five sups read the integral of each
+segment's degree-14 interpolant, which the spectral tables already hold at
+the sub-nodes; only points in directly paged rows re-integrate the
+integrand with partial-segment panels.  The iteration sequences are
+lattice maxes with no polish; the upper ones are read off moment tables at
+every node radius.
 """
 
 from __future__ import annotations
@@ -164,12 +168,21 @@ def _flat(table) -> np.ndarray:
     return np.concatenate((nodes[1:-1], sub.ravel()))
 
 
+def _sub_view(p: CoefficientProfile, s: slice = slice(None)) -> _View:
+    """C, 1/C, phi and psi at the sub-nodes of the segments s."""
+    return _View({"C": p.c_sub[s], "Cinv": p.cinv_sub[s], "phi": p.phi_sub[s], "psi": p.psi_sub[s]}.get)
+
+
 def _tables(p: CoefficientProfile):
-    """The six integral tables (nodes, sub-nodes), cached per profile."""
+    """The six integral tables (nodes, sub-nodes), cached per profile.
+
+    Also caches "panel_rows", the mask of segments paged directly for these
+    tables or for phi and psi.
+    """
     tabs = p._cache.get("delta_tables")
     if tabs is not None:
         return tabs
-    rows = _View({"C": p.c_sub, "Cinv": p.cinv_sub, "phi": p.phi_sub, "psi": p.psi_sub}.get)
+    rows = _sub_view(p)
     with np.errstate(all="ignore"):
         # Rows an in-segment interpolant cannot represent take their means
         # from direct sub-sub values.  At the Myers edge the forward
@@ -179,7 +192,11 @@ def _tables(p: CoefficientProfile):
         # quadratures then see genuine (positive, monotone) values and
         # stay bounded and sane.
         vals = _integrands(p, rows)
-        means = p.seg.pointwise_means(vals, lambda y: _integrands(p, _coefficients(p, y)))
+        means, paged = p.seg.pointwise_means(vals, lambda y: _integrands(p, _coefficients(p, y)))
+        panel = np.zeros(p.seg.n, dtype=bool)
+        panel[paged] = True
+        panel[p.paged] = True
+        p._cache["panel_rows"] = panel
         tabs = {}
         for (name, (_, _, forward)), v, m in zip(_INTEGRANDS.items(), vals, means):
             if forward:
@@ -198,15 +215,30 @@ def _lattice_view(p: CoefficientProfile) -> _View:
     return _View(lambda name: known[name] if name in known else _flat(tabs[name]))
 
 
-def _point_view(p: CoefficientProfile, rs) -> _View:
-    """phi, psi and the integrals at off-lattice points rs, as (n,) arrays.
+def _window_rows(p: CoefficientProfile, cache: dict, name: str, ks: np.ndarray) -> np.ndarray:
+    """Sub-node values of integrand `name` on the segments ks, as (m, 15) rows.
 
-    A partial-segment panel re-integrates the integrand, so an off-node r
-    carries the same accuracy as the tables themselves.
+    cache holds one contiguous block of rows per integrand and grows it when
+    ks reaches past it, so a polish computes the rows of its few segments
+    once instead of once per round or once for the whole lattice.
     """
+    lo, hi = int(ks.min()), int(ks.max()) + 1
+    got = cache.get(name)
+    if got is not None:
+        start, block = got
+        if start <= lo and hi <= start + len(block):
+            return block[ks - start]
+        lo, hi = min(lo, start), max(hi, start + len(block))
+    with np.errstate(all="ignore"):
+        block = _scrub(p, _integrand(name, _sub_view(p, slice(lo, hi))))
+    cache[name] = (lo, block)
+    return block[ks - lo]
+
+
+def _panel_view(p: CoefficientProfile, rs: np.ndarray) -> _View:
+    """phi, psi and the integrals at rs from partial-segment panels of the integrand."""
     seg = p.seg
     tabs = _tables(p)
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
 
     def read(name):
         if name == "phi":
@@ -219,6 +251,49 @@ def _point_view(p: CoefficientProfile, rs) -> _View:
 
         evaluate = seg.cum_eval if _INTEGRANDS[name][2] else seg.tail_eval
         return evaluate(tabs[name][0], integrand, rs)
+
+    return _View(read)
+
+
+def _point_view(p: CoefficientProfile, rs, cache: dict) -> _View:
+    """phi, psi and the integrals at off-lattice points rs, as (n,) arrays.
+
+    Each value is its node table plus the integral, over the partial segment,
+    of the segment's degree-14 interpolant through the sub-node values
+    (`Segmentation.partial_weights`): the integral the tables already hold
+    at the sub-nodes, continued between them with no coefficient
+    evaluated.  On the segments `pointwise_means` paged directly the tables
+    are not that integral, so points there take partial-segment panels of
+    the integrand instead (`_panel_view`).  cache carries the integrand
+    rows from one call to the next of the same polish (`_window_rows`).
+    """
+    tabs = _tables(p)
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    k, head, tail = p.seg.partial_weights(rs)
+    panel = p._cache["panel_rows"][k]
+
+    def interpolant(name):
+        if name == "phi":
+            return p.phi_nodes[k] + np.einsum("ij,ij->i", head, p.cinv_sub[k])
+        if name == "psi":
+            return p.psi_nodes[k + 1] + np.einsum("ij,ij->i", tail, p.c_sub[k])
+        row = _window_rows(p, cache, name, k)
+        if _INTEGRANDS[name][2]:
+            return tabs[name][0][k] + np.einsum("ij,ij->i", head, row)
+        return tabs[name][0][k + 1] + np.einsum("ij,ij->i", tail, row)
+
+    if not panel.any():
+        return _View(interpolant)
+    keep = ~panel
+    k, head, tail = k[keep], head[keep], tail[keep]
+    panels = _panel_view(p, rs[panel])
+
+    def read(name):
+        out = np.empty(rs.size)
+        out[panel] = getattr(panels, name)
+        if k.size:
+            out[keep] = interpolant(name)
+        return out
 
     return _View(read)
 
@@ -284,7 +359,8 @@ def functional_sup(p: CoefficientProfile, name: str) -> tuple[float, float]:
         xs, _, _ = _lattice(p)
         with np.errstate(all="ignore"):
             vals = _scrub(p, expr(_lattice_view(p)))
-        got = _polish(p, xs, vals, lambda r: expr(_point_view(p, r)))
+        cache = {}
+        got = _polish(p, xs, vals, lambda r: expr(_point_view(p, r, cache)))
         p._cache[key] = got
     return got
 

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from eigenbound import quadrature
 from eigenbound.quadrature import (
     INTERP,
     LEBESGUE,
+    SPECTRAL,
+    WH,
     XI,
     Segmentation,
     chebyshev_nodes,
@@ -16,6 +19,7 @@ from eigenbound.quadrature import (
     integrate,
     needs_clip,
     page_means,
+    partial_means,
 )
 
 SEG = Segmentation(256)
@@ -209,3 +213,72 @@ class TestEvaluators:
         idx = SEG.locate(xs)
         assert np.all(SEG.nodes[idx] <= xs + 1e-15)
         assert np.all(xs <= SEG.nodes[idx + 1] + 1e-15)
+
+
+def _antiderivative(tau):
+    """W(tau): the integrals over [0, tau] of the degree-14 Lagrange basis."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    return tau[:, None] * partial_means(tau)
+
+
+class TestPartialMeans:
+    """W(tau) = tau * partial_means(tau), the in-segment interpolant's integral."""
+
+    def test_sub_nodes_reproduce_the_spectral_matrix(self):
+        got = _antiderivative(XI) / XI[:, None]
+        assert np.max(np.abs(got - SPECTRAL.T)) <= 1e-15
+
+    def test_segment_ends(self):
+        assert np.max(np.abs(_antiderivative(1.0)[0] - WH)) <= 1e-15
+        assert np.max(np.abs(_antiderivative(0.0)[0])) <= 1e-15
+
+    def test_matches_gauss_legendre_of_the_basis(self):
+        tau = np.random.default_rng(5).uniform(0.0, 1.0, 200)
+        want = np.array([t * (WH @ quadrature._lagrange_matrix(t * XI)) for t in tau])
+        assert np.max(np.abs(_antiderivative(tau) - want)) <= 1e-15
+
+    def test_interpolation_point_does_not_divide_by_zero(self):
+        # The barycentric formula divides by tau - x_i; on x_i itself the
+        # tabulated row stands in.
+        tau = np.array([quadrature._CHEB[5], 0.3, quadrature._CHEB[11]])
+        got = _antiderivative(tau)
+        want = np.array([t * (WH @ quadrature._lagrange_matrix(t * XI)) for t in tau])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_partial_weights_split_the_segment(self):
+        # head integrates [node_k, x] and tail [x, node_k+1]; the mirrored
+        # tail equals w * (WH - W(tau)) and the two add up to the segment.
+        xs = np.random.default_rng(6).uniform(0.0, 1.0, 300)
+        k, head, tail = SEG.partial_weights(xs)
+        w = SEG.width[k][:, None]
+        tau = (xs - SEG.nodes[k]) / SEG.width[k]
+        assert np.max(np.abs(head - w * _antiderivative(tau)) / w) <= 1e-15
+        assert np.max(np.abs(tail - w * (WH - _antiderivative(tau))) / w) <= 1e-15
+        assert np.max(np.abs(head + tail - w * WH) / w) <= 1e-15
+
+    def test_continues_the_tables_between_sub_nodes(self):
+        v_sub = np.exp(SEG.sub)
+        cum_nodes, cum_sub = SEG.cumulative_from_sub(v_sub)
+        tail_nodes, tail_sub = SEG.reverse_from_sub(v_sub)
+        k, head, tail = SEG.partial_weights(SEG.sub.ravel())
+        rows = v_sub[k]
+        got = cum_nodes[k] + np.einsum("ij,ij->i", head, rows)
+        assert got == pytest.approx(cum_sub.ravel(), rel=1e-15, abs=0.0)
+        # The tail table's seg - within loses up to 1 / (1 - XI[14]) ~ 170
+        # ulps at a segment's last sub-node; the mirrored weights do not.
+        got = tail_nodes[k + 1] + np.einsum("ij,ij->i", tail, rows)
+        assert got == pytest.approx(tail_sub.ravel(), rel=1e-13, abs=0.0)
+
+    def test_short_partial_segments_keep_relative_accuracy(self):
+        v_sub = np.exp(SEG.sub)
+        cum_nodes, _ = SEG.cumulative_from_sub(v_sub)
+        tail_nodes, _ = SEG.reverse_from_sub(v_sub)
+        xs = np.array([1e-12, 1e-9, 1e-6, 0.1, 0.37, 0.777, 0.993])
+        k, head, _ = SEG.partial_weights(xs)
+        got = cum_nodes[k] + np.einsum("ij,ij->i", head, v_sub[k])
+        assert got == pytest.approx(np.expm1(xs), rel=1e-14, abs=0.0)
+        xs = np.array([0.2, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+        k, _, tail = SEG.partial_weights(xs)
+        got = tail_nodes[k + 1] + np.einsum("ij,ij->i", tail, v_sub[k])
+        assert got == pytest.approx(-math.e * np.expm1(xs - 1.0), rel=1e-14, abs=0.0)

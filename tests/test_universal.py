@@ -72,15 +72,22 @@ class TestPointView:
     @pytest.mark.parametrize("name", DELTA_NAMES)
     @pytest.mark.parametrize(
         "d, alpha",
-        [(2, Alpha.zero()), (3, Alpha.negative(1.5)), (5, Alpha.positive(1.0))],
-        ids=["flat", "neg", "pos"],
+        [
+            (2, Alpha.zero()),
+            (3, Alpha.negative(1.5)),
+            (5, Alpha.positive(1.0)),
+            (63, Alpha.positive(HALF_PI)),
+        ],
+        ids=["flat", "neg", "pos", "edge63"],
     )
     def test_point_view_matches_lattice(self, name, d, alpha):
         p = get_profile(d, alpha)
         xs, _, _ = universal._lattice(p)
         expr = universal._FUNCTIONALS[name]
         with np.errstate(all="ignore"):
-            lattice = expr(universal._lattice_view(p))
+            # scrubbed as functional_sup scrubs it: at the edge C underflows
+            # where powers of phi overflow
+            lattice = universal._scrub(p, expr(universal._lattice_view(p)))
         n_nodes = p.seg.n - 1
         picks = {
             int(np.argmax(lattice)),  # where the polish starts
@@ -90,8 +97,79 @@ class TestPointView:
             n_nodes + 15 * (2 * p.seg.n // 3) + 11,
         }
         for j in sorted(picks):
-            point = float(expr(universal._point_view(p, float(xs[j])))[0])
+            point = float(expr(universal._point_view(p, float(xs[j]), {}))[0])
             assert point == pytest.approx(lattice[j], rel=1e-12), (name, float(xs[j]))
+
+    @pytest.mark.parametrize("name", ["phi", "psi", *universal._INTEGRANDS])
+    def test_flagged_rows_match_lattice(self, name):
+        # Rows 0-8 and 4087-4095 are paged directly at (3, -1): there the
+        # tables are not the interpolant's integrals (whose A1 is 32% off
+        # in row 0), and points take partial-segment panels instead, in
+        # one batch with a point of an unflagged row.  Deeper right rows
+        # are left out: their tails of psi powers fall below 1e-17, where
+        # the tables' own quadrature error exceeds 1e-12 relative.
+        p = get_profile(3, Alpha.negative(1.0))
+        xs, _, _ = universal._lattice(p)
+        lattice = getattr(universal._lattice_view(p), name)
+        assert np.flatnonzero(p._cache["panel_rows"]).tolist() == [*range(9), *range(4087, 4096)]
+        rows = np.array([0, 0, 4, 8, 2000, 4087, 4088, 4089])
+        picks = p.seg.n - 1 + 15 * rows + np.array([0, 3, 7, 14, 9, 0, 7, 11])
+        with np.errstate(all="ignore"):
+            point = getattr(universal._point_view(p, xs[picks], {}), name)
+        assert point == pytest.approx(lattice[picks], rel=1e-12, abs=0.0)
+
+
+def _panel_point_view(p, rs):
+    """The polish's point view before it read the in-segment interpolant.
+
+    phi, psi and each integral come from the node tables plus a
+    partial-segment panel of the pointwise integrand
+    (`Segmentation.cum_eval`/`tail_eval`), whose phi and psi are panels too.
+    """
+    seg = p.seg
+    tabs = universal._tables(p)
+
+    def read(name):
+        if name == "phi":
+            return seg.cum_eval(p.phi_nodes, p.coeff_inv, rs)
+        if name == "psi":
+            return seg.tail_eval(p.psi_nodes, p.coeff, rs)
+
+        def integrand(y):
+            return universal._integrand(name, universal._coefficients(p, y))
+
+        evaluate = seg.cum_eval if universal._INTEGRANDS[name][2] else seg.tail_eval
+        return evaluate(tabs[name][0], integrand, rs)
+
+    return universal._View(read)
+
+
+class TestPanelReference:
+    """The interpolant polish against the panel polish it replaced."""
+
+    @pytest.mark.parametrize(
+        "d, alpha",
+        [
+            (2, Alpha.zero()),
+            (3, Alpha.negative(1.5)),
+            (5, Alpha.positive(1.0)),
+            (20, Alpha.negative(10.0 / 3.0)),
+            (10, Alpha.positive(HALF_PI)),
+            (20, Alpha.positive(HALF_PI)),
+            (63, Alpha.positive(HALF_PI)),
+        ],
+    )
+    def test_sups_match_the_panel_polish(self, d, alpha):
+        p = get_profile(d, alpha)
+        xs, _, _ = universal._lattice(p)
+        for name in DELTA_NAMES:
+            expr = universal._FUNCTIONALS[name]
+            with np.errstate(all="ignore"):
+                lattice = universal._scrub(p, expr(universal._lattice_view(p)))
+            _, want = universal._polish(p, xs, lattice, lambda r: expr(_panel_point_view(p, r)))
+            _, got = universal.functional_sup(p, name)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), name
+            assert got >= np.max(lattice), name
 
 
 class TestPolish:
@@ -160,8 +238,10 @@ class TestPolish:
         assert v >= f(self.X0)
 
     def test_report_panel_evaluations_bounded(self, monkeypatch):
-        # Each polish round evaluates one batch of panels per integral; a
-        # scalar search pays one per point and per integral, ~900 calls here.
+        # No sup of this report sits in a directly paged row, so the polish
+        # reads the in-segment interpolant and evaluates no panel.  The two
+        # calls are phi and psi on the one block of direct sub-sub pages
+        # that builds the integral tables; a panel polish took ~250 here.
         calls = []
         for attr in ("cum_eval", "tail_eval"):
             orig = getattr(Segmentation, attr)
@@ -172,7 +252,7 @@ class TestPolish:
 
             monkeypatch.setattr(Segmentation, attr, counted)
         build_report(GeometryTriple(3, 2.0, -1.0))
-        assert 0 < len(calls) <= 300
+        assert 0 < len(calls) <= 2
 
 
 class TestBruteForceCrossCheck:
@@ -236,11 +316,8 @@ class TestFrozenProfiles:
 
 def _sub_values(p):
     """The six scrubbed integrands at the sub-nodes, as `_tables` builds them."""
-    rows = universal._View(
-        {"C": p.c_sub, "Cinv": p.cinv_sub, "phi": p.phi_sub, "psi": p.psi_sub}.get
-    )
     with np.errstate(all="ignore"):
-        return universal._integrands(p, rows)
+        return universal._integrands(p, universal._sub_view(p))
 
 
 def _integrand_pages(p):
@@ -262,8 +339,9 @@ class TestEdgeTables:
         assert flagged.size > 3 * quadrature.PAGE_BLOCK
         pages = _integrand_pages(p)
         with np.errstate(all="ignore"):
-            got = p.seg.pointwise_means(vals, pages)
+            got, paged = p.seg.pointwise_means(vals, pages)
             whole = pages(p.seg.subsub[flagged])
+        np.testing.assert_array_equal(paged, flagged)
         for means, want in zip(got, whole):
             np.testing.assert_array_equal(means[flagged], page_means(want))
 
@@ -306,7 +384,7 @@ class TestEdgeTables:
             (_sub_values(p), _integrand_pages(p)),
         ):
             with np.errstate(all="ignore"):
-                got = p.seg.pointwise_means(vals, pages)
+                got, _ = p.seg.pointwise_means(vals, pages)
                 kept = np.flatnonzero(~_flagged(vals))
                 for lo in range(0, kept.size, 512):
                     rows = kept[lo : lo + 512]
@@ -360,6 +438,14 @@ class TestBracket:
         )
         assert swapped.lower == pytest.approx(2.0 * b.upper)
         assert not swapped.chain_ok()
+
+    def test_tiny_eigenvalue_inversion_stays_at_rounding(self):
+        # lam is ~1.2e-19 here and lower sits 1.7e-15 relative above upper.
+        # A change that widens that inversion fails here instead of passing
+        # inside chain_ok's 1e-9 slack.
+        alpha = Alpha.negative(10.0 / 3.0)
+        b = universal_bracket(20, alpha, profile=get_profile(20, alpha))
+        assert b.lower <= b.upper * (1.0 + 1e-14)
 
     @pytest.mark.parametrize(
         "d,alpha",

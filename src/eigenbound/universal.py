@@ -14,19 +14,20 @@ generates monotone approximating sequences (iterate_lower, iterate_upper)
 converging to lam from both sides, and variational_ratio turns any
 positive test function into a certified lower bound for lam.
 
-Everything here works on the shared Chebyshev/Gauss-Legendre lattice of
-the profile: sups and infs are taken over the ~65k interior lattice points
+Everything here works on the shared graded Gauss-Legendre lattice of the
+profile: sups and infs are taken over the ~18k interior lattice points
 where the cumulative tables are exact, then polished by a local zoom whose
-rounds each evaluate ZOOM off-lattice points at once.  The six integral
-tables take their within-segment means from the spectral product on the
-sub-node values, and from direct sub-sub pages only on the rows the
-spectral guard flags (`Segmentation.pointwise_means`), the Myers edge
-included.  Off the lattice, the five sups read the integral of each
-segment's degree-14 interpolant, which the spectral tables already hold at
-the sub-nodes; only points in directly paged rows re-integrate the
-integrand with partial-segment panels.  The iteration sequences are
+rounds each evaluate ZOOM off-lattice points per maximum at once; the five
+sups polish in lock-step.  The six integral tables take their
+within-segment means from the spectral product on the sub-node values, and
+from direct sub-sub pages only on the rows the spectral guard flags
+(`Segmentation.pointwise_means`), the Myers edge included; those pages read
+phi and psi off the in-segment interpolant too.  Off the lattice, the five
+sups read the integral of each segment's degree-14 interpolant, which the
+spectral tables already hold at the sub-nodes; only points in directly
+paged rows re-integrate the integrand with partial-segment panels.  The iteration sequences are
 lattice maxes with no polish; the upper ones are read off moment tables at
-every node radius.
+every interior node of the full Chebyshev grid the lattice thins.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 
 from .errors import DomainError, EigenboundError, InvalidTestFunction
 from .geometry import Alpha, CoefficientProfile, CurvatureSign, resolve_profile
+from .quadrature import needs_clip
 
 MAX_ITERATIONS = 10
 
@@ -86,15 +88,21 @@ class _View:
         return value
 
 
-def _coefficients(p: CoefficientProfile, y) -> _View:
-    """C, 1/C, phi and psi at the points y; C and 1/C share one log C."""
+def _coefficients(p: CoefficientProfile, y, primitives=None) -> _View:
+    """C, 1/C, phi and psi at the points y.
+
+    C and 1/C share one log C.  phi and psi share one read of the
+    in-segment interpolant (`CoefficientProfile.primitives_at`), or come
+    from primitives() when the caller has a cheaper route to them.
+    """
     pair = []
+    prims = []
 
     def read(name):
-        if name == "phi":
-            return p.phi_at(y)
-        if name == "psi":
-            return p.psi_at(y)
+        if name in ("phi", "psi"):
+            if not prims:
+                prims.extend(p.primitives_at(y) if primitives is None else primitives())
+            return prims[name == "psi"]
         if not pair:
             with np.errstate(over="ignore", under="ignore"):
                 pair.extend(p._coeff_pair(y))
@@ -173,6 +181,16 @@ def _sub_view(p: CoefficientProfile, s: slice = slice(None)) -> _View:
     return _View({"C": p.c_sub[s], "Cinv": p.cinv_sub[s], "phi": p.phi_sub[s], "psi": p.psi_sub[s]}.get)
 
 
+def _subsub_view(p: CoefficientProfile, rows: np.ndarray) -> _View:
+    """C, 1/C, phi and psi at the sub-sub points of the segments rows.
+
+    phi and psi are the in-segment interpolant's integrals at the fixed
+    fractions of each segment (`CoefficientProfile.subsub_primitives`), as
+    `_point_views` reads them anywhere else in the segment.
+    """
+    return _coefficients(p, p.seg.subsub[rows], lambda: p.subsub_primitives(rows))
+
+
 def _tables(p: CoefficientProfile):
     """The six integral tables (nodes, sub-nodes), cached per profile.
 
@@ -192,7 +210,7 @@ def _tables(p: CoefficientProfile):
         # quadratures then see genuine (positive, monotone) values and
         # stay bounded and sane.
         vals = _integrands(p, rows)
-        means, paged = p.seg.pointwise_means(vals, lambda y: _integrands(p, _coefficients(p, y)))
+        means, paged = p.seg.pointwise_means(vals, lambda rows: _integrands(p, _subsub_view(p, rows)))
         panel = np.zeros(p.seg.n, dtype=bool)
         panel[paged] = True
         panel[p.paged] = True
@@ -235,134 +253,158 @@ def _window_rows(p: CoefficientProfile, cache: dict, name: str, ks: np.ndarray) 
     return block[ks - lo]
 
 
-def _panel_view(p: CoefficientProfile, rs: np.ndarray) -> _View:
-    """phi, psi and the integrals at rs from partial-segment panels of the integrand."""
+def _panel_integral(p: CoefficientProfile, name: str, rs: np.ndarray) -> np.ndarray:
+    """Integral `name` at rs from its node table plus a partial-segment panel.
+
+    The panel's integrand reads phi and psi off the in-segment interpolant
+    (`CoefficientProfile.primitives_at`), as the tables' direct pages do.
+    """
     seg = p.seg
-    tabs = _tables(p)
 
-    def read(name):
-        if name == "phi":
-            return p.phi_at(rs)
-        if name == "psi":
-            return p.psi_at(rs)
+    def integrand(y):
+        return _integrand(name, _coefficients(p, y))
 
-        def integrand(y):
-            return _integrand(name, _coefficients(p, y))
-
-        evaluate = seg.cum_eval if _INTEGRANDS[name][2] else seg.tail_eval
-        return evaluate(tabs[name][0], integrand, rs)
-
-    return _View(read)
+    evaluate = seg.cum_eval if _INTEGRANDS[name][2] else seg.tail_eval
+    return evaluate(_tables(p)[name][0], integrand, rs)
 
 
-def _point_view(p: CoefficientProfile, rs, cache: dict) -> _View:
-    """phi, psi and the integrals at off-lattice points rs, as (n,) arrays.
+def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
+    """phi, psi and the integrals at off-lattice points rs[s], one view per slice s in parts.
 
     Each value is its node table plus the integral, over the partial segment,
     of the segment's degree-14 interpolant through the sub-node values
-    (`Segmentation.partial_weights`): the integral the tables already hold
-    at the sub-nodes, continued between them with no coefficient
-    evaluated.  On the segments `pointwise_means` paged directly the tables
-    are not that integral, so points there take partial-segment panels of
-    the integrand instead (`_panel_view`).  cache carries the integrand
-    rows from one call to the next of the same polish (`_window_rows`).
+    (`Segmentation.partial_weights`, one call for all of rs): the integral
+    the tables already hold at the sub-nodes, continued between them with no
+    coefficient evaluated.  phi and psi are read once for all of rs
+    (`CoefficientProfile.primitives_at`, which takes panels in the rows the
+    profile paged); each integral only for the slices that use it.  On the
+    segments `pointwise_means` paged directly the integral tables are not
+    the interpolant's integral, so integrals at points there take
+    partial-segment panels instead (`_panel_integral`).  cache carries the
+    integrand rows from one call to the next of the same polish
+    (`_window_rows`).
     """
     tabs = _tables(p)
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    k, head, tail = p.seg.partial_weights(rs)
-    panel = p._cache["panel_rows"][k]
+    weights = p.seg.partial_weights(rs)
+    prims = []
 
-    def interpolant(name):
-        if name == "phi":
-            return p.phi_nodes[k] + np.einsum("ij,ij->i", head, p.cinv_sub[k])
-        if name == "psi":
-            return p.psi_nodes[k + 1] + np.einsum("ij,ij->i", tail, p.c_sub[k])
-        row = _window_rows(p, cache, name, k)
-        if _INTEGRANDS[name][2]:
-            return tabs[name][0][k] + np.einsum("ij,ij->i", head, row)
-        return tabs[name][0][k + 1] + np.einsum("ij,ij->i", tail, row)
+    def view(s):
+        x = rs[s]
+        k, head, tail = (w[s] for w in weights)
+        panel = p._cache["panel_rows"][k]
 
-    if not panel.any():
-        return _View(interpolant)
-    keep = ~panel
-    k, head, tail = k[keep], head[keep], tail[keep]
-    panels = _panel_view(p, rs[panel])
+        def interpolant(name, k, head, tail):
+            row = _window_rows(p, cache, name, k)
+            if _INTEGRANDS[name][2]:
+                return tabs[name][0][k] + np.einsum("ij,ij->i", head, row)
+            return tabs[name][0][k + 1] + np.einsum("ij,ij->i", tail, row)
 
-    def read(name):
-        out = np.empty(rs.size)
-        out[panel] = getattr(panels, name)
-        if k.size:
-            out[keep] = interpolant(name)
-        return out
+        def read(name):
+            if name in ("phi", "psi"):
+                if not prims:
+                    prims.extend(p.primitives_at(rs, weights))
+                return prims[name == "psi"][s]
+            if not panel.any():
+                return interpolant(name, k, head, tail)
+            keep = ~panel
+            out = np.empty(x.size)
+            out[panel] = _panel_integral(p, name, x[panel])
+            if keep.any():
+                out[keep] = interpolant(name, k[keep], head[keep], tail[keep])
+            return out
 
-    return _View(read)
+        return _View(read)
+
+    return [view(s) for s in parts]
 
 
-def _safe_batch(point, rs: np.ndarray) -> np.ndarray:
-    """point(rs) with every non-finite value, or raising point, as -inf.
+def _safe_batch(point, rs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """point(rs, rows) with every non-finite value, or raising point, as -inf.
 
-    A batch that raises is re-evaluated one point at a time, so only the
-    points that raise on their own count as -inf.
+    A batch that raises is re-evaluated one maximum at a time, and a
+    maximum's batch that raises one point at a time, so only the points
+    that raise on their own count as -inf.
     """
     with np.errstate(all="ignore"):
         try:
-            v = np.asarray(point(rs), dtype=float)
+            v = np.asarray(point(rs, rows), dtype=float).reshape(rs.shape)
         except (ValueError, OverflowError, ZeroDivisionError):
             if rs.size == 1:
-                return np.array([-math.inf])
-            return np.concatenate([_safe_batch(point, rs[i : i + 1]) for i in range(rs.size)])
+                return np.full(rs.shape, -math.inf)
+            if rows.size > 1:
+                return np.concatenate([_safe_batch(point, rs[i : i + 1], rows[i : i + 1]) for i in range(rows.size)])
+            return np.concatenate([_safe_batch(point, rs[:, j : j + 1], rows) for j in range(rs.shape[1])], axis=1)
     return np.where(np.isfinite(v), v, -math.inf)
 
 
-def _polish(p: CoefficientProfile, xs, vals, point):
-    """Zoom polish of max(vals) near its lattice argmax; never worse than the grid.
+def _polish(p: CoefficientProfile, xs, vals, point) -> list[tuple[float, float]]:
+    """Zoom polish of each row's max near its lattice argmax; never worse than the grid.
 
-    point(rs) evaluates the same quantity off the lattice on an array of
-    points; a point where it is non-finite or raises counts as -inf.  Each
-    round evaluates ZOOM interior points of the bracket [a, b] in one
-    call and narrows the bracket to the two grid neighbours of the
-    round's argmax, until b - a <= 1e-12.  Returns (argmax, max).
+    vals holds one array of lattice values per maximum, and the maxima are
+    polished in lock-step.  point(rs, rows) evaluates the maxima rows off the
+    lattice, row i of the (rows.size, n) points rs for maximum rows[i], and
+    returns values of the same shape; a point where it is non-finite or
+    raises counts as -inf (`_safe_batch`).  Each round evaluates ZOOM
+    interior points of every open bracket [a, b] in one call and narrows
+    each bracket to the two grid neighbours of its round's argmax; a bracket
+    closes at b - a <= 1e-12, and an infinite lattice max is not polished.
+    Returns (argmax, max) per row.
     """
-    k = int(np.argmax(vals))
-    x0 = float(xs[k])
-    v0 = float(vals[k])
-    if v0 == math.inf:
-        return x0, v0
-    w = float(p.seg.width[int(p.seg.locate(np.array([x0]))[0])])
-    a = max(x0 - w, 1e-12)
-    b = min(x0 + w, 1.0 - 1e-12)
+    k = [int(np.argmax(v)) for v in vals]
+    best_x = np.asarray(xs, dtype=float)[k]
+    best_v = np.array([v[j] for v, j in zip(vals, k)], dtype=float)
+    w = p.seg.width[p.seg.locate(best_x)]
+    a = np.maximum(best_x - w, 1e-12)
+    b = np.minimum(best_x + w, 1.0 - 1e-12)
     grid = np.arange(1, ZOOM + 1) / (ZOOM + 1)
-    best_x, best_v = x0, v0
-    while b - a > 1e-12:
-        rs = a + (b - a) * grid
-        v = _safe_batch(point, rs)
-        j = int(np.argmax(v))
-        if v[j] > best_v:
-            best_x, best_v = float(rs[j]), float(v[j])
-        a = float(rs[j - 1]) if j > 0 else a
-        b = float(rs[j + 1]) if j + 1 < ZOOM else b
-    return best_x, best_v
+    rows = np.flatnonzero((best_v != math.inf) & (b - a > 1e-12))
+    while rows.size:
+        lo, width = a[rows], b[rows] - a[rows]
+        rs = lo[:, None] + width[:, None] * grid
+        v = _safe_batch(point, rs, rows)
+        i = np.arange(rows.size)
+        j = np.argmax(v, axis=1)
+        top = v[i, j]
+        up = top > best_v[rows]
+        best_x[rows[up]] = rs[i, j][up]
+        best_v[rows[up]] = top[up]
+        a[rows] = np.where(j > 0, rs[i, j - 1], lo)
+        b[rows] = np.where(j + 1 < ZOOM, rs[i, np.minimum(j + 1, ZOOM - 1)], b[rows])
+        rows = rows[b[rows] - a[rows] > 1e-12]
+    return [(float(x), float(v)) for x, v in zip(best_x, best_v)]
 
 
 def functional_sup(p: CoefficientProfile, name: str) -> tuple[float, float]:
     """(argsup, sup) of one bracketing functional over r in (0, 1).
 
     The sup is taken over the full profile lattice (exact table values, no
-    interpolation) and polished locally with off-lattice evaluations.
+    interpolation) and polished locally with off-lattice evaluations.  The
+    first call on a profile polishes all five sups in lock-step and caches
+    them: each round reads the partial weights, phi and psi of all open
+    brackets' points in one call and evaluates each functional on its own
+    ZOOM points.  No integrand belongs to two functionals, so one
+    `_window_rows` cache serves them all.
     """
     if name not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {name!r}; expected one of {DELTA_NAMES}")
-    key = ("delta_sup", name)
-    got = p._cache.get(key)
-    if got is None:
-        expr = _FUNCTIONALS[name]
+    sups = p._cache.get("delta_sups")
+    if sups is None:
+        exprs = list(_FUNCTIONALS.values())
         xs, _, _ = _lattice(p)
+        lattice = _lattice_view(p)
         with np.errstate(all="ignore"):
-            vals = _scrub(p, expr(_lattice_view(p)))
+            vals = [_scrub(p, expr(lattice)) for expr in exprs]
         cache = {}
-        got = _polish(p, xs, vals, lambda r: expr(_point_view(p, r, cache)))
-        p._cache[key] = got
-    return got
+
+        def point(rs, rows):
+            n = rs.shape[1]
+            views = _point_views(p, rs.ravel(), cache, [slice(i * n, (i + 1) * n) for i in range(rows.size)])
+            return [exprs[row](view) for row, view in zip(rows, views)]
+
+        sups = dict(zip(DELTA_NAMES, _polish(p, xs, vals, point)))
+        p._cache["delta_sups"] = sups
+    return sups[name]
 
 
 def delta(p: CoefficientProfile) -> float:
@@ -470,10 +512,10 @@ class IterationTrace:
     lower_sequence[n-1] holds the n-th ratio sup whose reciprocals increase
     toward the reduced eigenvalue; upper_sequence[n-1] and
     rayleigh_sequence[n-1] hold the n-th clamped sup-inf ratio and clamped
-    Rayleigh quotient, each maxed over the interior node radii, whose
+    Rayleigh quotient, each maxed over the interior grid radii, whose
     reciprocals decrease toward it.  test_functions carries coarse node
     samples of the lower iterates (normalized by each step's ratio value),
-    or, as "clamp_radius", the node radius where the last sup-inf ratio
+    or, as "clamp_radius", the grid radius where the last sup-inf ratio
     peaks.
     """
 
@@ -535,7 +577,7 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
 
 
 def _clamped_moments(p: CoefficientProfile, n_max: int):
-    """delta_n' and Rayleigh values at every clamp radius r in nodes[1:-1].
+    """delta_n' and Rayleigh values at every clamp radius r in grid[1:-1].
 
     Clamping the smoothing operator at r gives K_r, whose kernel
     min(phi(x), phi(u), phi(r)) is symmetric in L^2(C du).  Its iterates
@@ -553,35 +595,47 @@ def _clamped_moments(p: CoefficientProfile, n_max: int):
     cancellation and no search over radii.  The tables carry
     mu_m / s^(m-1), with psi / s in place of psi and s the largest finite
     phi psi on the nodes, so that deep moments neither under- nor overflow;
-    the ratios are multiplied back by s.  Returns two (n_max, n - 1) arrays,
-    non-finite where a moment collapsed.
+    the ratios are multiplied back by s.  The radii are the interior nodes
+    of the full Chebyshev grid (`Segmentation.grid`), not only the
+    lattice's: a lattice node reads its table entry, any other radius the
+    table plus the integral of its segment's in-segment interpolant, or nan
+    where `needs_clip` pages the segment's row.  Returns two
+    (n_max, grid.size - 2) arrays, non-finite where a moment collapsed.
     """
     seg = p.seg
+    radii = seg.grid[1:-1]
+    weights = seg.grid_weights
+    k, head, _ = weights
+    off_node = radii != seg.nodes[k]
+
+    def at_radii(nodes, v_sub):
+        vals = nodes[k] + np.einsum("ij,ij->i", head, v_sub[k])
+        vals[off_node & needs_clip(v_sub)[k]] = math.nan
+        return vals
+
     with np.errstate(all="ignore"):
         scale = p.phi_nodes * p.psi_nodes
         s = float(np.max(scale[np.isfinite(scale)]))
         psi_s = p.psi_sub / s
-        mu_nodes = [None, p.phi_nodes[1:-1]]
+        mu = [None, p.primitives_at(radii, weights)[0]]
         a_sub = [np.ones_like(psi_s), psi_s * p.phi_sub]
         for m in range(2, 2 * n_max + 1):
-            inner = sum(a_sub[j] * a_sub[m - 1 - j] for j in range(m))
-            nodes, sub = seg.cumulative_from_sub(_scrub(p, p.cinv_sub * inner))
-            mu_nodes.append(nodes[1:-1])
+            inner = _scrub(p, p.cinv_sub * sum(a_sub[j] * a_sub[m - 1 - j] for j in range(m)))
+            nodes, sub = seg.cumulative_from_sub(inner)
+            mu.append(at_radii(nodes, inner))
             a_sub.append(psi_s * sub)
-        primes = np.array([s * mu_nodes[n + 1] / mu_nodes[n] for n in range(1, n_max + 1)])
-        rayleigh = np.array(
-            [s * mu_nodes[2 * n] / mu_nodes[2 * n - 1] for n in range(1, n_max + 1)]
-        )
+        primes = np.array([s * mu[n + 1] / mu[n] for n in range(1, n_max + 1)])
+        rayleigh = np.array([s * mu[2 * n] / mu[2 * n - 1] for n in range(1, n_max + 1)])
     return primes, rayleigh
 
 
 def iterate_upper(p: CoefficientProfile, n_max: int) -> IterationTrace:
-    """Clamped sup-inf ratios and Rayleigh quotients, maxed over every node radius.
+    """Clamped sup-inf ratios and Rayleigh quotients, maxed over every grid radius.
 
     The 2 n_max - 1 moment tables of `_clamped_moments` give both values at
-    every interior node radius at once, and each depth reports the largest
-    finite one over all of them.  Per radius both sequences are
-    non-decreasing in n, so their maxes are too.
+    every interior node of the full Chebyshev grid at once, and each depth
+    reports the largest finite one over all of them.  Per radius both
+    sequences are non-decreasing in n, so their maxes are too.
     """
     _check_n_max(n_max)
     primes, rayleigh = _clamped_moments(p, n_max)
@@ -593,7 +647,7 @@ def iterate_upper(p: CoefficientProfile, n_max: int) -> IterationTrace:
         lower_sequence=(),
         upper_sequence=tuple(float(v) for v in primes.max(axis=1)),
         rayleigh_sequence=tuple(float(v) for v in rayleigh.max(axis=1)),
-        test_functions={"clamp_radius": np.array([p.seg.nodes[best_k]])},
+        test_functions={"clamp_radius": np.array([p.seg.grid[best_k]])},
     )
 
 
@@ -673,11 +727,11 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     rat = np.where(np.isfinite(rat), rat, math.inf)
     xs, _, _ = _lattice(p)
 
-    def neg_ratio(rs):
-        dv = den_at(rs)
-        fvv = fv(rs)
+    def neg_ratio(rs, rows):
+        dv = den_at(rs[0])
+        fvv = fv(rs[0])
         # a point where either factor degenerates cannot improve the inf
         ok = (0.0 < dv) & (dv < math.inf) & (fvv > 0.0)
-        return np.where(ok, -fvv / dv, -math.inf)
+        return np.where(ok, -fvv / dv, -math.inf)[None]
 
-    return -_polish(p, xs, -rat, neg_ratio)[1]
+    return -_polish(p, xs, [-rat], neg_ratio)[0][1]

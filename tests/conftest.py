@@ -25,11 +25,12 @@ _PROFILES: dict = {}
 _SOLVES: dict = {}
 
 
-def get_profile(d: int, alpha: Alpha, segments: int = 4096) -> CoefficientProfile:
+def get_profile(d: int, alpha: Alpha, segments: int | None = None) -> CoefficientProfile:
+    """The shared profile of (d, alpha), on the package's lattice unless segments is given."""
     key = (d, alpha.sign, alpha.magnitude, segments)
     prof = _PROFILES.get(key)
     if prof is None:
-        prof = CoefficientProfile(d, alpha, segments=segments)
+        prof = CoefficientProfile(d, alpha) if segments is None else CoefficientProfile(d, alpha, segments=segments)
         _PROFILES[key] = prof
     return prof
 

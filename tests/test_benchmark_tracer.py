@@ -71,6 +71,23 @@ def test_tracer_counts_shot_and_path_steps():
     assert counts.get("kernels.path_steps", 0) > 0
 
 
+def test_traced_report_counts_lattice_points_and_no_panels():
+    # One profile's lattice: the interior nodes and the 15 sub-nodes of
+    # each segment.  No sup of this report sits in a paged row and the
+    # profile pages none, so nothing integrates a partial-segment panel.
+    counts = traced_counts(
+        "report.build_report(GeometryTriple(3, 2.0, -1.0))\n"
+        "tracer.counts.update({'calls.' + k: v for k, v in tracer.self_times()[1].items()})"
+    )
+    from eigenbound.quadrature import get_segmentation
+
+    n = get_segmentation().n
+    assert counts["geometry.lattice_points"] == (n - 1) + 15 * n
+    assert counts["calls.report.build_report"] == 1
+    assert counts.get("calls.quadrature.Segmentation.cum_eval", 0) == 0
+    assert counts.get("calls.quadrature.Segmentation.tail_eval", 0) == 0
+
+
 def test_traced_myers_edge_report_counts_shot_steps():
     # The round sphere of dimension 10: D = pi, K = d - 1.
     counts = traced_counts("report.build_report(GeometryTriple(10, 3.141592653589793, 9.0), oracle=True)")

@@ -17,6 +17,7 @@ from eigenbound.quadrature import (
     gl15,
     get_segmentation,
     integrate,
+    lattice_nodes,
     needs_clip,
     page_means,
     partial_means,
@@ -60,6 +61,18 @@ class TestNodes:
 
     def test_shared_instance_is_cached(self):
         assert get_segmentation(4096) is get_segmentation(4096)
+
+    def test_lattice_keeps_the_end_segments_and_every_fourth_node(self):
+        grid = chebyshev_nodes(4096)
+        nodes = lattice_nodes(4096)
+        assert np.array_equal(nodes, np.concatenate((grid[:65], grid[68:4032:4], grid[4032:])))
+        seg = get_segmentation(4096)
+        assert seg.n == 1120 and np.array_equal(seg.nodes, nodes) and np.array_equal(seg.grid, grid)
+        # the 64 end segments keep the full grid's widths, the rest span four
+        w = np.diff(grid)
+        assert np.array_equal(seg.width[:64], w[:64]) and np.array_equal(seg.width[-64:], w[-64:])
+        assert seg.width.min() == w.min()
+        assert seg.width[64:-64] == pytest.approx(grid[68:4033:4] - grid[64:4029:4], rel=1e-15)
 
 
 class TestCumulative:

@@ -166,6 +166,15 @@ SUBSUB_TAU = (XI[:, None] * XI[None, :]).ravel()
 #: sub-sub points, and its contiguous transpose.
 INTERP = _lagrange_matrix(SUBSUB_TAU)
 INTERP_T = np.ascontiguousarray(INTERP.T)
+#: (15, 15) derivative in tau of the degree-14 interpolant at the sub-nodes:
+#: row @ DIFF_T is the derivative of row's interpolant at XI (the barycentric
+#: differentiation matrix, Berrut and Trefethen, SIAM Review 46, 2004,
+#: section 9), and (15, 225) the same at the sub-sub points, which
+#: interpolating the degree-13 derivative carries exactly.
+_BARY = 1.0 / np.prod(XI[:, None] - XI[None, :] + np.eye(15), axis=1)
+_DIFF = _BARY[None, :] / _BARY[:, None] / (XI[:, None] - XI[None, :] + np.eye(15)) * (1.0 - np.eye(15))
+DIFF_T = np.ascontiguousarray((_DIFF - np.diag(_DIFF.sum(axis=1))).T)
+DINTERP_T = DIFF_T @ INTERP_T
 #: (15, 15) spectral integration matrix: v_sub @ SPECTRAL equals the
 #: WH-weighted page means of the interpolated row, without the page.
 SPECTRAL = INTERP.T.reshape(15, 15, 15) @ WH

@@ -22,12 +22,16 @@ sups polish in lock-step.  The six integral tables take their
 within-segment means from the spectral product on the sub-node values, and
 from direct sub-sub pages only on the rows the spectral guard flags
 (`Segmentation.pointwise_means`), the Myers edge included; those pages read
-phi and psi off the in-segment interpolant too.  Off the lattice, the five
-sups read the integral of each segment's degree-14 interpolant, which the
-spectral tables already hold at the sub-nodes; only points in directly
-paged rows re-integrate the integrand with partial-segment panels.  The iteration sequences are
-lattice maxes with no polish; the upper ones are read off moment tables at
-every interior node of the full Chebyshev grid the lattice thins.
+phi and psi off the in-segment interpolant too, in flux form on the rows
+the profile pages itself (`CoefficientProfile.subsub_primitives`).  Off
+the lattice, the five sups read the integral of each segment's degree-14
+interpolant, which the spectral tables already hold at the sub-nodes; only
+points in directly paged rows re-integrate the integrand with
+partial-segment panels.  variational_ratio polishes its inf the same way,
+with panels only in the rows the guard flags in its denominator's
+integrand.  The iteration sequences are lattice maxes with no polish; the
+upper ones are read off moment tables at every interior node of the full
+Chebyshev grid the lattice thins.
 """
 
 from __future__ import annotations
@@ -88,12 +92,13 @@ class _View:
         return value
 
 
-def _coefficients(p: CoefficientProfile, y, primitives=None) -> _View:
+def _coefficients(p: CoefficientProfile, y, primitives=None, coefficients=None) -> _View:
     """C, 1/C, phi and psi at the points y.
 
-    C and 1/C share one log C.  phi and psi share one read of the
-    in-segment interpolant (`CoefficientProfile.primitives_at`), or come
-    from primitives() when the caller has a cheaper route to them.
+    C and 1/C share one log C, or come from coefficients() when the caller
+    has them already.  phi and psi share one read of the in-segment
+    interpolant (`CoefficientProfile.primitives_at`), or come from
+    primitives() when the caller has a cheaper route to them.
     """
     pair = []
     prims = []
@@ -105,7 +110,7 @@ def _coefficients(p: CoefficientProfile, y, primitives=None) -> _View:
             return prims[name == "psi"]
         if not pair:
             with np.errstate(over="ignore", under="ignore"):
-                pair.extend(p._coeff_pair(y))
+                pair.extend(p._coeff_pair(y) if coefficients is None else coefficients())
         c, cinv = pair
         return cinv if name == "Cinv" else c
 
@@ -186,9 +191,11 @@ def _subsub_view(p: CoefficientProfile, rows: np.ndarray) -> _View:
 
     phi and psi are the in-segment interpolant's integrals at the fixed
     fractions of each segment (`CoefficientProfile.subsub_primitives`), as
-    `_point_views` reads them anywhere else in the segment.
+    `_point_views` reads them anywhere else in the segment.  C and 1/C on
+    the rows the profile paged are the pages it kept
+    (`CoefficientProfile.subsub_coefficients`).
     """
-    return _coefficients(p, p.seg.subsub[rows], lambda: p.subsub_primitives(rows))
+    return _coefficients(p, None, lambda: p.subsub_primitives(rows), lambda: p.subsub_coefficients(rows))
 
 
 def _tables(p: CoefficientProfile):
@@ -276,12 +283,12 @@ def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
     (`Segmentation.partial_weights`, one call for all of rs): the integral
     the tables already hold at the sub-nodes, continued between them with no
     coefficient evaluated.  phi and psi are read once for all of rs
-    (`CoefficientProfile.primitives_at`, which takes panels in the rows the
-    profile paged); each integral only for the slices that use it.  On the
-    segments `pointwise_means` paged directly the integral tables are not
-    the interpolant's integral, so integrals at points there take
-    partial-segment panels instead (`_panel_integral`).  cache carries the
-    integrand rows from one call to the next of the same polish
+    (`CoefficientProfile.primitives_at`, which reads the flux form in the
+    rows the profile paged); each integral only for the slices that use
+    it.  On the segments `pointwise_means` paged directly the integral
+    tables are not the interpolant's integral, so integrals at points there
+    take partial-segment panels instead (`_panel_integral`).  cache carries
+    the integrand rows from one call to the next of the same polish
     (`_window_rows`).
     """
     tabs = _tables(p)
@@ -681,6 +688,14 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
 
     is at most the reduced eigenvalue, so whatever this returns is a valid
     lower bound; better test functions just give better bounds.
+
+    The inf is the lattice min of f over the denominator's table, polished
+    off the lattice as the five sups are: the denominator at a point is its
+    node table plus the integral of the segment's in-segment interpolant
+    through the sub-node values of its integrand (`partial_weights`).
+    Only in the rows `needs_clip` flags in that integrand, where the table
+    holds clipped pages instead, does it re-integrate f with nested
+    partial-segment panels.
     """
     if form not in ("primal", "dual"):
         raise DomainError(f"form must be 'primal' or 'dual', got {form!r}")
@@ -697,26 +712,26 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     with np.errstate(all="ignore"):
         if form == "primal":
             g_nodes, g_sub = seg.reverse_from_sub(_scrub(p, p.c_sub * f_sub), p.tail_floor)
-            den_nodes, den_sub = seg.cumulative_from_sub(
-                _scrub(p, p.cinv_sub * g_sub)
-            )
+            h_sub = _scrub(p, p.cinv_sub * g_sub)
+            den_nodes, den_sub = seg.cumulative_from_sub(h_sub)
 
             def g_at(y):
                 return seg.tail_eval(g_nodes, lambda z: p.coeff(z) * fv(z), y)
 
-            def den_at(rs):
+            def panel_at(rs):
                 return seg.cum_eval(
                     den_nodes, lambda z: p.coeff_inv(z) * g_at(z.ravel()).reshape(z.shape), rs
                 )
 
         else:
             u_nodes, u_sub = seg.cumulative_from_sub(_scrub(p, p.cinv_sub * f_sub))
-            den_nodes, den_sub = seg.reverse_from_sub(_scrub(p, p.c_sub * u_sub), p.tail_floor)
+            h_sub = _scrub(p, p.c_sub * u_sub)
+            den_nodes, den_sub = seg.reverse_from_sub(h_sub, p.tail_floor)
 
             def u_at(y):
                 return seg.cum_eval(u_nodes, lambda z: p.coeff_inv(z) * fv(z), y)
 
-            def den_at(rs):
+            def panel_at(rs):
                 return seg.tail_eval(
                     den_nodes, lambda z: p.coeff(z) * u_at(z.ravel()).reshape(z.shape), rs
                 )
@@ -726,6 +741,18 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
         )
     rat = np.where(np.isfinite(rat), rat, math.inf)
     xs, _, _ = _lattice(p)
+    clipped = needs_clip(h_sub)
+
+    def den_at(rs):
+        k, head, tail = seg.partial_weights(rs)
+        if form == "primal":
+            out = den_nodes[k] + np.einsum("ij,ij->i", head, h_sub[k])
+        else:
+            out = den_nodes[k + 1] + np.einsum("ij,ij->i", tail, h_sub[k])
+        panel = clipped[k]
+        if panel.any():
+            out[panel] = panel_at(rs[panel])
+        return out
 
     def neg_ratio(rs, rows):
         dv = den_at(rs[0])

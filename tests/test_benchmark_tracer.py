@@ -93,3 +93,16 @@ def test_traced_myers_edge_report_counts_shot_steps():
     counts = traced_counts("report.build_report(GeometryTriple(10, 3.141592653589793, 9.0), oracle=True)")
     assert 0 < counts.get("kernels.shot_steps", 0) <= 20_000
     assert counts.get("kernels.path_steps", 0) == 0
+
+
+def test_traced_myers_edge_report_pages_only_fallback_rows():
+    # At the d = 20 edge the profile pages 133 rows and reads 129 of them
+    # in flux form; only the last 4 take phi/psi panels, one call each.
+    # Nested panels on every paged row took 6 calls.
+    counts = traced_counts(
+        "report.build_report(GeometryTriple(20, 3.141592653589793, 19.0))\n"
+        "tracer.counts.update({'calls.' + k: v for k, v in tracer.self_times()[1].items()})"
+    )
+    panels = sum(counts.get(f"calls.quadrature.Segmentation.{attr}", 0) for attr in ("cum_eval", "tail_eval"))
+    assert counts["calls.report.build_report"] == 1
+    assert panels <= 2

@@ -163,6 +163,11 @@ class TestPanelReference:
             (10, Alpha.positive(HALF_PI)),
             (20, Alpha.positive(HALF_PI)),
             (63, Alpha.positive(HALF_PI)),
+            # d = 2 pages 4 rows, all on panels; d = 3 reads 5 of its 9
+            # paged rows in flux form
+            (2, Alpha.positive(HALF_PI)),
+            (3, Alpha.positive(HALF_PI)),
+            (5, Alpha.positive(HALF_PI)),
         ],
     )
     def test_sups_match_the_panel_polish(self, d, alpha):
@@ -413,7 +418,9 @@ class TestEdgeTables:
 
     def test_log_coefficient_work_bounded(self, monkeypatch):
         # Whole direct pages cost 30,873,600 log C points at the edge and
-        # 1,382,400 off it.
+        # 1,382,400 off it.  A report takes 64,275 at the d = 10 edge and
+        # 96,000 at d = 63; with phi and psi from nested panels on the rows
+        # the profile pages itself it took 483,675 and 2,181,750.
         points = []
         orig = CoefficientProfile._log_coeff
 
@@ -422,7 +429,11 @@ class TestEdgeTables:
             return orig(self, x)
 
         monkeypatch.setattr(CoefficientProfile, "_log_coeff", counted)
-        for g, cap in ((GeometryTriple(10, math.pi, 9.0), 2_000_000), (GeometryTriple(3, 2.0, -1.0), 1_000_000)):
+        for g, cap in (
+            (GeometryTriple(10, math.pi, 9.0), 100_000),
+            (GeometryTriple(63, math.pi, 62.0), 250_000),
+            (GeometryTriple(3, 2.0, -1.0), 1_000_000),
+        ):
             points.clear()
             build_report(g)
             assert 0 < sum(points) <= cap

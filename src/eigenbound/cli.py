@@ -22,9 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,17 +60,6 @@ def _alpha_from_axis(x: float) -> Alpha:
     if x < 0.0:
         return Alpha.negative(-x)
     return Alpha.positive(x)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("EIGENBOUND_THREADS", "")
-    try:
-        n = int(raw)
-        if n >= 1:
-            return n
-    except ValueError:
-        pass
-    return min(8, os.cpu_count() or 1)
 
 
 def _fmt_cell(v) -> str:
@@ -262,10 +249,7 @@ def _figure_curves(d: int, lo: float, hi: float, names, branch: str, closed: boo
             xs = np.linspace(lo, hi, args.grid)
         else:
             xs = np.linspace(lo, hi, args.grid + 2)[1:-1]
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            rows = list(
-                pool.map(lambda x: _curve_point(d, float(x), to_alpha(float(x)), names), xs)
-            )
+        rows = [_curve_point(d, float(x), to_alpha(float(x)), names) for x in xs]
         return ["x"] + list(names), rows
 
     return build
@@ -341,10 +325,7 @@ def cmd_sweep(args) -> int:
         d, a, profile=p, tol=args.tol
     ).eigenvalue
     for d in dims:
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            rows = list(
-                pool.map(lambda x: _sweep_point(d, float(x), names, estimators), xs)
-            )
+        rows = [_sweep_point(d, float(x), names, estimators) for x in xs]
         command = (
             f"sweep --dims {d} --xmin {args.xmin:.17g} --xmax {args.xmax:.17g}"
             f" --grid {args.grid} --estimates {','.join(names)}"

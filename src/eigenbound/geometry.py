@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegral, DomainError, MyersViolation
+from .errors import DomainError, MyersViolation
 from .quadrature import (
     DIFF_T,
     DINTERP_T,
@@ -309,12 +309,8 @@ class CoefficientProfile:
 
     # -- primitives -----------------------------------------------------------
 
-    @property
-    def phi_diverges(self) -> bool:
-        return self.alpha.at_half_pi and self.d >= 2
-
     def phi_at(self, x) -> np.ndarray:
-        """int_0^x 1/C without divergence reporting (inf propagates as inf)."""
+        """int_0^x 1/C via the cumulative table (inf propagates as inf)."""
         x = np.asarray(x, dtype=float)
         shape = x.shape
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -443,27 +439,6 @@ class CoefficientProfile:
         with np.errstate(over="ignore", under="ignore"):
             c[~own], ci[~own] = self._coeff_pair(self.seg.subsub[rows[~own]])
         return c, ci
-
-    def phi(self, r: float) -> float:
-        """Scalar phi with the divergent endpoint reported as an error."""
-        r = float(r)
-        if not 0.0 <= r <= 1.0:
-            raise DomainError(f"phi argument must lie in [0, 1], got {r}")
-        if r == 1.0 and self.phi_diverges:
-            raise DivergentIntegral(
-                "phi(1) = +inf at |alpha| = pi/2 with d >= 2", math.inf
-            )
-        if r == 0.0:
-            return 0.0
-        return float(self.phi_at(np.array([r]))[0])
-
-    def psi(self, r: float) -> float:
-        r = float(r)
-        if not 0.0 <= r <= 1.0:
-            raise DomainError(f"psi argument must lie in [0, 1], got {r}")
-        if r == 1.0:
-            return 0.0
-        return float(self.psi_at(np.array([r]))[0])
 
 
 def resolve_profile(

@@ -28,10 +28,10 @@ the lattice, the five sups read the integral of each segment's degree-14
 interpolant, which the spectral tables already hold at the sub-nodes; only
 points in directly paged rows re-integrate the integrand with
 partial-segment panels.  variational_ratio polishes its inf the same way,
-with panels only in the rows the guard flags in its denominator's
-integrand.  The iteration sequences are lattice maxes with no polish; the
-upper ones are read off moment tables at every interior node of the full
-Chebyshev grid the lattice thins.
+with no panel, on the smoothing step it shares with iterate_lower.  The
+iteration sequences are lattice maxes with no polish; the upper ones are
+read off moment tables at every interior node of the full Chebyshev grid
+the lattice thins.
 """
 
 from __future__ import annotations
@@ -541,13 +541,22 @@ def _check_n_max(n_max: int) -> None:
         raise DomainError(f"n_max must be an integer in [1, {MAX_ITERATIONS}]")
 
 
-def _smooth_step(p: CoefficientProfile, f_sub: np.ndarray):
-    """One application of f -> int_0^r 1/C int_s^1 C f, on the lattice."""
+def _smooth_step(p: CoefficientProfile, f_sub: np.ndarray, form: str = "primal"):
+    """K f = int_0^r 1/C int_s^1 C f on the lattice, or K* f = int_r^1 C int_0^s f / C for "dual".
+
+    Returns the step's (nodes, sub-nodes) table and the sub-node rows h of
+    its outer integrand (g / C or C u), which `partial_weights` integrates
+    between lattice points.
+    """
     seg = p.seg
     with np.errstate(all="ignore"):
-        g_nodes, g_sub = seg.reverse_from_sub(_scrub(p, p.c_sub * f_sub), p.tail_floor)
-        out = seg.cumulative_from_sub(_scrub(p, p.cinv_sub * g_sub))
-    return out, (g_nodes, g_sub)
+        if form == "primal":
+            _, g_sub = seg.reverse_from_sub(_scrub(p, p.c_sub * f_sub), p.tail_floor)
+            h_sub = _scrub(p, p.cinv_sub * g_sub)
+            return seg.cumulative_from_sub(h_sub), h_sub
+        _, u_sub = seg.cumulative_from_sub(_scrub(p, p.cinv_sub * f_sub))
+        h_sub = _scrub(p, p.c_sub * u_sub)
+        return seg.reverse_from_sub(h_sub, p.tail_floor), h_sub
 
 
 def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
@@ -565,10 +574,7 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
     for n in range(1, n_max + 1):
         (nf_nodes, nf_sub), _ = _smooth_step(p, f_sub)
         with np.errstate(all="ignore"):
-            rat = np.concatenate(
-                (nf_nodes[1:-1] / f_nodes[1:-1], (nf_sub / f_sub).ravel())
-            )
-        rat = _scrub(p, rat)
+            rat = _scrub(p, _flat((nf_nodes, nf_sub)) / _flat((f_nodes, f_sub)))
         d_n = float(np.max(rat))
         deltas.append(d_n)
         f_nodes = nf_nodes / d_n
@@ -689,13 +695,13 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     is at most the reduced eigenvalue, so whatever this returns is a valid
     lower bound; better test functions just give better bounds.
 
-    The inf is the lattice min of f over the denominator's table, polished
-    off the lattice as the five sups are: the denominator at a point is its
-    node table plus the integral of the segment's in-segment interpolant
-    through the sub-node values of its integrand (`partial_weights`).
-    Only in the rows `needs_clip` flags in that integrand, where the table
-    holds clipped pages instead, does it re-integrate f with nested
-    partial-segment panels.
+    The inf is the lattice min of f over the denominator's table
+    (`_smooth_step`), polished off the lattice as the five sups are, on the
+    node table plus the integral of the in-segment interpolant through the
+    denominator's integrand rows h (`partial_weights`), with no panel.  The
+    polish keeps the lattice min, so a misread can only lower the inf; and
+    the rows `needs_clip` flags in h sit at an end where h -> 0, so there
+    the denominator is its node table to within an ulp.
     """
     if form not in ("primal", "dual"):
         raise DomainError(f"form must be 'primal' or 'dual', got {form!r}")
@@ -703,59 +709,24 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     fv = _vectorized(f)
     f_sub = fv(seg.sub)
     f_nodes = fv(seg.nodes)
-    inner = np.concatenate((f_nodes[1:-1], f_sub.ravel()))
+    inner = _flat((f_nodes, f_sub))
     if not np.all(np.isfinite(inner)) or np.any(inner <= 0.0):
         raise InvalidTestFunction(
             "test function must be finite and strictly positive on (0, 1)"
         )
 
+    (den_nodes, den_sub), h_sub = _smooth_step(p, f_sub, form)
     with np.errstate(all="ignore"):
-        if form == "primal":
-            g_nodes, g_sub = seg.reverse_from_sub(_scrub(p, p.c_sub * f_sub), p.tail_floor)
-            h_sub = _scrub(p, p.cinv_sub * g_sub)
-            den_nodes, den_sub = seg.cumulative_from_sub(h_sub)
-
-            def g_at(y):
-                return seg.tail_eval(g_nodes, lambda z: p.coeff(z) * fv(z), y)
-
-            def panel_at(rs):
-                return seg.cum_eval(
-                    den_nodes, lambda z: p.coeff_inv(z) * g_at(z.ravel()).reshape(z.shape), rs
-                )
-
-        else:
-            u_nodes, u_sub = seg.cumulative_from_sub(_scrub(p, p.cinv_sub * f_sub))
-            h_sub = _scrub(p, p.c_sub * u_sub)
-            den_nodes, den_sub = seg.reverse_from_sub(h_sub, p.tail_floor)
-
-            def u_at(y):
-                return seg.cum_eval(u_nodes, lambda z: p.coeff_inv(z) * fv(z), y)
-
-            def panel_at(rs):
-                return seg.tail_eval(
-                    den_nodes, lambda z: p.coeff(z) * u_at(z.ravel()).reshape(z.shape), rs
-                )
-
-        rat = np.concatenate(
-            (f_nodes[1:-1] / den_nodes[1:-1], (f_sub / den_sub).ravel())
-        )
+        rat = inner / _flat((den_nodes, den_sub))
     rat = np.where(np.isfinite(rat), rat, math.inf)
     xs, _, _ = _lattice(p)
-    clipped = needs_clip(h_sub)
-
-    def den_at(rs):
-        k, head, tail = seg.partial_weights(rs)
-        if form == "primal":
-            out = den_nodes[k] + np.einsum("ij,ij->i", head, h_sub[k])
-        else:
-            out = den_nodes[k + 1] + np.einsum("ij,ij->i", tail, h_sub[k])
-        panel = clipped[k]
-        if panel.any():
-            out[panel] = panel_at(rs[panel])
-        return out
 
     def neg_ratio(rs, rows):
-        dv = den_at(rs[0])
+        k, head, tail = seg.partial_weights(rs[0])
+        if form == "primal":
+            dv = den_nodes[k] + np.einsum("ij,ij->i", head, h_sub[k])
+        else:
+            dv = den_nodes[k + 1] + np.einsum("ij,ij->i", tail, h_sub[k])
         fvv = fv(rs[0])
         # a point where either factor degenerates cannot improve the inf
         ok = (0.0 < dv) & (dv < math.inf) & (fvv > 0.0)

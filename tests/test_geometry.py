@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import get_profile, requires_full
-from eigenbound.errors import DivergentIntegral, DomainError, MyersViolation
+from eigenbound.errors import DomainError, MyersViolation
 from eigenbound.geometry import (
     Alpha,
     CoefficientProfile,
@@ -113,9 +113,11 @@ class TestCoefficientProfile:
     def test_phi_psi_match_high_precision_quadrature(self, d, alpha):
         p = get_profile(d, alpha)
         mp.mp.dps = 30
-        for r in (0.2, 0.55, 0.9):
-            assert p.phi(r) == pytest.approx(float(_mp_phi(d, alpha, r)), rel=1e-11)
-            assert p.psi(r) == pytest.approx(float(_mp_psi(d, alpha, r)), rel=1e-11)
+        rs = np.array([0.2, 0.55, 0.9])
+        phi, psi = p.phi_at(rs), p.psi_at(rs)
+        for i, r in enumerate(rs):
+            assert phi[i] == pytest.approx(float(_mp_phi(d, alpha, r)), rel=1e-11)
+            assert psi[i] == pytest.approx(float(_mp_psi(d, alpha, r)), rel=1e-11)
 
     def test_coeff_inverse_identity(self):
         p = get_profile(4, Alpha.negative(2.0))
@@ -142,23 +144,16 @@ class TestCoefficientProfile:
             assert float(p.coeff(x)) == p.coeff(np.array([0.3]))[0]
             assert float(p.coeff_inv(x)) == p.coeff_inv(np.array([0.3]))[0]
 
-    def test_phi_divergence_flag_and_error(self):
-        p = get_profile(6, Alpha.positive(HALF_PI))
-        assert p.phi_diverges
-        with pytest.raises(DivergentIntegral):
-            p.phi(1.0)
-        q = get_profile(2, Alpha.negative(1.0))
-        assert not q.phi_diverges
-
     def test_edge_psi_tail_clean(self):
         # At the Myers edge psi(r) ~ (1 - r)^d near 1; the tail tables must
         # resolve it or flush to exact zero, never leave noise.
         p = get_profile(6, Alpha.positive(HALF_PI))
         mp.mp.dps = 40
         a = mp.pi / 2
-        for r in (0.9, 0.99):
+        rs = np.array([0.9, 0.99])
+        for r, got in zip(rs, p.psi_at(rs)):
             want = float(mp.quad(lambda s: mp.cos(a * s) ** 5, [r, 1]))
-            assert p.psi(r) == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(want, rel=1e-9)
 
     def test_tail_floor_scales_with_dimension(self):
         shallow = get_profile(2, Alpha.positive(HALF_PI))

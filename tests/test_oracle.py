@@ -23,7 +23,7 @@ import pytest
 from conftest import FULL, get_lambda, get_profile, requires_full
 from eigenbound import kernels, oracle
 from eigenbound.correction import convex_mean
-from eigenbound.errors import DegenerateDerivative, DomainError
+from eigenbound.errors import DegenerateDerivative, DomainError, InvalidTestFunction
 from eigenbound.geometry import HALF_PI, Alpha, CoefficientProfile, CurvatureSign
 from eigenbound.oracle import (
     DIRICHLET,
@@ -424,19 +424,28 @@ class TestVariationalConsistency:
         assert rep.primal_ratio == pytest.approx(primal, rel=1e-14, abs=0.0)
         assert rep.dual_ratio == pytest.approx(dual, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("d, x", [(2, 0.0), (5, -1.5)])
+    @pytest.mark.parametrize(
+        "d, x", [(2, 0.0), (3, -1.0), (5, -1.5), (5, 1.0), (3, 1.5), (10, -2.0), (20, -1.5), (63, -1.0)]
+    )
     def test_polish_takes_no_panels(self, d, x, monkeypatch):
-        # Neither inf sits in a row the guard flags in the denominator's
-        # integrand, so the polish integrates no partial-segment panel.
+        # The polish reads each denominator off its table and interpolant
+        # only, the rows the guard flags in its integrand included (at
+        # (3, -1) and (5, +1) the primal inf sits in one of them), so it
+        # integrates no partial-segment panel and evaluates no coefficient.
         calls = []
-        for attr in ("cum_eval", "tail_eval"):
-            orig = getattr(Segmentation, attr)
+        for cls, attr in (
+            (Segmentation, "cum_eval"),
+            (Segmentation, "tail_eval"),
+            (CoefficientProfile, "coeff"),
+            (CoefficientProfile, "coeff_inv"),
+        ):
+            orig = getattr(cls, attr)
 
             def counted(self, *args, _orig=orig, **kwargs):
                 calls.append(1)
                 return _orig(self, *args, **kwargs)
 
-            monkeypatch.setattr(Segmentation, attr, counted)
+            monkeypatch.setattr(cls, attr, counted)
         alpha = Alpha.from_signed_x(x)
         variational_consistency(d, alpha, profile=get_profile(d, alpha))
         assert len(calls) == 0
@@ -459,6 +468,25 @@ class TestVariationalConsistency:
         alpha = Alpha.positive(magnitude)
         rep = variational_consistency(d, alpha, profile=get_profile(d, alpha))
         assert rep.worst_gap <= 1e-9 * rep.eigenvalue
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InvalidTestFunction,
+        reason=(
+            "near the Myers edge the solved eigenfunctions are not positive on the"
+            " lattice: the drift-form primal path reads as low as -20.3 at"
+            " (20, alpha = 1.4), with 2,301 sub-nodes <= 0, and -3.6e3 at"
+            " (63, alpha = 1.0); the ramp-corrected dual function reads down to"
+            " -1.3e-13 and -7.5e-13 there.  12 of 48 positive-branch profiles at"
+            " d in {2, 3, 5, 10, 20, 63} raise: (10, 1.55), (20, >= 1.4) and"
+            " (63, >= 1.0)"
+        ),
+    )
+    @pytest.mark.parametrize("d, magnitude", [(20, 1.4), (63, 1.0)])
+    def test_runs_near_the_myers_edge(self, d, magnitude):
+        alpha = Alpha.positive(magnitude)
+        rep = variational_consistency(d, alpha, profile=get_profile(d, alpha))
+        assert rep.primal_ratio > 0.0 and rep.dual_ratio > 0.0
 
 
 class TestGroundStateSearch:

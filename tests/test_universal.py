@@ -919,3 +919,44 @@ class TestVariationalRatio:
     def test_bad_form_rejected(self):
         with pytest.raises(DomainError):
             variational_ratio(lambda r: np.asarray(r), get_profile(2, Alpha.zero()), form="x")
+
+    @pytest.mark.parametrize(
+        "form, want",
+        [
+            ("primal", lambda r: r * (2.0 - r) / 2.0),
+            ("dual", lambda r: (1.0 - r) * (1.0 + r) / 2.0),
+        ],
+    )
+    def test_smooth_step_of_one_at_flat(self, form, want):
+        # At alpha = 0, C = 1: K 1 = int_0^r int_s^1 1 = r (2 - r) / 2 and
+        # K* 1 = int_r^1 int_0^s 1 = (1 - r)(1 + r) / 2, at every node and
+        # sub-node.  Factored, since 1 - r^2 loses 5e-9 relative near r = 1.
+        p = get_profile(2, Alpha.zero())
+        (nodes, sub), _ = universal._smooth_step(p, np.ones_like(p.seg.sub), form)
+        assert nodes == pytest.approx(want(p.seg.nodes), rel=1e-13, abs=0.0)
+        assert sub == pytest.approx(want(p.seg.sub), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("form", ["primal", "dual"])
+    def test_constant_function_ratio_is_two_at_flat(self, form):
+        # 1 / K 1 falls to its inf 2 at r = 1, and 1 / K* 1 at r = 0.
+        p = get_profile(2, Alpha.zero())
+        got = variational_ratio(lambda r: np.ones_like(np.asarray(r, dtype=float)), p, form=form)
+        assert got == pytest.approx(2.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "at the Myers edge f = sqrt(phi) gives negative 'lower bounds': the"
+            " dual form -2.44e15 at d = 3, -7.2e10 at d = 5 and -0.156 at d = 10,"
+            " the primal form -5.2e17 at d = 20"
+        ),
+    )
+    @pytest.mark.parametrize("d, form", [(3, "dual"), (20, "primal")])
+    def test_sqrt_phi_ratio_positive_at_the_myers_edge(self, d, form):
+        p = get_profile(d, Alpha.positive(HALF_PI))
+
+        def f(r):
+            r = np.asarray(r, dtype=float)
+            return np.sqrt(p.primitives_at(r.ravel())[0]).reshape(r.shape)
+
+        assert variational_ratio(f, p, form=form) > 0.0

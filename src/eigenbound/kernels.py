@@ -31,6 +31,10 @@ Its steps are capped at r_end / PATH_STEPS so the quartic stays well below
 the integration tolerance.  The system is linear, so whenever the state
 grows past RENORM the pair (f, g) is rescaled and the log of the
 accumulated factor is recorded; signs and zero crossings are unaffected.
+The march keeps only each accepted step's start state and stage slopes,
+taken before any rescale; the quartics are assembled from them after it,
+in one numpy pass whose elementwise sums round every coefficient exactly
+as the scalar sum would.
 """
 
 import math
@@ -144,14 +148,6 @@ def _drift_rhs(kind, c1, c2, lam):
     return rhs
 
 
-def _extension(h, k1, k3, k4, k5, k6, k7):
-    """Coefficients (q1..q4) of h * (q1 x + q2 x^2 + q3 x^3 + q4 x^4)."""
-    return tuple(
-        h * (k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7)
-        for p1, p3, p4, p5, p6, p7 in zip(*_P)
-    )
-
-
 def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
     """March the pair (f, g) under (f, g)' = rhs(r, f, g) from r = 0 to r1.
 
@@ -161,8 +157,19 @@ def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
     accepted step, of start r and width h, and a closing row for the end
     state.  Row i of f is (f_i, q1..q4) with f = f_i + q1 x + ... + q4 x^4
     at r_i + x h_i, 0 <= x <= 1, likewise for g, both at the scale
-    exp(log_scale[i]); the closing row has zero coefficients.
+    exp(log_scale[i]); the closing row has zero coefficients.  The march
+    only records each accepted step's start, scale and stage slopes; the
+    quartics are formed from them in one numpy pass after it.
     """
+    # Locals: the loop reads each tableau weight a few times a step.
+    a21 = _A21
+    a31, a32 = _A31, _A32
+    a41, a42, a43 = _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    sqrt = math.sqrt
     r = 0.0
     h = r1 / 100.0
     hmax = math.inf
@@ -172,7 +179,7 @@ def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
     hmin = 1e-15 * r1 + 1e-300
     if path:
         hmax = r1 / PATH_STEPS
-        rows_r, rows_h, rows_f, rows_g, rows_l = [], [], [], [], []
+        rows = []
     # First same as last: an accepted step's k7 is the next step's k1.
     k1f, k1g = rhs(r, f, g)
     while r < r1:
@@ -183,46 +190,45 @@ def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
             h = hmax
         if h > r1 - r:
             h = r1 - r
-        k2f, k2g = rhs(r + _A21 * h, f + h * _A21 * k1f, g + h * _A21 * k1g)
+        k2f, k2g = rhs(r + a21 * h, f + h * a21 * k1f, g + h * a21 * k1g)
         k3f, k3g = rhs(
             r + 0.3 * h,
-            f + h * (_A31 * k1f + _A32 * k2f),
-            g + h * (_A31 * k1g + _A32 * k2g),
+            f + h * (a31 * k1f + a32 * k2f),
+            g + h * (a31 * k1g + a32 * k2g),
         )
         k4f, k4g = rhs(
             r + 0.8 * h,
-            f + h * (_A41 * k1f + _A42 * k2f + _A43 * k3f),
-            g + h * (_A41 * k1g + _A42 * k2g + _A43 * k3g),
+            f + h * (a41 * k1f + a42 * k2f + a43 * k3f),
+            g + h * (a41 * k1g + a42 * k2g + a43 * k3g),
         )
         k5f, k5g = rhs(
             r + (8.0 / 9.0) * h,
-            f + h * (_A51 * k1f + _A52 * k2f + _A53 * k3f + _A54 * k4f),
-            g + h * (_A51 * k1g + _A52 * k2g + _A53 * k3g + _A54 * k4g),
+            f + h * (a51 * k1f + a52 * k2f + a53 * k3f + a54 * k4f),
+            g + h * (a51 * k1g + a52 * k2g + a53 * k3g + a54 * k4g),
         )
         k6f, k6g = rhs(
             r + h,
-            f + h * (_A61 * k1f + _A62 * k2f + _A63 * k3f + _A64 * k4f + _A65 * k5f),
-            g + h * (_A61 * k1g + _A62 * k2g + _A63 * k3g + _A64 * k4g + _A65 * k5g),
+            f + h * (a61 * k1f + a62 * k2f + a63 * k3f + a64 * k4f + a65 * k5f),
+            g + h * (a61 * k1g + a62 * k2g + a63 * k3g + a64 * k4g + a65 * k5g),
         )
-        fn = f + h * (_B1 * k1f + _B3 * k3f + _B4 * k4f + _B5 * k5f + _B6 * k6f)
-        gn = g + h * (_B1 * k1g + _B3 * k3g + _B4 * k4g + _B5 * k5g + _B6 * k6g)
+        fn = f + h * (b1 * k1f + b3 * k3f + b4 * k4f + b5 * k5f + b6 * k6f)
+        gn = g + h * (b1 * k1g + b3 * k3g + b4 * k4g + b5 * k5g + b6 * k6g)
         k7f, k7g = rhs(r + h, fn, gn)
-        ef = h * (
-            _E1 * k1f + _E3 * k3f + _E4 * k4f + _E5 * k5f + _E6 * k6f + _E7 * k7f
-        )
-        eg = h * (
-            _E1 * k1g + _E3 * k3g + _E4 * k4g + _E5 * k5g + _E6 * k6g + _E7 * k7g
-        )
-        sf = atol + rtol * max(abs(f), abs(fn))
-        sg = atol + rtol * max(abs(g), abs(gn))
-        err = math.sqrt(0.5 * ((ef / sf) ** 2 + (eg / sg) ** 2))
+        ef = h * (e1 * k1f + e3 * k3f + e4 * k4f + e5 * k5f + e6 * k6f + e7 * k7f)
+        eg = h * (e1 * k1g + e3 * k3g + e4 * k4g + e5 * k5g + e6 * k6g + e7 * k7g)
+        # max(a, b) without the call: b only when b > a.
+        sf, sn = abs(f), abs(fn)
+        sf = atol + rtol * (sn if sn > sf else sf)
+        sg, sn = abs(g), abs(gn)
+        sg = atol + rtol * (sn if sn > sg else sg)
+        err = sqrt(0.5 * ((ef / sf) ** 2 + (eg / sg) ** 2))
         if err <= 1.0:
             if path:
-                rows_r.append(r)
-                rows_h.append(h)
-                rows_l.append(log_scale)
-                rows_f.append((f,) + _extension(h, k1f, k3f, k4f, k5f, k6f, k7f))
-                rows_g.append((g,) + _extension(h, k1g, k3g, k4g, k5g, k6g, k7g))
+                rows.append((
+                    r, h, log_scale, f, g,
+                    k1f, k3f, k4f, k5f, k6f, k7f,
+                    k1g, k3g, k4g, k5g, k6g, k7g,
+                ))
             r = r + h
             f, g, k1f, k1g = fn, gn, k7f, k7g
             if path and abs(f) + abs(g) > RENORM:
@@ -248,15 +254,24 @@ def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
         steps += 1
     if not path:
         return f, g, r, status, steps
-    # The closing row has zero coefficients, so any width serves.
-    rows_r.append(r)
-    rows_h.append(1.0)
-    rows_l.append(log_scale)
-    rows_f.append((f, 0.0, 0.0, 0.0, 0.0))
-    rows_g.append((g, 0.0, 0.0, 0.0, 0.0))
+    # The closing row is the end state with zero slopes, hence zero
+    # coefficients, so any width serves.
+    rows.append((r, 1.0, log_scale, f, g) + (0.0,) * 12)
+    cols = np.array(rows).T
+    fq = np.empty((len(rows), 5))
+    gq = np.empty((len(rows), 5))
+    # Each coefficient is h * (k1 p1 + k3 p3 + ... + k7 p7), summed left
+    # to right elementwise, so it rounds as the scalar sum would.
+    for q, state, (k1, k3, k4, k5, k6, k7) in (
+        (fq, cols[3], cols[5:11]), (gq, cols[4], cols[11:17])
+    ):
+        q[:, 0] = state
+        for j, (p1, p3, p4, p5, p6, p7) in enumerate(zip(*_P), 1):
+            q[:, j] = cols[1] * (
+                k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
+            )
     return (
-        np.array(rows_f), np.array(rows_g), np.array(rows_l), status, steps,
-        np.array(rows_r), np.array(rows_h),
+        fq, gq, cols[2].copy(), status, steps, cols[0].copy(), cols[1].copy()
     )
 
 

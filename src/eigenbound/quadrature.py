@@ -213,8 +213,10 @@ def partial_means(tau: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         q = _CHEB_WEIGHTS / (tau[:, None] - _CHEB)
         out = (q @ _CHEB_MEANS) / q.sum(axis=1, keepdims=True)
-    i, j = np.nonzero(np.isinf(q))
-    out[i] = _CHEB_MEANS[j]
+    bad = np.isinf(q)
+    if bad.any():
+        i, j = np.nonzero(bad)
+        out[i] = _CHEB_MEANS[j]
     return out
 
 

@@ -154,6 +154,44 @@ class TestShooting:
         assert fq[-1, 0] == pytest.approx(math.sin(k * 0.67) / k, rel=1e-9)
 
 
+class TestPathAssembly:
+    """The rows the path assembles after its march: one per accepted step."""
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 5])
+    def test_stopped_march_keeps_its_rows(self, max_steps):
+        fq, gq, ls, status, steps, r, h = kernels.shoot_path(
+            1, 2.0, 1.5, 3.7, 1.0, 0.0, 1.0, 1e-11, 1e-11, max_steps
+        )
+        assert status == kernels.STATUS_MAX_STEPS
+        assert steps == max_steps
+        rows = len(r)
+        assert rows - 1 <= steps
+        assert fq.shape == gq.shape == (rows, 5)
+        assert ls.shape == h.shape == (rows,)
+        assert r[0] == 0.0 and fq[0, 0] == 0.0 and gq[0, 0] == 1.0
+        np.testing.assert_array_equal(r[1:], r[:-1] + h[:-1])
+        # The closing row is where the march stopped, with zero coefficients.
+        assert not np.any(fq[-1, 1:]) and not np.any(gq[-1, 1:])
+        assert r[-1] < 1.0
+
+    def test_rejected_steps_leave_no_rows(self):
+        # At lam = 3700 the error control, not the PATH_STEPS cap, sets the
+        # step, and some trial steps are rejected; only accepted ones may
+        # leave a row, and each row's quartic must still close on the next.
+        fq, gq, ls, status, steps, r, h = kernels.shoot_path(
+            1, 2.0, 1.5, 3700.0, 1.0, 0.0, 1.0
+        )
+        assert status == kernels.STATUS_OK
+        assert steps > len(r) - 1 > kernels.PATH_STEPS
+        assert not np.any(ls)
+        np.testing.assert_array_equal(r[1:], r[:-1] + h[:-1])
+        assert r[-1] == 1.0
+        scale = np.maximum(np.abs(fq[1:, 0]), np.abs(gq[1:, 0]))
+        for rows in (fq, gq):
+            gap = np.abs(quartic(rows[:-1], 1.0) - rows[1:, 0])
+            assert np.all(gap <= 1e-12 * scale)
+
+
 class TestNodeCount:
     """The angle crosses each multiple of pi once, upwards, at a zero of f."""
 

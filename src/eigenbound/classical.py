@@ -13,6 +13,7 @@ positive-branch clamp threshold used by the corrected curvature bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -210,13 +211,15 @@ def beta_quadratic_bound(beta: float) -> float:
 # -- positive-branch clamp threshold ------------------------------------------
 
 
+# Typed, so a non-int d that equals a cached one is still refused.
+@functools.lru_cache(maxsize=None, typed=True)
 def alpha_clamp_root(d: int) -> float:
     """First root in (0, pi/2) of (pi/(2 s a) + s a/(2 pi)) cos a = 1, s = sqrt(d-1).
 
     This is the largest |alpha| up to which the corrected curvature bound
     is used at face value on the positive branch; beyond it the expression
     is evaluated at the root instead.  Bracketed by a 1000-cell scan, then
-    bisected to 1e-12.
+    bisected to 1e-12; cached per d.
     """
     if not isinstance(d, int) or d < 2:
         raise DomainError("needs integer d >= 2")

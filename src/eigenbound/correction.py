@@ -249,13 +249,11 @@ class CurvatureCorrection:
 def clamped_correction(d: int, alpha: Alpha) -> CurvatureCorrection:
     """Evaluate the multiplier, freezing alpha at the positivity root when
     the positive branch runs past it."""
-    if (
-        alpha.sign is CurvatureSign.POSITIVE_K
-        and d >= 2
-        and alpha.magnitude > alpha_clamp_root(d)
-    ):
-        used = Alpha.positive(alpha_clamp_root(d))
-        return CurvatureCorrection(curvature_multiplier(used), used, True)
+    if alpha.sign is CurvatureSign.POSITIVE_K and d >= 2:
+        root = alpha_clamp_root(d)
+        if alpha.magnitude > root:
+            used = Alpha.positive(root)
+            return CurvatureCorrection(curvature_multiplier(used), used, True)
     return CurvatureCorrection(curvature_multiplier(alpha), alpha, False)
 
 

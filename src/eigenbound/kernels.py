@@ -1,7 +1,8 @@
-"""Integration kernel for the shooting oracle.
+"""Integration kernels for the shooting oracle.
 
-One Dormand-Prince 5(4) loop integrates a pair of states from 0 to some
-end.  Every problem is a flux-form Sturm-Liouville problem
+Two Dormand-Prince 5(4) marches share one tableau and one step control: a
+scalar one for the Pruefer angle of `shoot`, and one for the pair of states
+of `shoot_path`.  Every problem is a flux-form Sturm-Liouville problem
 
     (C f')' + lam C f = 0,    log C(r) = int_0^r F,
 
@@ -21,7 +22,9 @@ and C f' = rho cos(theta):
 with C and lam C evaluated from log C, so no state overflows and the
 angle carries the Sturm count: it crosses each multiple of pi once,
 upwards, at a zero of f (Pryce, *Numerical Solution of Sturm-Liouville
-Problems*, 1993).  It runs in either direction from either end.
+Problems*, 1993).  It runs in either direction from either end.  The angle
+is its only state, and its rate writes log C inline, in the arithmetic of
+log_coeff, which stays the one scalar definition of log C.
 
 `shoot_path` integrates the drift form f' = g, g' = -lam f - F g from
 r = 0 and records every accepted step: its start, width and state, and the
@@ -148,18 +151,128 @@ def _drift_rhs(kind, c1, c2, lam):
     return rhs
 
 
-def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
+def _angle_rate(kind, c1, c2, lam, shift, r0, sign):
+    """The angle's rate (t, theta) -> theta' of `shoot`, at r = r0 + sign t.
+
+    log C~ = log C + shift is written inline, in the same arithmetic as
+    log_coeff, so it rounds as log_coeff(kind, c1, c2)(r) + shift does.
+    """
+    ll = math.log(lam)
+    cos, sin, exp = math.cos, math.sin, math.exp
+    if kind == 0:
+        half = 0.5 * c1
+
+        def rate(t, y):
+            r = r0 + sign * t
+            L = half * r * r + shift
+            c = cos(y)
+            s = sin(y)
+            return exp(-L) * c * c + exp(ll + L) * s * s
+    elif kind == 1:
+        p = c1 / c2
+        log1p, log2 = math.log1p, _LOG2
+
+        def rate(t, y):
+            x = c2 * (r0 + sign * t)
+            L = p * (x + log1p(exp(-2.0 * x)) - log2) + shift
+            c = cos(y)
+            s = sin(y)
+            return exp(-L) * c * c + exp(ll + L) * s * s
+    else:
+        mp = -(c1 / c2)
+        ca, sa = math.cos(c2), math.sin(c2)
+        log = math.log
+
+        def rate(t, y):
+            u = c2 * (1.0 - (r0 + sign * t))
+            L = mp * log(ca * cos(u) + sa * sin(u)) + shift
+            c = cos(y)
+            s = sin(y)
+            return exp(-L) * c * c + exp(ll + L) * s * s
+    return rate
+
+
+def _march_angle(rate, t1, y, atol, rtol, max_steps):
+    """March the angle y under y' = rate(t, y) from t = 0 to t1.
+
+    The pair march's tableau and step control on one state.  Its error
+    norm is the pair's with a zero second term, so every step is accepted
+    or rejected as a pair march carrying a zero would.  Returns
+    (y, t, status, steps), t being where the march stopped.
+    """
+    # Locals: the loop reads each tableau weight a few times a step.
+    a21 = _A21
+    a31, a32 = _A31, _A32
+    a41, a42, a43 = _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    sqrt = math.sqrt
+    t = 0.0
+    h = t1 / 100.0
+    steps = 0
+    status = STATUS_OK
+    hmin = 1e-15 * t1 + 1e-300
+    # First same as last: an accepted step's k7 is the next step's k1.
+    k1 = rate(t, y)
+    while t < t1:
+        if steps >= max_steps:
+            status = STATUS_MAX_STEPS
+            break
+        if h > t1 - t:
+            h = t1 - t
+        k2 = rate(t + a21 * h, y + h * a21 * k1)
+        k3 = rate(t + 0.3 * h, y + h * (a31 * k1 + a32 * k2))
+        k4 = rate(t + 0.8 * h, y + h * (a41 * k1 + a42 * k2 + a43 * k3))
+        k5 = rate(
+            t + (8.0 / 9.0) * h,
+            y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4),
+        )
+        k6 = rate(
+            t + h,
+            y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5),
+        )
+        yn = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+        k7 = rate(t + h, yn)
+        e = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+        # max(a, b) without the call: b only when b > a.
+        s, sn = abs(y), abs(yn)
+        s = atol + rtol * (sn if sn > s else s)
+        err = sqrt(0.5 * (e / s) ** 2)
+        if err <= 1.0:
+            t = t + h
+            y, k1 = yn, k7
+        if err > 0.0:
+            fac = 0.9 * err ** (-0.2)
+            if fac < 0.2:
+                fac = 0.2
+            elif fac > 5.0:
+                fac = 5.0
+            h *= fac
+        else:
+            h *= 5.0
+        # The step cut to land on t1 can leave h below hmin; only a march
+        # with ground still to cover has underflowed.
+        if h < hmin and t < t1:
+            status = STATUS_STEP_UNDERFLOW
+            break
+        steps += 1
+    return y, t, status, steps
+
+
+def _integrate(rhs, r1, f, g, atol, rtol, max_steps):
     """March the pair (f, g) under (f, g)' = rhs(r, f, g) from r = 0 to r1.
 
-    Returns (f, g, r, status, steps), r being where the march stopped.
-    With path=True it rescales (f, g) past RENORM and returns
-    (f, g, log_scale, status, steps, r, h) instead, with one row per
-    accepted step, of start r and width h, and a closing row for the end
-    state.  Row i of f is (f_i, q1..q4) with f = f_i + q1 x + ... + q4 x^4
-    at r_i + x h_i, 0 <= x <= 1, likewise for g, both at the scale
-    exp(log_scale[i]); the closing row has zero coefficients.  The march
-    only records each accepted step's start, scale and stage slopes; the
-    quartics are formed from them in one numpy pass after it.
+    Steps are capped at r1 / PATH_STEPS, and (f, g) is rescaled whenever
+    it grows past RENORM.  Returns (f, g, log_scale, status, steps, r, h),
+    with one row per accepted step, of start r and width h, and a closing
+    row for the state where the march stopped.  Row i of f is
+    (f_i, q1..q4) with f = f_i + q1 x + ... + q4 x^4 at r_i + x h_i,
+    0 <= x <= 1, likewise for g, both at the scale exp(log_scale[i]); the
+    closing row has zero coefficients.  The march only records each
+    accepted step's start, scale and stage slopes; the quartics are formed
+    from them in one numpy pass after it.
     """
     # Locals: the loop reads each tableau weight a few times a step.
     a21 = _A21
@@ -172,14 +285,12 @@ def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
     sqrt = math.sqrt
     r = 0.0
     h = r1 / 100.0
-    hmax = math.inf
+    hmax = r1 / PATH_STEPS
     log_scale = 0.0
     steps = 0
     status = STATUS_OK
     hmin = 1e-15 * r1 + 1e-300
-    if path:
-        hmax = r1 / PATH_STEPS
-        rows = []
+    rows = []
     # First same as last: an accepted step's k7 is the next step's k1.
     k1f, k1g = rhs(r, f, g)
     while r < r1:
@@ -223,15 +334,14 @@ def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
         sg = atol + rtol * (sn if sn > sg else sg)
         err = sqrt(0.5 * ((ef / sf) ** 2 + (eg / sg) ** 2))
         if err <= 1.0:
-            if path:
-                rows.append((
-                    r, h, log_scale, f, g,
-                    k1f, k3f, k4f, k5f, k6f, k7f,
-                    k1g, k3g, k4g, k5g, k6g, k7g,
-                ))
+            rows.append((
+                r, h, log_scale, f, g,
+                k1f, k3f, k4f, k5f, k6f, k7f,
+                k1g, k3g, k4g, k5g, k6g, k7g,
+            ))
             r = r + h
             f, g, k1f, k1g = fn, gn, k7f, k7g
-            if path and abs(f) + abs(g) > RENORM:
+            if abs(f) + abs(g) > RENORM:
                 f /= RENORM
                 g /= RENORM
                 k1f /= RENORM
@@ -252,8 +362,6 @@ def _integrate(rhs, r1, f, g, atol, rtol, max_steps, path=False):
             status = STATUS_STEP_UNDERFLOW
             break
         steps += 1
-    if not path:
-        return f, g, r, status, steps
     # The closing row is the end state with zero slopes, hence zero
     # coefficients, so any width serves.
     rows.append((r, 1.0, log_scale, f, g) + (0.0,) * 12)
@@ -285,25 +393,16 @@ def shoot(kind, c1, c2, lam, shift, r0, r1, theta0=0.0, atol=1e-11,
     is.  The angle is measured from a Dirichlet condition at r0; measured
     from a Neumann one (theta - pi/2) it obeys the same equation with
     log C~ replaced by -log C~ - log(lam), that is with c1 negated and the
-    shift moved.  Returns (theta, 0.0, t, status, steps): the loop's
-    second state is unused here, and t is the distance covered.
+    shift moved.  Returns (theta, 0.0, t, status, steps), t being the
+    distance covered; the 0.0 keeps the tuple callers unpack.
     """
-    lam = float(lam)
-    lc = log_coeff(kind, c1, c2)
-    ll = math.log(lam)
     r0 = float(r0)
     sign = 1.0 if r1 >= r0 else -1.0
-    cos, sin, exp = math.cos, math.sin, math.exp
-
-    def rhs(t, y, _):
-        L = lc(r0 + sign * t) + shift
-        c = cos(y)
-        s = sin(y)
-        return exp(-L) * c * c + exp(ll + L) * s * s, 0.0
-
-    return _integrate(
-        rhs, abs(float(r1) - r0), float(theta0), 0.0, atol, rtol, max_steps
+    rate = _angle_rate(kind, c1, c2, float(lam), shift, r0, sign)
+    theta, t, status, steps = _march_angle(
+        rate, abs(float(r1) - r0), float(theta0), atol, rtol, max_steps
     )
+    return theta, 0.0, t, status, steps
 
 
 def shoot_path(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
@@ -314,5 +413,5 @@ def shoot_path(kind, c1, c2, lam, r_end, f0, g0, atol=1e-11, rtol=1e-11,
     """
     return _integrate(
         _drift_rhs(kind, c1, c2, float(lam)), float(r_end), float(f0),
-        float(g0), atol, rtol, max_steps, True,
+        float(g0), atol, rtol, max_steps,
     )

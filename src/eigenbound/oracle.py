@@ -288,7 +288,7 @@ def _landmarks(prob: EigenProblem) -> tuple[float, float, float, float]:
     """
     lc = kernels.log_coeff(prob.kind, prob.c1, prob.c2)
     r = np.linspace(0.0, prob.r_end, CRUDE_INTERVALS + 1)
-    v = np.array([lc(x) for x in r])
+    v = np.array([lc(x) for x in r.tolist()])
     half = math.log(0.5 * prob.r_end / CRUDE_INTERVALS)
     inv = half + np.logaddexp(-v[:-1], -v[1:])
     coef = half + np.logaddexp(v[:-1], v[1:])

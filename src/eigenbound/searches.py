@@ -10,6 +10,7 @@ from .errors import NoRoot
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _eval_grid(f, xs: np.ndarray) -> np.ndarray:
@@ -160,7 +161,7 @@ def brent_root(f, a: float, b: float, fa: float, fb: float,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b

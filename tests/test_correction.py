@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import get_profile
+from eigenbound import classical
 from eigenbound.classical import alpha_clamp_root
 from eigenbound.correction import (
     GAMMA_ZERO,
@@ -34,6 +35,7 @@ from eigenbound.geometry import (
     GeometryTriple,
     make_alpha,
 )
+from eigenbound.report import build_report
 
 PI2 = math.pi**2
 
@@ -179,6 +181,24 @@ class TestMiddleTerm:
         assert corr_past.alpha_used.magnitude == root
         # Freezing alpha at the root keeps the term continuous there.
         assert past == at_root
+
+    def test_clamp_root_is_scanned_once_per_dimension(self, monkeypatch):
+        # alpha = 1.2 at d = 4 lies past the root, so the clamp fires.
+        g = GeometryTriple(4, 2.0, 3.0 * 1.2**2)
+        first = build_report(g)
+        scans = []
+        scan = classical.first_sign_change
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(classical, "first_sign_change", counted)
+        second = build_report(g)
+        assert scans == []
+        assert alpha_clamp_root(4) == alpha_clamp_root.__wrapped__(4)
+        assert len(scans) == 1
+        assert second.combined == first.combined
 
     def test_clamp_only_on_positive_branch(self):
         corr = clamped_correction(2, Alpha.negative(3.0))

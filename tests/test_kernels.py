@@ -16,6 +16,17 @@ CASES = [
     (2, -1.0, 1.2, 9.0),
 ]
 
+#: Drift encodings (kind, c1, c2) with both signs of c1, the primal and dual
+#: families; the tangent drift at c2 = pi/2 reaches the Myers edge at r = 1.
+SIGNED_DRIFTS = [
+    (0, 2.0, 0.0),
+    (0, -2.0, 0.0),
+    (1, 2.0, 1.5),
+    (1, -2.0, 1.5),
+    (2, 2.0 * math.pi, math.pi / 2.0),
+    (2, -2.0 * math.pi, math.pi / 2.0),
+]
+
 #: Recorded steps checked against a shot to a radius inside them.
 PROBES = (0, 1, 7, 100, 255, 400, -2)
 
@@ -39,6 +50,23 @@ def assert_same_angle(theta, f, flux, tol):
     rho = math.hypot(f, flux)
     assert abs(math.sin(theta) - f / rho) <= tol
     assert abs(math.cos(theta) - flux / rho) <= tol
+
+
+class TestAngleRate:
+    """The shot's rate writes log C inline; log_coeff stays its definition."""
+
+    @pytest.mark.parametrize("kind, c1, c2", SIGNED_DRIFTS)
+    @pytest.mark.parametrize("r0, sign", [(0.0, 1.0), (1.0, -1.0)])
+    def test_rate_at_zero_angle_is_exp_of_minus_log_coeff(
+        self, kind, c1, c2, r0, sign
+    ):
+        # cos 0 = 1 and sin 0 = 0, so at theta = 0 the rate is e^(-L)
+        # exactly, L = log C + shift, on every radius up to r = 1.
+        shift = 0.3
+        lc = kernels.log_coeff(kind, c1, c2)
+        rate = kernels._angle_rate(kind, c1, c2, 3.7, shift, r0, sign)
+        for t in np.linspace(0.0, 1.0, 257).tolist():
+            assert rate(t, 0.0) == math.exp(-(lc(r0 + sign * t) + shift))
 
 
 class TestShooting:
@@ -78,6 +106,17 @@ class TestShooting:
         )
         assert status == kernels.STATUS_MAX_STEPS
         assert steps == 5
+
+    def test_step_underflow_status(self):
+        # A tolerance far below the rounding of the angle cannot be met:
+        # every trial step is rejected until the step falls below its
+        # floor, and the march stops where it started.
+        theta, _, t, status, steps = kernels.shoot(
+            1, 2.0, 1.5, 3.7, 0.0, 0.0, 1.0, 0.0, 1e-60, 1e-60
+        )
+        assert status == kernels.STATUS_STEP_UNDERFLOW
+        assert theta == t == 0.0
+        assert 0 < steps < 100
 
     def test_renormalization_tracks_log_scale(self):
         # lam = -4e5 grows like sinh(632 r): far past RENORM, so the path

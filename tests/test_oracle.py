@@ -23,7 +23,12 @@ import pytest
 from conftest import FULL, get_lambda, get_profile, requires_full
 from eigenbound import kernels, oracle
 from eigenbound.correction import convex_mean
-from eigenbound.errors import DegenerateDerivative, DomainError, InvalidTestFunction
+from eigenbound.errors import (
+    DegenerateDerivative,
+    DomainError,
+    InvalidTestFunction,
+    StiffIntegration,
+)
 from eigenbound.geometry import HALF_PI, Alpha, CoefficientProfile, CurvatureSign
 from eigenbound.oracle import (
     DIRICHLET,
@@ -627,6 +632,23 @@ class TestValidation:
     def test_rejects_infinite_beta(self):
         with pytest.raises(DomainError):
             beta_problem(float("nan"))
+
+
+class TestStiffHalfShots:
+    """A half shot the kernel cannot finish raises StiffIntegration."""
+
+    def test_overflowing_angle_rate(self):
+        # log C = 750 at r = 1 puts lam C past the largest double, so the
+        # rate of a shot from there overflows on its first evaluation.
+        prob = EigenProblem(0, 1500.0, 0.0, NEUMANN, DIRICHLET)
+        with pytest.raises(StiffIntegration, match="overflow") as info:
+            oracle._half_angle(prob, DIRICHLET, 0.0, 0.0, 1.0, 0.5, 1e-11)
+        assert isinstance(info.value.__cause__, OverflowError)
+
+    def test_step_underflow(self):
+        prob = beta_problem(0.0)
+        with pytest.raises(StiffIntegration, match="status 2"):
+            oracle._half_angle(prob, prob.bc_left, 0.0, 0.0, 0.0, 0.5, 1e-60)
 
 
 # -- the independent reference table --------------------------------------------

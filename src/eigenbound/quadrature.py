@@ -278,7 +278,7 @@ class Segmentation:
     integrands vary fastest (tail powers vanishing at r = 1, the Myers
     edge); a plain 1,024-segment grid, 4x wider at the ends, breaks
     `iterate_lower` at the d = 10 and d = 63 Myers edges.  The functional
-    sups on this partition stay within 1.9e-14 relative of the full
+    sups on this partition stay within 1.8e-14 relative of the full
     grid's (`CoefficientProfile`).
 
     Every table takes its means from one product with SPECTRAL, except on

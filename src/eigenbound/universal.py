@@ -16,9 +16,13 @@ positive test function into a certified lower bound for lam.
 
 Everything here works on the shared graded Gauss-Legendre lattice of the
 profile: sups and infs are taken over the ~18k interior lattice points
-where the cumulative tables are exact, then polished by a local zoom whose
-rounds each evaluate ZOOM off-lattice points per maximum at once; the five
-sups polish in lock-step.  The six integral tables take their
+where the cumulative tables are exact, then polished off the lattice.  The
+five sups solve their stationarity conditions, closed forms in the same
+quantities as the functionals, between the lattice neighbours of each
+argmax in two rounds of off-lattice reads shared by all five
+(`_stationary_sups`).  variational_ratio's inf, whose test function has no
+derivative, takes a local zoom whose rounds each evaluate ZOOM off-lattice
+points at once (`_polish`).  The six integral tables take their
 within-segment means from the spectral product on the sub-node values, and
 from direct sub-sub pages only on the rows the spectral guard flags
 (`Segmentation.pointwise_means`), the Myers edge included; those pages read
@@ -27,8 +31,8 @@ the profile pages itself (`CoefficientProfile.subsub_primitives`).  Off
 the lattice, the five sups read the integral of each segment's degree-14
 interpolant, which the spectral tables already hold at the sub-nodes; only
 points in directly paged rows re-integrate the integrand with
-partial-segment panels.  variational_ratio polishes its inf the same way,
-with no panel, on the smoothing step it shares with iterate_lower.  The
+partial-segment panels.  variational_ratio reads its denominator the same
+way, with no panel, on the smoothing step it shares with iterate_lower.  The
 iteration sequences are lattice maxes with no polish; the upper ones are
 read off moment tables at every interior node of the full Chebyshev grid
 the lattice thins.
@@ -47,7 +51,7 @@ from .quadrature import needs_clip
 
 MAX_ITERATIONS = 10
 
-#: Interior points per round of the off-lattice polish.
+#: Interior points per round of variational_ratio's zoom polish.
 ZOOM = 32
 
 
@@ -78,6 +82,19 @@ _FUNCTIONALS = {
 }
 
 DELTA_NAMES = tuple(_FUNCTIONALS)
+
+#: name -> an expression with the sign of the functional's derivative in r,
+#: over a view that also holds C and 1/C.  With phi' = 1/C, psi' = -C and
+#: each integral's derivative its integrand, signed by its direction, the
+#: derivatives are this times (1/(2C)) phi^{-3/2}, 1/(C phi^2),
+#: (C/2) psi^{-3/2} and C / psi^2 from delta1 on.
+_CONDITIONS = {
+    "delta": lambda v: v.psi * v.Cinv - v.phi * v.C,
+    "delta1": lambda v: v.A2 * v.phi - v.A1,
+    "delta1_prime": lambda v: v.psi * v.phi * v.phi - v.A3,
+    "delta1_star": lambda v: v.B1 - v.psi * v.B2,
+    "delta1_star_prime": lambda v: v.B3 - v.phi * v.psi * v.psi,
+}
 
 
 class _View:
@@ -276,7 +293,7 @@ def _panel_integral(p: CoefficientProfile, name: str, rs: np.ndarray) -> np.ndar
 
 
 def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
-    """phi, psi and the integrals at off-lattice points rs[s], one view per slice s in parts.
+    """phi, psi, C, 1/C and the integrals at off-lattice points rs[s], one view per slice s in parts.
 
     Each value is its node table plus the integral, over the partial segment,
     of the segment's degree-14 interpolant through the sub-node values
@@ -289,7 +306,7 @@ def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
     tables are not the interpolant's integral, so integrals at points there
     take partial-segment panels instead (`_panel_integral`).  cache carries
     the integrand rows from one call to the next of the same polish
-    (`_window_rows`).
+    (`_window_rows`).  C and 1/C share one log C per slice (`_coefficients`).
     """
     tabs = _tables(p)
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
@@ -300,6 +317,7 @@ def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
         x = rs[s]
         k, head, tail = (w[s] for w in weights)
         panel = p._cache["panel_rows"][k]
+        coefficients = _coefficients(p, x)
 
         def interpolant(name, k, head, tail):
             row = _window_rows(p, cache, name, k)
@@ -312,6 +330,8 @@ def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
                 if not prims:
                     prims.extend(p.primitives_at(rs, weights))
                 return prims[name == "psi"][s]
+            if name in ("C", "Cinv"):
+                return getattr(coefficients, name)
             if not panel.any():
                 return interpolant(name, k, head, tail)
             keep = ~panel
@@ -326,22 +346,25 @@ def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
     return [view(s) for s in parts]
 
 
-def _safe_batch(point, rs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _safe_batch(point, rs: np.ndarray, rows: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
     """point(rs, rows) with every non-finite value, or raising point, as -inf.
 
-    A batch that raises is re-evaluated one maximum at a time, and a
+    point returns rs.shape + tail values, tail for values per point.  A
+    batch that raises is re-evaluated one maximum at a time, and a
     maximum's batch that raises one point at a time, so only the points
     that raise on their own count as -inf.
     """
     with np.errstate(all="ignore"):
         try:
-            v = np.asarray(point(rs, rows), dtype=float).reshape(rs.shape)
+            v = np.asarray(point(rs, rows), dtype=float).reshape(rs.shape + tail)
         except (ValueError, OverflowError, ZeroDivisionError):
             if rs.size == 1:
-                return np.full(rs.shape, -math.inf)
+                return np.full(rs.shape + tail, -math.inf)
             if rows.size > 1:
-                return np.concatenate([_safe_batch(point, rs[i : i + 1], rows[i : i + 1]) for i in range(rows.size)])
-            return np.concatenate([_safe_batch(point, rs[:, j : j + 1], rows) for j in range(rs.shape[1])], axis=1)
+                return np.concatenate(
+                    [_safe_batch(point, rs[i : i + 1], rows[i : i + 1], tail) for i in range(rows.size)]
+                )
+            return np.concatenate([_safe_batch(point, rs[:, j : j + 1], rows, tail) for j in range(rs.shape[1])], axis=1)
     return np.where(np.isfinite(v), v, -math.inf)
 
 
@@ -382,34 +405,105 @@ def _polish(p: CoefficientProfile, xs, vals, point) -> list[tuple[float, float]]
     return [(float(x), float(v)) for x, v in zip(best_x, best_v)]
 
 
+def _lattice_neighbours(p: CoefficientProfile, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice points either side, in r order, of the lattice points j.
+
+    The lattice lists the interior nodes and then the m = 15 sub-nodes of
+    each segment row by row (`_lattice`).  In r order segment k holds node k
+    at position (m + 1) k and its sub-node i at (m + 1) k + 1 + i, so each
+    neighbour is one position away; the ends 0 and 1 give way to 1e-12 and
+    1 - 1e-12.
+    """
+    seg = p.seg
+    m = seg.sub.shape[1]
+    q = j - (seg.n - 1)
+    pos = np.where(q < 0, (m + 1) * (j + 1), (m + 1) * (q // m) + 1 + q % m)
+
+    def at(pos):
+        k, i = np.divmod(pos, m + 1)
+        return np.where(i == 0, seg.nodes[k], seg.sub[np.minimum(k, seg.n - 1), i - 1])
+
+    return np.maximum(at(pos - 1), 1e-12), np.minimum(at(pos + 1), 1.0 - 1e-12)
+
+
+#: Points per bracket, ends included, in the first round of `_stationary_sups`.
+SAMPLES = 33
+
+
+def _stationary_sups(p: CoefficientProfile) -> list[tuple[float, float, float, float]]:
+    """The five sups, in DELTA_NAMES order, from their stationarity conditions.
+
+    Each functional's lattice argmax is bracketed by its two lattice
+    neighbours (`_lattice_neighbours`), and one `_point_views` call reads
+    every functional and its condition (`_CONDITIONS`) at SAMPLES points
+    across its bracket, ends included.  The + to - sign change of the
+    condition nearest the best sample holds the stationary point; one secant
+    step of the condition inside it gives x*, and one more call reads every
+    functional at its own x*.  The sup is the best of the lattice max, the
+    samples and F(x*), so never below the lattice max.  A bracket with no
+    sign change (a sup at an end, a peak flat to rounding, C underflowing at
+    the Myers edge) keeps its best sample; an infinite lattice max is not
+    polished; a point where a value is non-finite or raises counts as -inf
+    (`_safe_batch`).  Returns (argmax, max, lo, hi) per functional, with
+    (lo, hi) the samples either side of the sign change, or the whole
+    bracket where there is none.
+    """
+    xs, _, _ = _lattice(p)
+    lattice = _lattice_view(p)
+    with np.errstate(all="ignore"):
+        vals = [_scrub(p, expr(lattice)) for expr in _FUNCTIONALS.values()]
+    exprs = [(_FUNCTIONALS[name], _CONDITIONS[name]) for name in DELTA_NAMES]
+    j = np.array([int(np.argmax(v)) for v in vals])
+    best_x = xs[j]
+    best_v = np.array([v[k] for v, k in zip(vals, j)], dtype=float)
+    lo, hi = _lattice_neighbours(p, j)
+    rows = np.flatnonzero(best_v != math.inf)
+    cache = {}
+
+    def point(rs, rows):
+        n = rs.shape[1]
+        views = _point_views(p, rs.ravel(), cache, [slice(k * n, (k + 1) * n) for k in range(rows.size)])
+        return [np.stack([f(view), g(view)], axis=-1) for (f, g), view in zip((exprs[r] for r in rows), views)]
+
+    def keep(rows, x, v):
+        up = v > best_v[rows]
+        best_x[rows[up]] = x[up]
+        best_v[rows[up]] = v[up]
+
+    rs = np.linspace(lo[rows], hi[rows], SAMPLES, axis=1)
+    f, g = np.moveaxis(_safe_batch(point, rs, rows, (2,)), -1, 0)
+    i = np.arange(rows.size)
+    top = np.argmax(f, axis=1)
+    keep(rows, rs[i, top], f[i, top])
+    # a non-finite condition reads -inf, so it ends no sign change
+    change = (g[:, :-1] > 0.0) & (g[:, 1:] <= 0.0) & (g[:, 1:] > -math.inf)
+    c = np.argmin(np.where(change, np.abs(np.arange(SAMPLES - 1) + 0.5 - top[:, None]), math.inf), axis=1)
+    i, c = i[change[i, c]], c[change[i, c]]
+    solved = rows[i]
+    a, b, ga, gb = rs[i, c], rs[i, c + 1], g[i, c], g[i, c + 1]
+    lo[solved], hi[solved] = a, b
+    if solved.size:
+        x = np.minimum(a + (b - a) * (ga / (ga - gb)), b)
+        keep(solved, x, _safe_batch(point, x[:, None], solved, (2,))[:, 0, 0])
+    return [tuple(float(t) for t in row) for row in zip(best_x, best_v, lo, hi)]
+
+
 def functional_sup(p: CoefficientProfile, name: str) -> tuple[float, float]:
     """(argsup, sup) of one bracketing functional over r in (0, 1).
 
     The sup is taken over the full profile lattice (exact table values, no
-    interpolation) and polished locally with off-lattice evaluations.  The
-    first call on a profile polishes all five sups in lock-step and caches
-    them: each round reads the partial weights, phi and psi of all open
-    brackets' points in one call and evaluates each functional on its own
-    ZOOM points.  No integrand belongs to two functionals, so one
+    interpolation) and polished off the lattice by a two-round solve of the
+    functional's stationarity condition (`_stationary_sups`).  The first
+    call on a profile solves all five sups at once and caches them: each
+    round reads the partial weights, phi and psi of all five functionals'
+    points in one call.  No integrand belongs to two functionals, so one
     `_window_rows` cache serves them all.
     """
     if name not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {name!r}; expected one of {DELTA_NAMES}")
     sups = p._cache.get("delta_sups")
     if sups is None:
-        exprs = list(_FUNCTIONALS.values())
-        xs, _, _ = _lattice(p)
-        lattice = _lattice_view(p)
-        with np.errstate(all="ignore"):
-            vals = [_scrub(p, expr(lattice)) for expr in exprs]
-        cache = {}
-
-        def point(rs, rows):
-            n = rs.shape[1]
-            views = _point_views(p, rs.ravel(), cache, [slice(i * n, (i + 1) * n) for i in range(rows.size)])
-            return [exprs[row](view) for row, view in zip(rows, views)]
-
-        sups = dict(zip(DELTA_NAMES, _polish(p, xs, vals, point)))
+        sups = {name: (x, v) for name, (x, v, _, _) in zip(DELTA_NAMES, _stationary_sups(p))}
         p._cache["delta_sups"] = sups
     return sups[name]
 

@@ -621,6 +621,26 @@ class TestValidation:
         with pytest.raises(DomainError):
             principal_eigenvalue(beta_problem(0.0), tol=0.0)
 
+    def test_tol_below_the_shot_floor_refused_before_a_shot(self, monkeypatch):
+        # Half shots at tol / 10 = 1e-30 would march to the step cap; the
+        # floor refuses the solve before the first shot.  tol = 1e-13 still
+        # solves, to the closed forms at beta = 0, 1/2 and -1/2.
+        shots = []
+        orig = kernels.shoot
+
+        def counted(*args):
+            shots.append(1)
+            return orig(*args)
+
+        monkeypatch.setattr(kernels, "shoot", counted)
+        with pytest.raises(DomainError, match="tol"):
+            principal_eigenvalue(beta_problem(0.0), tol=1e-29)
+        assert shots == []
+        for beta, want in ((0.0, PI2 / 4.0), (0.5, 3.0), (-0.5, 2.0)):
+            lam = principal_eigenvalue(beta_problem(beta), tol=1e-13).eigenvalue
+            assert lam == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert shots
+
     def test_rejects_unmixed_conditions_and_bad_drift_rates(self):
         with pytest.raises(DomainError):
             EigenProblem(0, 0.0, 0.0, DIRICHLET, DIRICHLET)
@@ -643,6 +663,13 @@ class TestStiffHalfShots:
         prob = EigenProblem(0, 1500.0, 0.0, NEUMANN, DIRICHLET)
         with pytest.raises(StiffIntegration, match="overflow") as info:
             oracle._half_angle(prob, DIRICHLET, 0.0, 0.0, 1.0, 0.5, 1e-11)
+        assert isinstance(info.value.__cause__, OverflowError)
+
+    def test_overflowing_eigenvalue_reported_in_log(self):
+        # e^750 overflows a double before the shot starts; the message
+        # gives log lambda instead of overflowing again.
+        with pytest.raises(StiffIntegration, match="log lambda = 750") as info:
+            oracle._half_angle(beta_problem(0.0), DIRICHLET, 750.0, 0.0, 0.0, 0.5, 1e-11)
         assert isinstance(info.value.__cause__, OverflowError)
 
     def test_step_underflow(self):

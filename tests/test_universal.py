@@ -378,11 +378,12 @@ class TestEdgeTables:
 
     def test_flagged_rows_take_direct_pages(self):
         # Clipped interpolated pages on the flagged rows move this lattice
-        # argmax by 0.79 and the sup by a factor ~1e12.  The argmax sits
-        # 1.7e-8 relative from the full 4096-segment grid's 0.20515414534396853,
-        # on a peak flat enough that the sup agrees to 1e-12.
+        # argmax by 0.79 and the sup by a factor ~1e12.  The argmax, from the
+        # stationarity condition's secant step, sits 9.9e-10 relative from the
+        # full 4096-segment grid's 0.20515414534396853 (the zoom's sat 1.7e-8
+        # away), on a peak flat enough that the sup agrees to 1e-12.
         x, v = universal.functional_sup(get_profile(20, Alpha.positive(HALF_PI)), "delta1_prime")
-        assert x == pytest.approx(0.2051541487577367, rel=1e-12)
+        assert x == pytest.approx(0.20515414554788022, rel=1e-12)
         assert v == pytest.approx(0.01635696466086855, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -851,6 +852,106 @@ class TestThinnedLattice:
         tr = iterate_upper(p, 2)
         assert list(tr.upper_sequence) == pytest.approx(want_upper, rel=1e-13, abs=0.0)
         assert list(tr.rayleigh_sequence) == pytest.approx(want_rayleigh, rel=1e-13, abs=0.0)
+
+
+def _zoom_sups(p):
+    """The five sups by the ZOOM polish over the same off-lattice views."""
+    exprs = list(universal._FUNCTIONALS.values())
+    xs, _, _ = universal._lattice(p)
+    lattice = universal._lattice_view(p)
+    with np.errstate(all="ignore"):
+        vals = [universal._scrub(p, expr(lattice)) for expr in exprs]
+    cache = {}
+
+    def point(rs, rows):
+        n = rs.shape[1]
+        views = universal._point_views(p, rs.ravel(), cache, [slice(i * n, (i + 1) * n) for i in range(rows.size)])
+        return [exprs[row](view) for row, view in zip(rows, views)]
+
+    return universal._polish(p, xs, vals, point), [float(np.max(v)) for v in vals]
+
+
+def _sup_points():
+    """Every 16th reference point (d < 1000) and the Myers edges; all with EIGENBOUND_FULL=1."""
+    grid = [(int(d), x) for d, x, _ in json.loads(REFERENCE.read_text())["curvature"] if d < 1000]
+    return grid if FULL else [(d, x) for i, (d, x) in enumerate(grid) if i % 16 == 0 or x == HALF_PI]
+
+
+class TestStationarySups:
+    """The two-round stationarity solve behind functional_sup."""
+
+    @pytest.mark.parametrize(
+        "d, alpha",
+        [
+            (3, Alpha.negative(1.5)),
+            (20, Alpha.negative(10.0 / 3.0)),
+            (2, Alpha.zero()),
+            (5, Alpha.positive(1.0)),
+            (10, Alpha.positive(HALF_PI)),
+        ],
+        ids=["neg", "neg20", "flat", "pos", "edge10"],
+    )
+    def test_conditions_have_the_sign_of_the_derivative(self, d, alpha):
+        # Centred differences of each functional on the interpolant, across
+        # (0, 1) and close to every sup, against the closed-form condition
+        # at the middle point, wherever the difference stands above 1e3 ulp.
+        p = get_profile(d, alpha)
+        near = np.array([universal.functional_sup(p, name)[0] for name in DELTA_NAMES])
+        offsets = np.array([-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2])
+        rs = np.concatenate((np.linspace(0.005, 0.995, 199), (near[:, None] * (1.0 + offsets)).ravel()))
+        h, n = 1e-7, rs.size
+        with np.errstate(all="ignore"):
+            lo, mid, hi = universal._point_views(
+                p, np.concatenate((rs - h, rs, rs + h)), {}, [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
+            )
+            for name in DELTA_NAMES:
+                f, g = universal._FUNCTIONALS[name], universal._CONDITIONS[name]
+                df, cond = f(hi) - f(lo), g(mid)
+                big = np.isfinite(df) & np.isfinite(cond) & (np.abs(df) > 1e3 * np.spacing(np.abs(f(mid))))
+                assert big.sum() >= 50, name
+                np.testing.assert_array_equal(np.sign(cond[big]), np.sign(df[big]), err_msg=name)
+
+    @pytest.mark.parametrize("d, x", _sup_points(), ids=[f"d{d}{x:+.4f}" for d, x in _sup_points()])
+    def test_sups_agree_with_the_zoom_polish(self, d, x):
+        p = CoefficientProfile(d, _grid_alpha(x))
+        zoom, lattice_max = _zoom_sups(p)
+        for name, (_, want), floor in zip(DELTA_NAMES, zoom, lattice_max):
+            _, got = universal.functional_sup(p, name)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), name
+            assert got >= floor, name
+
+    @pytest.mark.parametrize(
+        "d, alpha",
+        [(3, Alpha.negative(1.0)), (2, Alpha.zero()), (10, Alpha.positive(HALF_PI))],
+        ids=["neg", "flat", "edge10"],
+    )
+    def test_five_sups_take_two_point_rounds(self, d, alpha, monkeypatch):
+        # The ZOOM polish took 8 rounds of off-lattice reads for these five
+        # sups; the solve takes one round of samples and one at the five x*.
+        calls = []
+        orig = universal._point_views
+
+        def counted(*args):
+            calls.append(1)
+            return orig(*args)
+
+        monkeypatch.setattr(universal, "_point_views", counted)
+        p = CoefficientProfile(d, alpha)
+        for name in DELTA_NAMES:
+            universal.functional_sup(p, name)
+        assert 1 <= len(calls) <= 2
+
+    def test_brackets_are_the_lattice_neighbours(self):
+        # The neighbours come from the segment layout; sorting the whole
+        # lattice is the reference.
+        p = get_profile(3, Alpha.negative(1.0))
+        xs, _, _ = universal._lattice(p)
+        order = np.sort(xs)
+        assert np.all(np.diff(order) > 0.0)
+        lo, hi = universal._lattice_neighbours(p, np.arange(xs.size))
+        pos = np.searchsorted(order, xs)
+        np.testing.assert_array_equal(lo, np.concatenate(([1e-12], order[:-1]))[pos])
+        np.testing.assert_array_equal(hi, np.concatenate((order[1:], [1.0 - 1e-12]))[pos])
 
 
 def _reference_grid(d: int):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -360,8 +361,21 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3 as a negative number, not an option.
+
+    argparse before Python 3.13 takes only -N and -N.N for numbers, so
+    "-K -1e-3" failed with "expected one argument".  Subparsers are built
+    with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="eigenbound",
         description="Certified lower bounds for the first nontrivial Laplacian"
         " eigenvalue from dimension, diameter, and a Ricci curvature bound.",

@@ -180,7 +180,10 @@ class CoefficientProfile:
     between them a segment spans four grid segments.  Over the 401
     (d, alpha) points of `perfbench/reference.json` with d < 1000, the
     2,005 functional sups on this lattice stay within 1.8e-14 relative of
-    the full grid's (median 9.7e-16), none below its own lattice max.
+    the full grid's (median 9.7e-16), none below its own lattice max.  The
+    sups fill the sub-node rows of their tables only on the segments whose
+    node-level bounds leave room for a max (`universal._lattice_maxes`), a
+    median of 10 of the 1,120 over those points, with the same maxes.
     """
 
     def __init__(self, d: int, alpha: Alpha, segments: int = 4096):

@@ -309,23 +309,29 @@ class Segmentation:
         """(n,) integrals over each segment from integrand values at sub."""
         return self.width * (v_sub @ WH)
 
-    def build_cumulative(self, v_sub: np.ndarray, means: np.ndarray):
+    def build_cumulative(self, v_sub: np.ndarray, means: np.ndarray, rows=slice(None), nodes=None):
         """Cumulative integral tables from integrand values.
 
-        v_sub holds the integrand at the sub-nodes and means its (n, 15)
-        within-segment means over [node_k, sub_kj].  Returns (cum_nodes,
-        cum_sub): the running integral from 0 at every node and at every
-        sub-node.  Both levels are GL15 values.
+        v_sub holds the integrand at the sub-nodes of every segment, and
+        means the (m, 15) within-segment means over [node_k, sub_kj] of the
+        segments rows, all of them by default.  Returns (cum_nodes,
+        cum_sub): the running integral from 0 at every node, and at the
+        sub-nodes of rows, row i of cum_sub for segment rows[i].  Both
+        levels are GL15 values, and a row's entries do not depend on which
+        other rows are filled.  nodes is cum_nodes from an earlier call on
+        the same v_sub, when there is one.
         """
-        seg = self.segment_integrals(v_sub)
-        cum_nodes = np.concatenate(([0.0], np.cumsum(seg)))
-        cum_sub = cum_nodes[:-1, None] + self.offs * means
-        return cum_nodes, cum_sub
+        if nodes is None:
+            nodes = np.concatenate(([0.0], np.cumsum(self.segment_integrals(v_sub))))
+        return nodes, nodes[:-1][rows, None] + self.offs[rows] * means
 
     def build_reverse(
-        self, v_sub: np.ndarray, means: np.ndarray, rel_floor: float = 0.0
+        self, v_sub: np.ndarray, means: np.ndarray, rel_floor: float = 0.0, rows=slice(None), nodes=None
     ):
         """Tail integral tables: int_x^1 f at nodes and sub-nodes.
+
+        Takes v_sub, means, rows and nodes as `build_cumulative` does, and
+        fills the sub-node entries of rows only.
 
         Accumulated from the right end so small tails never come out of a
         catastrophic total-minus-cumulative subtraction.
@@ -342,11 +348,11 @@ class Segmentation:
         the value noise induced by half-ulp coordinate rounding there.
         """
         seg = self.segment_integrals(v_sub)
-        tail_nodes = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-        within = self.offs * means
-        tail_sub = tail_nodes[1:, None] + (seg[:, None] - within)
+        tail_nodes = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0])) if nodes is None else nodes
+        within = self.offs[rows] * means
+        tail_sub = tail_nodes[1:][rows, None] + (seg[rows, None] - within)
         rel = max(64.0 * np.finfo(float).eps, rel_floor)
-        floor = rel * np.abs(tail_nodes[:-1, None])
+        floor = rel * np.abs(tail_nodes[:-1][rows, None])
         tail_sub = np.where(np.abs(tail_sub) < floor, 0.0, tail_sub)
         return tail_nodes, tail_sub
 
@@ -392,27 +398,41 @@ class Segmentation:
             means[bad] = page_means(self._interp_pages(v_sub[bad]))
         return means
 
-    def pointwise_means(self, v_subs, pages_at) -> list[np.ndarray]:
+    def pointwise_means(self, v_subs, pages_at, rows=slice(None)) -> tuple[list[np.ndarray], np.ndarray]:
         """Within-segment means of integrands that can be evaluated pointwise.
 
         v_subs holds each integrand's (n, 15) values at the sub-nodes and
-        pages_at(rows) returns all of them at the sub-sub points of the
-        segments rows, self.subsub[rows], in the same order.
+        pages_at(segments) returns all of them at the sub-sub points of
+        those segments, self.subsub[segments], in the same order.  Only the
+        rows of the segments rows, all of them by default, are computed.
         A row that no integrand flags by `needs_clip` takes v_sub @ SPECTRAL;
         a row that any of them flags takes direct sub-sub pages for all of
-        them, evaluated PAGE_BLOCK rows at a time.  Returns the means and the
-        indices of the paged rows, the rows where the tables are not the
-        integrals of the in-segment interpolant.
+        them, evaluated PAGE_BLOCK rows at a time.  Returns the (m, 15)
+        means of rows, and the indices of the paged segments among them,
+        the rows where the tables are not the integrals of the in-segment
+        interpolant.
         """
+        segments = np.arange(self.n)[rows]
+        if isinstance(rows, slice):
+            # whole tables go one by one, which spares copying them
+            parts = [v[rows] for v in v_subs]
+        else:
+            # A few gathered rows: every integrand's go through one product
+            # and one guard.  Each row of a product of two or more rows
+            # rounds as in the product of all n; a lone row would go down
+            # numpy's matrix-vector path, which rounds differently.
+            parts = [np.concatenate([v[rows] for v in v_subs])]
         # Non-finite rows turn to nan here; needs_clip flags them all.
         with np.errstate(invalid="ignore"):
-            means = [v @ SPECTRAL for v in v_subs]
-        rows = np.flatnonzero(np.logical_or.reduce([needs_clip(v) for v in v_subs]))
-        for lo in range(0, rows.size, PAGE_BLOCK):
-            block = rows[lo : lo + PAGE_BLOCK]
-            for m, pages in zip(means, pages_at(block)):
-                m[block] = page_means(pages)
-        return means, rows
+            means = [m for part in parts for m in (part @ SPECTRAL).reshape(-1, segments.size, 15)]
+        flags = np.concatenate([needs_clip(part) for part in parts])
+        flagged = np.flatnonzero(flags.reshape(len(v_subs), -1).any(axis=0))
+        paged = segments[flagged]
+        for lo in range(0, flagged.size, PAGE_BLOCK):
+            block = slice(lo, lo + PAGE_BLOCK)
+            for m, pages in zip(means, pages_at(paged[block])):
+                m[flagged[block]] = page_means(pages)
+        return means, paged
 
     def cumulative_from_sub(self, v_sub: np.ndarray):
         """build_cumulative with the sub-sub level filled by interpolation.
@@ -448,6 +468,11 @@ class Segmentation:
         w = self.width[k]
         means = partial_means(np.concatenate((t / w, u / w)))
         return k, t[:, None] * means[: x.size], u[:, None] * means[x.size :, ::-1]
+
+    @functools.cached_property
+    def lattice(self) -> np.ndarray:
+        """(n - 1 + 15 n,) the interior lattice: the interior nodes, then the sub-nodes of each segment row by row."""
+        return np.concatenate((self.nodes[1:-1], self.sub.ravel()))
 
     @functools.cached_property
     def grid_weights(self):

@@ -15,9 +15,14 @@ converging to lam from both sides, and variational_ratio turns any
 positive test function into a certified lower bound for lam.
 
 Everything here works on the shared graded Gauss-Legendre lattice of the
-profile: sups and infs are taken over the ~18k interior lattice points
-where the cumulative tables are exact, then polished off the lattice.  The
-five sups solve their stationarity conditions, closed forms in the same
+profile: sups and infs start from the max or min over the ~18k interior
+lattice points where the cumulative tables are exact, then are polished
+off the lattice.  The five sups find their lattice maxes in two steps
+(`_lattice_maxes`): node tables and node values on every segment, then
+sub-node rows only on the segments whose node-level bound (`_BOUNDS`:
+monotone first-order and end-safe enclosures and a mean-value form) leaves
+room for a max, which gives the whole lattice's argmax and max to the bit.
+They then solve their stationarity conditions, closed forms in the same
 quantities as the functionals, between the lattice neighbours of each
 argmax in two rounds of off-lattice reads shared by all five
 (`_stationary_sups`).  variational_ratio's inf, whose test function has no
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,9 +81,9 @@ _INTEGRANDS = {
 #: integrals; its sup over r in (0, 1) is the bracketing value.
 _FUNCTIONALS = {
     "delta": lambda v: v.phi * v.psi,
-    "delta1": lambda v: v.A1 / np.sqrt(v.phi) + np.sqrt(v.phi) * v.A2,
+    "delta1": lambda v: v.A1 / v.sqrt_phi + v.sqrt_phi * v.A2,
     "delta1_prime": lambda v: v.A3 / v.phi + v.phi * v.psi,
-    "delta1_star": lambda v: v.B1 / np.sqrt(v.psi) + np.sqrt(v.psi) * v.B2,
+    "delta1_star": lambda v: v.B1 / v.sqrt_psi + v.sqrt_psi * v.B2,
     "delta1_star_prime": lambda v: v.B3 / v.psi + v.phi * v.psi,
 }
 
@@ -97,14 +103,67 @@ _CONDITIONS = {
 }
 
 
+#: name -> bounds of the functional on each segment [a, b], from views a
+#: and b of its end nodes and e of what all five share: (first-order,
+#: end-safe, g_hi, g_lo, m_hi).  phi, A1, A3 and B2 rise and psi, A2, B1 and
+#: B3 fall, so the first-order bound reads each factor at its favourable
+#: end.  The end-safe bound stays finite where phi(0) = 0 or psi(1) = 0: it
+#: follows from A1 <= phi^{3/2} int_0^r C, A3 <= phi^2 int_0^r C and their
+#: duals B1 <= psi^{3/2} int_r^1 1/C, B3 <= psi^2 int_r^1 1/C.  g_hi and
+#: g_lo bound the condition g of `_CONDITIONS` from above and below, and
+#: m_hi bounds the positive factor m of F' = m g from above, with C and 1/C
+#: between their end values (C is monotone on each branch); they give the
+#: mean-value bound of `_segment_bounds`.
+_BOUNDS = {
+    "delta": lambda a, b, e: (
+        e.phi_psi,
+        math.inf,
+        a.psi * e.cinv_hi - a.phi * e.c_lo,
+        b.psi * e.cinv_lo - b.phi * e.c_hi,
+        1.0,
+    ),
+    "delta1": lambda a, b, e: (
+        b.A1 / a.sqrt_phi + b.sqrt_phi * a.A2,
+        b.phi * e.head_c + b.sqrt_phi * a.A2,
+        a.A2 * b.phi - a.A1,
+        b.A2 * a.phi - b.A1,
+        e.cinv_hi / (2.0 * a.phi * a.sqrt_phi),
+    ),
+    "delta1_prime": lambda a, b, e: (
+        b.A3 / a.phi + e.phi_psi,
+        b.phi * e.head_c + e.phi_psi,
+        a.psi * b.phi * b.phi - a.A3,
+        b.psi * a.phi * a.phi - b.A3,
+        e.cinv_hi / (a.phi * a.phi),
+    ),
+    "delta1_star": lambda a, b, e: (
+        a.B1 / b.sqrt_psi + a.sqrt_psi * b.B2,
+        a.psi * e.tail_cinv + a.sqrt_psi * b.B2,
+        a.B1 - b.psi * a.B2,
+        b.B1 - a.psi * b.B2,
+        e.c_hi / (2.0 * b.psi * b.sqrt_psi),
+    ),
+    "delta1_star_prime": lambda a, b, e: (
+        a.B3 / b.psi + e.phi_psi,
+        a.psi * e.tail_cinv + e.phi_psi,
+        a.B3 - a.phi * b.psi * b.psi,
+        b.B3 - b.phi * a.psi * a.psi,
+        e.c_hi / (b.psi * b.psi),
+    ),
+}
+
+
 class _View:
-    """Named quantities at a set of points, each computed by read(name) on first use."""
+    """Named quantities at a set of points, each computed by read(name) on first use.
+
+    sqrt_x is the square root of x, taken once.
+    """
 
     def __init__(self, read):
         self._read = read
 
     def __getattr__(self, name):
-        value = self._read(name)
+        value = np.sqrt(getattr(self, name[5:])) if name.startswith("sqrt_") else self._read(name)
         setattr(self, name, value)
         return value
 
@@ -141,11 +200,11 @@ def _integrand(name: str, v: _View) -> np.ndarray:
     keep their rounding.
     """
     weight, power, _ = _INTEGRANDS[name]
-    x, k = (v.phi, v.C) if weight == "C" else (v.psi, v.Cinv)
+    x, root, k = (v.phi, v.sqrt_phi, v.C) if weight == "C" else (v.psi, v.sqrt_psi, v.Cinv)
     if power == 0.5:
-        return k * np.sqrt(x)
+        return k * root
     if power == 1.5:
-        return k * x * np.sqrt(x)
+        return k * x * root
     return k * x * x
 
 
@@ -179,28 +238,15 @@ def _integrands(p: CoefficientProfile, at: _View) -> list[np.ndarray]:
     return [_scrub(p, _integrand(name, at)) for name in _INTEGRANDS]
 
 
-def _lattice(p: CoefficientProfile):
-    """Interior evaluation lattice: all interior nodes plus all sub-nodes."""
-    lat = p._cache.get("lattice")
-    if lat is None:
-        seg = p.seg
-        xs = np.concatenate((seg.nodes[1:-1], seg.sub.ravel()))
-        phi_l = np.concatenate((p.phi_nodes[1:-1], p.phi_sub.ravel()))
-        psi_l = np.concatenate((p.psi_nodes[1:-1], p.psi_sub.ravel()))
-        lat = (xs, phi_l, psi_l)
-        p._cache["lattice"] = lat
-    return lat
-
-
 def _flat(table) -> np.ndarray:
-    """Lattice-aligned view of a cumulative or tail table pair."""
+    """Lattice-aligned view of a cumulative or tail table pair (`Segmentation.lattice`)."""
     nodes, sub = table
     return np.concatenate((nodes[1:-1], sub.ravel()))
 
 
-def _sub_view(p: CoefficientProfile, s: slice = slice(None)) -> _View:
-    """C, 1/C, phi and psi at the sub-nodes of the segments s."""
-    return _View({"C": p.c_sub[s], "Cinv": p.cinv_sub[s], "phi": p.phi_sub[s], "psi": p.psi_sub[s]}.get)
+def _sub_view(p: CoefficientProfile) -> _View:
+    """C, 1/C, phi and psi at the sub-nodes of every segment."""
+    return _View({"C": p.c_sub, "Cinv": p.cinv_sub, "phi": p.phi_sub, "psi": p.psi_sub}.get)
 
 
 def _subsub_view(p: CoefficientProfile, rows: np.ndarray) -> _View:
@@ -215,66 +261,103 @@ def _subsub_view(p: CoefficientProfile, rows: np.ndarray) -> _View:
     return _coefficients(p, None, lambda: p.subsub_primitives(rows), lambda: p.subsub_coefficients(rows))
 
 
-def _tables(p: CoefficientProfile):
-    """The six integral tables (nodes, sub-nodes), cached per profile.
+def _integrand_rows(p: CoefficientProfile) -> dict[str, np.ndarray]:
+    """The six scrubbed integrands at the sub-nodes of every segment, cached per profile."""
+    vals = p._cache.get("integrand_rows")
+    if vals is None:
+        with np.errstate(all="ignore"):
+            vals = dict(zip(_INTEGRANDS, _integrands(p, _sub_view(p))))
+        p._cache["integrand_rows"] = vals
+    return vals
 
-    Also caches "panel_rows", the mask of segments paged directly for these
-    tables or for phi and psi.
+
+def _build(p: CoefficientProfile, means: list[np.ndarray], rows, nodes=None) -> dict:
+    """name -> (nodes, sub-node rows of the segments rows) of each integral, from its means on rows.
+
+    nodes holds the node tables when the node step has built them.
     """
-    tabs = p._cache.get("delta_tables")
-    if tabs is not None:
-        return tabs
-    rows = _sub_view(p)
-    with np.errstate(all="ignore"):
-        # Rows an in-segment interpolant cannot represent take their means
-        # from direct sub-sub values.  At the Myers edge the forward
-        # integrands C phi^{3/2}, C phi^2 and C^{-1} psi^{1/2} blow up
-        # toward r = 1 hard enough to span dozens of orders of magnitude
-        # inside the final graded segments; on those rows the panel
-        # quadratures then see genuine (positive, monotone) values and
-        # stay bounded and sane.
-        vals = _integrands(p, rows)
-        means, paged = p.seg.pointwise_means(vals, lambda rows: _integrands(p, _subsub_view(p, rows)))
+    vals = _integrand_rows(p)
+    tabs = {}
+    for (name, (_, _, forward)), m in zip(_INTEGRANDS.items(), means):
+        at_nodes = None if nodes is None else nodes[name]
+        if forward:
+            tabs[name] = p.seg.build_cumulative(vals[name], m, rows, at_nodes)
+        else:
+            tabs[name] = p.seg.build_reverse(vals[name], m, p.tail_floor, rows, at_nodes)
+    return tabs
+
+
+def _node_tables(p: CoefficientProfile) -> dict[str, np.ndarray]:
+    """Each integral at every node, cached per profile: the tables with no sub-node row filled."""
+    nodes = p._cache.get("node_tables")
+    if nodes is None:
+        none = np.empty(0, dtype=int)
+        with np.errstate(all="ignore"):
+            nodes = {name: t[0] for name, t in _build(p, [np.empty((0, 15))] * len(_INTEGRANDS), none).items()}
+        p._cache["node_tables"] = nodes
+    return nodes
+
+
+def _panel_state(p: CoefficientProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(panel_rows, panel_known), cached per profile: per segment, whether it is paged directly, and whether that is known yet.
+
+    A segment is paged directly for phi and psi (the profile's `paged`) or
+    for the integral tables, where `needs_clip` flags any of the six
+    integrands on its row (`Segmentation.pointwise_means`).
+    """
+    if "panel_rows" not in p._cache:
         panel = np.zeros(p.seg.n, dtype=bool)
-        panel[paged] = True
         panel[p.paged] = True
         p._cache["panel_rows"] = panel
-        tabs = {}
-        for (name, (_, _, forward)), v, m in zip(_INTEGRANDS.items(), vals, means):
-            if forward:
-                tabs[name] = p.seg.build_cumulative(v, m)
-            else:
-                tabs[name] = p.seg.build_reverse(v, m, p.tail_floor)
-    p._cache["delta_tables"] = tabs
+        p._cache["panel_known"] = np.zeros(p.seg.n, dtype=bool)
+    return p._cache["panel_rows"], p._cache["panel_known"]
+
+
+def _panel_rows(p: CoefficientProfile, k: np.ndarray) -> np.ndarray:
+    """Whether each segment k is paged directly (`_panel_state`), flagging only the rows not yet known."""
+    panel, known = _panel_state(p)
+    new = np.unique(k[~known[k]])
+    if new.size:
+        vals = list(_integrand_rows(p).values())
+        flagged = needs_clip(np.concatenate([v[new] for v in vals])).reshape(len(vals), -1).any(axis=0)
+        panel[new[flagged]] = True
+        known[new] = True
+    return panel[k]
+
+
+def _tables(p: CoefficientProfile, rows=slice(None)) -> dict:
+    """The six integral tables, name -> (nodes, sub-node rows of the segments rows).
+
+    rows defaults to every segment, whose tables are cached per profile.
+    Rows an in-segment interpolant cannot represent take their means from
+    direct sub-sub values, and are recorded as paged (`_panel_state`).  At
+    the Myers edge the forward integrands C phi^{3/2}, C phi^2 and
+    C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens of
+    orders of magnitude inside the final graded segments; on those rows the
+    panel quadratures then see genuine (positive, monotone) values and stay
+    bounded and sane.
+    """
+    whole = isinstance(rows, slice)
+    tabs = p._cache.get("delta_tables") if whole else None
+    if tabs is not None:
+        return tabs
+    with np.errstate(all="ignore"):
+        means, paged = p.seg.pointwise_means(
+            list(_integrand_rows(p).values()), lambda rows: _integrands(p, _subsub_view(p, rows)), rows
+        )
+        panel, known = _panel_state(p)
+        panel[paged] = True
+        known[rows] = True
+        tabs = _build(p, means, rows, _node_tables(p))
+    if whole:
+        p._cache["delta_tables"] = tabs
     return tabs
 
 
 def _lattice_view(p: CoefficientProfile) -> _View:
-    """phi, psi and the integrals on the interior lattice, as arrays."""
-    _, phi_l, psi_l = _lattice(p)
-    tabs = _tables(p)
-    known = {"phi": phi_l, "psi": psi_l}
-    return _View(lambda name: known[name] if name in known else _flat(tabs[name]))
-
-
-def _window_rows(p: CoefficientProfile, cache: dict, name: str, ks: np.ndarray) -> np.ndarray:
-    """Sub-node values of integrand `name` on the segments ks, as (m, 15) rows.
-
-    cache holds one contiguous block of rows per integrand and grows it when
-    ks reaches past it, so a polish computes the rows of its few segments
-    once instead of once per round or once for the whole lattice.
-    """
-    lo, hi = int(ks.min()), int(ks.max()) + 1
-    got = cache.get(name)
-    if got is not None:
-        start, block = got
-        if start <= lo and hi <= start + len(block):
-            return block[ks - start]
-        lo, hi = min(lo, start), max(hi, start + len(block))
-    with np.errstate(all="ignore"):
-        block = _scrub(p, _integrand(name, _sub_view(p, slice(lo, hi))))
-    cache[name] = (lo, block)
-    return block[ks - lo]
+    """phi, psi and the integrals at every point of `Segmentation.lattice`, from the full tables."""
+    tabs = {"phi": (p.phi_nodes, p.phi_sub), "psi": (p.psi_nodes, p.psi_sub), **_tables(p)}
+    return _View(lambda name: _flat(tabs[name]))
 
 
 def _panel_integral(p: CoefficientProfile, name: str, rs: np.ndarray) -> np.ndarray:
@@ -289,10 +372,10 @@ def _panel_integral(p: CoefficientProfile, name: str, rs: np.ndarray) -> np.ndar
         return _integrand(name, _coefficients(p, y))
 
     evaluate = seg.cum_eval if _INTEGRANDS[name][2] else seg.tail_eval
-    return evaluate(_tables(p)[name][0], integrand, rs)
+    return evaluate(_node_tables(p)[name], integrand, rs)
 
 
-def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
+def _point_views(p: CoefficientProfile, rs, parts) -> list[_View]:
     """phi, psi, C, 1/C and the integrals at off-lattice points rs[s], one view per slice s in parts.
 
     Each value is its node table plus the integral, over the partial segment,
@@ -302,28 +385,28 @@ def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
     coefficient evaluated.  phi and psi are read once for all of rs
     (`CoefficientProfile.primitives_at`, which reads the flux form in the
     rows the profile paged); each integral only for the slices that use
-    it.  On the segments `pointwise_means` paged directly the integral
-    tables are not the interpolant's integral, so integrals at points there
-    take partial-segment panels instead (`_panel_integral`).  cache carries
-    the integrand rows from one call to the next of the same polish
-    (`_window_rows`).  C and 1/C share one log C per slice (`_coefficients`).
+    it.  On the segments paged directly (`_panel_rows`) the integral tables
+    are not the interpolant's integral, so integrals at points there take
+    partial-segment panels instead (`_panel_integral`).  C and 1/C share
+    one log C per slice (`_coefficients`).
     """
-    tabs = _tables(p)
+    nodes = _node_tables(p)
+    rows = _integrand_rows(p)
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     weights = p.seg.partial_weights(rs)
+    panels = _panel_rows(p, weights[0])
     prims = []
 
     def view(s):
         x = rs[s]
         k, head, tail = (w[s] for w in weights)
-        panel = p._cache["panel_rows"][k]
+        panel = panels[s]
         coefficients = _coefficients(p, x)
 
         def interpolant(name, k, head, tail):
-            row = _window_rows(p, cache, name, k)
             if _INTEGRANDS[name][2]:
-                return tabs[name][0][k] + np.einsum("ij,ij->i", head, row)
-            return tabs[name][0][k + 1] + np.einsum("ij,ij->i", tail, row)
+                return nodes[name][k] + np.einsum("ij,ij->i", head, rows[name][k])
+            return nodes[name][k + 1] + np.einsum("ij,ij->i", tail, rows[name][k])
 
         def read(name):
             if name in ("phi", "psi"):
@@ -349,10 +432,11 @@ def _point_views(p: CoefficientProfile, rs, cache: dict, parts) -> list[_View]:
 def _safe_batch(point, rs: np.ndarray, rows: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
     """point(rs, rows) with every non-finite value, or raising point, as -inf.
 
-    point returns rs.shape + tail values, tail for values per point.  A
-    batch that raises is re-evaluated one maximum at a time, and a
-    maximum's batch that raises one point at a time, so only the points
-    that raise on their own count as -inf.
+    Row i of rs holds the points of maximum rows[i], and point returns
+    rs.shape + tail values, tail for values per point.  A batch that raises
+    is re-evaluated one maximum at a time, and a maximum's batch that
+    raises one point at a time, so only the points that raise on their own
+    count as -inf.
     """
     with np.errstate(all="ignore"):
         try:
@@ -368,41 +452,31 @@ def _safe_batch(point, rs: np.ndarray, rows: np.ndarray, tail: tuple[int, ...] =
     return np.where(np.isfinite(v), v, -math.inf)
 
 
-def _polish(p: CoefficientProfile, xs, vals, point) -> list[tuple[float, float]]:
-    """Zoom polish of each row's max near its lattice argmax; never worse than the grid.
+def _polish(p: CoefficientProfile, xs, vals, point) -> tuple[float, float]:
+    """Zoom polish of a max near its lattice argmax; never worse than the grid.
 
-    vals holds one array of lattice values per maximum, and the maxima are
-    polished in lock-step.  point(rs, rows) evaluates the maxima rows off the
-    lattice, row i of the (rows.size, n) points rs for maximum rows[i], and
-    returns values of the same shape; a point where it is non-finite or
+    vals holds the lattice values at xs.  point(rs) evaluates the function
+    at the points rs off the lattice; a point where it is non-finite or
     raises counts as -inf (`_safe_batch`).  Each round evaluates ZOOM
-    interior points of every open bracket [a, b] in one call and narrows
-    each bracket to the two grid neighbours of its round's argmax; a bracket
-    closes at b - a <= 1e-12, and an infinite lattice max is not polished.
-    Returns (argmax, max) per row.
+    interior points of the bracket [a, b] in one call and narrows it to the
+    two grid neighbours of its round's argmax, down to b - a <= 1e-12; an
+    infinite lattice max is not polished.  Returns (argmax, max).
     """
-    k = [int(np.argmax(v)) for v in vals]
-    best_x = np.asarray(xs, dtype=float)[k]
-    best_v = np.array([v[j] for v, j in zip(vals, k)], dtype=float)
+    k = int(np.argmax(vals))
+    best_x, best_v = float(xs[k]), float(vals[k])
     w = p.seg.width[p.seg.locate(best_x)]
-    a = np.maximum(best_x - w, 1e-12)
-    b = np.minimum(best_x + w, 1.0 - 1e-12)
+    a = max(best_x - w, 1e-12)
+    b = min(best_x + w, 1.0 - 1e-12)
     grid = np.arange(1, ZOOM + 1) / (ZOOM + 1)
-    rows = np.flatnonzero((best_v != math.inf) & (b - a > 1e-12))
-    while rows.size:
-        lo, width = a[rows], b[rows] - a[rows]
-        rs = lo[:, None] + width[:, None] * grid
-        v = _safe_batch(point, rs, rows)
-        i = np.arange(rows.size)
-        j = np.argmax(v, axis=1)
-        top = v[i, j]
-        up = top > best_v[rows]
-        best_x[rows[up]] = rs[i, j][up]
-        best_v[rows[up]] = top[up]
-        a[rows] = np.where(j > 0, rs[i, j - 1], lo)
-        b[rows] = np.where(j + 1 < ZOOM, rs[i, np.minimum(j + 1, ZOOM - 1)], b[rows])
-        rows = rows[b[rows] - a[rows] > 1e-12]
-    return [(float(x), float(v)) for x, v in zip(best_x, best_v)]
+    one = np.zeros(1, dtype=int)
+    while best_v != math.inf and b - a > 1e-12:
+        rs = a + (b - a) * grid
+        v = _safe_batch(lambda rs, _: point(rs[0])[None], rs[None], one)[0]
+        j = int(np.argmax(v))
+        if v[j] > best_v:
+            best_x, best_v = float(rs[j]), float(v[j])
+        a, b = (rs[j - 1] if j > 0 else a), (rs[j + 1] if j + 1 < ZOOM else b)
+    return best_x, best_v
 
 
 def _lattice_neighbours(p: CoefficientProfile, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,6 +500,113 @@ def _lattice_neighbours(p: CoefficientProfile, j: np.ndarray) -> tuple[np.ndarra
     return np.maximum(at(pos - 1), 1e-12), np.minimum(at(pos + 1), 1.0 - 1e-12)
 
 
+def _node_view(p: CoefficientProfile) -> _View:
+    """phi, psi, C, 1/C and the integrals at every node, 0 and 1 included."""
+    nodes = _node_tables(p)
+    coefficients = _coefficients(p, p.seg.nodes)
+
+    def read(name):
+        if name in ("phi", "psi"):
+            return p.phi_nodes if name == "phi" else p.psi_nodes
+        if name in ("C", "Cinv"):
+            return getattr(coefficients, name)
+        return nodes[name]
+
+    return _View(read)
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _segment_bounds(p: CoefficientProfile, view: _View, at_nodes: list[np.ndarray]) -> list[np.ndarray]:
+    """An upper bound of each functional on each segment, or nan where none is finite.
+
+    view holds the node quantities (`_node_view`) and at_nodes each
+    functional at every node.  Each bound is the least of the first-order
+    and end-safe bounds of `_BOUNDS` and the mean-value bound
+
+        min(F(a) + w m_hi max(0, g_hi), F(b) + w m_hi max(0, -g_lo))
+
+    on a segment [a, b] of width w, since F' = m g.  A bound that comes out
+    nan (inf - inf, 0 / 0, an m_hi lost to underflow) drops out of the
+    least, so it cannot prune.
+    """
+    names = ("phi", "psi", "sqrt_phi", "sqrt_psi", "C", "Cinv", *_INTEGRANDS)
+    w = p.seg.width
+    out = []
+    with np.errstate(all="ignore"):
+        a = SimpleNamespace(**{name: getattr(view, name)[:-1] for name in names})
+        b = SimpleNamespace(**{name: getattr(view, name)[1:] for name in names})
+        e = SimpleNamespace(
+            c_hi=np.maximum(a.C, b.C),
+            c_lo=np.minimum(a.C, b.C),
+            cinv_hi=np.maximum(a.Cinv, b.Cinv),
+            cinv_lo=np.minimum(a.Cinv, b.Cinv),
+            phi_psi=b.phi * a.psi,
+            # int_0^b C and int_a^1 1/C
+            head_c=p.psi_total - b.psi,
+            tail_cinv=p.phi_total - a.phi,
+        )
+        for name, f in zip(DELTA_NAMES, at_nodes):
+            first, end, g_hi, g_lo, m_hi = _BOUNDS[name](a, b, e)
+            # m > 0: an m_hi below the normal range lost its digits to a
+            # power of phi or psi past the double range, and bounds nothing
+            wm = w * np.where(m_hi >= _TINY, m_hi, math.nan)
+            mean = np.fmin(f[:-1] + wm * np.maximum(g_hi, 0.0), f[1:] + wm * np.maximum(-g_lo, 0.0))
+            out.append(np.fmin(np.fmin(first, end), mean))
+    return out
+
+
+#: Share of the segments past which the sub-node step fills every row: on
+#: views of the whole tables, which cost less than gathers of most rows.
+FILL_ALL = 0.25
+
+
+def _lattice_maxes(p: CoefficientProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(j, max) of each functional over `Segmentation.lattice`, in DELTA_NAMES order.
+
+    The node step evaluates the functionals at every node from the node
+    tables, and bounds each on every segment (`_segment_bounds`).  Only the
+    segments whose bound reaches the best interior node value, less
+    1e-12 relative, can hold a larger lattice value; the sub-node step fills
+    the tables' rows of those segments (`_tables`), or of all of them past
+    FILL_ALL, and evaluates the functionals there.  The lattice lists the
+    nodes first and the rows in order, so the first max among the filled
+    points is np.argmax's over the whole lattice: the same index and value.
+    """
+    n = p.seg.n
+    view = _node_view(p)
+    with np.errstate(all="ignore"):
+        at_nodes = [expr(view) for expr in _FUNCTIONALS.values()]
+        inner = [_scrub(p, f[1:-1]) for f in at_nodes]
+    floors = [np.max(f) * (1.0 - 1e-12) for f in inner]
+    # Each segment next to a node that reaches its floor keeps its rows; on a
+    # functional flat to rounding that is most of them, and no bound can do
+    # better.
+    hot = np.zeros(n + 1, dtype=bool)
+    for f, floor in zip(inner, floors):
+        hot[1:-1] |= f >= floor
+    rows = slice(None)
+    if np.count_nonzero(hot[:-1] | hot[1:]) <= FILL_ALL * n:
+        keep = np.zeros(n, dtype=bool)
+        for bound, floor in zip(_segment_bounds(p, view, at_nodes), floors):
+            keep |= ~(bound < floor)
+        if np.count_nonzero(keep) <= FILL_ALL * n:
+            rows = np.flatnonzero(keep)
+    tables = {name: t[1] for name, t in _tables(p, rows).items()}
+    sub = _View({"phi": p.phi_sub[rows], "psi": p.psi_sub[rows], **tables}.get)
+    filled = np.arange(n)[rows]
+    j, top = [], []
+    with np.errstate(all="ignore"):
+        for expr, f in zip(_FUNCTIONALS.values(), inner):
+            vals = np.concatenate((f, _scrub(p, expr(sub)).ravel()))
+            i = int(np.argmax(vals))
+            top.append(vals[i])
+            q = i - (n - 1)
+            j.append(i if q < 0 else (n - 1) + 15 * filled[q // 15] + q % 15)
+    return np.array(j), np.array(top, dtype=float)
+
+
 #: Points per bracket, ends included, in the first round of `_stationary_sups`.
 SAMPLES = 33
 
@@ -433,36 +614,30 @@ SAMPLES = 33
 def _stationary_sups(p: CoefficientProfile) -> list[tuple[float, float, float, float]]:
     """The five sups, in DELTA_NAMES order, from their stationarity conditions.
 
-    Each functional's lattice argmax is bracketed by its two lattice
-    neighbours (`_lattice_neighbours`), and one `_point_views` call reads
-    every functional and its condition (`_CONDITIONS`) at SAMPLES points
-    across its bracket, ends included.  The + to - sign change of the
-    condition nearest the best sample holds the stationary point; one secant
-    step of the condition inside it gives x*, and one more call reads every
-    functional at its own x*.  The sup is the best of the lattice max, the
-    samples and F(x*), so never below the lattice max.  A bracket with no
-    sign change (a sup at an end, a peak flat to rounding, C underflowing at
-    the Myers edge) keeps its best sample; an infinite lattice max is not
-    polished; a point where a value is non-finite or raises counts as -inf
-    (`_safe_batch`).  Returns (argmax, max, lo, hi) per functional, with
-    (lo, hi) the samples either side of the sign change, or the whole
-    bracket where there is none.
+    Each functional's lattice argmax (`_lattice_maxes`) is bracketed by its
+    two lattice neighbours (`_lattice_neighbours`), and one `_point_views`
+    call reads every functional and its condition (`_CONDITIONS`) at
+    SAMPLES points across its bracket, ends included.  The + to - sign
+    change of the condition nearest the best sample holds the stationary
+    point; one secant step of the condition inside it gives x*, and one
+    more call reads every functional at its own x*.  The sup is the best of
+    the lattice max, the samples and F(x*), so never below the lattice max.
+    A bracket with no sign change (a sup at an end, a peak flat to
+    rounding, C underflowing at the Myers edge) keeps its best sample; an
+    infinite lattice max is not polished; a point where a value is
+    non-finite or raises counts as -inf (`_safe_batch`).  Returns (argmax,
+    max, lo, hi) per functional, with (lo, hi) the samples either side of
+    the sign change, or the whole bracket where there is none.
     """
-    xs, _, _ = _lattice(p)
-    lattice = _lattice_view(p)
-    with np.errstate(all="ignore"):
-        vals = [_scrub(p, expr(lattice)) for expr in _FUNCTIONALS.values()]
     exprs = [(_FUNCTIONALS[name], _CONDITIONS[name]) for name in DELTA_NAMES]
-    j = np.array([int(np.argmax(v)) for v in vals])
-    best_x = xs[j]
-    best_v = np.array([v[k] for v, k in zip(vals, j)], dtype=float)
+    j, best_v = _lattice_maxes(p)
+    best_x = p.seg.lattice[j]
     lo, hi = _lattice_neighbours(p, j)
     rows = np.flatnonzero(best_v != math.inf)
-    cache = {}
 
     def point(rs, rows):
         n = rs.shape[1]
-        views = _point_views(p, rs.ravel(), cache, [slice(k * n, (k + 1) * n) for k in range(rows.size)])
+        views = _point_views(p, rs.ravel(), [slice(k * n, (k + 1) * n) for k in range(rows.size)])
         return [np.stack([f(view), g(view)], axis=-1) for (f, g), view in zip((exprs[r] for r in rows), views)]
 
     def keep(rows, x, v):
@@ -491,13 +666,14 @@ def _stationary_sups(p: CoefficientProfile) -> list[tuple[float, float, float, f
 def functional_sup(p: CoefficientProfile, name: str) -> tuple[float, float]:
     """(argsup, sup) of one bracketing functional over r in (0, 1).
 
-    The sup is taken over the full profile lattice (exact table values, no
-    interpolation) and polished off the lattice by a two-round solve of the
-    functional's stationarity condition (`_stationary_sups`).  The first
-    call on a profile solves all five sups at once and caches them: each
-    round reads the partial weights, phi and psi of all five functionals'
-    points in one call.  No integrand belongs to two functionals, so one
-    `_window_rows` cache serves them all.
+    The sup starts from the max over the profile lattice (exact table
+    values, no interpolation), found with the sub-node tables filled only on
+    the segments whose node-level bounds leave room for it
+    (`_lattice_maxes`), and is polished off the lattice by a two-round
+    solve of the functional's stationarity condition (`_stationary_sups`).
+    The first call on a profile solves all five sups at once and caches
+    them: each round reads the partial weights, phi and psi of all five
+    functionals' points in one call.
     """
     if name not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {name!r}; expected one of {DELTA_NAMES}")
@@ -813,17 +989,16 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     with np.errstate(all="ignore"):
         rat = inner / _flat((den_nodes, den_sub))
     rat = np.where(np.isfinite(rat), rat, math.inf)
-    xs, _, _ = _lattice(p)
 
-    def neg_ratio(rs, rows):
-        k, head, tail = seg.partial_weights(rs[0])
+    def neg_ratio(rs):
+        k, head, tail = seg.partial_weights(rs)
         if form == "primal":
             dv = den_nodes[k] + np.einsum("ij,ij->i", head, h_sub[k])
         else:
             dv = den_nodes[k + 1] + np.einsum("ij,ij->i", tail, h_sub[k])
-        fvv = fv(rs[0])
+        fvv = fv(rs)
         # a point where either factor degenerates cannot improve the inf
         ok = (0.0 < dv) & (dv < math.inf) & (fvv > 0.0)
-        return np.where(ok, -fvv / dv, -math.inf)[None]
+        return np.where(ok, -fvv / dv, -math.inf)
 
-    return -_polish(p, xs, [-rat], neg_ratio)[0][1]
+    return -_polish(p, seg.lattice, -rat, neg_ratio)[1]

@@ -88,6 +88,20 @@ def test_traced_report_counts_lattice_points_and_no_panels():
     assert counts.get("calls.quadrature.Segmentation.tail_eval", 0) == 0
 
 
+def test_traced_report_counts_its_profile_sups_and_tables():
+    # The sup tables fill only the rows the node-level bounds keep, through
+    # the same wrapped Segmentation methods, so the tracer still sees them.
+    # Five sups come from the bracket and one more from the correction's
+    # delta1_star, which reads the profile's cached solve.
+    counts = traced_counts(
+        "report.build_report(GeometryTriple(5, 2.0, -4.0))\n"
+        "tracer.counts.update({'metric.' + k: v for k, (v, _) in tracing.layer_metrics(tracer, 1.0, 0.0).items()})"
+    )
+    assert counts["metric.geometry.profiles"] == 1
+    assert counts["metric.universal.sups"] == 6
+    assert counts["metric.quadrature.tables"] > 0
+
+
 def test_traced_myers_edge_report_counts_shot_steps():
     # The round sphere of dimension 10: D = pi, K = d - 1.
     counts = traced_counts("report.build_report(GeometryTriple(10, 3.141592653589793, 9.0), oracle=True)")

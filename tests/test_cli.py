@@ -119,6 +119,19 @@ class TestBound:
         ) == 0
         assert a.read_bytes() == k.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("-K", "-1e-3"), ("--alpha", "-1e-3"), ("-K", "-2.5E+0"), ("-K", "-.5e-1")],
+    )
+    def test_negative_scientific_values_parse(self, tmp_path, flag, value):
+        # argparse before Python 3.13 took "-1e-3" for an option and exited 2
+        # with "expected one argument"; the "=" spelling always parsed.
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        common = ["bound", "-d", "2", "-D", "2", "--format", "csv"]
+        assert main([*common, flag, value, "--out", str(spaced)]) == 0
+        assert main([*common, f"{flag}={value}", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     def test_myers_violation_is_a_clean_error(self, capsys):
         rc = main(["bound", "-d", "3", "-D", "4", "-K", "3"])
         captured = capsys.readouterr()
@@ -301,6 +314,13 @@ class TestSweep:
             lam = fcell(row, columns, "oracle")
             hi = fcell(row, columns, "delta1_star_prime_inv")
             assert lo - 1e-9 <= lam <= hi + 1e-9
+
+    def test_negative_scientific_xmin_parses(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        common = ["sweep", "--dims", "3", "--xmax", "1", "--grid", "5"]
+        assert main([*common, "--xmin", "-2.5e0", "--out", str(spaced)]) == 0
+        assert main([*common, "--xmin=-2.5e0", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
 
     def test_multi_dimension_template_expansion(self, tmp_path):
         out = tmp_path / "multi.csv"

@@ -67,7 +67,7 @@ class TestFlatExactValues:
 
 def _point_view(p, rs):
     """The polish's off-lattice view of all of rs."""
-    return universal._point_views(p, rs, {}, [slice(None)])[0]
+    return universal._point_views(p, rs, [slice(None)])[0]
 
 
 class TestPointView:
@@ -87,7 +87,7 @@ class TestPointView:
     )
     def test_point_view_matches_lattice(self, name, d, alpha):
         p = get_profile(d, alpha)
-        xs, _, _ = universal._lattice(p)
+        xs = p.seg.lattice
         expr = universal._FUNCTIONALS[name]
         with np.errstate(all="ignore"):
             # scrubbed as functional_sup scrubs it: at the edge C underflows
@@ -115,7 +115,7 @@ class TestPointView:
         # the tables' own quadrature error exceeds 1e-12 relative.
         p = get_profile(3, Alpha.negative(1.0))
         n = p.seg.n
-        xs, _, _ = universal._lattice(p)
+        xs = p.seg.lattice
         lattice = getattr(universal._lattice_view(p), name)
         assert np.flatnonzero(p._cache["panel_rows"]).tolist() == [*range(9), *range(n - 9, n)]
         rows = np.array([0, 0, 4, 8, n // 2, n - 9, n - 8, n - 7])
@@ -172,20 +172,15 @@ class TestPanelReference:
     )
     def test_sups_match_the_panel_polish(self, d, alpha):
         p = get_profile(d, alpha)
-        xs, _, _ = universal._lattice(p)
+        xs = p.seg.lattice
         for name in DELTA_NAMES:
             expr = universal._FUNCTIONALS[name]
             with np.errstate(all="ignore"):
                 lattice = universal._scrub(p, expr(universal._lattice_view(p)))
-            [(_, want)] = universal._polish(p, xs, [lattice], lambda rs, rows: expr(_panel_point_view(p, rs[0]))[None])
+            _, want = universal._polish(p, xs, lattice, lambda rs: expr(_panel_point_view(p, rs)))
             _, got = universal.functional_sup(p, name)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), name
             assert got >= np.max(lattice), name
-
-
-def _single(point):
-    """A one-maximum polish callable from a function of a 1-d array of points."""
-    return lambda rs, rows: point(rs[0])[None]
 
 
 class TestPolish:
@@ -212,7 +207,7 @@ class TestPolish:
             v[(rs > self.X0 + 0.6 * w)] = math.inf
             return v
 
-        [(x, v)] = universal._polish(p, np.array([self.X0]), [np.array([0.0])], _single(point))
+        x, v = universal._polish(p, np.array([self.X0]), np.array([0.0]), point)
         assert x == pytest.approx(peak, abs=1e-12)
         assert v == pytest.approx(1.0, abs=1e-12 / w)
         # the first batch raised and was re-evaluated point by point
@@ -228,8 +223,8 @@ class TestPolish:
         def raising(rs):
             raise OverflowError
 
-        assert universal._polish(p, xs, [vals], _single(below)) == [(self.X0, 2.0)]
-        assert universal._polish(p, xs, [vals], _single(raising)) == [(self.X0, 2.0)]
+        assert universal._polish(p, xs, vals, below) == (self.X0, 2.0)
+        assert universal._polish(p, xs, vals, raising) == (self.X0, 2.0)
 
     def test_infinite_lattice_max_returns_at_once(self):
         p = get_profile(2, Alpha.zero())
@@ -237,8 +232,8 @@ class TestPolish:
         def point(rs):
             raise AssertionError("polished an infinite lattice max")
 
-        got = universal._polish(p, np.array([self.X0]), [np.array([math.inf])], _single(point))
-        assert got == [(self.X0, math.inf)]
+        got = universal._polish(p, np.array([self.X0]), np.array([math.inf]), point)
+        assert got == (self.X0, math.inf)
 
     def test_agrees_with_golden_section_on_a_smooth_peak(self):
         p = get_profile(2, Alpha.zero())
@@ -248,7 +243,7 @@ class TestPolish:
         def f(r):
             return 1.0 + np.cos((r - peak) / w)
 
-        [(_, v)] = universal._polish(p, np.array([self.X0]), [np.array([f(self.X0)])], _single(f))
+        _, v = universal._polish(p, np.array([self.X0]), np.array([f(self.X0)]), f)
         _, want = golden_max(f, a, b, tol=1e-12)
         assert v == pytest.approx(want, rel=1e-15)
         assert v >= f(self.X0)
@@ -857,18 +852,15 @@ class TestThinnedLattice:
 def _zoom_sups(p):
     """The five sups by the ZOOM polish over the same off-lattice views."""
     exprs = list(universal._FUNCTIONALS.values())
-    xs, _, _ = universal._lattice(p)
+    xs = p.seg.lattice
     lattice = universal._lattice_view(p)
     with np.errstate(all="ignore"):
         vals = [universal._scrub(p, expr(lattice)) for expr in exprs]
-    cache = {}
-
-    def point(rs, rows):
-        n = rs.shape[1]
-        views = universal._point_views(p, rs.ravel(), cache, [slice(i * n, (i + 1) * n) for i in range(rows.size)])
-        return [exprs[row](view) for row, view in zip(rows, views)]
-
-    return universal._polish(p, xs, vals, point), [float(np.max(v)) for v in vals]
+    polished = [
+        universal._polish(p, xs, v, lambda rs, expr=expr: expr(universal._point_views(p, rs, [slice(None)])[0]))
+        for expr, v in zip(exprs, vals)
+    ]
+    return polished, [float(np.max(v)) for v in vals]
 
 
 def _sup_points():
@@ -902,7 +894,7 @@ class TestStationarySups:
         h, n = 1e-7, rs.size
         with np.errstate(all="ignore"):
             lo, mid, hi = universal._point_views(
-                p, np.concatenate((rs - h, rs, rs + h)), {}, [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
+                p, np.concatenate((rs - h, rs, rs + h)), [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
             )
             for name in DELTA_NAMES:
                 f, g = universal._FUNCTIONALS[name], universal._CONDITIONS[name]
@@ -945,13 +937,78 @@ class TestStationarySups:
         # The neighbours come from the segment layout; sorting the whole
         # lattice is the reference.
         p = get_profile(3, Alpha.negative(1.0))
-        xs, _, _ = universal._lattice(p)
+        xs = p.seg.lattice
         order = np.sort(xs)
         assert np.all(np.diff(order) > 0.0)
         lo, hi = universal._lattice_neighbours(p, np.arange(xs.size))
         pos = np.searchsorted(order, xs)
         np.testing.assert_array_equal(lo, np.concatenate(([1e-12], order[:-1]))[pos])
         np.testing.assert_array_equal(hi, np.concatenate((order[1:], [1.0 - 1e-12]))[pos])
+
+
+def _prune_points():
+    """Flat, off-edge, Myers-edge and flat-to-rounding profiles; every reference point (d < 1000) with EIGENBOUND_FULL=1."""
+    if FULL:
+        return [(int(d), x) for d, x, _ in json.loads(REFERENCE.read_text())["curvature"] if d < 1000]
+    # -10/3 + 2 (pi/2 + 10/3) / 64 = -3.18 is the benchmark's third grid alpha
+    return [(2, 0.0), (5, -1.0), (10, 0.8), (2, HALF_PI), (20, HALF_PI), (63, HALF_PI),
+            (20, -10.0 / 3.0 + 2.0 * (HALF_PI + 10.0 / 3.0) / 64.0), (63, -3.0)]
+
+
+def _functional_rows(p):
+    """The five functionals at the sub-nodes of every segment, from the full tables, as (n, 15) rows."""
+    tabs = universal._tables(p)
+    sub = universal._View({"phi": p.phi_sub, "psi": p.psi_sub, **{name: t[1] for name, t in tabs.items()}}.get)
+    with np.errstate(all="ignore"):
+        return [universal._scrub(p, expr(sub)) for expr in universal._FUNCTIONALS.values()]
+
+
+class TestPrunedLattice:
+    """The sub-node rows the node-level bounds leave to fill."""
+
+    @pytest.mark.parametrize("d, x", _prune_points(), ids=[f"d{d}{x:+.4f}" for d, x in _prune_points()])
+    def test_argmax_and_max_match_the_full_lattice(self, d, x):
+        p = CoefficientProfile(d, _grid_alpha(x))
+        j, top = universal._lattice_maxes(p)
+        lattice = universal._lattice_view(p)
+        with np.errstate(all="ignore"):
+            full = [universal._scrub(p, expr(lattice)) for expr in universal._FUNCTIONALS.values()]
+        assert j.tolist() == [int(np.argmax(v)) for v in full]
+        assert top.tolist() == [float(np.max(v)) for v in full]
+
+    @pytest.mark.parametrize("d, x", _prune_points(), ids=[f"d{d}{x:+.4f}" for d, x in _prune_points()])
+    def test_segment_bounds_hold_the_lattice_values(self, d, x):
+        # nan where no bound is finite; such a segment is never pruned
+        p = CoefficientProfile(d, _grid_alpha(x))
+        view = universal._node_view(p)
+        with np.errstate(all="ignore"):
+            bounds = universal._segment_bounds(p, view, [expr(view) for expr in universal._FUNCTIONALS.values()])
+        for name, bound, rows in zip(DELTA_NAMES, bounds, _functional_rows(p)):
+            held = np.isnan(bound) | (bound >= rows.max(axis=1) * (1.0 - 1e-12))
+            assert held.all(), (name, np.flatnonzero(~held)[:5])
+
+    @pytest.mark.parametrize("d, x", [(5, -1.0), (10, 0.8), (3, 0.0)])
+    def test_sub_node_step_fills_few_rows(self, d, x, monkeypatch):
+        # Every row of all six tables took spectral means, and the flagged
+        # end rows direct pages, before the node-level bounds pruned them.
+        p = CoefficientProfile(d, _grid_alpha(x))
+        filled, rounds = [], []
+        means, views = Segmentation.pointwise_means, universal._point_views
+
+        def counted_means(self, v_subs, pages_at, rows=slice(None)):
+            filled.append(np.arange(self.n)[rows].size)
+            return means(self, v_subs, pages_at, rows)
+
+        def counted_views(*args):
+            rounds.append(1)
+            return views(*args)
+
+        monkeypatch.setattr(Segmentation, "pointwise_means", counted_means)
+        monkeypatch.setattr(universal, "_point_views", counted_views)
+        for name in DELTA_NAMES:
+            universal.functional_sup(p, name)
+        assert len(filled) == 1 and filled[0] <= 40
+        assert len(rounds) == 2
 
 
 def _reference_grid(d: int):

@@ -184,6 +184,12 @@ class CoefficientProfile:
     sups fill the sub-node rows of their tables only on the segments whose
     node-level bounds leave room for a max (`universal._lattice_maxes`), a
     median of 10 of the 1,120 over those points, with the same maxes.
+
+    C and 1/C at the sub-nodes are one (2, n, 15) stack, `coeff_sub`, whose
+    means take one `pointwise_means` call; phi and psi there are another,
+    `prim_sub`, and the paged rows' C and 1/C pages a third,
+    `coeff_pages`.  c_sub, cinv_sub, phi_sub, psi_sub, c_pages and
+    cinv_pages are views into them.
     """
 
     def __init__(self, d: int, alpha: Alpha, segments: int = 4096):
@@ -202,24 +208,24 @@ class CoefficientProfile:
             16.0 * max(self.d - 1, 1) * np.spacing(1.0) / float(seg.width.min())
         )
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            c_sub, ci_sub = self._coeff_pair(seg.sub)
-            pages = []
+            self.coeff_sub = self._coeff_pair(seg.sub)
+            pages = [np.empty((2, 0, 15, 15))]
 
             def coeff_pages(rows):
                 pages.append(self._coeff_pair(seg.subsub[rows]))
                 return pages[-1]
 
             # paged: the segments whose phi and psi rows come from direct pages
-            (c_means, ci_means), self.paged = seg.pointwise_means((c_sub, ci_sub), coeff_pages)
-            self.c_sub = c_sub
-            self.cinv_sub = ci_sub
-            self.phi_nodes, self.phi_sub = seg.build_cumulative(ci_sub, ci_means)
-            self.psi_nodes, self.psi_sub = seg.build_reverse(c_sub, c_means, self.tail_floor)
+            (c_means, ci_means), self.paged = seg.pointwise_means(self.coeff_sub, coeff_pages)
+            self.c_sub, self.cinv_sub = self.coeff_sub
+            self.phi_nodes, phi_sub = seg.build_cumulative(self.cinv_sub, ci_means)
+            self.psi_nodes, psi_sub = seg.build_reverse(self.c_sub, c_means, self.tail_floor)
+            self.prim_sub = np.stack((phi_sub, psi_sub))
+            self.phi_sub, self.psi_sub = self.prim_sub
             # C and 1/C at the paged rows' sub-sub points, kept so that no
             # later read of those points takes log C again.
-            self.c_pages, self.cinv_pages = (
-                np.concatenate([np.empty((0, 15, 15)), *(page[i] for page in pages)]) for i in (0, 1)
-            )
+            self.coeff_pages = np.concatenate(pages, axis=1)
+            self.c_pages, self.cinv_pages = self.coeff_pages
         self.phi_total = float(self.phi_nodes[-1])
         self.psi_total = float(self.psi_nodes[0])
         self._cache: dict[str, object] = {}
@@ -277,30 +283,22 @@ class CoefficientProfile:
         # cos(a*x) loses relative accuracy near its zero: the argument a*x
         # carries absolute rounding ~ulp(pi/2), which is huge relative to a
         # value of cos that is about to vanish, and the (d-1) power multiplies
-        # the damage.  The angle-sum form in the complement u = 1 - x has all
-        # four factors nonnegative for a <= pi/2, so no cancellation, and u
-        # itself is exact where it matters (x near 1).
-        # Evaluated in place to spare full-lattice temporaries; `out=` keeps
-        # a 0-d input a 0-d array, which the in-place ufuncs need.
-        c = np.subtract(1.0, x, out=np.empty_like(x))  # u, then a * u
-        c *= a
-        s = np.sin(c)
-        s *= math.sin(a)
-        np.cos(c, out=c)
-        c *= math.cos(a)
-        c += s
-        np.maximum(c, 0.0, out=c)
+        # the damage.  In the complement u = 1 - x, exact where it matters
+        # (x near 1), the half-angle tangent t = tan(a u / 2) gives
+        #     cos(a - a u) = (cos a (1 - t^2) + 2 sin a t) / (1 + t^2),
+        # and a u / 2 <= pi/4 for a <= pi/2, so t <= 1 and every term is
+        # nonnegative: no cancellation.  One tangent costs a fraction of a
+        # sine and a cosine.
+        t = np.tan((0.5 * a) * np.subtract(1.0, x))
+        t2 = t * t
         with np.errstate(divide="ignore"):
-            np.log(c, out=c)
-        c *= self.d - 1
-        return c
+            c = np.log(math.cos(a) * (1.0 - t2) + (2.0 * math.sin(a)) * t)
+        return (self.d - 1) * (c - np.log1p(t2))
 
-    def _coeff_pair(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(C(x), 1/C(x)) from one evaluation of log C."""
-        lc = self._log_coeff(x)
-        c = np.exp(lc)
-        np.negative(lc, out=lc)
-        return c, np.exp(lc, out=lc)
+    def _coeff_pair(self, x) -> np.ndarray:
+        """C(x) and 1/C(x) stacked on a new first axis, from one evaluation of log C."""
+        pair = np.multiply.outer([1.0, -1.0], self._log_coeff(x))
+        return np.exp(pair, out=pair)
 
     def coeff(self, x) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore"):
@@ -366,8 +364,8 @@ class CoefficientProfile:
             psi[on] = self.psi_nodes[k[on]]
         return phi.reshape(x.shape), psi.reshape(x.shape)
 
-    def subsub_primitives(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, psi) at the sub-sub points of the segments rows, (m, 15, 15) each.
+    def subsub_primitives(self, rows: np.ndarray) -> np.ndarray:
+        """phi and psi at the sub-sub points of the segments rows, stacked as (2, m, 15, 15).
 
         `primitives_at` on seg.subsub[rows], with the partial weights of the
         fixed fractions XI[j] * XI[m] of each segment
@@ -404,7 +402,7 @@ class CoefficientProfile:
             with np.errstate(over="ignore", invalid="ignore"):
                 phi[own] = moved(phi_flux[j]) * self.cinv_pages[j].reshape(-1, SUBSUB_TAU.size)
                 psi[own] = moved(psi_flux[j]) * self.c_pages[j].reshape(-1, SUBSUB_TAU.size)
-        return phi.reshape(-1, 15, 15), psi.reshape(-1, 15, 15)
+        return np.stack((phi, psi)).reshape(2, -1, 15, 15)
 
     def _paged_split(self, k, phi, psi, points) -> tuple[np.ndarray, np.ndarray]:
         """Panels for the entries of phi and psi in the paged rows that fail the flux guard.
@@ -425,23 +423,21 @@ class CoefficientProfile:
             psi[panel] = self.psi_at(y)
         return own[flux], j[flux]
 
-    def subsub_coefficients(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(C, 1/C) at the sub-sub points of the segments rows, (m, 15, 15) each.
+    def subsub_coefficients(self, rows: np.ndarray) -> np.ndarray:
+        """C and 1/C at the sub-sub points of the segments rows, stacked as (2, m, 15, 15).
 
-        Paged rows read `c_pages`/`cinv_pages`, so log C is taken once per
-        sub-sub point of a paged row; other rows take it here.
+        Paged rows read `coeff_pages`, so log C is taken once per sub-sub
+        point of a paged row; other rows take it here.
         """
         own = np.isin(rows, self.paged)
         if not own.any():
             with np.errstate(over="ignore", under="ignore"):
                 return self._coeff_pair(self.seg.subsub[rows])
-        j = np.searchsorted(self.paged, rows[own])
-        c = np.empty((rows.size, 15, 15))
-        ci = np.empty_like(c)
-        c[own], ci[own] = self.c_pages[j], self.cinv_pages[j]
+        out = np.empty((2, rows.size, 15, 15))
+        out[:, own] = self.coeff_pages[:, np.searchsorted(self.paged, rows[own])]
         with np.errstate(over="ignore", under="ignore"):
-            c[~own], ci[~own] = self._coeff_pair(self.seg.subsub[rows[~own]])
-        return c, ci
+            out[:, ~own] = self._coeff_pair(self.seg.subsub[rows[~own]])
+        return out
 
 
 def resolve_profile(

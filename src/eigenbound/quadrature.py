@@ -230,6 +230,13 @@ SUBSUB_HEAD = np.ascontiguousarray((SUBSUB_TAU[:, None] * partial_means(SUBSUB_T
 SUBSUB_TAIL = np.ascontiguousarray(((1.0 - SUBSUB_TAU)[:, None] * partial_means(1.0 - SUBSUB_TAU)[:, ::-1]).T)
 
 
+#: Most rows per product with SPECTRAL in `pointwise_means`.  OpenBLAS
+#: splits a product of more than ~262,144 multiply-adds (1,165 rows of 15 by
+#: 15) across threads, whose spin-waits then cost more CPU than the split
+#: saves on a few cores; 1,120 rows, a whole table of the default lattice,
+#: stay on one thread.
+PRODUCT_ROWS = 1120
+
 #: Flagged rows per block of direct sub-sub evaluations in `pointwise_means`.
 #: A block's pages are reduced to means and dropped before the next, so peak
 #: memory follows the block, not the number of flagged rows: 64 rows are
@@ -306,10 +313,16 @@ class Segmentation:
         self.subsub = a[:, None, None] + self.offs[:, :, None] * XI[None, None, :]
 
     def segment_integrals(self, v_sub: np.ndarray) -> np.ndarray:
-        """(n,) integrals over each segment from integrand values at sub."""
-        return self.width * (v_sub @ WH)
+        """(..., n) integrals over each segment from integrand values at sub, (..., n, 15).
 
-    def build_cumulative(self, v_sub: np.ndarray, means: np.ndarray, rows=slice(None), nodes=None):
+        Leading axes stack integrands: each one's integrals are those of a
+        call on it alone.  A stack goes through as one 2-d matrix-vector
+        product; numpy's stacked product runs on OpenBLAS threads (see
+        PRODUCT_ROWS).
+        """
+        return self.width * (v_sub.reshape(-1, 15) @ WH).reshape(v_sub.shape[:-1])
+
+    def build_cumulative(self, v_sub: np.ndarray, means: np.ndarray, rows=slice(None), nodes=None, segments=None):
         """Cumulative integral tables from integrand values.
 
         v_sub holds the integrand at the sub-nodes of every segment, and
@@ -319,19 +332,28 @@ class Segmentation:
         sub-nodes of rows, row i of cum_sub for segment rows[i].  Both
         levels are GL15 values, and a row's entries do not depend on which
         other rows are filled.  nodes is cum_nodes from an earlier call on
-        the same v_sub, when there is one.
+        the same v_sub, and segments is segment_integrals(v_sub), when the
+        caller has them; v_sub is not read then.  Leading axes of v_sub,
+        means, nodes and segments stack integrands, each of whose tables is
+        that of a call on it alone.
         """
         if nodes is None:
-            nodes = np.concatenate(([0.0], np.cumsum(self.segment_integrals(v_sub))))
-        return nodes, nodes[:-1][rows, None] + self.offs[rows] * means
+            if segments is None:
+                segments = self.segment_integrals(v_sub)
+            start = np.zeros(segments.shape[:-1] + (1,))
+            nodes = np.concatenate((start, np.cumsum(segments, axis=-1)), axis=-1)
+        sub = self.offs[rows] * means
+        sub += nodes[..., :-1][..., rows, None]
+        return nodes, sub
 
     def build_reverse(
-        self, v_sub: np.ndarray, means: np.ndarray, rel_floor: float = 0.0, rows=slice(None), nodes=None
+        self, v_sub: np.ndarray, means: np.ndarray, rel_floor: float = 0.0, rows=slice(None), nodes=None, segments=None
     ):
         """Tail integral tables: int_x^1 f at nodes and sub-nodes.
 
-        Takes v_sub, means, rows and nodes as `build_cumulative` does, and
-        fills the sub-node entries of rows only.
+        Takes v_sub, means, rows, nodes, segments and stacks as
+        `build_cumulative` does, and fills the sub-node entries of rows
+        only.
 
         Accumulated from the right end so small tails never come out of a
         catastrophic total-minus-cumulative subtraction.
@@ -347,14 +369,18 @@ class Segmentation:
         log-slope p near 1 should pass rel_floor ~ p * ulp(1) / width_min,
         the value noise induced by half-ulp coordinate rounding there.
         """
-        seg = self.segment_integrals(v_sub)
-        tail_nodes = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0])) if nodes is None else nodes
-        within = self.offs[rows] * means
-        tail_sub = tail_nodes[1:][rows, None] + (seg[rows, None] - within)
+        seg = self.segment_integrals(v_sub) if segments is None else segments
+        if nodes is None:
+            tails = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
+            nodes = np.concatenate((tails, np.zeros(seg.shape[:-1] + (1,))), axis=-1)
+        # node + (seg - within), in place: whole stacked tables would
+        # otherwise hold several temporaries of their size at once
+        tail_sub = self.offs[rows] * means
+        np.subtract(seg[..., rows, None], tail_sub, out=tail_sub)
+        tail_sub += nodes[..., 1:][..., rows, None]
         rel = max(64.0 * np.finfo(float).eps, rel_floor)
-        floor = rel * np.abs(tail_nodes[:-1][rows, None])
-        tail_sub = np.where(np.abs(tail_sub) < floor, 0.0, tail_sub)
-        return tail_nodes, tail_sub
+        tail_sub[np.abs(tail_sub) < rel * np.abs(nodes[..., :-1][..., rows, None])] = 0.0
+        return nodes, tail_sub
 
     def tail_eval(self, tail_nodes: np.ndarray, f, x) -> np.ndarray:
         """Evaluate int_x^1 f at arbitrary x from a right-tail node table."""
@@ -398,35 +424,33 @@ class Segmentation:
             means[bad] = page_means(self._interp_pages(v_sub[bad]))
         return means
 
-    def pointwise_means(self, v_subs, pages_at, rows=slice(None)) -> tuple[list[np.ndarray], np.ndarray]:
+    def pointwise_means(self, v_subs, pages_at, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Within-segment means of integrands that can be evaluated pointwise.
 
-        v_subs holds each integrand's (n, 15) values at the sub-nodes and
+        v_subs stacks each integrand's (n, 15) values at the sub-nodes, and
         pages_at(segments) returns all of them at the sub-sub points of
         those segments, self.subsub[segments], in the same order.  Only the
         rows of the segments rows, all of them by default, are computed.
         A row that no integrand flags by `needs_clip` takes v_sub @ SPECTRAL;
         a row that any of them flags takes direct sub-sub pages for all of
-        them, evaluated PAGE_BLOCK rows at a time.  Returns the (m, 15)
+        them, evaluated PAGE_BLOCK rows at a time.  Returns the (k, m, 15)
         means of rows, and the indices of the paged segments among them,
         the rows where the tables are not the integrals of the in-segment
         interpolant.
         """
         segments = np.arange(self.n)[rows]
-        if isinstance(rows, slice):
-            # whole tables go one by one, which spares copying them
-            parts = [v[rows] for v in v_subs]
-        else:
-            # A few gathered rows: every integrand's go through one product
-            # and one guard.  Each row of a product of two or more rows
-            # rounds as in the product of all n; a lone row would go down
-            # numpy's matrix-vector path, which rounds differently.
-            parts = [np.concatenate([v[rows] for v in v_subs])]
+        part = np.asarray(v_subs)[:, rows]
+        # The integrands' rows go through as few products as PRODUCT_ROWS
+        # allows, and one guard.  Each row of a product of two or more rows
+        # rounds as in the product of all n; a lone row would go down
+        # numpy's matrix-vector path, which rounds differently.
+        means = np.empty(part.shape)
+        step = max(1, PRODUCT_ROWS // max(segments.size, 1))
         # Non-finite rows turn to nan here; needs_clip flags them all.
         with np.errstate(invalid="ignore"):
-            means = [m for part in parts for m in (part @ SPECTRAL).reshape(-1, segments.size, 15)]
-        flags = np.concatenate([needs_clip(part) for part in parts])
-        flagged = np.flatnonzero(flags.reshape(len(v_subs), -1).any(axis=0))
+            for lo in range(0, part.shape[0], step):
+                np.matmul(part[lo : lo + step].reshape(-1, 15), SPECTRAL, out=means[lo : lo + step].reshape(-1, 15))
+        flagged = np.flatnonzero(needs_clip(part.reshape(-1, 15)).reshape(part.shape[:2]).any(axis=0))
         paged = segments[flagged]
         for lo in range(0, flagged.size, PAGE_BLOCK):
             block = slice(lo, lo + PAGE_BLOCK)

@@ -17,30 +17,34 @@ positive test function into a certified lower bound for lam.
 Everything here works on the shared graded Gauss-Legendre lattice of the
 profile: sups and infs start from the max or min over the ~18k interior
 lattice points where the cumulative tables are exact, then are polished
-off the lattice.  The five sups find their lattice maxes in two steps
-(`_lattice_maxes`): node tables and node values on every segment, then
-sub-node rows only on the segments whose node-level bound (`_BOUNDS`:
-monotone first-order and end-safe enclosures and a mean-value form) leaves
-room for a max, which gives the whole lattice's argmax and max to the bit.
-They then solve their stationarity conditions, closed forms in the same
-quantities as the functionals, between the lattice neighbours of each
-argmax in two rounds of off-lattice reads shared by all five
-(`_stationary_sups`).  variational_ratio's inf, whose test function has no
-derivative, takes a local zoom whose rounds each evaluate ZOOM off-lattice
-points at once (`_polish`).  The six integral tables take their
-within-segment means from the spectral product on the sub-node values, and
-from direct sub-sub pages only on the rows the spectral guard flags
-(`Segmentation.pointwise_means`), the Myers edge included; those pages read
-phi and psi off the in-segment interpolant too, in flux form on the rows
-the profile pages itself (`CoefficientProfile.subsub_primitives`).  Off
-the lattice, the five sups read the integral of each segment's degree-14
-interpolant, which the spectral tables already hold at the sub-nodes; only
-points in directly paged rows re-integrate the integrand with
-partial-segment panels.  variational_ratio reads its denominator the same
-way, with no panel, on the smoothing step it shares with iterate_lower.  The
-iteration sequences are lattice maxes with no polish; the upper ones are
-read off moment tables at every interior node of the full Chebyshev grid
-the lattice thins.
+off the lattice.  The six integrands behind the five sups live in one
+stack, forward and tail integrals apart (`_integrand_stack`), so each step
+of their tables is one call on all six: one product for the segment
+integrals, one build per direction.  The five sups find their lattice maxes
+in two steps (`_lattice_maxes`): node tables and node values on every
+segment, then sub-node rows only on the segments whose node-level bound
+(`_BOUNDS`: monotone first-order and end-safe enclosures, edge bounds in
+1 - r at the Myers edge and a mean-value form) leaves room for a max, which
+gives the whole lattice's argmax and max to the bit.  They then solve their
+stationarity conditions, closed forms in the same quantities as the
+functionals, between the lattice neighbours of each argmax in two rounds of
+off-lattice reads shared by all five (`_stationary_sups`), each one pass
+of array reads (`_point_views`).  variational_ratio's inf, whose test
+function has no derivative, takes a local zoom whose rounds each evaluate
+ZOOM off-lattice points at once (`_polish`).  The six integral tables take
+their within-segment means from the spectral product on the sub-node
+values, and from direct sub-sub pages only on the rows the spectral guard
+flags (`Segmentation.pointwise_means`), the Myers edge included; those
+pages read phi and psi off the in-segment interpolant too, in flux form on
+the rows the profile pages itself (`CoefficientProfile.subsub_primitives`).
+Off the lattice, the five sups read the integral of each segment's
+degree-14 interpolant, which the spectral tables already hold at the
+sub-nodes; only points in directly paged rows re-integrate the integrand
+with partial-segment panels.  variational_ratio reads its denominator the
+same way, with no panel, on the smoothing step it shares with
+iterate_lower.  The iteration sequences are lattice maxes with no polish;
+the upper ones are read off moment tables at every interior node of the
+full Chebyshev grid the lattice thins.
 """
 
 from __future__ import annotations
@@ -63,18 +67,21 @@ ZOOM = 32
 
 # -- the five functionals -----------------------------------------------------
 
-#: The six weighted integrals behind the functionals, as name -> (weight,
-#: power, forward).  The integrand is k * x**power with (k, x) = (C, phi)
-#: for weight "C" and (1/C, psi) for weight "Cinv".  Forward integrals run
-#: over (0, r) and tail integrals over (r, 1), so neither side ever comes
-#: out of a catastrophic subtraction.
+#: The six weighted integrals behind the functionals, as name -> its
+#: (direction, power) slot in the integrand stack (`_integrand_stack`).  The
+#: integrand is k * x**power with (k, x) = (C, phi) for the A's and
+#: (1/C, psi) for the B's, at powers 1/2, 3/2 and 2 in slots 0, 1 and 2.
+#: Direction 0 holds the forward integrals, over (0, r), and direction 1 the
+#: tail integrals, over (r, 1), so neither side ever comes out of a
+#: catastrophic subtraction, and each direction's tables are built in one
+#: call.
 _INTEGRANDS = {
-    "A1": ("C", 1.5, True),
-    "A2": ("C", 0.5, False),
-    "A3": ("C", 2.0, True),
-    "B1": ("Cinv", 1.5, False),
-    "B2": ("Cinv", 0.5, True),
-    "B3": ("Cinv", 2.0, False),
+    "B2": (0, 0),
+    "A1": (0, 1),
+    "A3": (0, 2),
+    "A2": (1, 0),
+    "B1": (1, 1),
+    "B3": (1, 2),
 }
 
 #: name -> the functional as an expression over a view of phi, psi and the
@@ -102,22 +109,51 @@ _CONDITIONS = {
     "delta1_star_prime": lambda v: v.B3 - v.phi * v.psi * v.psi,
 }
 
+#: name -> the integrals each functional and its condition read besides phi
+#: and psi, and "C" where they read C and 1/C (`_point_views`).
+_READS = {
+    "delta": ("C",),
+    "delta1": ("A1", "A2"),
+    "delta1_prime": ("A3",),
+    "delta1_star": ("B1", "B2"),
+    "delta1_star_prime": ("B3",),
+}
+
 
 #: name -> bounds of the functional on each segment [a, b], from views a
 #: and b of its end nodes and e of what all five share: (first-order,
-#: end-safe, g_hi, g_lo, m_hi).  phi, A1, A3 and B2 rise and psi, A2, B1 and
-#: B3 fall, so the first-order bound reads each factor at its favourable
-#: end.  The end-safe bound stays finite where phi(0) = 0 or psi(1) = 0: it
-#: follows from A1 <= phi^{3/2} int_0^r C, A3 <= phi^2 int_0^r C and their
-#: duals B1 <= psi^{3/2} int_r^1 1/C, B3 <= psi^2 int_r^1 1/C.  g_hi and
-#: g_lo bound the condition g of `_CONDITIONS` from above and below, and
-#: m_hi bounds the positive factor m of F' = m g from above, with C and 1/C
-#: between their end values (C is monotone on each branch); they give the
-#: mean-value bound of `_segment_bounds`.
+#: end-safe, edge, g_hi, g_lo, m_hi).  phi, A1, A3 and B2 rise and psi, A2,
+#: B1 and B3 fall, so the first-order bound reads each factor at its
+#: favourable end.  The end-safe bound stays finite where phi(0) = 0 or
+#: psi(1) = 0: it follows from A1 <= phi^{3/2} int_0^r C,
+#: A3 <= phi^2 int_0^r C and their duals B1 <= psi^{3/2} int_r^1 1/C,
+#: B3 <= psi^2 int_r^1 1/C.  g_hi and g_lo bound the condition g of
+#: `_CONDITIONS` from above and below, and m_hi bounds the positive factor
+#: m of F' = m g from above, with C and 1/C between their end values (C is
+#: monotone on each branch); they give the mean-value bound of
+#: `_segment_bounds`.
+#:
+#: The edge bound holds where C does not increase (the positive branch),
+#: and stays finite at r = 1 on the Myers edge, where phi(1) = inf and
+#: C(1) = 0 leave the others none.  With U = 1 - a and w = b - a, for r in
+#: [a, b] and C non-increasing:
+#:   phi C <= 1, as phi(s) = int_0^s 1/C <= s / C(s); and psi / C <= 1 - s,
+#:   as psi(s) = int_s^1 C <= C(s) (1 - s).
+#:   delta:  phi psi = (phi C)(psi / C) <= 1 - r <= U.
+#:   delta1: A1(r) / sqrt(phi(r)) <= A1(a) / sqrt(phi(a))
+#:           + int_a^r (phi C)(s) sqrt(phi(s) / phi(r)) ds
+#:           <= A1(a) / sqrt(phi(a)) + w, and sqrt(phi(r)) A2(r)
+#:           <= int_r^1 (phi C)(s) ds <= U, phi rising.
+#:   delta1_prime: likewise A3 / phi <= A3(a) / phi(a) + w, and phi psi <= U.
+#:   delta1_star: B1(r) / sqrt(psi(r)) <= int_r^1 (psi / C)(s) ds <= U^2 / 2,
+#:           and sqrt(psi(r)) B2(r) <= sqrt(psi(a)) B2(a)
+#:           + int_a^r (psi / C)(s) ds <= sqrt(psi(a)) B2(a) + w U, psi falling.
+#:   delta1_star_prime: B3 / psi <= U^2 / 2 likewise, and phi psi <= U.
 _BOUNDS = {
     "delta": lambda a, b, e: (
         e.phi_psi,
         math.inf,
+        e.u,
         a.psi * e.cinv_hi - a.phi * e.c_lo,
         b.psi * e.cinv_lo - b.phi * e.c_hi,
         1.0,
@@ -125,6 +161,7 @@ _BOUNDS = {
     "delta1": lambda a, b, e: (
         b.A1 / a.sqrt_phi + b.sqrt_phi * a.A2,
         b.phi * e.head_c + b.sqrt_phi * a.A2,
+        a.A1 / a.sqrt_phi + e.w + e.u,
         a.A2 * b.phi - a.A1,
         b.A2 * a.phi - b.A1,
         e.cinv_hi / (2.0 * a.phi * a.sqrt_phi),
@@ -132,6 +169,7 @@ _BOUNDS = {
     "delta1_prime": lambda a, b, e: (
         b.A3 / a.phi + e.phi_psi,
         b.phi * e.head_c + e.phi_psi,
+        a.A3 / a.phi + e.w + e.u,
         a.psi * b.phi * b.phi - a.A3,
         b.psi * a.phi * a.phi - b.A3,
         e.cinv_hi / (a.phi * a.phi),
@@ -139,6 +177,7 @@ _BOUNDS = {
     "delta1_star": lambda a, b, e: (
         a.B1 / b.sqrt_psi + a.sqrt_psi * b.B2,
         a.psi * e.tail_cinv + a.sqrt_psi * b.B2,
+        a.sqrt_psi * a.B2 + e.w * e.u + 0.5 * e.u * e.u,
         a.B1 - b.psi * a.B2,
         b.B1 - a.psi * b.B2,
         e.c_hi / (2.0 * b.psi * b.sqrt_psi),
@@ -146,6 +185,7 @@ _BOUNDS = {
     "delta1_star_prime": lambda a, b, e: (
         a.B3 / b.psi + e.phi_psi,
         a.psi * e.tail_cinv + e.phi_psi,
+        e.u + 0.5 * e.u * e.u,
         a.B3 - a.phi * b.psi * b.psi,
         b.B3 - b.phi * a.psi * a.psi,
         e.c_hi / (b.psi * b.psi),
@@ -168,44 +208,26 @@ class _View:
         return value
 
 
-def _coefficients(p: CoefficientProfile, y, primitives=None, coefficients=None) -> _View:
-    """C, 1/C, phi and psi at the points y.
+def _named(tables) -> dict[str, np.ndarray]:
+    """name -> its entry of a pair (forward, tail) of stacked integral quantities, by `_INTEGRANDS` slot."""
+    return {name: tables[d][q] for name, (d, q) in _INTEGRANDS.items()}
 
-    C and 1/C share one log C, or come from coefficients() when the caller
-    has them already.  phi and psi share one read of the in-segment
-    interpolant (`CoefficientProfile.primitives_at`), or come from
-    primitives() when the caller has a cheaper route to them.
+
+def _integrand_stack(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The six integrands, (2, 3, ...) in the slots of `_INTEGRANDS`, from (C, 1/C) stacked in k and (phi, psi) in x.
+
+    The tail integrals pair C with phi and 1/C with psi in the order of k
+    and x, and so do the forward ones at powers 3/2 and 2; the forward
+    power 1/2 is the other pairing.  Powers are spelled with sqrt and
+    products, not x**power, so the tables keep their rounding.
     """
-    pair = []
-    prims = []
-
-    def read(name):
-        if name in ("phi", "psi"):
-            if not prims:
-                prims.extend(p.primitives_at(y) if primitives is None else primitives())
-            return prims[name == "psi"]
-        if not pair:
-            with np.errstate(over="ignore", under="ignore"):
-                pair.extend(p._coeff_pair(y) if coefficients is None else coefficients())
-        c, cinv = pair
-        return cinv if name == "Cinv" else c
-
-    return _View(read)
-
-
-def _integrand(name: str, v: _View) -> np.ndarray:
-    """Integrand `name` from a view holding C, Cinv, phi and psi.
-
-    Powers are spelled with sqrt and products, not x**power, so the tables
-    keep their rounding.
-    """
-    weight, power, _ = _INTEGRANDS[name]
-    x, root, k = (v.phi, v.sqrt_phi, v.C) if weight == "C" else (v.psi, v.sqrt_psi, v.Cinv)
-    if power == 0.5:
-        return k * root
-    if power == 1.5:
-        return k * x * root
-    return k * x * x
+    root = np.sqrt(x)
+    kx = k * x
+    out = np.empty((2, 3) + x.shape[1:])
+    np.multiply(k[::-1], root[::-1], out=out[:, 0])
+    np.multiply(kx, root, out=out[:, 1])
+    np.multiply(kx, x, out=out[:, 2])
+    return out
 
 
 def _scrub(p: CoefficientProfile, vals: np.ndarray) -> np.ndarray:
@@ -233,24 +255,24 @@ def _scrub(p: CoefficientProfile, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrands(p: CoefficientProfile, at: _View) -> list[np.ndarray]:
-    """All six integrands from a view holding C, Cinv, phi and psi, scrubbed."""
-    return [_scrub(p, _integrand(name, at)) for name in _INTEGRANDS]
-
-
 def _flat(table) -> np.ndarray:
     """Lattice-aligned view of a cumulative or tail table pair (`Segmentation.lattice`)."""
     nodes, sub = table
     return np.concatenate((nodes[1:-1], sub.ravel()))
 
 
-def _sub_view(p: CoefficientProfile) -> _View:
-    """C, 1/C, phi and psi at the sub-nodes of every segment."""
-    return _View({"C": p.c_sub, "Cinv": p.cinv_sub, "phi": p.phi_sub, "psi": p.psi_sub}.get)
+def _integrand_rows(p: CoefficientProfile) -> np.ndarray:
+    """The (2, 3, n, 15) scrubbed integrand stack at the sub-nodes of every segment, cached per profile."""
+    vals = p._cache.get("integrand_rows")
+    if vals is None:
+        with np.errstate(all="ignore"):
+            vals = _scrub(p, _integrand_stack(p.coeff_sub, p.prim_sub))
+        p._cache["integrand_rows"] = vals
+    return vals
 
 
-def _subsub_view(p: CoefficientProfile, rows: np.ndarray) -> _View:
-    """C, 1/C, phi and psi at the sub-sub points of the segments rows.
+def _integrand_pages(p: CoefficientProfile, rows: np.ndarray) -> np.ndarray:
+    """The six scrubbed integrands at the sub-sub points of the segments rows, as (6, m, 15, 15).
 
     phi and psi are the in-segment interpolant's integrals at the fixed
     fractions of each segment (`CoefficientProfile.subsub_primitives`), as
@@ -258,44 +280,29 @@ def _subsub_view(p: CoefficientProfile, rows: np.ndarray) -> _View:
     the rows the profile paged are the pages it kept
     (`CoefficientProfile.subsub_coefficients`).
     """
-    return _coefficients(p, None, lambda: p.subsub_primitives(rows), lambda: p.subsub_coefficients(rows))
+    with np.errstate(all="ignore"):
+        pages = _integrand_stack(p.subsub_coefficients(rows), p.subsub_primitives(rows))
+        return _scrub(p, pages).reshape(6, -1, 15, 15)
 
 
-def _integrand_rows(p: CoefficientProfile) -> dict[str, np.ndarray]:
-    """The six scrubbed integrands at the sub-nodes of every segment, cached per profile."""
-    vals = p._cache.get("integrand_rows")
-    if vals is None:
-        with np.errstate(all="ignore"):
-            vals = dict(zip(_INTEGRANDS, _integrands(p, _sub_view(p))))
-        p._cache["integrand_rows"] = vals
-    return vals
+def _node_tables(p: CoefficientProfile) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(segment integrals, node tables) of the integrand stack, cached per profile.
 
-
-def _build(p: CoefficientProfile, means: list[np.ndarray], rows, nodes=None) -> dict:
-    """name -> (nodes, sub-node rows of the segments rows) of each integral, from its means on rows.
-
-    nodes holds the node tables when the node step has built them.
+    The (2, 3, n) segment integrals come from one product, and the
+    (forward, tail) pair of (3, n + 1) node tables from one build per
+    direction with no sub-node row filled.
     """
-    vals = _integrand_rows(p)
-    tabs = {}
-    for (name, (_, _, forward)), m in zip(_INTEGRANDS.items(), means):
-        at_nodes = None if nodes is None else nodes[name]
-        if forward:
-            tabs[name] = p.seg.build_cumulative(vals[name], m, rows, at_nodes)
-        else:
-            tabs[name] = p.seg.build_reverse(vals[name], m, p.tail_floor, rows, at_nodes)
-    return tabs
-
-
-def _node_tables(p: CoefficientProfile) -> dict[str, np.ndarray]:
-    """Each integral at every node, cached per profile: the tables with no sub-node row filled."""
-    nodes = p._cache.get("node_tables")
-    if nodes is None:
+    cached = p._cache.get("node_tables")
+    if cached is None:
+        vals = _integrand_rows(p)
+        seg = p.seg
         none = np.empty(0, dtype=int)
         with np.errstate(all="ignore"):
-            nodes = {name: t[0] for name, t in _build(p, [np.empty((0, 15))] * len(_INTEGRANDS), none).items()}
-        p._cache["node_tables"] = nodes
-    return nodes
+            ints = seg.segment_integrals(vals)
+            forward, _ = seg.build_cumulative(vals[0], np.empty((3, 0, 15)), none, segments=ints[0])
+            tail, _ = seg.build_reverse(vals[1], np.empty((3, 0, 15)), p.tail_floor, none, segments=ints[1])
+        cached = p._cache["node_tables"] = ints, (forward, tail)
+    return cached
 
 
 def _panel_state(p: CoefficientProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -318,37 +325,43 @@ def _panel_rows(p: CoefficientProfile, k: np.ndarray) -> np.ndarray:
     panel, known = _panel_state(p)
     new = np.unique(k[~known[k]])
     if new.size:
-        vals = list(_integrand_rows(p).values())
-        flagged = needs_clip(np.concatenate([v[new] for v in vals])).reshape(len(vals), -1).any(axis=0)
-        panel[new[flagged]] = True
+        part = _integrand_rows(p).reshape(6, p.seg.n, 15)[:, new]
+        panel[new[needs_clip(part.reshape(-1, 15)).reshape(6, -1).any(axis=0)]] = True
         known[new] = True
     return panel[k]
 
 
-def _tables(p: CoefficientProfile, rows=slice(None)) -> dict:
-    """The six integral tables, name -> (nodes, sub-node rows of the segments rows).
+def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
+    """(node tables, sub-node rows of the segments rows) of the six integrals, each a (forward, tail) pair.
 
-    rows defaults to every segment, whose tables are cached per profile.
-    Rows an in-segment interpolant cannot represent take their means from
-    direct sub-sub values, and are recorded as paged (`_panel_state`).  At
-    the Myers edge the forward integrands C phi^{3/2}, C phi^2 and
-    C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens of
-    orders of magnitude inside the final graded segments; on those rows the
-    panel quadratures then see genuine (positive, monotone) values and stay
-    bounded and sane.
+    Node tables are (3, n + 1) and sub-node rows (3, m, 15) per direction,
+    in the slots of `_INTEGRANDS`.  rows defaults to every segment, whose
+    tables are cached per profile.  All six integrands' rows go through one
+    `Segmentation.pointwise_means` call; rows an in-segment interpolant
+    cannot represent take their means from direct sub-sub values, and are
+    recorded as paged (`_panel_state`).  At the Myers edge the forward
+    integrands C phi^{3/2}, C phi^2 and C^{-1} psi^{1/2} blow up toward
+    r = 1 hard enough to span dozens of orders of magnitude inside the
+    final graded segments; on those rows the panel quadratures then see
+    genuine (positive, monotone) values and stay bounded and sane.  The
+    tail rows reuse the node step's segment integrals.
     """
     whole = isinstance(rows, slice)
     tabs = p._cache.get("delta_tables") if whole else None
     if tabs is not None:
         return tabs
+    seg = p.seg
+    vals = _integrand_rows(p)
+    ints, nodes = _node_tables(p)
     with np.errstate(all="ignore"):
-        means, paged = p.seg.pointwise_means(
-            list(_integrand_rows(p).values()), lambda rows: _integrands(p, _subsub_view(p, rows)), rows
-        )
+        means, paged = seg.pointwise_means(vals.reshape(6, seg.n, 15), lambda rows: _integrand_pages(p, rows), rows)
         panel, known = _panel_state(p)
         panel[paged] = True
         known[rows] = True
-        tabs = _build(p, means, rows, _node_tables(p))
+        means = means.reshape(2, 3, -1, 15)
+        _, forward = seg.build_cumulative(vals[0], means[0], rows, nodes[0])
+        _, tail = seg.build_reverse(vals[1], means[1], p.tail_floor, rows, nodes[1], ints[1])
+    tabs = nodes, (forward, tail)
     if whole:
         p._cache["delta_tables"] = tabs
     return tabs
@@ -356,7 +369,8 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> dict:
 
 def _lattice_view(p: CoefficientProfile) -> _View:
     """phi, psi and the integrals at every point of `Segmentation.lattice`, from the full tables."""
-    tabs = {"phi": (p.phi_nodes, p.phi_sub), "psi": (p.psi_nodes, p.psi_sub), **_tables(p)}
+    nodes, sub = (_named(t) for t in _tables(p))
+    tabs = {"phi": (p.phi_nodes, p.phi_sub), "psi": (p.psi_nodes, p.psi_sub), **{n: (nodes[n], sub[n]) for n in nodes}}
     return _View(lambda name: _flat(tabs[name]))
 
 
@@ -367,66 +381,70 @@ def _panel_integral(p: CoefficientProfile, name: str, rs: np.ndarray) -> np.ndar
     (`CoefficientProfile.primitives_at`), as the tables' direct pages do.
     """
     seg = p.seg
+    d, q = _INTEGRANDS[name]
 
     def integrand(y):
-        return _integrand(name, _coefficients(p, y))
+        with np.errstate(over="ignore", under="ignore"):
+            k = p._coeff_pair(y)
+        return _integrand_stack(k, np.stack(p.primitives_at(y)))[d, q]
 
-    evaluate = seg.cum_eval if _INTEGRANDS[name][2] else seg.tail_eval
-    return evaluate(_node_tables(p)[name], integrand, rs)
+    evaluate = seg.cum_eval if d == 0 else seg.tail_eval
+    return evaluate(_node_tables(p)[1][d][q], integrand, rs)
 
 
-def _point_views(p: CoefficientProfile, rs, parts) -> list[_View]:
-    """phi, psi, C, 1/C and the integrals at off-lattice points rs[s], one view per slice s in parts.
+def _integral_at(p: CoefficientProfile, name: str, rs: np.ndarray, weights, panel: np.ndarray) -> np.ndarray:
+    """Integral `name` at off-lattice points rs, given their partial weights and which rows are paged directly.
 
-    Each value is its node table plus the integral, over the partial segment,
-    of the segment's degree-14 interpolant through the sub-node values
-    (`Segmentation.partial_weights`, one call for all of rs): the integral
-    the tables already hold at the sub-nodes, continued between them with no
-    coefficient evaluated.  phi and psi are read once for all of rs
-    (`CoefficientProfile.primitives_at`, which reads the flux form in the
-    rows the profile paged); each integral only for the slices that use
-    it.  On the segments paged directly (`_panel_rows`) the integral tables
-    are not the interpolant's integral, so integrals at points there take
-    partial-segment panels instead (`_panel_integral`).  C and 1/C share
-    one log C per slice (`_coefficients`).
+    Each value is its node table plus the integral, over the partial
+    segment, of the segment's degree-14 interpolant through the sub-node
+    values (`Segmentation.partial_weights`): the integral the tables
+    already hold at the sub-nodes, continued between them with no
+    coefficient evaluated.  On the segments paged directly (`_panel_rows`)
+    the tables are not the interpolant's integral, so points there take
+    partial-segment panels instead (`_panel_integral`).
     """
-    nodes = _node_tables(p)
-    rows = _integrand_rows(p)
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    weights = p.seg.partial_weights(rs)
-    panels = _panel_rows(p, weights[0])
-    prims = []
+    d, q = _INTEGRANDS[name]
+    k, head, tail = weights
+    row = _integrand_rows(p)[d, q][k]
+    nodes = _node_tables(p)[1][d][q]
+    if d == 0:
+        out = nodes[k] + np.einsum("ij,ij->i", head, row)
+    else:
+        out = nodes[k + 1] + np.einsum("ij,ij->i", tail, row)
+    if panel.any():
+        out[panel] = _panel_integral(p, name, rs[panel])
+    return out
 
-    def view(s):
-        x = rs[s]
-        k, head, tail = (w[s] for w in weights)
-        panel = panels[s]
-        coefficients = _coefficients(p, x)
 
-        def interpolant(name, k, head, tail):
-            if _INTEGRANDS[name][2]:
-                return nodes[name][k] + np.einsum("ij,ij->i", head, rows[name][k])
-            return nodes[name][k + 1] + np.einsum("ij,ij->i", tail, rows[name][k])
+def _point_views(p: CoefficientProfile, rs, names) -> np.ndarray:
+    """F and its condition g (`_CONDITIONS`) of functional names[i] at off-lattice points rs[i], as (rows, S, 2).
 
-        def read(name):
-            if name in ("phi", "psi"):
-                if not prims:
-                    prims.extend(p.primitives_at(rs, weights))
-                return prims[name == "psi"][s]
-            if name in ("C", "Cinv"):
-                return getattr(coefficients, name)
-            if not panel.any():
-                return interpolant(name, k, head, tail)
-            keep = ~panel
-            out = np.empty(x.size)
-            out[panel] = _panel_integral(p, name, x[panel])
-            if keep.any():
-                out[keep] = interpolant(name, k[keep], head[keep], tail[keep])
-            return out
-
-        return _View(read)
-
-    return [view(s) for s in parts]
+    One round of reads for an (rows, S) array rs: the partial weights, the
+    segments paged directly (`_panel_rows`), and phi and psi
+    (`CoefficientProfile.primitives_at`, which reads the flux form in the
+    rows the profile paged), each in one call for all of rs.  Each
+    integral is read once, at the points of the functionals that use it
+    (`_READS`, `_integral_at`), and C and 1/C share one log C at delta's.
+    """
+    rs = np.asarray(rs, dtype=float)
+    flat = rs.ravel()
+    weights = p.seg.partial_weights(flat)
+    panel = _panel_rows(p, weights[0]).reshape(rs.shape)
+    out = np.empty(rs.shape + (2,))
+    with np.errstate(all="ignore"):
+        phi, psi = (v.reshape(rs.shape) for v in p.primitives_at(flat, weights))
+        sqrt_phi, sqrt_psi = np.sqrt(phi), np.sqrt(psi)
+        k, head, tail = (w.reshape(rs.shape + w.shape[1:]) for w in weights)
+        for i, name in enumerate(names):
+            v = SimpleNamespace(phi=phi[i], psi=psi[i], sqrt_phi=sqrt_phi[i], sqrt_psi=sqrt_psi[i])
+            for read in _READS[name]:
+                if read == "C":
+                    v.C, v.Cinv = p._coeff_pair(rs[i])
+                else:
+                    setattr(v, read, _integral_at(p, read, rs[i], (k[i], head[i], tail[i]), panel[i]))
+            out[i, :, 0] = _FUNCTIONALS[name](v)
+            out[i, :, 1] = _CONDITIONS[name](v)
+    return out
 
 
 def _safe_batch(point, rs: np.ndarray, rows: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
@@ -502,15 +520,16 @@ def _lattice_neighbours(p: CoefficientProfile, j: np.ndarray) -> tuple[np.ndarra
 
 def _node_view(p: CoefficientProfile) -> _View:
     """phi, psi, C, 1/C and the integrals at every node, 0 and 1 included."""
-    nodes = _node_tables(p)
-    coefficients = _coefficients(p, p.seg.nodes)
+    tables = {"phi": p.phi_nodes, "psi": p.psi_nodes, **_named(_node_tables(p)[1])}
+    pair = []
 
     def read(name):
-        if name in ("phi", "psi"):
-            return p.phi_nodes if name == "phi" else p.psi_nodes
-        if name in ("C", "Cinv"):
-            return getattr(coefficients, name)
-        return nodes[name]
+        if name in tables:
+            return tables[name]
+        if not pair:
+            with np.errstate(over="ignore", under="ignore"):
+                pair.extend(p._coeff_pair(p.seg.nodes))
+        return pair[name == "Cinv"]
 
     return _View(read)
 
@@ -522,8 +541,9 @@ def _segment_bounds(p: CoefficientProfile, view: _View, at_nodes: list[np.ndarra
     """An upper bound of each functional on each segment, or nan where none is finite.
 
     view holds the node quantities (`_node_view`) and at_nodes each
-    functional at every node.  Each bound is the least of the first-order
-    and end-safe bounds of `_BOUNDS` and the mean-value bound
+    functional at every node.  Each bound is the least of the first-order,
+    end-safe and, on the positive branch, edge bounds of `_BOUNDS` and the
+    mean-value bound
 
         min(F(a) + w m_hi max(0, g_hi), F(b) + w m_hi max(0, -g_lo))
 
@@ -532,7 +552,8 @@ def _segment_bounds(p: CoefficientProfile, view: _View, at_nodes: list[np.ndarra
     least, so it cannot prune.
     """
     names = ("phi", "psi", "sqrt_phi", "sqrt_psi", "C", "Cinv", *_INTEGRANDS)
-    w = p.seg.width
+    seg = p.seg
+    w = seg.width
     out = []
     with np.errstate(all="ignore"):
         a = SimpleNamespace(**{name: getattr(view, name)[:-1] for name in names})
@@ -546,14 +567,18 @@ def _segment_bounds(p: CoefficientProfile, view: _View, at_nodes: list[np.ndarra
             # int_0^b C and int_a^1 1/C
             head_c=p.psi_total - b.psi,
             tail_cinv=p.phi_total - a.phi,
+            w=w,
+            u=1.0 - seg.nodes[:-1],
         )
+        edge = p.alpha.sign is CurvatureSign.POSITIVE_K
         for name, f in zip(DELTA_NAMES, at_nodes):
-            first, end, g_hi, g_lo, m_hi = _BOUNDS[name](a, b, e)
+            first, end, at_edge, g_hi, g_lo, m_hi = _BOUNDS[name](a, b, e)
             # m > 0: an m_hi below the normal range lost its digits to a
             # power of phi or psi past the double range, and bounds nothing
             wm = w * np.where(m_hi >= _TINY, m_hi, math.nan)
             mean = np.fmin(f[:-1] + wm * np.maximum(g_hi, 0.0), f[1:] + wm * np.maximum(-g_lo, 0.0))
-            out.append(np.fmin(np.fmin(first, end), mean))
+            bound = np.fmin(np.fmin(first, end), mean)
+            out.append(np.fmin(bound, at_edge) if edge else bound)
     return out
 
 
@@ -593,8 +618,7 @@ def _lattice_maxes(p: CoefficientProfile) -> tuple[np.ndarray, np.ndarray]:
             keep |= ~(bound < floor)
         if np.count_nonzero(keep) <= FILL_ALL * n:
             rows = np.flatnonzero(keep)
-    tables = {name: t[1] for name, t in _tables(p, rows).items()}
-    sub = _View({"phi": p.phi_sub[rows], "psi": p.psi_sub[rows], **tables}.get)
+    sub = _View({"phi": p.phi_sub[rows], "psi": p.psi_sub[rows], **_named(_tables(p, rows)[1])}.get)
     filled = np.arange(n)[rows]
     j, top = [], []
     with np.errstate(all="ignore"):
@@ -616,11 +640,12 @@ def _stationary_sups(p: CoefficientProfile) -> list[tuple[float, float, float, f
 
     Each functional's lattice argmax (`_lattice_maxes`) is bracketed by its
     two lattice neighbours (`_lattice_neighbours`), and one `_point_views`
-    call reads every functional and its condition (`_CONDITIONS`) at
-    SAMPLES points across its bracket, ends included.  The + to - sign
-    change of the condition nearest the best sample holds the stationary
-    point; one secant step of the condition inside it gives x*, and one
-    more call reads every functional at its own x*.  The sup is the best of
+    round reads every functional and its condition (`_CONDITIONS`) at
+    SAMPLES points across its bracket, ends included, into one (rows,
+    SAMPLES, 2) array.  The + to - sign change of the condition nearest the
+    best sample holds the stationary point; one secant step of the
+    condition inside it gives x*, and one more round reads every functional
+    at its own x*.  The sup is the best of
     the lattice max, the samples and F(x*), so never below the lattice max.
     A bracket with no sign change (a sup at an end, a peak flat to
     rounding, C underflowing at the Myers edge) keeps its best sample; an
@@ -629,16 +654,13 @@ def _stationary_sups(p: CoefficientProfile) -> list[tuple[float, float, float, f
     max, lo, hi) per functional, with (lo, hi) the samples either side of
     the sign change, or the whole bracket where there is none.
     """
-    exprs = [(_FUNCTIONALS[name], _CONDITIONS[name]) for name in DELTA_NAMES]
     j, best_v = _lattice_maxes(p)
     best_x = p.seg.lattice[j]
     lo, hi = _lattice_neighbours(p, j)
     rows = np.flatnonzero(best_v != math.inf)
 
     def point(rs, rows):
-        n = rs.shape[1]
-        views = _point_views(p, rs.ravel(), [slice(k * n, (k + 1) * n) for k in range(rows.size)])
-        return [np.stack([f(view), g(view)], axis=-1) for (f, g), view in zip((exprs[r] for r in rows), views)]
+        return _point_views(p, rs, [DELTA_NAMES[r] for r in rows])
 
     def keep(rows, x, v):
         up = v > best_v[rows]

@@ -133,6 +133,22 @@ class TestCoefficientProfile:
             want = float(mp.cos(mp.pi / 2 * x) ** 5)
             assert p.coeff(np.array([x]))[0] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [20, 63])
+    def test_tangent_form_against_mpmath_at_the_myers_edge(self, d):
+        # log C from the half-angle tangent of a u / 2, u = 1 - x, at 300
+        # points with u from 1e-12 to 1/2, against 50 digits at the stored x
+        # and a = HALF_PI.  It comes within 1.35 (ulp(log C) + (d - 1) eps)
+        # at d = 63 (0.93 at d = 20); the tolerance leaves room for a
+        # tangent a few ulp off (a SIMD np.tan), so no bit is pinned.  An
+        # error e in log C is a relative error e in C, which underflows past
+        # u ~ 1e-5 at d = 63.
+        p = get_profile(d, Alpha.positive(HALF_PI))
+        mp.mp.dps = 50
+        xs = 1.0 - np.geomspace(1e-12, 0.5, 300)
+        want = np.array([float((d - 1) * mp.log(mp.cos(mp.mpf(HALF_PI) * mp.mpf(x)))) for x in xs])
+        tol = 8.0 * (np.spacing(np.abs(want)) + (d - 1) * np.finfo(float).eps)
+        assert np.all(np.abs(p._log_coeff(xs) - want) <= tol)
+
     @pytest.mark.parametrize(
         "alpha",
         [Alpha.zero(), Alpha.negative(1.5), Alpha.positive(1.2)],

@@ -124,6 +124,52 @@ class TestReverse:
         assert np.array_equal(with_floor[bulk], without[bulk])
 
 
+class TestStackedTables:
+    """Leading stack axes through the table primitive: each integrand's tables are those of a call on it alone."""
+
+    @staticmethod
+    def _stack():
+        # (1 - x)^40 falls fast enough toward 1 that the tail flush fires
+        x = SEG.sub
+        v = np.stack([x**3, np.exp(-x), (1.0 - x) ** 40, np.cos(7.0 * x)])
+        return v, np.stack([SEG.interp_means(one) for one in v])
+
+    def test_segment_integrals(self):
+        v, _ = self._stack()
+        got = SEG.segment_integrals(v.reshape(2, 2, SEG.n, 15)).reshape(4, SEG.n)
+        for g, one in zip(got, v):
+            np.testing.assert_array_equal(g, SEG.segment_integrals(one))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [slice(None), np.array([0, 5, 100, SEG.n - 2, SEG.n - 1]), np.empty(0, dtype=int)],
+        ids=["all", "rows", "none"],
+    )
+    @pytest.mark.parametrize("reverse", [False, True], ids=["cumulative", "reverse"])
+    def test_builds_match_single_calls(self, rows, reverse):
+        v, means = self._stack()
+        means = means[:, rows]
+
+        def build(*args, **kwargs):
+            if reverse:
+                return SEG.build_reverse(*args[:2], 1e-3, *args[2:], **kwargs)
+            return SEG.build_cumulative(*args, **kwargs)
+
+        nodes, sub = build(v, means, rows)
+        for i, one in enumerate(v):
+            one_nodes, one_sub = build(one, means[i], rows)
+            np.testing.assert_array_equal(nodes[i], one_nodes)
+            np.testing.assert_array_equal(sub[i], one_sub)
+        # given the node tables, and the segment integrals
+        segments = SEG.segment_integrals(v)
+        for kwargs in ({"nodes": nodes}, {"segments": segments}, {"nodes": nodes, "segments": segments}):
+            got_nodes, got_sub = build(v, means, rows, **kwargs)
+            np.testing.assert_array_equal(got_nodes, nodes)
+            np.testing.assert_array_equal(got_sub, sub)
+        if reverse and not isinstance(rows, slice) and rows.size:
+            assert np.any(sub[2, -1] == 0.0) and not np.any(sub[2, 0] == 0.0)
+
+
 class TestInterpolation:
     def test_smooth_function_page_accuracy(self):
         pages = SEG.interp_sub(np.sin(3.0 * SEG.sub))

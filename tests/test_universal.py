@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,8 +67,13 @@ class TestFlatExactValues:
 
 
 def _point_view(p, rs):
-    """The polish's off-lattice view of all of rs."""
-    return universal._point_views(p, rs, [slice(None)])[0]
+    """phi, psi and each integral at the off-lattice points rs, read as `_point_views` reads them."""
+    weights = p.seg.partial_weights(rs)
+    panel = universal._panel_rows(p, weights[0])
+    phi, psi = p.primitives_at(rs, weights)
+    return SimpleNamespace(
+        phi=phi, psi=psi, **{name: universal._integral_at(p, name, rs, weights, panel) for name in universal._INTEGRANDS}
+    )
 
 
 class TestPointView:
@@ -102,7 +108,7 @@ class TestPointView:
             n_nodes + 15 * (2 * p.seg.n // 3) + 11,
         }
         for j in sorted(picks):
-            point = float(expr(_point_view(p, float(xs[j])))[0])
+            point = float(universal._point_views(p, xs[None, j : j + 1], [name])[0, 0, 0])
             assert point == pytest.approx(lattice[j], rel=1e-12), (name, float(xs[j]))
 
     @pytest.mark.parametrize("name", ["phi", "psi", *universal._INTEGRANDS])
@@ -133,19 +139,22 @@ def _panel_point_view(p, rs):
     (`Segmentation.cum_eval`/`tail_eval`), whose phi and psi are panels too.
     """
     seg = p.seg
-    tabs = universal._tables(p)
+    nodes = universal._named(universal._tables(p)[0])
 
     def read(name):
         if name == "phi":
             return seg.cum_eval(p.phi_nodes, p.coeff_inv, rs)
         if name == "psi":
             return seg.tail_eval(p.psi_nodes, p.coeff, rs)
+        direction, power = universal._INTEGRANDS[name]
 
         def integrand(y):
-            return universal._integrand(name, universal._coefficients(p, y, lambda: (p.phi_at(y), p.psi_at(y))))
+            with np.errstate(over="ignore", under="ignore"):
+                k = p._coeff_pair(y)
+            return universal._integrand_stack(k, np.stack((p.phi_at(y), p.psi_at(y))))[direction, power]
 
-        evaluate = seg.cum_eval if universal._INTEGRANDS[name][2] else seg.tail_eval
-        return evaluate(tabs[name][0], integrand, rs)
+        evaluate = seg.cum_eval if direction == 0 else seg.tail_eval
+        return evaluate(nodes[name], integrand, rs)
 
     return universal._View(read)
 
@@ -328,12 +337,11 @@ class TestFrozenProfiles:
 
 def _sub_values(p):
     """The six scrubbed integrands at the sub-nodes, as `_tables` builds them."""
-    with np.errstate(all="ignore"):
-        return universal._integrands(p, universal._sub_view(p))
+    return universal._integrand_rows(p).reshape(6, p.seg.n, 15)
 
 
 def _integrand_pages(p):
-    return lambda rows: universal._integrands(p, universal._subsub_view(p, rows))
+    return lambda rows: universal._integrand_pages(p, rows)
 
 
 def _coefficient_pages(p):
@@ -857,8 +865,8 @@ def _zoom_sups(p):
     with np.errstate(all="ignore"):
         vals = [universal._scrub(p, expr(lattice)) for expr in exprs]
     polished = [
-        universal._polish(p, xs, v, lambda rs, expr=expr: expr(universal._point_views(p, rs, [slice(None)])[0]))
-        for expr, v in zip(exprs, vals)
+        universal._polish(p, xs, v, lambda rs, name=name: universal._point_views(p, rs[None], [name])[0, :, 0])
+        for name, v in zip(DELTA_NAMES, vals)
     ]
     return polished, [float(np.max(v)) for v in vals]
 
@@ -891,15 +899,12 @@ class TestStationarySups:
         near = np.array([universal.functional_sup(p, name)[0] for name in DELTA_NAMES])
         offsets = np.array([-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2])
         rs = np.concatenate((np.linspace(0.005, 0.995, 199), (near[:, None] * (1.0 + offsets)).ravel()))
-        h, n = 1e-7, rs.size
+        h = 1e-7
         with np.errstate(all="ignore"):
-            lo, mid, hi = universal._point_views(
-                p, np.concatenate((rs - h, rs, rs + h)), [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
-            )
             for name in DELTA_NAMES:
-                f, g = universal._FUNCTIONALS[name], universal._CONDITIONS[name]
-                df, cond = f(hi) - f(lo), g(mid)
-                big = np.isfinite(df) & np.isfinite(cond) & (np.abs(df) > 1e3 * np.spacing(np.abs(f(mid))))
+                lo, mid, hi = universal._point_views(p, np.stack((rs - h, rs, rs + h)), [name] * 3)
+                df, cond = hi[:, 0] - lo[:, 0], mid[:, 1]
+                big = np.isfinite(df) & np.isfinite(cond) & (np.abs(df) > 1e3 * np.spacing(np.abs(mid[:, 0])))
                 assert big.sum() >= 50, name
                 np.testing.assert_array_equal(np.sign(cond[big]), np.sign(df[big]), err_msg=name)
 
@@ -951,14 +956,13 @@ def _prune_points():
     if FULL:
         return [(int(d), x) for d, x, _ in json.loads(REFERENCE.read_text())["curvature"] if d < 1000]
     # -10/3 + 2 (pi/2 + 10/3) / 64 = -3.18 is the benchmark's third grid alpha
-    return [(2, 0.0), (5, -1.0), (10, 0.8), (2, HALF_PI), (20, HALF_PI), (63, HALF_PI),
+    return [(2, 0.0), (5, -1.0), (10, 0.8), (2, HALF_PI), (10, HALF_PI), (20, HALF_PI), (63, HALF_PI),
             (20, -10.0 / 3.0 + 2.0 * (HALF_PI + 10.0 / 3.0) / 64.0), (63, -3.0)]
 
 
 def _functional_rows(p):
     """The five functionals at the sub-nodes of every segment, from the full tables, as (n, 15) rows."""
-    tabs = universal._tables(p)
-    sub = universal._View({"phi": p.phi_sub, "psi": p.psi_sub, **{name: t[1] for name, t in tabs.items()}}.get)
+    sub = universal._View({"phi": p.phi_sub, "psi": p.psi_sub, **universal._named(universal._tables(p)[1])}.get)
     with np.errstate(all="ignore"):
         return [universal._scrub(p, expr(sub)) for expr in universal._FUNCTIONALS.values()]
 

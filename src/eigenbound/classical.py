@@ -152,7 +152,8 @@ def sech_fixed_point(g: GeometryTriple) -> tuple[float, SechIterationState]:
             raise NoConvergence(
                 f"sech fixed point did not settle from theta1 = {theta1}"
             )
-    sech = 1.0 / math.cosh(theta)
+    e = math.exp(-theta)  # 1 / cosh(theta) overflows past theta ~ 710
+    sech = 2.0 * e / (1.0 + e * e)
     bound = ((g.d - 1) * a * math.tanh(a) * sech) ** 2 / g.D**2
     return bound, SechIterationState(theta1, tuple(iterates), theta)
 

@@ -273,7 +273,6 @@ def needs_clip(v_sub: np.ndarray) -> np.ndarray:
 class Segmentation:
     """Shared graded partition with nested Gauss-Legendre structure.
 
-    grid:     (n_segments+1,) the Chebyshev grid the partition thins
     nodes:    (n+1,) partition of [0, 1], `lattice_nodes(n_segments)`
     sub:      (n, 15) GL nodes of each segment
     subsub:   (n, 15, 15) GL nodes of [node_k, sub_kj] for every sub-node
@@ -299,7 +298,6 @@ class Segmentation:
     """
 
     def __init__(self, n_segments: int = 4096):
-        self.grid = chebyshev_nodes(int(n_segments))
         self.nodes = lattice_nodes(int(n_segments))
         self.n = self.nodes.size - 1
         self.width = np.diff(self.nodes)
@@ -493,15 +491,24 @@ class Segmentation:
         means = partial_means(np.concatenate((t / w, u / w)))
         return k, t[:, None] * means[: x.size], u[:, None] * means[x.size :, ::-1]
 
+    def interpolate(self, x: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Values at the points x of the degree-14 interpolants through rows[i], a sub-node row of segment k[i].
+
+        By the barycentric formula, as in `partial_means`; a point on a
+        sub-node's fraction of its segment reads that sub-node's value.
+        """
+        tau = (x - self.nodes[k]) / self.width[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = _BARY / (tau[:, None] - XI)
+            out = np.einsum("ij,ij->i", q, rows) / q.sum(axis=1)
+        i, j = np.nonzero(np.isinf(q))
+        out[i] = rows[i, j]
+        return out
+
     @functools.cached_property
     def lattice(self) -> np.ndarray:
         """(n - 1 + 15 n,) the interior lattice: the interior nodes, then the sub-nodes of each segment row by row."""
         return np.concatenate((self.nodes[1:-1], self.sub.ravel()))
-
-    @functools.cached_property
-    def grid_weights(self):
-        """partial_weights(grid[1:-1]): the interior grid nodes' segments and weights."""
-        return self.partial_weights(self.grid[1:-1])
 
     def cum_eval(self, cum_nodes: np.ndarray, f, x) -> np.ndarray:
         """Evaluate int_0^x f at arbitrary x from a node table plus a local panel.

@@ -15,36 +15,23 @@ converging to lam from both sides, and variational_ratio turns any
 positive test function into a certified lower bound for lam.
 
 Everything here works on the shared graded Gauss-Legendre lattice of the
-profile: sups and infs start from the max or min over the ~18k interior
-lattice points where the cumulative tables are exact, then are polished
-off the lattice.  The six integrands behind the five sups live in one
-stack, forward and tail integrals apart (`_integrand_stack`), so each step
-of their tables is one call on all six: one product for the segment
-integrals, one build per direction.  The five sups find their lattice maxes
-in two steps (`_lattice_maxes`): node tables and node values on every
-segment, then sub-node rows only on the segments whose node-level bound
-(`_BOUNDS`: monotone first-order and end-safe enclosures, edge bounds in
-1 - r at the Myers edge and a mean-value form) leaves room for a max, which
-gives the whole lattice's argmax and max to the bit.  They then solve their
-stationarity conditions, closed forms in the same quantities as the
-functionals, between the lattice neighbours of each argmax in two rounds of
-off-lattice reads shared by all five (`_stationary_sups`), each one pass
-of array reads (`_point_views`).  variational_ratio's inf, whose test
-function has no derivative, takes a local zoom whose rounds each evaluate
-ZOOM off-lattice points at once (`_polish`).  The six integral tables take
-their within-segment means from the spectral product on the sub-node
-values, and from direct sub-sub pages only on the rows the spectral guard
-flags (`Segmentation.pointwise_means`), the Myers edge included; those
-pages read phi and psi off the in-segment interpolant too, in flux form on
-the rows the profile pages itself (`CoefficientProfile.subsub_primitives`).
-Off the lattice, the five sups read the integral of each segment's
-degree-14 interpolant, which the spectral tables already hold at the
-sub-nodes; only points in directly paged rows re-integrate the integrand
-with partial-segment panels.  variational_ratio reads its denominator the
-same way, with no panel, on the smoothing step it shares with
-iterate_lower.  The iteration sequences are lattice maxes with no polish;
-the upper ones are read off moment tables at every interior node of the
-full Chebyshev grid the lattice thins.
+profile.  Every sup and inf starts from the max or min over the ~18k
+interior lattice points, where the tables are exact, and one solver
+(`_stationary_points`) then solves its stationarity condition between the
+lattice neighbours of the argmax, in two rounds of off-lattice reads shared
+by all the extrema of a call.  Off the lattice a table is its node entry
+plus the integral of the in-segment interpolant through its integrand rows
+(`_table_at`), whose interpolant (`Segmentation.interpolate`) is the
+table's derivative in the conditions.  The six integrands behind the five
+sups live in one stack (`_integrand_stack`), whose tables take one call
+per step for all six.  Their lattice maxes fill sub-node rows only on the
+segments whose node-level bounds (`_BOUNDS`) leave room for a max
+(`_lattice_maxes`); their tables take direct sub-sub pages on the rows the
+spectral guard flags (`Segmentation.pointwise_means`), and points in those
+rows take partial-segment panels (`_integral_at`).  The iteration
+sequences read the smoothing step's tables (`_smooth_step`) and the clamped
+moments' (`_clamped_moments`), and variational_ratio the step's, with no
+integrand panel.
 """
 
 from __future__ import annotations
@@ -57,12 +44,9 @@ import numpy as np
 
 from .errors import DomainError, EigenboundError, InvalidTestFunction
 from .geometry import Alpha, CoefficientProfile, CurvatureSign, resolve_profile
-from .quadrature import needs_clip
+from .quadrature import DIFF_T, needs_clip
 
 MAX_ITERATIONS = 10
-
-#: Interior points per round of variational_ratio's zoom polish.
-ZOOM = 32
 
 
 # -- the five functionals -----------------------------------------------------
@@ -367,13 +351,6 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     return tabs
 
 
-def _lattice_view(p: CoefficientProfile) -> _View:
-    """phi, psi and the integrals at every point of `Segmentation.lattice`, from the full tables."""
-    nodes, sub = (_named(t) for t in _tables(p))
-    tabs = {"phi": (p.phi_nodes, p.phi_sub), "psi": (p.psi_nodes, p.psi_sub), **{n: (nodes[n], sub[n]) for n in nodes}}
-    return _View(lambda name: _flat(tabs[name]))
-
-
 def _panel_integral(p: CoefficientProfile, name: str, rs: np.ndarray) -> np.ndarray:
     """Integral `name` at rs from its node table plus a partial-segment panel.
 
@@ -392,25 +369,31 @@ def _panel_integral(p: CoefficientProfile, name: str, rs: np.ndarray) -> np.ndar
     return evaluate(_node_tables(p)[1][d][q], integrand, rs)
 
 
+def _table_at(table: np.ndarray, rows: np.ndarray, weights, tail: bool = False) -> np.ndarray:
+    """A node table at off-lattice points, from their partial weights (`Segmentation.partial_weights`).
+
+    Each value is the table at the point's left node plus the integral of
+    its segment's degree-14 interpolant through the integrand rows up to the
+    point, or for a tail table at the right node plus the integral from the
+    point: the integral the table holds at the sub-nodes, continued between
+    them.
+    """
+    k, head, back = weights
+    if tail:
+        return table[k + 1] + np.einsum("ij,ij->i", back, rows[k])
+    return table[k] + np.einsum("ij,ij->i", head, rows[k])
+
+
 def _integral_at(p: CoefficientProfile, name: str, rs: np.ndarray, weights, panel: np.ndarray) -> np.ndarray:
     """Integral `name` at off-lattice points rs, given their partial weights and which rows are paged directly.
 
-    Each value is its node table plus the integral, over the partial
-    segment, of the segment's degree-14 interpolant through the sub-node
-    values (`Segmentation.partial_weights`): the integral the tables
-    already hold at the sub-nodes, continued between them with no
-    coefficient evaluated.  On the segments paged directly (`_panel_rows`)
-    the tables are not the interpolant's integral, so points there take
-    partial-segment panels instead (`_panel_integral`).
+    Each value is read off its table and integrand rows (`_table_at`), with
+    no coefficient evaluated.  On the segments paged directly
+    (`_panel_rows`) the tables are not the interpolant's integral, so points
+    there take partial-segment panels instead (`_panel_integral`).
     """
     d, q = _INTEGRANDS[name]
-    k, head, tail = weights
-    row = _integrand_rows(p)[d, q][k]
-    nodes = _node_tables(p)[1][d][q]
-    if d == 0:
-        out = nodes[k] + np.einsum("ij,ij->i", head, row)
-    else:
-        out = nodes[k + 1] + np.einsum("ij,ij->i", tail, row)
+    out = _table_at(_node_tables(p)[1][d][q], _integrand_rows(p)[d, q], weights, d == 1)
     if panel.any():
         out[panel] = _panel_integral(p, name, rs[panel])
     return out
@@ -447,64 +430,32 @@ def _point_views(p: CoefficientProfile, rs, names) -> np.ndarray:
     return out
 
 
-def _safe_batch(point, rs: np.ndarray, rows: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
-    """point(rs, rows) with every non-finite value, or raising point, as -inf.
+def _safe_batch(point, rs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """point(rs, rows) as rs.shape + (2,) values, with every non-finite value, or raising point, as -inf.
 
-    Row i of rs holds the points of maximum rows[i], and point returns
-    rs.shape + tail values, tail for values per point.  A batch that raises
-    is re-evaluated one maximum at a time, and a maximum's batch that
-    raises one point at a time, so only the points that raise on their own
-    count as -inf.
+    Row i of rs holds the points of extremum rows[i].  A batch that raises
+    is read again one point at a time, so only the points that raise on
+    their own count as -inf.
     """
     with np.errstate(all="ignore"):
         try:
-            v = np.asarray(point(rs, rows), dtype=float).reshape(rs.shape + tail)
+            v = np.asarray(point(rs, rows), dtype=float).reshape(rs.shape + (2,))
         except (ValueError, OverflowError, ZeroDivisionError):
             if rs.size == 1:
-                return np.full(rs.shape + tail, -math.inf)
-            if rows.size > 1:
-                return np.concatenate(
-                    [_safe_batch(point, rs[i : i + 1], rows[i : i + 1], tail) for i in range(rows.size)]
-                )
-            return np.concatenate([_safe_batch(point, rs[:, j : j + 1], rows, tail) for j in range(rs.shape[1])], axis=1)
+                return np.full(rs.shape + (2,), -math.inf)
+            one = [[_safe_batch(point, np.array([[x]]), rows[i : i + 1])[0, 0] for x in r] for i, r in enumerate(rs)]
+            return np.array(one)
     return np.where(np.isfinite(v), v, -math.inf)
-
-
-def _polish(p: CoefficientProfile, xs, vals, point) -> tuple[float, float]:
-    """Zoom polish of a max near its lattice argmax; never worse than the grid.
-
-    vals holds the lattice values at xs.  point(rs) evaluates the function
-    at the points rs off the lattice; a point where it is non-finite or
-    raises counts as -inf (`_safe_batch`).  Each round evaluates ZOOM
-    interior points of the bracket [a, b] in one call and narrows it to the
-    two grid neighbours of its round's argmax, down to b - a <= 1e-12; an
-    infinite lattice max is not polished.  Returns (argmax, max).
-    """
-    k = int(np.argmax(vals))
-    best_x, best_v = float(xs[k]), float(vals[k])
-    w = p.seg.width[p.seg.locate(best_x)]
-    a = max(best_x - w, 1e-12)
-    b = min(best_x + w, 1.0 - 1e-12)
-    grid = np.arange(1, ZOOM + 1) / (ZOOM + 1)
-    one = np.zeros(1, dtype=int)
-    while best_v != math.inf and b - a > 1e-12:
-        rs = a + (b - a) * grid
-        v = _safe_batch(lambda rs, _: point(rs[0])[None], rs[None], one)[0]
-        j = int(np.argmax(v))
-        if v[j] > best_v:
-            best_x, best_v = float(rs[j]), float(v[j])
-        a, b = (rs[j - 1] if j > 0 else a), (rs[j + 1] if j + 1 < ZOOM else b)
-    return best_x, best_v
 
 
 def _lattice_neighbours(p: CoefficientProfile, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lattice points either side, in r order, of the lattice points j.
 
     The lattice lists the interior nodes and then the m = 15 sub-nodes of
-    each segment row by row (`_lattice`).  In r order segment k holds node k
-    at position (m + 1) k and its sub-node i at (m + 1) k + 1 + i, so each
-    neighbour is one position away; the ends 0 and 1 give way to 1e-12 and
-    1 - 1e-12.
+    each segment row by row (`Segmentation.lattice`).  In r order segment k
+    holds node k at position (m + 1) k and its sub-node i at
+    (m + 1) k + 1 + i, so each neighbour is one position away; the ends 0
+    and 1 give way to 1e-12 and 1 - 1e-12.
     """
     seg = p.seg
     m = seg.sub.shape[1]
@@ -631,57 +582,53 @@ def _lattice_maxes(p: CoefficientProfile) -> tuple[np.ndarray, np.ndarray]:
     return np.array(j), np.array(top, dtype=float)
 
 
-#: Points per bracket, ends included, in the first round of `_stationary_sups`.
+#: Points per bracket, ends included, in the first round of `_stationary_points`.
 SAMPLES = 33
 
 
-def _stationary_sups(p: CoefficientProfile) -> list[tuple[float, float, float, float]]:
-    """The five sups, in DELTA_NAMES order, from their stationarity conditions.
+def _stationary_points(p: CoefficientProfile, j: np.ndarray, best_v: np.ndarray, point) -> list[tuple[float, float, float, float]]:
+    """Each extremum's max from its stationarity condition, starting from its lattice max.
 
-    Each functional's lattice argmax (`_lattice_maxes`) is bracketed by its
-    two lattice neighbours (`_lattice_neighbours`), and one `_point_views`
-    round reads every functional and its condition (`_CONDITIONS`) at
-    SAMPLES points across its bracket, ends included, into one (rows,
-    SAMPLES, 2) array.  The + to - sign change of the condition nearest the
-    best sample holds the stationary point; one secant step of the
-    condition inside it gives x*, and one more round reads every functional
-    at its own x*.  The sup is the best of
-    the lattice max, the samples and F(x*), so never below the lattice max.
-    A bracket with no sign change (a sup at an end, a peak flat to
+    Extremum i has its lattice max best_v[i] at `Segmentation.lattice`
+    point j[i], bracketed by that point's lattice neighbours
+    (`_lattice_neighbours`).  point(rs, rows) reads, at the (rows, S) points
+    rs, row i's those of extremum rows[i], the function F and a condition g
+    with the sign of F', as rs.shape + (2,).  One round reads every
+    extremum at SAMPLES points across its bracket, ends included.  The + to
+    - sign change of g nearest the best sample holds the stationary point;
+    one secant step of g inside it gives x*, and one more round reads F
+    there.  The max is the best of the lattice max, the samples and F(x*).
+    A bracket with no sign change (a max at an end, a peak flat to
     rounding, C underflowing at the Myers edge) keeps its best sample; an
-    infinite lattice max is not polished; a point where a value is
-    non-finite or raises counts as -inf (`_safe_batch`).  Returns (argmax,
-    max, lo, hi) per functional, with (lo, hi) the samples either side of
-    the sign change, or the whole bracket where there is none.
+    infinite lattice max is not read; a non-finite or raising point counts
+    as -inf (`_safe_batch`).  Returns (argmax, max, lo, hi) per extremum,
+    (lo, hi) the samples either side of the sign change, or the bracket.
     """
-    j, best_v = _lattice_maxes(p)
     best_x = p.seg.lattice[j]
     lo, hi = _lattice_neighbours(p, j)
     rows = np.flatnonzero(best_v != math.inf)
-
-    def point(rs, rows):
-        return _point_views(p, rs, [DELTA_NAMES[r] for r in rows])
 
     def keep(rows, x, v):
         up = v > best_v[rows]
         best_x[rows[up]] = x[up]
         best_v[rows[up]] = v[up]
 
-    rs = np.linspace(lo[rows], hi[rows], SAMPLES, axis=1)
-    f, g = np.moveaxis(_safe_batch(point, rs, rows, (2,)), -1, 0)
-    i = np.arange(rows.size)
-    top = np.argmax(f, axis=1)
-    keep(rows, rs[i, top], f[i, top])
-    # a non-finite condition reads -inf, so it ends no sign change
-    change = (g[:, :-1] > 0.0) & (g[:, 1:] <= 0.0) & (g[:, 1:] > -math.inf)
-    c = np.argmin(np.where(change, np.abs(np.arange(SAMPLES - 1) + 0.5 - top[:, None]), math.inf), axis=1)
-    i, c = i[change[i, c]], c[change[i, c]]
-    solved = rows[i]
-    a, b, ga, gb = rs[i, c], rs[i, c + 1], g[i, c], g[i, c + 1]
-    lo[solved], hi[solved] = a, b
-    if solved.size:
-        x = np.minimum(a + (b - a) * (ga / (ga - gb)), b)
-        keep(solved, x, _safe_batch(point, x[:, None], solved, (2,))[:, 0, 0])
+    if rows.size:
+        rs = np.linspace(lo[rows], hi[rows], SAMPLES, axis=1)
+        f, g = np.moveaxis(_safe_batch(point, rs, rows), -1, 0)
+        i = np.arange(rows.size)
+        top = np.argmax(f, axis=1)
+        keep(rows, rs[i, top], f[i, top])
+        # a non-finite condition reads -inf, so it ends no sign change
+        change = (g[:, :-1] > 0.0) & (g[:, 1:] <= 0.0) & (g[:, 1:] > -math.inf)
+        c = np.argmin(np.where(change, np.abs(np.arange(SAMPLES - 1) + 0.5 - top[:, None]), math.inf), axis=1)
+        i, c = i[change[i, c]], c[change[i, c]]
+        solved = rows[i]
+        a, b, ga, gb = rs[i, c], rs[i, c + 1], g[i, c], g[i, c + 1]
+        lo[solved], hi[solved] = a, b
+        if solved.size:
+            x = np.minimum(a + (b - a) * (ga / (ga - gb)), b)
+            keep(solved, x, _safe_batch(point, x[:, None], solved)[:, 0, 0])
     return [tuple(float(t) for t in row) for row in zip(best_x, best_v, lo, hi)]
 
 
@@ -692,7 +639,7 @@ def functional_sup(p: CoefficientProfile, name: str) -> tuple[float, float]:
     values, no interpolation), found with the sub-node tables filled only on
     the segments whose node-level bounds leave room for it
     (`_lattice_maxes`), and is polished off the lattice by a two-round
-    solve of the functional's stationarity condition (`_stationary_sups`).
+    solve of the functional's stationarity condition (`_stationary_points`).
     The first call on a profile solves all five sups at once and caches
     them: each round reads the partial weights, phi and psi of all five
     functionals' points in one call.
@@ -701,7 +648,10 @@ def functional_sup(p: CoefficientProfile, name: str) -> tuple[float, float]:
         raise DomainError(f"unknown functional {name!r}; expected one of {DELTA_NAMES}")
     sups = p._cache.get("delta_sups")
     if sups is None:
-        sups = {name: (x, v) for name, (x, v, _, _) in zip(DELTA_NAMES, _stationary_sups(p))}
+        polished = _stationary_points(
+            p, *_lattice_maxes(p), lambda rs, rows: _point_views(p, rs, [DELTA_NAMES[r] for r in rows])
+        )
+        sups = {name: (x, v) for name, (x, v, _, _) in zip(DELTA_NAMES, polished)}
         p._cache["delta_sups"] = sups
     return sups[name]
 
@@ -811,11 +761,11 @@ class IterationTrace:
     lower_sequence[n-1] holds the n-th ratio sup whose reciprocals increase
     toward the reduced eigenvalue; upper_sequence[n-1] and
     rayleigh_sequence[n-1] hold the n-th clamped sup-inf ratio and clamped
-    Rayleigh quotient, each maxed over the interior grid radii, whose
-    reciprocals decrease toward it.  test_functions carries coarse node
-    samples of the lower iterates (normalized by each step's ratio value),
-    or, as "clamp_radius", the grid radius where the last sup-inf ratio
-    peaks.
+    Rayleigh quotient at their best clamp radii, whose reciprocals decrease
+    toward it; each solved off the lattice (`_stationary_points`).
+    test_functions carries coarse node samples of the lower iterates
+    (normalized by each step's lattice max), or, as "clamp_radius", the
+    radius where the last sup-inf ratio peaks.
     """
 
     n: int
@@ -852,29 +802,55 @@ def _smooth_step(p: CoefficientProfile, f_sub: np.ndarray, form: str = "primal")
 
 
 def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
-    """Ratio sups of successive iterates starting from sqrt(phi).
+    """Ratio sups delta_n of K f_n / f_n for successive iterates from f_1 = sqrt(phi).
 
-    Each step divides the new iterate by the fresh ratio sup, so the
-    stored samples stay O(1) while the ratios themselves are exact.
+    Each step divides the new iterate by its ratio's lattice max, so the
+    stored samples stay O(1).  Then all n sups are solved off the lattice
+    at once (`_stationary_points`): K f_n is the step's table read off its
+    outer integrand rows h_n (`_table_at`), with (K f_n)' = h_n off their
+    interpolant (`Segmentation.interpolate`), and f_n = K f_{n-1} /
+    delta_{n-1} the same way, or sqrt(phi) with f_1' = (1/C) / (2 f_1).
+    The condition h_n f_n - (K f_n) f_n' has the sign of the ratio's slope.
     """
     _check_n_max(n_max)
+    seg = p.seg
     with np.errstate(all="ignore"):
         f_nodes = np.sqrt(p.phi_nodes)
         f_sub = np.sqrt(p.phi_sub)
     samples = {"f1": f_nodes[::_SAMPLE_STRIDE].copy()}
-    deltas = []
+    tables, rows_h, j, deltas = [], [], [], []
     for n in range(1, n_max + 1):
-        (nf_nodes, nf_sub), _ = _smooth_step(p, f_sub)
+        (nf_nodes, nf_sub), h_sub = _smooth_step(p, f_sub)
         with np.errstate(all="ignore"):
             rat = _scrub(p, _flat((nf_nodes, nf_sub)) / _flat((f_nodes, f_sub)))
-        d_n = float(np.max(rat))
-        deltas.append(d_n)
-        f_nodes = nf_nodes / d_n
-        f_sub = nf_sub / d_n
+        j.append(int(np.argmax(rat)))
+        deltas.append(float(rat[j[-1]]))
+        tables.append(nf_nodes)
+        rows_h.append(h_sub)
+        f_nodes = nf_nodes / deltas[-1]
+        f_sub = nf_sub / deltas[-1]
         samples[f"f{n + 1}"] = f_nodes[::_SAMPLE_STRIDE].copy()
+    tables, rows_h, scale = np.array(tables), np.array(rows_h), np.array(deltas)
+
+    def point(rs, rows):
+        x = rs.ravel()
+        weights = seg.partial_weights(x)
+        k, head, _ = weights
+        step = np.repeat(rows, rs.shape[1])
+        prev = np.maximum(step - 1, 0)
+        kf = tables[step, k] + np.einsum("ij,ij->i", head, rows_h[step, k])
+        f = (tables[prev, k] + np.einsum("ij,ij->i", head, rows_h[prev, k])) / scale[prev]
+        df = seg.interpolate(x, k, rows_h[prev, k]) / scale[prev]
+        first = np.flatnonzero(step == 0)
+        if first.size:
+            f[first] = np.sqrt(p.primitives_at(x[first], tuple(w[first] for w in weights))[0])
+            df[first] = p._coeff_pair(x[first])[1] / (2.0 * f[first])
+        return np.stack((kf / f, seg.interpolate(x, k, rows_h[step, k]) * f - kf * df), axis=-1)
+
+    polished = _stationary_points(p, np.array(j), scale.copy(), point)  # point reads scale
     return IterationTrace(
         n=n_max,
-        lower_sequence=tuple(deltas),
+        lower_sequence=tuple(v for _, v, _, _ in polished),
         upper_sequence=(),
         rayleigh_sequence=(),
         test_functions=samples,
@@ -882,7 +858,7 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
 
 
 def _clamped_moments(p: CoefficientProfile, n_max: int):
-    """delta_n' and Rayleigh values at every clamp radius r in grid[1:-1].
+    """The clamped moments mu_1..mu_{2 n_max}: their scale, lattice values and tables.
 
     Clamping the smoothing operator at r gives K_r, whose kernel
     min(phi(x), phi(u), phi(r)) is symmetric in L^2(C du).  Its iterates
@@ -900,59 +876,70 @@ def _clamped_moments(p: CoefficientProfile, n_max: int):
     cancellation and no search over radii.  The tables carry
     mu_m / s^(m-1), with psi / s in place of psi and s the largest finite
     phi psi on the nodes, so that deep moments neither under- nor overflow;
-    the ratios are multiplied back by s.  The radii are the interior nodes
-    of the full Chebyshev grid (`Segmentation.grid`), not only the
-    lattice's: a lattice node reads its table entry, any other radius the
-    table plus the integral of its segment's in-segment interpolant, or nan
-    where `needs_clip` pages the segment's row.  Returns two
-    (n_max, grid.size - 2) arrays, non-finite where a moment collapsed.
+    the ratios are multiplied back by s.  Returns s, the (2 n_max,
+    lattice.size) moments on `Segmentation.lattice`, nan at the sub-nodes
+    of rows `needs_clip` flags (their tables come from clipped pages), and
+    (node table, integrand rows, flagged rows) of each from mu_2 on.
     """
-    seg = p.seg
-    radii = seg.grid[1:-1]
-    weights = seg.grid_weights
-    k, head, _ = weights
-    off_node = radii != seg.nodes[k]
-
-    def at_radii(nodes, v_sub):
-        vals = nodes[k] + np.einsum("ij,ij->i", head, v_sub[k])
-        vals[off_node & needs_clip(v_sub)[k]] = math.nan
-        return vals
-
     with np.errstate(all="ignore"):
         scale = p.phi_nodes * p.psi_nodes
         s = float(np.max(scale[np.isfinite(scale)]))
         psi_s = p.psi_sub / s
-        mu = [None, p.primitives_at(radii, weights)[0]]
+        mu = [_flat((p.phi_nodes, p.phi_sub))]
+        tables = []
         a_sub = [np.ones_like(psi_s), psi_s * p.phi_sub]
         for m in range(2, 2 * n_max + 1):
             inner = _scrub(p, p.cinv_sub * sum(a_sub[j] * a_sub[m - 1 - j] for j in range(m)))
-            nodes, sub = seg.cumulative_from_sub(inner)
-            mu.append(at_radii(nodes, inner))
+            nodes, sub = p.seg.cumulative_from_sub(inner)
+            flagged = needs_clip(inner)
             a_sub.append(psi_s * sub)
-        primes = np.array([s * mu[n + 1] / mu[n] for n in range(1, n_max + 1)])
-        rayleigh = np.array([s * mu[2 * n] / mu[2 * n - 1] for n in range(1, n_max + 1)])
-    return primes, rayleigh
+            mu.append(_flat((nodes, np.where(flagged[:, None], math.nan, sub))))
+            tables.append((nodes, inner, flagged))
+    return s, np.array(mu), tables
 
 
 def iterate_upper(p: CoefficientProfile, n_max: int) -> IterationTrace:
-    """Clamped sup-inf ratios and Rayleigh quotients, maxed over every grid radius.
+    """Clamped sup-inf ratios and Rayleigh quotients, each at its best clamp radius.
 
-    The 2 n_max - 1 moment tables of `_clamped_moments` give both values at
-    every interior node of the full Chebyshev grid at once, and each depth
-    reports the largest finite one over all of them.  Per radius both
-    sequences are non-decreasing in n, so their maxes are too.
+    Both are ratios mu_t / mu_{t-1} of `_clamped_moments`, t = n for
+    delta_n' and 2n - 1 for Rayleigh_n, each maxed once over the lattice and
+    solved off it (`_stationary_points`) with mu_1 = phi the profile's
+    (`CoefficientProfile.primitives_at`), the other moments off their tables
+    (`_table_at`, nan in a flagged row), the derivatives of
+    `_clamped_moments`, and the condition mu_t' mu_{t-1} - mu_t mu_{t-1}'.
+    Per radius both sequences are non-decreasing in n.
     """
     _check_n_max(n_max)
-    primes, rayleigh = _clamped_moments(p, n_max)
-    primes = np.where(np.isfinite(primes), primes, -math.inf)
-    rayleigh = np.where(np.isfinite(rayleigh), rayleigh, -math.inf)
-    best_k = 1 + int(np.argmax(primes[-1]))
+    seg = p.seg
+    s, mu, tables = _clamped_moments(p, n_max)
+    ts = np.union1d(np.arange(1, n_max + 1), np.arange(1, 2 * n_max, 2))
+    with np.errstate(all="ignore"):
+        rat = s * mu[ts] / mu[ts - 1]
+    rat = np.where(np.isfinite(rat), rat, -math.inf)
+    j = np.argmax(rat, axis=1)
+
+    def point(rs, rows):
+        x = rs.ravel()
+        weights = seg.partial_weights(x)
+        phi, psi = p.primitives_at(x, weights)
+        psi_s, cinv = psi / s, p._coeff_pair(x)[1]
+        at, slope, a = [phi], [cinv], [np.ones_like(phi), psi_s * phi]
+        for m, (nodes, inner, flagged) in enumerate(tables, start=2):
+            v = _table_at(nodes, inner, weights)
+            slope.append(cinv * sum(a[i] * a[m - 1 - i] for i in range(m)))
+            a.append(psi_s * v)
+            at.append(np.where(flagged[weights[0]], math.nan, v))
+        t, i = np.repeat(ts[rows], rs.shape[1]), np.arange(x.size)
+        (num, den), (dnum, dden) = np.array(at)[[t, t - 1], i], np.array(slope)[[t, t - 1], i]
+        return np.stack((s * num / den, dnum * den - num * dden), axis=-1)
+
+    best = dict(zip(ts.tolist(), _stationary_points(p, j, rat.max(axis=1), point)))
     return IterationTrace(
         n=n_max,
         lower_sequence=(),
-        upper_sequence=tuple(float(v) for v in primes.max(axis=1)),
-        rayleigh_sequence=tuple(float(v) for v in rayleigh.max(axis=1)),
-        test_functions={"clamp_radius": np.array([p.seg.grid[best_k]])},
+        upper_sequence=tuple(best[n][1] for n in range(1, n_max + 1)),
+        rayleigh_sequence=tuple(best[2 * n - 1][1] for n in range(1, n_max + 1)),
+        test_functions={"clamp_radius": np.array([best[n_max][0]])},
     )
 
 
@@ -988,12 +975,14 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     lower bound; better test functions just give better bounds.
 
     The inf is the lattice min of f over the denominator's table
-    (`_smooth_step`), polished off the lattice as the five sups are, on the
-    node table plus the integral of the in-segment interpolant through the
-    denominator's integrand rows h (`partial_weights`), with no panel.  The
-    polish keeps the lattice min, so a misread can only lower the inf; and
-    the rows `needs_clip` flags in h sit at an end where h -> 0, so there
-    the denominator is its node table to within an ulp.
+    (`_smooth_step`), solved off the lattice as the max of -f / den
+    (`_stationary_points`), with den read off its integrand rows h
+    (`_table_at`, no panel) and den' = h, or -h for the dual, off their
+    interpolant (`Segmentation.interpolate`).  f has no derivative, so f'
+    is the interpolant's through f's sub-node values (`quadrature.DIFF_T`).
+    The solve keeps the lattice min, so a misread can only lower the inf;
+    and the rows `needs_clip` flags in h sit at an end where h -> 0, so
+    there the denominator is its node table to within an ulp.
     """
     if form not in ("primal", "dual"):
         raise DomainError(f"form must be 'primal' or 'dual', got {form!r}")
@@ -1010,17 +999,19 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     (den_nodes, den_sub), h_sub = _smooth_step(p, f_sub, form)
     with np.errstate(all="ignore"):
         rat = inner / _flat((den_nodes, den_sub))
-    rat = np.where(np.isfinite(rat), rat, math.inf)
+    neg = np.where(np.isfinite(rat), -rat, -math.inf)
+    j = int(np.argmax(neg))
+    sign = 1.0 if form == "primal" else -1.0
 
-    def neg_ratio(rs):
-        k, head, tail = seg.partial_weights(rs)
-        if form == "primal":
-            dv = den_nodes[k] + np.einsum("ij,ij->i", head, h_sub[k])
-        else:
-            dv = den_nodes[k + 1] + np.einsum("ij,ij->i", tail, h_sub[k])
-        fvv = fv(rs)
+    def point(rs, rows):
+        x = rs.ravel()
+        weights = seg.partial_weights(x)
+        k = weights[0]
+        dv, fvv = _table_at(den_nodes, h_sub, weights, form == "dual"), fv(x)
+        df = seg.interpolate(x, k, f_sub[k] @ DIFF_T) / seg.width[k]
         # a point where either factor degenerates cannot improve the inf
         ok = (0.0 < dv) & (dv < math.inf) & (fvv > 0.0)
-        return np.where(ok, -fvv / dv, -math.inf)
+        cond = fvv * sign * seg.interpolate(x, k, h_sub[k]) - df * dv
+        return np.stack((np.where(ok, -fvv / dv, -math.inf), cond), axis=-1)
 
-    return -_polish(p, seg.lattice, -rat, neg_ratio)[1]
+    return -_stationary_points(p, np.array([j]), np.array([neg[j]]), point)[0][1]

@@ -138,6 +138,15 @@ class TestBound:
         assert rc == 2
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("d, K", [(100, "-39600"), (200, "-159200"), (5000, "-4999")])
+    def test_sech_fixed_point_past_cosh_overflow_is_a_clean_error(self, capsys, d, K):
+        # The sech fixed point theta passes ~710 here, where 1 / cosh(theta)
+        # raised a bare OverflowError.
+        rc = main(["bound", "-d", str(d), "-D", "2", "-K", K])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_sphere_edge_solves(self, capsys):
         rc = main(["bound", "-d", "2", "--alpha", str(HALF_PI), "--oracle"])
         out = capsys.readouterr().out

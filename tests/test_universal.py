@@ -98,7 +98,7 @@ class TestPointView:
         with np.errstate(all="ignore"):
             # scrubbed as functional_sup scrubs it: at the edge C underflows
             # where powers of phi overflow
-            lattice = universal._scrub(p, expr(universal._lattice_view(p)))
+            lattice = universal._scrub(p, expr(_lattice_view(p)))
         n_nodes = p.seg.n - 1
         picks = {
             int(np.argmax(lattice)),  # where the polish starts
@@ -122,7 +122,7 @@ class TestPointView:
         p = get_profile(3, Alpha.negative(1.0))
         n = p.seg.n
         xs = p.seg.lattice
-        lattice = getattr(universal._lattice_view(p), name)
+        lattice = getattr(_lattice_view(p), name)
         assert np.flatnonzero(p._cache["panel_rows"]).tolist() == [*range(9), *range(n - 9, n)]
         rows = np.array([0, 0, 4, 8, n // 2, n - 9, n - 8, n - 7])
         picks = p.seg.n - 1 + 15 * rows + np.array([0, 3, 7, 14, 9, 0, 7, 11])
@@ -185,77 +185,95 @@ class TestPanelReference:
         for name in DELTA_NAMES:
             expr = universal._FUNCTIONALS[name]
             with np.errstate(all="ignore"):
-                lattice = universal._scrub(p, expr(universal._lattice_view(p)))
-            _, want = universal._polish(p, xs, lattice, lambda rs: expr(_panel_point_view(p, rs)))
+                lattice = universal._scrub(p, expr(_lattice_view(p)))
+            _, want = _polish(p, xs, lattice, lambda rs: expr(_panel_point_view(p, rs)))
             _, got = universal.functional_sup(p, name)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), name
             assert got >= np.max(lattice), name
 
 
 class TestPolish:
-    """The zoom polish: batched, never below the lattice, blind to bad points."""
+    """The stationarity solve: batched, never below the lattice, blind to bad points."""
 
     X0 = 0.5
 
-    def _bracket(self, p):
-        w = float(p.seg.width[int(p.seg.locate(np.array([self.X0]))[0])])
-        return w, self.X0 - w, self.X0 + w
+    def _start(self, p):
+        """The lattice point j nearest X0 and its bracket (lo, hi) of lattice neighbours."""
+        j = int(np.argmin(np.abs(p.seg.lattice - self.X0)))
+        lo, hi = universal._lattice_neighbours(p, np.array([j]))
+        return j, float(lo[0]), float(hi[0])
 
     def test_finds_max_among_finite_points_of_a_mixed_batch(self):
         p = get_profile(2, Alpha.zero())
-        w, _, _ = self._bracket(p)
-        peak = self.X0 + 0.3 * w
+        j, lo, hi = self._start(p)
+        w = hi - lo
+        peak = lo + 0.6 * w
         calls = []
 
-        def point(rs):
+        def point(rs, rows):
             calls.append(rs.size)
-            if np.any(rs < self.X0 - 0.5 * w):
-                raise ValueError("left of the bracket's middle")
-            v = 1.0 - np.abs(rs - peak) / w
-            v[(rs > self.X0 - 0.2 * w) & (rs < self.X0)] = math.nan
-            v[(rs > self.X0 + 0.6 * w)] = math.inf
-            return v
+            if np.any(rs < lo + 0.25 * w):
+                raise ValueError("left quarter of the bracket")
+            f = 1.0 - ((rs - peak) / w) ** 2
+            f[(rs > lo + 0.3 * w) & (rs < lo + 0.4 * w)] = math.nan
+            f[rs > lo + 0.9 * w] = math.inf
+            return np.stack((f, -2.0 * (rs - peak) / w**2), axis=-1)
 
-        x, v = universal._polish(p, np.array([self.X0]), np.array([0.0]), point)
-        assert x == pytest.approx(peak, abs=1e-12)
-        assert v == pytest.approx(1.0, abs=1e-12 / w)
-        # the first batch raised and was re-evaluated point by point
-        assert calls[0] == universal.ZOOM and calls[1 : 1 + universal.ZOOM] == [1] * universal.ZOOM
+        [(x, v, a, b)] = universal._stationary_points(p, np.array([j]), np.array([-1.0]), point)
+        assert x == pytest.approx(peak, abs=1e-12 * w)
+        assert v == pytest.approx(1.0, abs=1e-15)
+        assert lo + 0.25 * w < a < peak < b < lo + 0.9 * w
+        # the first batch raised and was read again point by point; the
+        # secant step read one point
+        samples = universal.SAMPLES
+        assert calls == [samples] + [1] * samples + [1]
 
     def test_never_below_the_lattice_max(self):
         p = get_profile(2, Alpha.zero())
-        xs, vals = np.array([0.25, self.X0, 0.75]), np.array([0.0, 2.0, 1.0])
+        j, _, _ = self._start(p)
+        x0 = float(p.seg.lattice[j])
 
-        def below(rs):
-            return np.ones_like(rs)
+        def below(rs, rows):
+            # a sign change in every bracket, so the secant round reads too
+            return np.stack((np.ones_like(rs), self.X0 - rs), axis=-1)
 
-        def raising(rs):
+        def raising(rs, rows):
             raise OverflowError
 
-        assert universal._polish(p, xs, vals, below) == (self.X0, 2.0)
-        assert universal._polish(p, xs, vals, raising) == (self.X0, 2.0)
+        def nan(rs, rows):
+            return np.full(rs.shape + (2,), math.nan)
+
+        for point in (below, raising, nan):
+            [(x, v, _, _)] = universal._stationary_points(p, np.array([j]), np.array([2.0]), point)
+            assert (x, v) == (x0, 2.0)
 
     def test_infinite_lattice_max_returns_at_once(self):
         p = get_profile(2, Alpha.zero())
+        j, lo, hi = self._start(p)
 
-        def point(rs):
-            raise AssertionError("polished an infinite lattice max")
+        def point(rs, rows):
+            raise AssertionError("read an infinite lattice max")
 
-        got = universal._polish(p, np.array([self.X0]), np.array([math.inf]), point)
-        assert got == (self.X0, math.inf)
+        got = universal._stationary_points(p, np.array([j]), np.array([math.inf]), point)
+        assert got == [(float(p.seg.lattice[j]), math.inf, lo, hi)]
 
     def test_agrees_with_golden_section_on_a_smooth_peak(self):
         p = get_profile(2, Alpha.zero())
-        w, a, b = self._bracket(p)
-        peak = self.X0 - 0.37 * w
+        j, lo, hi = self._start(p)
+        w = hi - lo
+        peak = lo + 0.37 * w
 
         def f(r):
             return 1.0 + np.cos((r - peak) / w)
 
-        _, v = universal._polish(p, np.array([self.X0]), np.array([f(self.X0)]), f)
-        _, want = golden_max(f, a, b, tol=1e-12)
+        def point(rs, rows):
+            return np.stack((f(rs), -np.sin((rs - peak) / w)), axis=-1)
+
+        start = f(p.seg.lattice[j])
+        [(_, v, _, _)] = universal._stationary_points(p, np.array([j]), np.array([start]), point)
+        _, want = golden_max(f, lo, hi, tol=1e-12)
         assert v == pytest.approx(want, rel=1e-15)
-        assert v >= f(self.X0)
+        assert v >= start
 
     def test_report_panel_evaluations_bounded(self, monkeypatch):
         # No sup of this report sits in a directly paged row, so the polish
@@ -517,6 +535,12 @@ def _grid_alpha(x: float) -> Alpha:
     return Alpha.negative(-x) if x < 0 else (Alpha.positive(x) if x > 0 else Alpha.zero())
 
 
+def _sup_points():
+    """Every 16th reference point (d < 1000) and the Myers edges; all with EIGENBOUND_FULL=1."""
+    grid = [(int(d), x) for d, x, _ in json.loads(REFERENCE.read_text())["curvature"] if d < 1000]
+    return grid if FULL else [(d, x) for i, (d, x) in enumerate(grid) if i % 16 == 0 or x == HALF_PI]
+
+
 def _clamped_sequences(p, k: int, n_max: int):
     """delta_n' and Rayleigh values at clamp radius r = nodes[k], by brute force.
 
@@ -628,20 +652,52 @@ class TestIteration:
 
     @pytest.mark.parametrize("d, alpha", CLAMP_PROFILES)
     def test_moment_tables_match_per_radius_iterates(self, d, alpha):
-        # iterate_upper reads every radius off the moment tables; at five
-        # radii across (0, 1) they must give what iterating the clamped
+        # iterate_upper reads every lattice radius off the moment tables; at
+        # five radii across (0, 1) they must give what iterating the clamped
         # operator at that one radius gives.
         p = get_profile(d, alpha)
-        seg = p.seg
-        n = seg.n
-        primes, rayleigh = universal._clamped_moments(p, 3)
+        n = p.seg.n
+        s, mu, _ = universal._clamped_moments(p, 3)
         for k in (n // 64, n // 8, n // 2, 7 * n // 8, n - n // 64):
-            # the moments are indexed by the radii grid[1:-1]
-            g = int(np.searchsorted(seg.grid, seg.nodes[k]))
-            assert seg.grid[g] == seg.nodes[k]
+            # node k is point k - 1 of the lattice
+            primes = [s * mu[t, k - 1] / mu[t - 1, k - 1] for t in (1, 2, 3)]
+            rayleigh = [s * mu[t, k - 1] / mu[t - 1, k - 1] for t in (1, 3, 5)]
             want_primes, want_rayleigh = _clamped_sequences(p, k, 3)
-            assert list(primes[:, g - 1]) == pytest.approx(want_primes, rel=1e-13, abs=0.0)
-            assert list(rayleigh[:, g - 1]) == pytest.approx(want_rayleigh, rel=1e-13, abs=0.0)
+            assert primes == pytest.approx(want_primes, rel=1e-13, abs=0.0)
+            assert rayleigh == pytest.approx(want_rayleigh, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("d, x", _sup_points(), ids=[f"d{d}{x:+.4f}" for d, x in _sup_points()])
+    def test_first_iterates_equal_their_functionals(self, d, x):
+        # K sqrt(phi) / sqrt(phi) is the delta1 functional (Fubini), and
+        # mu_2 / mu_1 the delta1_prime one (by parts), so the first iterates
+        # are those sups, solved from other tables.
+        p = CoefficientProfile(d, _grid_alpha(x))
+        assert iterate_lower(p, 1).lower_sequence[0] == pytest.approx(delta1(p), rel=1e-12, abs=0.0)
+        assert iterate_upper(p, 1).upper_sequence[0] == pytest.approx(delta1_prime(p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d, x", [(2, 0.0), (3, -1.0), (5, -1.5), (5, 1.0), (63, 1.418)])
+    def test_lower_iterates_do_not_depend_on_the_lattice(self, d, x):
+        # As lattice maxes, delta_1..delta_3 moved by up to 6.6e-8 between
+        # these two lattices.
+        coarse = iterate_lower(CoefficientProfile(d, _grid_alpha(x)), 3).lower_sequence
+        fine = iterate_lower(CoefficientProfile(d, _grid_alpha(x), segments=8192), 3).lower_sequence
+        assert list(coarse) == pytest.approx(fine, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [10, 20, 63])
+    def test_upper_iterates_take_no_panels_at_the_myers_edge(self, d, monkeypatch):
+        # Read at the 4,094 radii of the full Chebyshev grid, mu_1 = phi
+        # took phi_at and psi_at panels in the rows the flux guard rejects.
+        calls = []
+        for attr in ("phi_at", "psi_at"):
+            orig = getattr(CoefficientProfile, attr)
+
+            def counted(self, *args, _orig=orig, **kwargs):
+                calls.append(1)
+                return _orig(self, *args, **kwargs)
+
+            monkeypatch.setattr(CoefficientProfile, attr, counted)
+        iterate_upper(CoefficientProfile(d, Alpha.positive(HALF_PI)), 2)
+        assert not calls
 
     @pytest.mark.parametrize("n_max", [1, 2, 4])
     def test_upper_iterates_build_two_n_minus_one_tables(self, monkeypatch, n_max):
@@ -844,37 +900,91 @@ class TestThinnedLattice:
 
     @pytest.mark.parametrize("d, x", list(FULL_GRID_ITERATES))
     def test_iterates_match_the_full_grid(self, d, x):
-        # delta_1..delta_3 are unpolished lattice maxes of ratios that still
-        # vary across a segment, so on the thinned interior they move by up
-        # to 2.8e-9 from the full grid's; delta_5, the value reported, has
-        # converged to a ratio that is flat in r.  The clamp radii are the
-        # full grid's nodes on either lattice.
+        # delta_5, the value reported, has converged to a ratio that is flat
+        # in r, so it keeps the full grid's value.  The upper values were
+        # maxes over the full grid's nodes; solved off the lattice they can
+        # only rise, by up to 6.4e-8 here, to the max of a dense scan.
         want_lower, want_upper, want_rayleigh = FULL_GRID_ITERATES[(d, x)]
         p = get_profile(d, _grid_alpha(x))
         assert iterate_lower(p, 5).lower_sequence[-1] == pytest.approx(want_lower, rel=1e-13, abs=0.0)
         tr = iterate_upper(p, 2)
-        assert list(tr.upper_sequence) == pytest.approx(want_upper, rel=1e-13, abs=0.0)
-        assert list(tr.rayleigh_sequence) == pytest.approx(want_rayleigh, rel=1e-13, abs=0.0)
+        for got, want, t in zip(tr.upper_sequence + tr.rayleigh_sequence, want_upper + want_rayleigh, (1, 2, 1, 3)):
+            assert got >= want * (1.0 - 1e-13), t
+            assert got == pytest.approx(_moment_ratio_scan(p, 2, t), rel=1e-12, abs=0.0), t
+
+
+def _moment_ratio_scan(p, n_max, t):
+    """Max of s mu_t / mu_{t-1} of `_clamped_moments` by a dense scan of the three segments around its lattice max.
+
+    Off the lattice each moment from mu_2 on is its node table plus the
+    integral of its integrand rows' interpolant over the partial segment
+    (`Segmentation.partial_weights`), and mu_1 = phi the profile's.
+    """
+    seg = p.seg
+    s, mu, tables = universal._clamped_moments(p, n_max)
+    with np.errstate(all="ignore"):
+        lattice = s * mu[t] / mu[t - 1]
+    k = int(seg.locate(seg.lattice[np.nanargmax(lattice)]))
+    rs = np.linspace(seg.nodes[max(k - 1, 0)], seg.nodes[min(k + 2, seg.n)], 20001)[1:-1]
+    j, head, _ = seg.partial_weights(rs)
+    moments = [p.primitives_at(rs)[0]] + [nodes[j] + np.einsum("ij,ij->i", head, rows[j]) for nodes, rows, _ in tables]
+    return max(float(np.nanmax(lattice)), float(np.max(s * moments[t] / moments[t - 1])))
+
+
+#: Interior points per round of the zoom polish (`_polish`).
+ZOOM = 32
+
+
+def _safe_values(point, rs):
+    """point(rs) with every non-finite value, or point raising at it, as -inf."""
+    with np.errstate(all="ignore"):
+        try:
+            v = np.asarray(point(rs), dtype=float).reshape(rs.shape)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            if rs.size == 1:
+                return np.full(1, -math.inf)
+            return np.concatenate([_safe_values(point, rs[i : i + 1]) for i in range(rs.size)])
+    return np.where(np.isfinite(v), v, -math.inf)
+
+
+def _polish(p, xs, vals, point):
+    """Zoom polish of a max near its lattice argmax: the search the stationarity solve replaced.
+
+    vals holds the lattice values at xs, and point(rs) the function at the
+    off-lattice points rs; a point where it is non-finite or raises counts
+    as -inf.  Each round evaluates ZOOM interior points of the bracket
+    [a, b] in one call and narrows it to the two grid neighbours of its
+    round's argmax, down to b - a <= 1e-12; an infinite lattice max is not
+    polished.  Returns (argmax, max).
+    """
+    k = int(np.argmax(vals))
+    best_x, best_v = float(xs[k]), float(vals[k])
+    w = p.seg.width[p.seg.locate(best_x)]
+    a = max(best_x - w, 1e-12)
+    b = min(best_x + w, 1.0 - 1e-12)
+    grid = np.arange(1, ZOOM + 1) / (ZOOM + 1)
+    while best_v != math.inf and b - a > 1e-12:
+        rs = a + (b - a) * grid
+        v = _safe_values(point, rs)
+        j = int(np.argmax(v))
+        if v[j] > best_v:
+            best_x, best_v = float(rs[j]), float(v[j])
+        a, b = (rs[j - 1] if j > 0 else a), (rs[j + 1] if j + 1 < ZOOM else b)
+    return best_x, best_v
 
 
 def _zoom_sups(p):
     """The five sups by the ZOOM polish over the same off-lattice views."""
     exprs = list(universal._FUNCTIONALS.values())
     xs = p.seg.lattice
-    lattice = universal._lattice_view(p)
+    lattice = _lattice_view(p)
     with np.errstate(all="ignore"):
         vals = [universal._scrub(p, expr(lattice)) for expr in exprs]
     polished = [
-        universal._polish(p, xs, v, lambda rs, name=name: universal._point_views(p, rs[None], [name])[0, :, 0])
+        _polish(p, xs, v, lambda rs, name=name: universal._point_views(p, rs[None], [name])[0, :, 0])
         for name, v in zip(DELTA_NAMES, vals)
     ]
     return polished, [float(np.max(v)) for v in vals]
-
-
-def _sup_points():
-    """Every 16th reference point (d < 1000) and the Myers edges; all with EIGENBOUND_FULL=1."""
-    grid = [(int(d), x) for d, x, _ in json.loads(REFERENCE.read_text())["curvature"] if d < 1000]
-    return grid if FULL else [(d, x) for i, (d, x) in enumerate(grid) if i % 16 == 0 or x == HALF_PI]
 
 
 class TestStationarySups:
@@ -960,6 +1070,13 @@ def _prune_points():
             (20, -10.0 / 3.0 + 2.0 * (HALF_PI + 10.0 / 3.0) / 64.0), (63, -3.0)]
 
 
+def _lattice_view(p):
+    """phi, psi and the integrals at every point of `Segmentation.lattice`, from the full tables."""
+    nodes, sub = (universal._named(t) for t in universal._tables(p))
+    tabs = {"phi": (p.phi_nodes, p.phi_sub), "psi": (p.psi_nodes, p.psi_sub), **{n: (nodes[n], sub[n]) for n in nodes}}
+    return universal._View(lambda name: universal._flat(tabs[name]))
+
+
 def _functional_rows(p):
     """The five functionals at the sub-nodes of every segment, from the full tables, as (n, 15) rows."""
     sub = universal._View({"phi": p.phi_sub, "psi": p.psi_sub, **universal._named(universal._tables(p)[1])}.get)
@@ -974,7 +1091,7 @@ class TestPrunedLattice:
     def test_argmax_and_max_match_the_full_lattice(self, d, x):
         p = CoefficientProfile(d, _grid_alpha(x))
         j, top = universal._lattice_maxes(p)
-        lattice = universal._lattice_view(p)
+        lattice = _lattice_view(p)
         with np.errstate(all="ignore"):
             full = [universal._scrub(p, expr(lattice)) for expr in universal._FUNCTIONALS.values()]
         assert j.tolist() == [int(np.argmax(v)) for v in full]
@@ -1097,6 +1214,26 @@ class TestVariationalRatio:
         (nodes, sub), _ = universal._smooth_step(p, np.ones_like(p.seg.sub), form)
         assert nodes == pytest.approx(want(p.seg.nodes), rel=1e-13, abs=0.0)
         assert sub == pytest.approx(want(p.seg.sub), rel=1e-13, abs=0.0)
+
+    def test_test_function_raising_off_the_lattice_loses_only_its_points(self):
+        # The primal inf of exp at (3, -1) sits at r = 0.596, 8.3e-10 below
+        # the lattice min.  A test function that raises at every point off
+        # the lattice right of r = 0.5 leaves the solve only lattice points
+        # in that bracket, so the lattice min stands.
+        p = get_profile(3, Alpha.negative(1.0))
+        seg = p.seg
+        lattice = np.concatenate((seg.nodes, seg.sub.ravel()))
+
+        def raising(r):
+            r = np.asarray(r, dtype=float)
+            if np.any((r > 0.5) & ~np.isin(r, lattice)):
+                raise ValueError("off the lattice")
+            return np.exp(r)
+
+        (den_nodes, den_sub), _ = universal._smooth_step(p, np.exp(seg.sub))
+        lattice_min = float(np.min(np.exp(seg.lattice) / universal._flat((den_nodes, den_sub))))
+        assert variational_ratio(raising, p) == lattice_min
+        assert variational_ratio(np.exp, p) < lattice_min * (1.0 - 1e-10)
 
     @pytest.mark.parametrize("form", ["primal", "dual"])
     def test_constant_function_ratio_is_two_at_flat(self, form):

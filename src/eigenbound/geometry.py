@@ -21,16 +21,12 @@ re-integrate the local panel; `primitives_at` and `subsub_primitives`
 read the integral of the in-segment interpolant the tables hold.  On the
 rows the profile pages directly (the Myers edge, where C and 1/C span many
 orders of magnitude inside a segment) that integral is not what the tables
-hold, so both read the flux forms phi C and psi / C instead, which stay
-bounded and smooth there, from their interpolant, and divide by C and 1/C
-at the point.  Only the paged rows whose flux rows the interpolant cannot
-carry, the last few at the edge, keep the panels.
+hold, so both take the `phi_at`/`psi_at` panels there.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,19 +34,12 @@ import numpy as np
 
 from .errors import DomainError, MyersViolation
 from .quadrature import (
-    DIFF_T,
-    DINTERP_T,
     INTERP_T,
     SUBSUB_HEAD,
     SUBSUB_TAIL,
     SUBSUB_TAU,
-    WH,
-    XI,
     Segmentation,
-    _lagrange_matrix,
     get_segmentation,
-    needs_clip,
-    page_means,
 )
 
 HALF_PI = math.pi / 2.0
@@ -187,9 +176,7 @@ class CoefficientProfile:
 
     C and 1/C at the sub-nodes are one (2, n, 15) stack, `coeff_sub`, whose
     means take one `pointwise_means` call; phi and psi there are another,
-    `prim_sub`, and the paged rows' C and 1/C pages a third,
-    `coeff_pages`.  c_sub, cinv_sub, phi_sub, psi_sub, c_pages and
-    cinv_pages are views into them.
+    `prim_sub`.  c_sub, cinv_sub, phi_sub and psi_sub are views into them.
     """
 
     def __init__(self, d: int, alpha: Alpha, segments: int = 4096):
@@ -207,63 +194,18 @@ class CoefficientProfile:
         self.tail_floor = (
             16.0 * max(self.d - 1, 1) * np.spacing(1.0) / float(seg.width.min())
         )
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             self.coeff_sub = self._coeff_pair(seg.sub)
-            pages = [np.empty((2, 0, 15, 15))]
-
-            def coeff_pages(rows):
-                pages.append(self._coeff_pair(seg.subsub[rows]))
-                return pages[-1]
-
             # paged: the segments whose phi and psi rows come from direct pages
-            (c_means, ci_means), self.paged = seg.pointwise_means(self.coeff_sub, coeff_pages)
+            (c_means, ci_means), self.paged = seg.pointwise_means(self.coeff_sub, self.subsub_coefficients)
             self.c_sub, self.cinv_sub = self.coeff_sub
             self.phi_nodes, phi_sub = seg.build_cumulative(self.cinv_sub, ci_means)
             self.psi_nodes, psi_sub = seg.build_reverse(self.c_sub, c_means, self.tail_floor)
             self.prim_sub = np.stack((phi_sub, psi_sub))
             self.phi_sub, self.psi_sub = self.prim_sub
-            # C and 1/C at the paged rows' sub-sub points, kept so that no
-            # later read of those points takes log C again.
-            self.coeff_pages = np.concatenate(pages, axis=1)
-            self.c_pages, self.cinv_pages = self.coeff_pages
         self.phi_total = float(self.phi_nodes[-1])
         self.psi_total = float(self.psi_nodes[0])
         self._cache: dict[str, object] = {}
-
-    @functools.cached_property
-    def flux_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(phi C, psi / C) at the fractions XI of each paged row, and the mask of rows the flux read may take.
-
-        Both are bounded and smooth where phi and psi span many orders of
-        magnitude.  Each comes from the node tables and the kept pages, not
-        from phi_sub and psi_sub: a stored sub-node or sub-sub point sits up
-        to half an ulp off its fraction of the segment, ~3e-11 of a
-        Myers-edge row's width, which moves C there by (d - 1) ulp / (1 - r)
-        relative.  Read off phi_sub and psi_sub, the flux rows put phi 1.8x
-        and psi 3.4x as far from the integral as `phi_at`/`psi_at` panels at
-        the d = 5 edge.  So every value of C and 1/C, in the row and in its
-        pages, moves to its fraction to first order, by (log C)' from the
-        interpolant of the row's log C, before the Gauss-Legendre sums; the
-        flux read then inherits only the node tables' error, as the panels
-        do.  A row may take the flux read if both its flux rows are
-        positive and left alone by the guard of `needs_clip`.  Built on the
-        first read that lands in a paged row.
-        """
-        seg, rows = self.seg, self.paged
-        w = seg.width[rows][:, None]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lc = np.log(self.c_sub[rows])
-            move = (seg.offs[rows] - w * XI) * np.einsum("nq,qc->nc", lc, DIFF_T) / w
-            page_move = (self._subsub_shift(rows) * np.einsum("nq,qc->nc", lc, DINTERP_T) / w).reshape(-1, 15, 15)
-            c = self.c_sub[rows] * (1.0 - move)
-            head_ci = w * XI * page_means(self.cinv_pages * (1.0 + page_move))
-            head_c = w * XI * page_means(self.c_pages * (1.0 - page_move))
-            phi_flux = (self.phi_nodes[rows][:, None] + head_ci) * c
-            psi = self.psi_nodes[rows + 1][:, None] + w * (c @ WH)[:, None] - head_c
-            psi_flux = psi * (self.cinv_sub[rows] * (1.0 + move))
-            flux = ~(needs_clip(phi_flux) | needs_clip(psi_flux))
-            flux &= np.all(phi_flux > 0.0, axis=1) & np.all(psi_flux > 0.0, axis=1)
-        return phi_flux, psi_flux, flux
 
     def _subsub_shift(self, rows: np.ndarray) -> np.ndarray:
         """(m, 225) offsets of the stored sub-sub points of the segments rows from their fractions SUBSUB_TAU."""
@@ -334,14 +276,8 @@ class CoefficientProfile:
         segment (`Segmentation.partial_weights`, or weights when the caller
         has them for x.ravel() already), which is what the tables hold at
         the sub-nodes.  In the rows paged directly (`paged`) the tables are
-        not that integral; there the flux rows phi C and psi / C, bounded
-        where phi and psi are not, are interpolated to the point by the
-        Lagrange row at its fraction tau of the segment and divided by C
-        and 1/C from one log C at the point.  A point on a node reads the
-        node tables instead of the interpolant extrapolated to tau = 0.  The
-        paged rows the guard of `flux_rows` rejects take `phi_at`/`psi_at`
-        panels: the last 4 at the Myers edge (7 at d = 63), whose flux rows
-        fall toward 0 across the row or underflow.
+        not that integral, so points there take `phi_at`/`psi_at` panels
+        (`_paged_panels`), and a point on a node reads the node tables.
         """
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
@@ -350,16 +286,9 @@ class CoefficientProfile:
         with np.errstate(over="ignore", invalid="ignore"):
             phi = self.phi_nodes[k] + np.einsum("ij,ij->i", head, self.cinv_sub[k])
             psi = self.psi_nodes[k + 1] + np.einsum("ij,ij->i", tail, self.c_sub[k])
-        own, j = self._paged_split(k, phi, psi, lambda i: flat[i])
+        own = self._paged_panels(k, phi, psi, lambda i: flat[i])
         if own.size:
-            phi_flux, psi_flux, _ = self.flux_rows
-            y, ko = flat[own], k[own]
-            lagrange = _lagrange_matrix((y - seg.nodes[ko]) / seg.width[ko])
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                c, ci = self._coeff_pair(y)
-                phi[own] = np.einsum("ij,ij->i", lagrange, phi_flux[j]) * ci
-                psi[own] = np.einsum("ij,ij->i", lagrange, psi_flux[j]) * c
-            on = own[y == seg.nodes[ko]]
+            on = own[flat[own] == seg.nodes[k[own]]]
             phi[on] = self.phi_nodes[k[on]]
             psi[on] = self.psi_nodes[k[on]]
         return phi.reshape(x.shape), psi.reshape(x.shape)
@@ -373,12 +302,8 @@ class CoefficientProfile:
         A stored sub-sub point sits up to half an ulp off its fraction,
         which near r = 1 is ~1e-11 of psi there, so both integrals move to
         the stored point to first order: by the shift times the
-        interpolated integrand (`quadrature.INTERP_T`).  The paged rows
-        read the flux rows as `primitives_at` does, interpolated to the
-        fractions (`INTERP_T`) and moved by the shift times the
-        interpolant's derivative (`quadrature.DINTERP_T`), with C and 1/C
-        from the pages the profile's tables were built from (`c_pages`);
-        rows the guard of `flux_rows` rejects take panels.
+        interpolated integrand (`quadrature.INTERP_T`).  The paged rows take
+        panels, as in `primitives_at`.
         """
         seg = self.seg
         w = seg.width[rows][:, None]
@@ -391,53 +316,26 @@ class CoefficientProfile:
             phi += shift * np.einsum("nq,qc->nc", ci, INTERP_T)
             psi = self.psi_nodes[rows + 1][:, None] + w * np.einsum("nq,qc->nc", c, SUBSUB_TAIL)
             psi -= shift * np.einsum("nq,qc->nc", c, INTERP_T)
-        own, j = self._paged_split(rows, phi, psi, lambda i: seg.subsub[rows[i]].reshape(i.size, -1))
-        if own.size:
-            phi_flux, psi_flux, _ = self.flux_rows
-            step = shift[own] / w[own]
-
-            def moved(v):
-                return np.einsum("nq,qc->nc", v, INTERP_T) + step * np.einsum("nq,qc->nc", v, DINTERP_T)
-
-            with np.errstate(over="ignore", invalid="ignore"):
-                phi[own] = moved(phi_flux[j]) * self.cinv_pages[j].reshape(-1, SUBSUB_TAU.size)
-                psi[own] = moved(psi_flux[j]) * self.c_pages[j].reshape(-1, SUBSUB_TAU.size)
+        self._paged_panels(rows, phi, psi, lambda i: seg.subsub[rows[i]].reshape(i.size, -1))
         return np.stack((phi, psi)).reshape(2, -1, 15, 15)
 
-    def _paged_split(self, k, phi, psi, points) -> tuple[np.ndarray, np.ndarray]:
-        """Panels for the entries of phi and psi in the paged rows that fail the flux guard.
+    def _paged_panels(self, k, phi, psi, points) -> np.ndarray:
+        """`phi_at`/`psi_at` panels for the entries of phi and psi in the paged rows.
 
         k holds the segment of each entry and points(i) the points of the
-        entries i.  Returns the indices of the entries in flux rows and
-        their rows of `paged`, for the caller's flux read.
+        entries i.  Returns the indices of the entries in paged rows.
         """
         own = np.flatnonzero(np.isin(k, self.paged))
-        if not own.size:
-            return own, own
-        j = np.searchsorted(self.paged, k[own])
-        flux = self.flux_rows[2][j]
-        panel = own[~flux]
-        if panel.size:
-            y = points(panel)
-            phi[panel] = self.phi_at(y)
-            psi[panel] = self.psi_at(y)
-        return own[flux], j[flux]
+        if own.size:
+            y = points(own)
+            phi[own] = self.phi_at(y)
+            psi[own] = self.psi_at(y)
+        return own
 
     def subsub_coefficients(self, rows: np.ndarray) -> np.ndarray:
-        """C and 1/C at the sub-sub points of the segments rows, stacked as (2, m, 15, 15).
-
-        Paged rows read `coeff_pages`, so log C is taken once per sub-sub
-        point of a paged row; other rows take it here.
-        """
-        own = np.isin(rows, self.paged)
-        if not own.any():
-            with np.errstate(over="ignore", under="ignore"):
-                return self._coeff_pair(self.seg.subsub[rows])
-        out = np.empty((2, rows.size, 15, 15))
-        out[:, own] = self.coeff_pages[:, np.searchsorted(self.paged, rows[own])]
+        """C and 1/C at the sub-sub points of the segments rows, stacked as (2, m, 15, 15)."""
         with np.errstate(over="ignore", under="ignore"):
-            out[:, ~own] = self._coeff_pair(self.seg.subsub[rows[~own]])
-        return out
+            return self._coeff_pair(self.seg.subsub[rows])
 
 
 def resolve_profile(

@@ -1,4 +1,4 @@
-"""Grid-plus-golden-section searches and root bracketing on intervals."""
+"""Golden-section search and root bracketing on intervals."""
 
 from __future__ import annotations
 
@@ -11,17 +11,6 @@ from .errors import NoRoot
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = float(np.finfo(float).eps)
-
-
-def _eval_grid(f, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop."""
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-        return vals
-    except (TypeError, ValueError):
-        return np.array([float(f(x)) for x in xs])
 
 
 def golden_max(f, a: float, b: float, tol: float = 1e-10,
@@ -51,37 +40,6 @@ def golden_max(f, a: float, b: float, tol: float = 1e-10,
     if f1 >= f2:
         return x1, f1
     return x2, f2
-
-
-def sup_on_unit_interval(f, resolution: int = 2001) -> tuple[float, float]:
-    """Supremum of f over the open interval (0, 1).
-
-    Dense interior grid scan (`resolution` points) followed by golden-section
-    refinement around the best grid point.  Returns (argsup, sup).  A +inf
-    evaluation short-circuits to (that point, +inf); nan evaluations are
-    ignored (they can only arise from guarded 0*inf endpoint degeneracies).
-    """
-    xs = np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
-    vals = _eval_grid(f, xs)
-    if np.isposinf(vals).any():
-        idx = int(np.argmax(np.isposinf(vals)))
-        return float(xs[idx]), math.inf
-    finite = np.where(np.isnan(vals), -math.inf, vals)
-    k = int(np.argmax(finite))
-    lo = xs[k - 1] if k > 0 else xs[0] / 2.0
-    hi = xs[k + 1] if k < resolution - 1 else 0.5 * (xs[-1] + 1.0)
-
-    def safe(x):
-        try:
-            v = float(f(x))
-        except (TypeError, ValueError, IndexError):
-            v = float(np.asarray(f(np.asarray([x])), dtype=float).ravel()[0])
-        return -math.inf if math.isnan(v) else v
-
-    x_best, v_best = golden_max(safe, lo, hi, tol=1e-12)
-    if v_best >= finite[k]:
-        return float(x_best), float(v_best)
-    return float(xs[k]), float(finite[k])
 
 
 def first_sign_change(f, xs: np.ndarray, f0: float) -> tuple[float, float, float, float]:

@@ -105,13 +105,13 @@ _READS = {
 
 
 #: name -> bounds of the functional on each segment [a, b], from views a
-#: and b of its end nodes and e of what all five share: (first-order,
-#: end-safe, edge, g_hi, g_lo, m_hi).  phi, A1, A3 and B2 rise and psi, A2,
-#: B1 and B3 fall, so the first-order bound reads each factor at its
-#: favourable end.  The end-safe bound stays finite where phi(0) = 0 or
-#: psi(1) = 0: it follows from A1 <= phi^{3/2} int_0^r C,
-#: A3 <= phi^2 int_0^r C and their duals B1 <= psi^{3/2} int_r^1 1/C,
-#: B3 <= psi^2 int_r^1 1/C.  g_hi and g_lo bound the condition g of
+#: and b of its end nodes and e of what all five share: (end-safe, edge,
+#: g_hi, g_lo, m_hi).  phi, A1, A3 and B2 rise and psi, A2, B1 and B3 fall,
+#: so the end-safe bound reads each factor at its favourable end, and it
+#: stays finite where phi(0) = 0 or psi(1) = 0: it follows from
+#: A1 <= phi^{3/2} int_0^r C, A3 <= phi^2 int_0^r C and their duals
+#: B1 <= psi^{3/2} int_r^1 1/C, B3 <= psi^2 int_r^1 1/C (delta has none,
+#: inf).  g_hi and g_lo bound the condition g of
 #: `_CONDITIONS` from above and below, and m_hi bounds the positive factor
 #: m of F' = m g from above, with C and 1/C between their end values (C is
 #: monotone on each branch); they give the mean-value bound of
@@ -135,7 +135,6 @@ _READS = {
 #:   delta1_star_prime: B3 / psi <= U^2 / 2 likewise, and phi psi <= U.
 _BOUNDS = {
     "delta": lambda a, b, e: (
-        e.phi_psi,
         math.inf,
         e.u,
         a.psi * e.cinv_hi - a.phi * e.c_lo,
@@ -143,7 +142,6 @@ _BOUNDS = {
         1.0,
     ),
     "delta1": lambda a, b, e: (
-        b.A1 / a.sqrt_phi + b.sqrt_phi * a.A2,
         b.phi * e.head_c + b.sqrt_phi * a.A2,
         a.A1 / a.sqrt_phi + e.w + e.u,
         a.A2 * b.phi - a.A1,
@@ -151,7 +149,6 @@ _BOUNDS = {
         e.cinv_hi / (2.0 * a.phi * a.sqrt_phi),
     ),
     "delta1_prime": lambda a, b, e: (
-        b.A3 / a.phi + e.phi_psi,
         b.phi * e.head_c + e.phi_psi,
         a.A3 / a.phi + e.w + e.u,
         a.psi * b.phi * b.phi - a.A3,
@@ -159,7 +156,6 @@ _BOUNDS = {
         e.cinv_hi / (a.phi * a.phi),
     ),
     "delta1_star": lambda a, b, e: (
-        a.B1 / b.sqrt_psi + a.sqrt_psi * b.B2,
         a.psi * e.tail_cinv + a.sqrt_psi * b.B2,
         a.sqrt_psi * a.B2 + e.w * e.u + 0.5 * e.u * e.u,
         a.B1 - b.psi * a.B2,
@@ -167,7 +163,6 @@ _BOUNDS = {
         e.c_hi / (2.0 * b.psi * b.sqrt_psi),
     ),
     "delta1_star_prime": lambda a, b, e: (
-        a.B3 / b.psi + e.phi_psi,
         a.psi * e.tail_cinv + e.phi_psi,
         e.u + 0.5 * e.u * e.u,
         a.B3 - a.phi * b.psi * b.psi,
@@ -260,9 +255,8 @@ def _integrand_pages(p: CoefficientProfile, rows: np.ndarray) -> np.ndarray:
 
     phi and psi are the in-segment interpolant's integrals at the fixed
     fractions of each segment (`CoefficientProfile.subsub_primitives`), as
-    `_point_views` reads them anywhere else in the segment.  C and 1/C on
-    the rows the profile paged are the pages it kept
-    (`CoefficientProfile.subsub_coefficients`).
+    `_point_views` reads them anywhere else in the segment, and C and 1/C
+    there come from one log C (`CoefficientProfile.subsub_coefficients`).
     """
     with np.errstate(all="ignore"):
         pages = _integrand_stack(p.subsub_coefficients(rows), p.subsub_primitives(rows))
@@ -404,8 +398,8 @@ def _point_views(p: CoefficientProfile, rs, names) -> np.ndarray:
 
     One round of reads for an (rows, S) array rs: the partial weights, the
     segments paged directly (`_panel_rows`), and phi and psi
-    (`CoefficientProfile.primitives_at`, which reads the flux form in the
-    rows the profile paged), each in one call for all of rs.  Each
+    (`CoefficientProfile.primitives_at`, which takes panels in the rows
+    the profile paged), each in one call for all of rs.  Each
     integral is read once, at the points of the functionals that use it
     (`_READS`, `_integral_at`), and C and 1/C share one log C at delta's.
     """
@@ -492,9 +486,9 @@ def _segment_bounds(p: CoefficientProfile, view: _View, at_nodes: list[np.ndarra
     """An upper bound of each functional on each segment, or nan where none is finite.
 
     view holds the node quantities (`_node_view`) and at_nodes each
-    functional at every node.  Each bound is the least of the first-order,
-    end-safe and, on the positive branch, edge bounds of `_BOUNDS` and the
-    mean-value bound
+    functional at every node.  Each bound is the least of the end-safe and,
+    on the positive branch, edge bounds of `_BOUNDS` and the mean-value
+    bound
 
         min(F(a) + w m_hi max(0, g_hi), F(b) + w m_hi max(0, -g_lo))
 
@@ -523,12 +517,12 @@ def _segment_bounds(p: CoefficientProfile, view: _View, at_nodes: list[np.ndarra
         )
         edge = p.alpha.sign is CurvatureSign.POSITIVE_K
         for name, f in zip(DELTA_NAMES, at_nodes):
-            first, end, at_edge, g_hi, g_lo, m_hi = _BOUNDS[name](a, b, e)
+            end, at_edge, g_hi, g_lo, m_hi = _BOUNDS[name](a, b, e)
             # m > 0: an m_hi below the normal range lost its digits to a
             # power of phi or psi past the double range, and bounds nothing
             wm = w * np.where(m_hi >= _TINY, m_hi, math.nan)
             mean = np.fmin(f[:-1] + wm * np.maximum(g_hi, 0.0), f[1:] + wm * np.maximum(-g_lo, 0.0))
-            bound = np.fmin(np.fmin(first, end), mean)
+            bound = np.fmin(end, mean)
             out.append(np.fmin(bound, at_edge) if edge else bound)
     return out
 

@@ -110,13 +110,13 @@ def test_traced_myers_edge_report_counts_shot_steps():
 
 
 def test_traced_myers_edge_report_pages_only_fallback_rows():
-    # At the d = 20 edge the profile pages 133 rows and reads 129 of them
-    # in flux form; only the last 4 take phi/psi panels, one call each.
-    # Nested panels on every paged row took 6 calls.
+    # At the d = 20 edge the profile pages 133 rows, where phi and psi take
+    # panels; the sups' node-level bounds prune all of them, so the report
+    # takes none.  Nested panels on every paged row took 6 calls.
     counts = traced_counts(
         "report.build_report(GeometryTriple(20, 3.141592653589793, 19.0))\n"
         "tracer.counts.update({'calls.' + k: v for k, v in tracer.self_times()[1].items()})"
     )
     panels = sum(counts.get(f"calls.quadrature.Segmentation.{attr}", 0) for attr in ("cum_eval", "tail_eval"))
     assert counts["calls.report.build_report"] == 1
-    assert panels <= 2
+    assert panels == 0

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import get_profile, requires_full
+from conftest import get_profile
 from eigenbound.errors import DomainError, MyersViolation
 from eigenbound.geometry import (
     Alpha,
@@ -181,62 +181,48 @@ class TestCoefficientProfile:
             CoefficientProfile(0, Alpha.zero())
 
 
-class TestFluxRead:
-    """phi and psi in the rows the profile pages itself, read from the
-    interpolated flux rows phi C and psi / C instead of nested panels."""
+class TestPagedRows:
+    """phi and psi in the rows the profile pages itself, where the tables
+    are not the in-segment interpolant's integral: `phi_at`/`psi_at`
+    panels."""
 
-    @pytest.mark.parametrize(
-        "d", [5, pytest.param(10, marks=requires_full), pytest.param(63, marks=requires_full)]
-    )
-    def test_flux_read_as_accurate_as_the_panels(self, d):
-        # Four sub-sub points a row, at both ends of each row and between.
-        # Both reads inherit the node tables' error: psi is 2.3e-4 off at
-        # d = 63 either way.
-        alpha = Alpha.positive(HALF_PI)
+    @pytest.mark.parametrize("d", [3, 5, 20])
+    def test_reads_take_the_panels(self, d):
+        # Sub-node and sub-sub points of every paged row, bit for bit.
+        p = get_profile(d, Alpha.positive(HALF_PI))
+        rows = p.paged
+        y = p.seg.subsub[rows]
+        want = np.stack((p.phi_at(y), p.psi_at(y)))
+        np.testing.assert_array_equal(p.subsub_primitives(rows), want)
+        np.testing.assert_array_equal(np.stack(p.primitives_at(y)), want)
+        x = p.seg.sub[rows]
+        np.testing.assert_array_equal(np.stack(p.primitives_at(x)), np.stack((p.phi_at(x), p.psi_at(x))))
+
+    @pytest.mark.parametrize("d", [3, 20])
+    def test_node_point_reads_the_node_tables(self, d):
+        p = get_profile(d, Alpha.positive(HALF_PI))
+        k = p.paged
+        phi, psi = p.primitives_at(p.seg.nodes[k])
+        np.testing.assert_array_equal(phi, p.phi_nodes[k])
+        np.testing.assert_array_equal(psi, p.psi_nodes[k])
+
+    def test_panels_against_mpmath_at_the_myers_edge(self):
+        # Four sub-sub points a row, at both ends of each row and between,
+        # on the paged rows before the last four at d = 5.  The panels
+        # inherit the node tables' error: 8.0e-12 for phi and 2.4e-11 for
+        # psi.
+        d, alpha = 5, Alpha.positive(HALF_PI)
         p = get_profile(d, alpha)
-        rows = p.paged[p.flux_rows[2]]
-        assert rows.size == {5: 16, 10: 60, 63: 299}[d]
+        rows = p.paged[:-4]
+        assert rows.size == 16 and p.paged[-1] == p.seg.n - 1
         cols = np.linspace(0, 224, 4).astype(int)
         phi, psi = (v.reshape(rows.size, -1)[:, cols] for v in p.subsub_primitives(rows))
         y = p.seg.subsub[rows].reshape(rows.size, -1)[:, cols]
         mp.mp.dps = 30
         want_phi = np.vectorize(lambda r: float(_mp_phi(d, alpha, mp.mpf(r))))(y)
         want_psi = np.vectorize(lambda r: float(_mp_psi(d, alpha, mp.mpf(r))))(y)
-
-        def worst(got, want):
-            return float(np.max(np.abs(got / want - 1.0)))
-
-        assert worst(phi, want_phi) <= 1.5 * worst(p.phi_at(y), want_phi)
-        assert worst(psi, want_psi) <= 1.5 * worst(p.psi_at(y), want_psi)
-
-    @pytest.mark.parametrize("d", [3, 20])
-    def test_node_point_reads_the_node_tables(self, d):
-        p = get_profile(d, Alpha.positive(HALF_PI))
-        k = p.paged[p.flux_rows[2]]
-        phi, psi = p.primitives_at(p.seg.nodes[k])
-        np.testing.assert_array_equal(phi, p.phi_nodes[k])
-        np.testing.assert_array_equal(psi, p.psi_nodes[k])
-
-    def test_pages_match_point_reads(self):
-        # The pages read the flux rows at the sub-sub fractions and move
-        # them to the stored points by the interpolant's derivative; the
-        # point read takes the Lagrange row at the stored point's own
-        # fraction.  Fallback rows take the same panels either way.
-        p = get_profile(20, Alpha.positive(HALF_PI))
-        rows = p.paged
-        phi, psi = p.subsub_primitives(rows)
-        want_phi, want_psi = p.primitives_at(p.seg.subsub[rows])
-        np.testing.assert_allclose(phi, want_phi, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(psi, want_psi, rtol=1e-12, atol=0.0)
-
-    def test_guard_keeps_panels_where_the_flux_rows_fail(self):
-        # The last rows at the Myers edge, where phi C and psi / C fall
-        # toward 0 across the row (and underflow at d = 63); d = 2 takes the
-        # panels on all of its paged rows.
-        for d, fallback in ((2, 4), (3, 4), (20, 4), (63, 7)):
-            p = get_profile(d, Alpha.positive(HALF_PI))
-            n = p.seg.n
-            assert p.paged[~p.flux_rows[2]].tolist() == list(range(n - fallback, n))
+        assert np.max(np.abs(phi / want_phi - 1.0)) <= 1.6e-11
+        assert np.max(np.abs(psi / want_psi - 1.0)) <= 4.8e-11
 
 
 class TestResolveProfile:

@@ -1,4 +1,4 @@
-"""Scalar search utilities: sup scans, sign-change walks, bisection."""
+"""Scalar search utilities: golden section, sign-change walks, bisection."""
 
 import math
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from eigenbound.errors import NoRoot
-from eigenbound.searches import (
-    bisect_root,
-    first_sign_change,
-    golden_max,
-    sup_on_unit_interval,
-)
+from eigenbound.searches import bisect_root, first_sign_change, golden_max
 
 
 class TestGoldenMax:
@@ -23,35 +18,6 @@ class TestGoldenMax:
     def test_tiny_interval_short_circuits(self):
         x, v = golden_max(lambda t: t, 0.5, 0.5 + 1e-13)
         assert x == pytest.approx(0.5, abs=1e-12)
-
-
-class TestUnitIntervalSup:
-    def test_smooth_interior_maximum(self):
-        x, v = sup_on_unit_interval(lambda t: np.sin(math.pi * t))
-        assert v == pytest.approx(1.0, abs=1e-10)
-        assert x == pytest.approx(0.5, abs=1e-6)
-
-    def test_boundary_supremum_approached(self):
-        # sup of t over (0, 1) is 1, attained only in the limit; the scan
-        # must get within grid resolution of it.
-        _, v = sup_on_unit_interval(lambda t: np.asarray(t))
-        assert 0.999 < v < 1.0
-
-    def test_infinite_value_short_circuits(self):
-        x, v = sup_on_unit_interval(
-            lambda t: np.where(np.asarray(t) > 0.7, np.inf, 0.0)
-        )
-        assert math.isinf(v)
-        assert x > 0.7
-
-    def test_nan_values_ignored(self):
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            out = np.sin(math.pi * t)
-            return np.where(t < 0.1, np.nan, out)
-
-        _, v = sup_on_unit_interval(f)
-        assert v == pytest.approx(1.0, abs=1e-10)
 
 
 class TestFirstSignChange:

@@ -17,7 +17,7 @@ from eigenbound.geometry import Alpha, CoefficientProfile, GeometryTriple, HALF_
 from eigenbound import quadrature, universal
 from eigenbound.quadrature import Segmentation, needs_clip, page_means
 from eigenbound.report import build_report
-from eigenbound.searches import golden_max, sup_on_unit_interval
+from eigenbound.searches import golden_max
 from eigenbound.universal import (
     DELTA_NAMES,
     delta,
@@ -172,8 +172,7 @@ class TestPanelReference:
             (10, Alpha.positive(HALF_PI)),
             (20, Alpha.positive(HALF_PI)),
             (63, Alpha.positive(HALF_PI)),
-            # d = 2 pages 4 rows, all on panels; d = 3 reads 5 of its 9
-            # paged rows in flux form
+            # d = 2 and d = 3 page 4 and 9 rows, read on panels
             (2, Alpha.positive(HALF_PI)),
             (3, Alpha.positive(HALF_PI)),
             (5, Alpha.positive(HALF_PI)),
@@ -292,6 +291,63 @@ class TestPolish:
             monkeypatch.setattr(Segmentation, attr, counted)
         build_report(GeometryTriple(3, 2.0, -1.0))
         assert len(calls) == 0
+
+
+def sup_on_unit_interval(f, resolution: int = 2001) -> tuple[float, float]:
+    """Supremum of a vectorized f over the open interval (0, 1), as (argsup, sup).
+
+    Dense interior grid scan (`resolution` points) followed by golden-section
+    refinement around the best grid point: a reference for the sups that
+    shares none of their lattice.  A +inf evaluation short-circuits to (that
+    point, +inf); nan evaluations are ignored.
+    """
+    xs = np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
+    vals = np.asarray(f(xs), dtype=float)
+    if np.isposinf(vals).any():
+        idx = int(np.argmax(np.isposinf(vals)))
+        return float(xs[idx]), math.inf
+    finite = np.where(np.isnan(vals), -math.inf, vals)
+    k = int(np.argmax(finite))
+    lo = xs[k - 1] if k > 0 else xs[0] / 2.0
+    hi = xs[k + 1] if k < resolution - 1 else 0.5 * (xs[-1] + 1.0)
+
+    def safe(x):
+        v = float(f(x))
+        return -math.inf if math.isnan(v) else v
+
+    x_best, v_best = golden_max(safe, lo, hi, tol=1e-12)
+    if v_best >= finite[k]:
+        return float(x_best), float(v_best)
+    return float(xs[k]), float(finite[k])
+
+
+class TestUnitIntervalSup:
+    def test_smooth_interior_maximum(self):
+        x, v = sup_on_unit_interval(lambda t: np.sin(math.pi * t))
+        assert v == pytest.approx(1.0, abs=1e-10)
+        assert x == pytest.approx(0.5, abs=1e-6)
+
+    def test_boundary_supremum_approached(self):
+        # sup of t over (0, 1) is 1, attained only in the limit; the scan
+        # must get within grid resolution of it.
+        _, v = sup_on_unit_interval(lambda t: np.asarray(t))
+        assert 0.999 < v < 1.0
+
+    def test_infinite_value_short_circuits(self):
+        x, v = sup_on_unit_interval(
+            lambda t: np.where(np.asarray(t) > 0.7, np.inf, 0.0)
+        )
+        assert math.isinf(v)
+        assert x > 0.7
+
+    def test_nan_values_ignored(self):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            out = np.sin(math.pi * t)
+            return np.where(t < 0.1, np.nan, out)
+
+        _, v = sup_on_unit_interval(f)
+        assert v == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBruteForceCrossCheck:
@@ -683,10 +739,10 @@ class TestIteration:
         fine = iterate_lower(CoefficientProfile(d, _grid_alpha(x), segments=8192), 3).lower_sequence
         assert list(coarse) == pytest.approx(fine, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("d", [10, 20, 63])
+    @pytest.mark.parametrize("d", [2, 3, 5, 10, 20, 63])
     def test_upper_iterates_take_no_panels_at_the_myers_edge(self, d, monkeypatch):
-        # Read at the 4,094 radii of the full Chebyshev grid, mu_1 = phi
-        # took phi_at and psi_at panels in the rows the flux guard rejects.
+        # phi and psi take panels in the rows the profile pages; the five
+        # sups and both sequences read outside them at the edge.
         calls = []
         for attr in ("phi_at", "psi_at"):
             orig = getattr(CoefficientProfile, attr)
@@ -696,7 +752,11 @@ class TestIteration:
                 return _orig(self, *args, **kwargs)
 
             monkeypatch.setattr(CoefficientProfile, attr, counted)
-        iterate_upper(CoefficientProfile(d, Alpha.positive(HALF_PI)), 2)
+        p = CoefficientProfile(d, Alpha.positive(HALF_PI))
+        for name in DELTA_NAMES:
+            universal.functional_sup(p, name)
+        iterate_lower(p, 5)
+        iterate_upper(p, 2)
         assert not calls
 
     @pytest.mark.parametrize("n_max", [1, 2, 4])

@@ -20,6 +20,10 @@ At the Myers edge C vanishes at r = 1 like (1 - r)^(d-1).  The right half
 then starts EDGE_OFFSET inside the end, from the leading term of the
 bounded solution: the angle is int e^(-L) over the offset, which is
 lam int C for the primal family and int C for the dual.
+
+The eigenfunction (`EigenPath`) comes from the same march: each half is
+shot again, recording its steps, and the halves meet at m.  The eigenvalue
+and its eigenfunction share one integrator and one frame.
 """
 
 from __future__ import annotations
@@ -69,11 +73,13 @@ KIND_TAN = 2     # F(r) = c1 tan(c2 r)
 
 @dataclass(frozen=True)
 class EigenProblem:
-    """One shooting family: f'' + F f' + lam f = 0 on [0, r_end].
+    """One shooting family: (C f')' + lam C f = 0 on [0, r_end], C = exp(int_0^r F).
 
     kind (KIND_LINEAR, KIND_TANH or KIND_TAN), c1 and c2 select the drift F
-    inside the integration kernel, and with it C = exp(int_0^r F); one end
-    is Dirichlet and the other Neumann.
+    inside the integration kernel, which marches the Pruefer angle on log C;
+    F itself serves the drift form f'' = -lam f - F f' of the eigenfunction's
+    second derivative and of the derivative identity.  One end is Dirichlet
+    and the other Neumann.
     """
 
     kind: int
@@ -172,77 +178,86 @@ def beta_problem(beta: float) -> EigenProblem:
     )
 
 
-#: Binomial coefficients C(j, k): the quartic's coefficients in x, times
-#: this, are its coefficients in x - 1.
-_ABOUT_END = np.array(
-    [[math.comb(j, k) for k in range(5)] for j in range(5)], dtype=float
-)
+#: Relative tolerance of an eigenfunction march.  Its absolute tolerance is
+#: next to nothing, so the angle keeps its relative accuracy where it
+#: starts from 0 at a Dirichlet end.
+PATH_TOL = 1e-13
 
 
 class EigenPath:
-    """The eigenfunction as the integrator's own continuous extension.
+    """The eigenfunction from the eigenvalue shots' own Pruefer march.
 
-    One path integration, at atol = rtol = tol, records every accepted step;
-    f and f' anywhere in a step come off its quartic, and exactly at a step
-    end they are the stored state.  r, f and fp are the step-end arrays, from
-    0 to r_end.  All values share one overall scale: the raw one (unit
-    initial slope after a Dirichlet start, unit initial value after a
-    Neumann start) when the integrator never had to renormalize; otherwise
-    the pair is rescaled so the largest magnitude stays representable.
+    Each half is marched from its end's condition to the matching point m
+    of `_landmarks`, in the frame the solve's shots use, at relative
+    tolerance PATH_TOL; the right half is scaled so its amplitude meets the
+    left one's at m.  m = r_end marches the left half alone, for a lam off
+    the spectrum, where the halves would not meet.  r, f and fp are the step
+    ends from 0 to r_end, f and C f' read off each step end's angle and log
+    rho, with the left end's normalization: unit slope after a Dirichlet
+    start, unit value after a Neumann one.  So f = 0 at a Dirichlet end and
+    f' = 0 at a Neumann end, exactly.
 
-    Each half step is evaluated from its nearer end, the second half on the
-    quartic re-expanded about the step end.  Summed from the far end, the
-    quartic would miss the end state by rounding of the start state, which
-    is most of f itself next to a Dirichlet end.
+    Between step ends f is the quintic through f, f' and f'' = -lam f - F f'
+    at both ends of its step, and f' is that quintic's derivative.  Each
+    half step is summed from its nearer end, so a step end reads its stored
+    values exactly and f keeps its relative accuracy next to a Dirichlet
+    end.
     """
 
-    def __init__(self, prob: EigenProblem, lam: float, tol: float = 1e-11):
+    def __init__(self, prob: EigenProblem, lam: float, m: float | None = None):
         if prob.singular_end:
             raise DomainError(
-                "the drift-form path cannot reach the Myers edge, where the"
+                "the eigenfunction has no path at the Myers edge, where the"
                 " drift blows up"
             )
-        f0, g0 = _left_state(prob)
-        fq, gq, ls, status, steps, r, h = kernels.shoot_path(
-            prob.kind, prob.c1, prob.c2, lam, prob.r_end, f0, g0, tol, tol
-        )
-        if status != kernels.STATUS_OK:
-            raise StiffIntegration(
-                f"path integration failed at lambda = {lam:.6g}"
-                f" (status {status}, {steps} steps)"
+        m_star, log_kappa, _, _ = _landmarks(prob)
+        m = m_star if m is None else m
+        ll = math.log(lam)
+        r, la, s, c = _half_march(prob, prob.bc_left, ll, log_kappa, 0.0, m)
+        if prob.bc_left == DIRICHLET:
+            la += log_kappa  # f'(0) = e^(la - log_kappa) = 1
+        halves = [(r, la, s, c)]
+        if m < prob.r_end:
+            rr, lr, sr, cr = _half_march(
+                prob, prob.bc_right, ll, log_kappa, prob.r_end, m
             )
-        w = _unfold(fq[:, 0], gq[:, 0], ls)[:, None]
-        self._fq = self._halves(fq * w)
-        self._gq = self._halves(gq * w)
-        self.r = r
-        self.f = self._fq[0, ::2]
-        self.fp = self._gq[0, ::2]
-        # Half step 2i starts at r_i and 2i + 1 at its midpoint, anchored
-        # at r_i and r_i+1; the closing row anchors the end.
-        self._start = np.empty(2 * r.size - 1)
-        self._start[::2] = r
-        self._start[1::2] = r[:-1] + 0.5 * h[:-1]
-        self._anchor = np.repeat(r, 2)[1:]
-        self._h = np.repeat(h, 2)[:-1]
-
-    @staticmethod
-    def _halves(q):
-        """Rows (start state, q1..q4) to one column per half step."""
-        back = q[:-1] @ _ABOUT_END
-        back[:, 0] = q[1:, 0]
-        out = np.empty((5, 2 * len(q) - 1))
-        out[:, ::2] = q.T
-        out[:, 1::2] = back.T
-        return out
+            lr += la[-1] - lr[-1]
+            halves.append((rr[::-1], lr[::-1], sr[::-1], cr[::-1]))
+        r, la, s, c = (np.concatenate(a) for a in zip(*halves))
+        lc = kernels.log_coeff(prob.kind, prob.c1, prob.c2, np)
+        f = np.exp(la) * s
+        fp = c * np.exp(la - log_kappa - lc(r))
+        ends = np.stack((f, fp, -lam * f - prob.drift(r) * fp))
+        # m ends both halves; the step-end arrays keep the right half's.
+        seam = [halves[0][0].size - 1] if len(halves) > 1 else []
+        self.r, self.f, self.fp = (np.delete(v, seam) for v in (r, f, fp))
+        lo = np.delete(np.arange(r.size - 1), seam)
+        hi = lo + 1
+        w = r[hi] - r[lo]
+        # Half step 2i runs from r[lo_i] to the step's midpoint, anchored
+        # there; half step 2i + 1 on to r[hi_i], anchored at r[hi_i].
+        self._start = np.stack((r[lo], r[lo] + 0.5 * w), axis=1).ravel()
+        self._anchor = np.stack((r[lo], r[hi]), axis=1).ravel()
+        self._w = np.stack((w, -w), axis=1).ravel()
+        about = (
+            _hermite(ends[:, lo], ends[:, hi], w),
+            _hermite(ends[:, hi], ends[:, lo], -w),
+        )
+        self._fq, self._gq = (
+            np.stack(pair, axis=2).reshape(len(pair[0]), -1)
+            for pair in zip(*about)
+        )
 
     def _eval(self, q, x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         i = np.searchsorted(self._start, flat, side="right") - 1
         np.clip(i, 0, self._start.size - 1, out=i)
-        t = (flat - self._anchor[i]) / self._h[i]
+        t = (flat - self._anchor[i]) / self._w[i]
         c = q[:, i]
-        out = c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))
+        out = c[-1]
+        for row in c[-2::-1]:
+            out = row + t * out
         return out.reshape(x.shape)
 
     def __call__(self, x):
@@ -252,9 +267,52 @@ class EigenPath:
         return self._eval(self._gq, x)
 
 
+def _half_march(prob, bc, ll, log_kappa, r0, r1):
+    """One half's step ends from the condition bc at r0 to r1, at lam = e^ll.
+
+    Returns (r, log rho, sin, cos) in march order, the angle taken back to
+    the Dirichlet frame and cos signed by the direction, so that f = rho sin
+    and kappa C f' = rho cos.
+    """
+    c1, shift = _frame(prob, bc, ll, log_kappa)
+    theta, log_rho, t, status, steps = kernels.shoot_path(
+        prob.kind, c1, prob.c2, math.exp(ll), shift, r0, r1, 0.0, 1e-300,
+        PATH_TOL,
+    )
+    if status != kernels.STATUS_OK:
+        raise StiffIntegration(
+            f"path integration failed at {_lam_text(ll)} (status {status}, {steps} steps)"
+        )
+    sin, cos = np.sin(theta), np.cos(theta)
+    if bc == NEUMANN:
+        sin, cos = cos, -sin
+    sign = 1.0 if r1 >= r0 else -1.0
+    return r0 + sign * t, log_rho, sin, sign * cos
+
+
+def _hermite(a, b, w):
+    """Quintic through (f, f', f'') at a and at b = a + w, summed about a.
+
+    Returns its coefficient rows in s = (x - a) / w, and its derivative's.
+    """
+    (f0, d0, s0), (f1, d1, s1) = a, b
+    c1 = w * d0
+    c2 = 0.5 * (w * w) * s0
+    e0 = f1 - (f0 + c1 + c2)
+    e1 = w * d1 - (c1 + 2.0 * c2)
+    e2 = (w * w) * s1 - 2.0 * c2
+    c3 = 10.0 * e0 - 4.0 * e1 + 0.5 * e2
+    c4 = -15.0 * e0 + 7.0 * e1 - e2
+    c5 = 6.0 * e0 - 3.0 * e1 + 0.5 * e2
+    return (
+        np.array((f0, c1, c2, c3, c4, c5)),
+        np.array((d0, w * s0, 3.0 * c3 / w, 4.0 * c4 / w, 5.0 * c5 / w)),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class EigenResult:
-    """Solved principal eigenvalue; `path`, its eigenfunction, is integrated on first read."""
+    """Solved principal eigenvalue; `path`, its eigenfunction, is marched on first read."""
 
     problem: EigenProblem
     eigenvalue: float
@@ -262,25 +320,6 @@ class EigenResult:
     @cached_property
     def path(self) -> EigenPath:
         return EigenPath(self.problem, self.eigenvalue)
-
-
-def _left_state(prob: EigenProblem) -> tuple[float, float]:
-    if prob.bc_left == DIRICHLET:
-        return 0.0, 1.0
-    return 1.0, 0.0
-
-
-def _unfold(fs, gs, ls):
-    """Weights that undo the running renormalization with one overall scale.
-
-    The raw left-end normalization is kept whenever the true magnitudes fit
-    comfortably in doubles; otherwise everything is rescaled so the largest
-    state sits near one.
-    """
-    mag = np.maximum(np.abs(fs), np.abs(gs))
-    peak = float(np.max(ls + np.log(np.maximum(mag, 1e-300))))
-    shift = 0.0 if peak < 100.0 else peak
-    return np.exp(ls - shift)
 
 
 def _landmarks(prob: EigenProblem) -> tuple[float, float, float, float]:
@@ -309,12 +348,20 @@ def _landmarks(prob: EigenProblem) -> tuple[float, float, float, float]:
     return float(r[k + 1]), float(lphi[k]), -log_delta - math.log(4.0), -log_delta
 
 
+def _frame(prob, bc, ll, log_kappa):
+    """(c1, shift) of the shots' frame for an angle measured from the condition bc.
+
+    Measured from a Neumann condition the angle obeys the Dirichlet-frame
+    equation with log C~ replaced by -log C~ - log(lam) (`kernels.shoot`).
+    """
+    if bc == DIRICHLET:
+        return prob.c1, log_kappa
+    return -prob.c1, -ll - log_kappa
+
+
 def _half_angle(prob, bc, ll, log_kappa, r0, r1, tol):
     """Angle from the condition bc at r0, integrated to r1, at lam = e^ll."""
-    if bc == DIRICHLET:
-        c1, shift = prob.c1, log_kappa
-    else:
-        c1, shift = -prob.c1, -ll - log_kappa
+    c1, shift = _frame(prob, bc, ll, log_kappa)
     theta0 = 0.0
     if r0 == prob.r_end and prob.singular_end:
         # e^(-L) ~ (r_end - r)^q near the end: integrate its leading term.
@@ -355,8 +402,7 @@ def principal_eigenvalue(
     from window (lo, hi), by default the crude bracket of _landmarks, and
     widens outward until the mismatch changes sign, so a window that misses
     the eigenvalue costs shots but never the answer.  The eigenfunction is
-    integrated at the kernel's 1e-11 only when the result's path is first
-    read.
+    marched, at PATH_TOL, only when the result's path is first read.
     """
     if not (MIN_TOL <= tol < 1.0):
         raise DomainError(f"tol must lie in [{MIN_TOL:g}, 1), got {tol}")
@@ -489,7 +535,7 @@ def derivative_identity_residual(
     prob = reduced_problem(d, alpha)
     base = principal_eigenvalue(prob, tol=tol)
     lam = base.eigenvalue * (1.0 + _IDENTITY_LIFT)
-    path = EigenPath(prob, lam, tol)
+    path = EigenPath(prob, lam, m=prob.r_end)
     rs, fp = path.r, path.fp
 
     nonpos = np.nonzero(fp <= 0.0)[0]
@@ -588,9 +634,9 @@ def variational_consistency(
 
     The primal eigenfunction is admissible for the primal ratio and the dual
     one for the dual ratio; each infimum equals the eigenvalue, so any
-    systematic lattice error shows up as a gap.  The dual test function gets
-    the bisection residual at its vanishing end removed by an exact linear
-    ramp, since lattice points sit close enough to 1 to see it.
+    systematic lattice error shows up as a gap.  Each path's right half
+    starts from its end's condition, so the dual eigenfunction reads 0 at
+    r = 1 exactly.
     """
     from .universal import variational_ratio
 
@@ -601,13 +647,6 @@ def variational_consistency(
             " path at the Myers edge; move off the borderline positive parameter"
         )
     primal, adjoint, _ = duality_gap(d, alpha, profile=p, tol=tol)
-    fstar = adjoint.path
-    end = float(fstar.f[-1])
-
-    def corrected(x):
-        x = np.asarray(x, dtype=float)
-        return fstar(x) - end * x
-
     pr = variational_ratio(primal.path, p, form="primal")
-    du = variational_ratio(corrected, p, form="dual")
+    du = variational_ratio(adjoint.path, p, form="dual")
     return ConsistencyReport(primal.eigenvalue, pr, du)

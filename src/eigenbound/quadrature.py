@@ -490,17 +490,19 @@ class Segmentation:
         return k, t[:, None] * means[: x.size], u[:, None] * means[x.size :, ::-1]
 
     def interpolate(self, x: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Values at the points x of the degree-14 interpolants through rows[i], a sub-node row of segment k[i].
+        """Values at the points x of the degree-14 interpolants through rows[..., i, :], a sub-node row of segment k[i].
 
         By the barycentric formula, as in `partial_means`; a point on a
         sub-node's fraction of its segment reads that sub-node's value.
+        Leading axes of rows stack row sets, which share one set of
+        weights and read as each set alone would.
         """
         tau = (x - self.nodes[k]) / self.width[k]
         with np.errstate(divide="ignore", invalid="ignore"):
             q = _BARY / (tau[:, None] - XI)
-            out = np.einsum("ij,ij->i", q, rows) / q.sum(axis=1)
+            out = np.einsum("ij,...ij->...i", q, rows) / q.sum(axis=1)
         i, j = np.nonzero(np.isinf(q))
-        out[i] = rows[i, j]
+        out[..., i] = rows[..., i, j]
         return out
 
     @functools.cached_property

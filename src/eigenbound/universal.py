@@ -834,12 +834,13 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
         prev = np.maximum(step - 1, 0)
         kf = tables[step, k] + np.einsum("ij,ij->i", head, rows_h[step, k])
         f = (tables[prev, k] + np.einsum("ij,ij->i", head, rows_h[prev, k])) / scale[prev]
-        df = seg.interpolate(x, k, rows_h[prev, k]) / scale[prev]
+        dh, h = seg.interpolate(x, k, rows_h[np.stack((prev, step)), k])
+        df = dh / scale[prev]
         first = np.flatnonzero(step == 0)
         if first.size:
             f[first] = np.sqrt(p.primitives_at(x[first], tuple(w[first] for w in weights))[0])
             df[first] = p._coeff_pair(x[first])[1] / (2.0 * f[first])
-        return np.stack((kf / f, seg.interpolate(x, k, rows_h[step, k]) * f - kf * df), axis=-1)
+        return np.stack((kf / f, h * f - kf * df), axis=-1)
 
     polished = _stationary_points(p, np.array(j), scale.copy(), point)  # point reads scale
     return IterationTrace(
@@ -1002,10 +1003,11 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
         weights = seg.partial_weights(x)
         k = weights[0]
         dv, fvv = _table_at(den_nodes, h_sub, weights, form == "dual"), fv(x)
-        df = seg.interpolate(x, k, f_sub[k] @ DIFF_T) / seg.width[k]
+        dfw, h = seg.interpolate(x, k, np.stack((f_sub[k] @ DIFF_T, h_sub[k])))
+        df = dfw / seg.width[k]
         # a point where either factor degenerates cannot improve the inf
         ok = (0.0 < dv) & (dv < math.inf) & (fvv > 0.0)
-        cond = fvv * sign * seg.interpolate(x, k, h_sub[k]) - df * dv
+        cond = fvv * sign * h - df * dv
         return np.stack((np.where(ok, -fvv / dv, -math.inf), cond), axis=-1)
 
     return -_stationary_points(p, np.array([j]), np.array([neg[j]]), point)[0][1]

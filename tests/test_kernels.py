@@ -9,13 +9,6 @@ from eigenbound import kernels
 
 FLAT_LAMBDA = math.pi**2 / 4.0
 
-#: One case per drift family: kind, c1, c2, lam.
-CASES = [
-    (0, 0.0, 0.0, FLAT_LAMBDA),
-    (1, 2.0, 1.5, 3.7),
-    (2, -1.0, 1.2, 9.0),
-]
-
 #: Drift encodings (kind, c1, c2) with both signs of c1, the primal and dual
 #: families; the tangent drift at c2 = pi/2 reaches the Myers edge at r = 1.
 SIGNED_DRIFTS = [
@@ -27,15 +20,17 @@ SIGNED_DRIFTS = [
     (2, -2.0 * math.pi, math.pi / 2.0),
 ]
 
-#: Recorded steps checked against a shot to a radius inside them.
-PROBES = (0, 1, 7, 100, 255, 400, -2)
+#: Both signs of each drift, the tangent one short of the Myers edge.
+PATH_DRIFTS = [
+    (kind, c1, 1.2 if kind == 2 else c2) for kind, c1, c2 in SIGNED_DRIFTS
+]
 
-
-def quartic(rows, x):
-    """Each recorded row (state, q1..q4) at the step fraction x."""
-    return rows[:, 0] + x * (
-        rows[:, 1] + x * (rows[:, 2] + x * (rows[:, 3] + x * rows[:, 4]))
-    )
+#: shoot_path's arguments after the drift: lam, shift, r0, r1, theta0.
+PATH_SHOTS = [
+    (3.7, 0.0, 0.0, 1.0, 0.0),
+    (3.7, -0.4, 1.0, 0.35, 0.0),
+    (40.0, 1.3, 0.2, 0.9, 0.3),
+]
 
 
 def angle(kind, c1, c2, lam, r):
@@ -43,13 +38,6 @@ def angle(kind, c1, c2, lam, r):
     theta, _, t, status, _ = kernels.shoot(kind, c1, c2, lam, 0.0, 0.0, r)
     assert status == kernels.STATUS_OK and t == r
     return theta
-
-
-def assert_same_angle(theta, f, flux, tol):
-    """theta is the polar angle of (f, flux), up to whole turns."""
-    rho = math.hypot(f, flux)
-    assert abs(math.sin(theta) - f / rho) <= tol
-    assert abs(math.cos(theta) - flux / rho) <= tol
 
 
 class TestAngleRate:
@@ -67,6 +55,15 @@ class TestAngleRate:
         rate = kernels._angle_rate(kind, c1, c2, 3.7, shift, r0, sign)
         for t in np.linspace(0.0, 1.0, 257).tolist():
             assert rate(t, 0.0) == math.exp(-(lc(r0 + sign * t) + shift))
+
+
+    @pytest.mark.parametrize("kind, c1, c2", SIGNED_DRIFTS)
+    def test_array_log_coeff_matches_scalar(self, kind, c1, c2):
+        # shoot_path integrates log rho on numpy's log C after the march.
+        r = np.linspace(0.0, 1.0, 257)
+        want = [kernels.log_coeff(kind, c1, c2)(x) for x in r.tolist()]
+        got = kernels.log_coeff(kind, c1, c2, np)(r)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 class TestShooting:
@@ -118,117 +115,101 @@ class TestShooting:
         assert theta == t == 0.0
         assert 0 < steps < 100
 
-    def test_renormalization_tracks_log_scale(self):
-        # lam = -4e5 grows like sinh(632 r): far past RENORM, so the path
-        # must be rescaled while log(f) + log_scale stays the true log.  The
-        # rescale falls inside a step near r = 0.91, whose quartic must
-        # carry the log-scale from before it.  Every step start from r = 1/8
-        # on is checked, the end state, and every step's quartic at its
-        # midpoint, before and after the rescale.
-        lam = -4.0e5
-        rate = math.sqrt(-lam)
-        fq, _, ls, status, _, r, h = kernels.shoot_path(
-            0, 0.0, 0.0, lam, 1.0, 0.0, 1.0
-        )
-        assert status == kernels.STATUS_OK
-        tail = r >= 0.125
-        assert ls[tail][0] == 0.0 and ls[-1] > 0.0
-        assert abs(fq[-1, 0]) < kernels.RENORM
-        true_log = rate - math.log(2.0) - math.log(rate)
-        assert math.log(abs(fq[-1, 0])) + ls[-1] == pytest.approx(true_log, rel=1e-8)
-
-        def want(x):
-            x = rate * x
-            return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0 * rate)
-
-        np.testing.assert_allclose(
-            np.log(np.abs(fq[tail, 0])) + ls[tail], want(r[tail]), rtol=1e-8
-        )
-        tail = tail[:-1]
-        mid = quartic(fq[:-1], 0.5)[tail]
-        np.testing.assert_allclose(
-            np.log(np.abs(mid)) + ls[:-1][tail],
-            want(r[:-1][tail] + 0.5 * h[:-1][tail]),
-            rtol=1e-8,
-        )
 
     def test_path_endpoint_matches_single_shot(self):
-        # The drift-form path and the Pruefer shot are two integrations of
-        # one solution: the path's (f, C f') must point along the shot's
-        # angle inside any step and at the end.
-        for kind, c1, c2, lam in CASES:
-            fq, gq, ls, status, steps, r, h = kernels.shoot_path(
-                kind, c1, c2, lam, 1.0, 0.0, 1.0
-            )
-            lc = kernels.log_coeff(kind, c1, c2)
-            assert status == kernels.STATUS_OK
-            assert fq[0, 0] == 0.0 and gq[0, 0] == 1.0 and ls[0] == 0.0
-            assert r[0] == 0.0 and r[-1] == 1.0
-            # Steps are capped at 1/PATH_STEPS, not one per evaluation point.
-            assert kernels.PATH_STEPS <= len(r) - 1 <= steps <= 600
-            # Each step's quartic runs from its start state to the next.
-            scale = np.maximum(np.abs(fq[1:, 0]), np.abs(gq[1:, 0]))
-            for rows in (fq, gq):
-                gap = np.abs(quartic(rows[:-1], 1.0) - rows[1:, 0])
-                assert np.all(gap <= 1e-12 * scale)
-            for i in PROBES:
-                x = r[i] + 0.3 * h[i]
-                f = quartic(fq[i : i + 1], 0.3)[0]
-                flux = quartic(gq[i : i + 1], 0.3)[0] * math.exp(lc(x))
-                assert_same_angle(angle(kind, c1, c2, lam, x), f, flux, 1e-9)
-            # The closing row is the end state, with zero coefficients.
-            assert not np.any(fq[-1, 1:]) and not np.any(gq[-1, 1:])
-            flux = gq[-1, 0] * math.exp(lc(1.0))
-            assert_same_angle(angle(kind, c1, c2, lam, 1.0), fq[-1, 0], flux, 1e-9)
+        # shoot_path is shoot recording its steps: with the same arguments
+        # it ends on the same angle to the bit, after the same steps, and
+        # the angle rises from step end to step end.
+        for kind, c1, c2 in PATH_DRIFTS:
+            for lam, shift, r0, r1, theta0 in PATH_SHOTS:
+                args = (kind, c1, c2, lam, shift, r0, r1, theta0, 1e-300, 1e-13)
+                theta, log_rho, t, status, steps = kernels.shoot_path(*args)
+                shot = kernels.shoot(*args)
+                assert status == shot[3] == kernels.STATUS_OK
+                assert steps == shot[4]
+                assert theta[-1] == shot[0] and t[-1] == shot[2]
+                assert theta[0] == theta0 and t[0] == log_rho[0] == 0.0
+                assert theta.shape == log_rho.shape == t.shape
+                assert np.all(np.diff(t) > 0.0) and np.all(np.diff(theta) > 0.0)
 
-    def test_path_ending_on_a_sliver_step_finishes(self):
-        # 512 capped steps of 0.67/512 sum to one ulp short of 0.67; the
-        # closing step is that ulp and must not read as a step underflow.
-        fq, _, _, status, _, r, _ = kernels.shoot_path(
-            0, 0.0, 0.0, 2.0, 0.67, 0.0, 1.0
+    @pytest.mark.parametrize("kind, c1, c2", PATH_DRIFTS)
+    def test_step_end_angles_match_shots_to_them(self, kind, c1, c2):
+        # The angle at a step end is the angle a separate shot reaches
+        # there; log rho at the path's end barely moves at a 10x tighter
+        # tolerance.
+        lam, shift, r0, r1, theta0 = PATH_SHOTS[1]
+        sign = 1.0 if r1 >= r0 else -1.0
+        theta, log_rho, t, status, _ = kernels.shoot_path(
+            kind, c1, c2, lam, shift, r0, r1, theta0, 1e-300, 1e-12
         )
         assert status == kernels.STATUS_OK
-        assert r[-1] == 0.67
-        k = math.sqrt(2.0)
-        assert fq[-1, 0] == pytest.approx(math.sin(k * 0.67) / k, rel=1e-9)
+        for i in range(1, t.size, max(1, t.size // 8)):
+            shot = kernels.shoot(
+                kind, c1, c2, lam, shift, r0, r0 + sign * t[i], theta0, 1e-300, 1e-13
+            )
+            assert theta[i] == pytest.approx(shot[0], rel=1e-10)
+        fine = kernels.shoot_path(
+            kind, c1, c2, lam, shift, r0, r1, theta0, 1e-300, 1e-13
+        )[1]
+        assert log_rho[-1] == pytest.approx(fine[-1], rel=1e-9, abs=1e-11)
+
+    def test_path_ending_on_a_sliver_step_finishes(self):
+        # The step cut to land on this r1 leaves one ulp, below the step
+        # floor, for a last step that must not read as an underflow.
+        # C = 1: f = sin(k r) / k and C f' = cos(k r) from a Dirichlet
+        # start, so the angle and log rho are known at every step end.
+        r1 = 0.050475118779694926
+        lam = 2.0
+        theta, log_rho, t, status, _ = kernels.shoot_path(
+            0, 0.0, 0.0, lam, 0.0, 0.0, r1
+        )
+        assert status == kernels.STATUS_OK
+        assert t[-1] == r1 and t[-1] - t[-2] < 1e-15 * r1
+        k = math.sqrt(lam)
+        s, c = np.sin(k * t) / k, np.cos(k * t)
+        np.testing.assert_allclose(theta, np.arctan2(s, c), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(log_rho, 0.5 * np.log(s * s + c * c), rtol=0, atol=1e-12)
+
+    def test_path_amplitude_backwards_with_a_shift(self):
+        # C~ = e^shift from r0 = 1 back to 0.3: f = e^-shift sin(k x) / k at
+        # distance x, C~ f' = cos(k x), so rho^2 = e^-2shift sin^2 / k^2 + cos^2.
+        lam, shift = 2.0, 0.7
+        theta, log_rho, t, status, _ = kernels.shoot_path(
+            0, 0.0, 0.0, lam, shift, 1.0, 0.3, 0.0, 1e-300, 1e-13
+        )
+        assert status == kernels.STATUS_OK
+        k = math.sqrt(lam)
+        s, c = np.sin(k * t) / (k * math.exp(shift)), np.cos(k * t)
+        np.testing.assert_allclose(theta, np.arctan2(s, c), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(log_rho, 0.5 * np.log(s * s + c * c), rtol=0, atol=1e-12)
 
 
 class TestPathAssembly:
-    """The rows the path assembles after its march: one per accepted step."""
+    """The step ends the path records: one per accepted step, and its start."""
 
     @pytest.mark.parametrize("max_steps", [0, 1, 5])
     def test_stopped_march_keeps_its_rows(self, max_steps):
-        fq, gq, ls, status, steps, r, h = kernels.shoot_path(
-            1, 2.0, 1.5, 3.7, 1.0, 0.0, 1.0, 1e-11, 1e-11, max_steps
+        theta, log_rho, t, status, steps = kernels.shoot_path(
+            1, 2.0, 1.5, 3.7, 0.0, 0.0, 1.0, 0.0, 1e-11, 1e-11, max_steps
         )
         assert status == kernels.STATUS_MAX_STEPS
         assert steps == max_steps
-        rows = len(r)
-        assert rows - 1 <= steps
-        assert fq.shape == gq.shape == (rows, 5)
-        assert ls.shape == h.shape == (rows,)
-        assert r[0] == 0.0 and fq[0, 0] == 0.0 and gq[0, 0] == 1.0
-        np.testing.assert_array_equal(r[1:], r[:-1] + h[:-1])
-        # The closing row is where the march stopped, with zero coefficients.
-        assert not np.any(fq[-1, 1:]) and not np.any(gq[-1, 1:])
-        assert r[-1] < 1.0
+        assert len(t) - 1 <= steps
+        assert theta.shape == log_rho.shape == t.shape
+        assert t[0] == theta[0] == log_rho[0] == 0.0
+        # The last row is where the march stopped.
+        assert t[-1] < 1.0
 
     def test_rejected_steps_leave_no_rows(self):
-        # At lam = 3700 the error control, not the PATH_STEPS cap, sets the
-        # step, and some trial steps are rejected; only accepted ones may
-        # leave a row, and each row's quartic must still close on the next.
-        fq, gq, ls, status, steps, r, h = kernels.shoot_path(
-            1, 2.0, 1.5, 3700.0, 1.0, 0.0, 1.0
+        # At lam = 3700 some trial steps are rejected; only accepted ones
+        # may leave a row, and the rows still rise to the end.
+        theta, _, t, status, steps = kernels.shoot_path(
+            1, 2.0, 1.5, 3700.0, 0.0, 0.0, 1.0
         )
         assert status == kernels.STATUS_OK
-        assert steps > len(r) - 1 > kernels.PATH_STEPS
-        assert not np.any(ls)
-        np.testing.assert_array_equal(r[1:], r[:-1] + h[:-1])
-        assert r[-1] == 1.0
-        scale = np.maximum(np.abs(fq[1:, 0]), np.abs(gq[1:, 0]))
-        for rows in (fq, gq):
-            gap = np.abs(quartic(rows[:-1], 1.0) - rows[1:, 0])
-            assert np.all(gap <= 1e-12 * scale)
+        assert steps > len(t) - 1
+        assert t[-1] == 1.0
+        assert np.all(np.diff(t) > 0.0) and np.all(np.diff(theta) > 0.0)
 
 
 class TestNodeCount:
@@ -245,13 +226,12 @@ class TestNodeCount:
         "kind, c1, c2, lam", [(1, 2.0, 1.5, 140.0), (2, -1.0, 1.2, 260.0)]
     )
     def test_count_matches_dense_path(self, kind, c1, c2, lam):
-        # Sign changes of the recorded quartics, read at eight points a step.
-        fq, _, _, status, _, _, _ = kernels.shoot_path(
-            kind, c1, c2, lam, 1.0, 0.0, 1.0
+        # Sign changes of f = rho sin(theta) at the recorded step ends: no
+        # step crosses two zeros.
+        theta, _, _, status, _ = kernels.shoot_path(
+            kind, c1, c2, lam, 0.0, 0.0, 1.0
         )
         assert status == kernels.STATUS_OK
-        fs = np.stack([quartic(fq[:-1], x) for x in np.arange(1, 9) / 8.0], axis=1)
-        changes = int(np.count_nonzero(np.diff(np.signbit(fs.ravel()))))
+        changes = int(np.count_nonzero(np.diff(np.signbit(np.sin(theta[1:])))))
         assert changes >= 3
-        theta = angle(kind, c1, c2, lam, 1.0)
-        assert math.floor(theta / math.pi) == changes
+        assert math.floor(theta[-1] / math.pi) == changes

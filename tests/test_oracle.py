@@ -26,7 +26,6 @@ from eigenbound.correction import convex_mean
 from eigenbound.errors import (
     DegenerateDerivative,
     DomainError,
-    InvalidTestFunction,
     StiffIntegration,
 )
 from eigenbound.geometry import HALF_PI, Alpha, CoefficientProfile, CurvatureSign
@@ -394,6 +393,30 @@ class TestDerivativeIdentity:
             derivative_identity_residual(2, Alpha.negative(1.0), 0.5)
 
 
+_POSITIVE_DIMS = (2, 3, 5, 10, 20, 63)
+_POSITIVE_MAGNITUDES = (0.5, 1.0, 1.2, 1.3, 1.4, 1.45, 1.5, 1.55)
+
+
+def _positive_profiles():
+    """Every 7th of the 48 positive-branch profiles; all with EIGENBOUND_FULL=1."""
+    rows = [(d, m) for d in _POSITIVE_DIMS for m in _POSITIVE_MAGNITUDES]
+    return rows if FULL else rows[::7]
+
+
+#: (d, signed-square alpha, primal ratio, dual ratio); the first four are
+#: the profiles of the benchmark's sharpen workload.
+_FROZEN_RATIOS = [
+    (2, 0.0, 2.4674011002700773, 2.467401100269974),
+    (3, -1.0, 1.6820433200382505, 1.6820433200382428),
+    (5, -1.5, 0.7354412316202937, 0.735441231620916),
+    (5, 1.0, 5.388548018407008, 5.3885480184127115),
+    (3, 1.5, 4.779923582658145, 4.779923582665054),
+    (10, -2.0, 0.03245343169946737, 0.03245343169945948),
+    (20, -1.5, 0.0006822823843629992, 0.0006822823843628444),
+    (63, -1.0, 6.095203899298572e-10, 6.095203899297005e-10),
+]
+
+
 class TestVariationalConsistency:
     @pytest.mark.parametrize(
         "d, alpha",
@@ -408,22 +431,12 @@ class TestVariationalConsistency:
         )
 
     @pytest.mark.parametrize(
-        "d, x, primal, dual",
-        [
-            # the four profiles of the benchmark's sharpen workload
-            (2, 0.0, 2.4674011002708593, 2.467401100272016),
-            (3, -1.0, 1.6820433200384497, 1.6820433200384048),
-            (5, -1.5, 0.7354412316206848, 0.7354412316195693),
-            (5, 1.0, 5.38854801839199, 5.38854801834554),
-            (3, 1.5, 4.779923582646933, 4.779923582622764),
-            (10, -2.0, 0.03245343169940955, 0.03245343169540875),
-            (20, -1.5, 0.0006822823843601132, 0.0006822823843310767),
-            (63, -1.0, 6.095203899175256e-10, 6.095203896008009e-10),
-        ],
+        "d, x, primal, dual", _FROZEN_RATIOS, ids=[f"{d}-{x}" for d, x, *_ in _FROZEN_RATIOS]
     )
     def test_ratios_frozen(self, d, x, primal, dual):
-        # Signed-square alpha.  Frozen from the nested-panel polish; the
-        # polish now reads the denominator's in-segment interpolant.
+        # Signed-square alpha.  Frozen from the eigenfunctions of the
+        # two-sided Pruefer march; every value sits below lambda from a
+        # tol = 1e-14 solve.
         alpha = Alpha.from_signed_x(x)
         rep = variational_consistency(d, alpha, profile=get_profile(d, alpha))
         assert rep.primal_ratio == pytest.approx(primal, rel=1e-14, abs=0.0)
@@ -455,43 +468,42 @@ class TestVariationalConsistency:
         variational_consistency(d, alpha, profile=get_profile(d, alpha))
         assert len(calls) == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "consistency gap near the Myers edge: primal -8.3e-7 and dual -2.6e-6"
-            " relative to lambda at (10, alpha = 1.4), -4.6e-5 and -6.8e-5 at"
-            " (20, alpha = 1.2), the same with the path at tol 1e-11 and 1e-13"
-            " (a solve at tol 1e-13 shrinks them to -6.5e-9/-3.2e-7 and"
-            " -4.5e-7/-8.2e-7).  At (20, 1.2) the primal path reads f(0.9999) ="
-            " 0.77000352 > f(1) = 0.77000344, while C f' = lambda int_r^1 C f > 0"
-            " forces f to increase, so the drift-form path shot from r = 0 is"
-            " the suspect"
-        ),
-    )
     @pytest.mark.parametrize("d, magnitude", [(10, 1.4), (20, 1.2)])
     def test_gap_near_the_myers_edge(self, d, magnitude):
+        # Near the Myers edge a path marched from r = 0 alone misses the
+        # eigenvalue near r = 1 by its solve error, amplified.
         alpha = Alpha.positive(magnitude)
         rep = variational_consistency(d, alpha, profile=get_profile(d, alpha))
         assert rep.worst_gap <= 1e-9 * rep.eigenvalue
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=InvalidTestFunction,
-        reason=(
-            "near the Myers edge the solved eigenfunctions are not positive on the"
-            " lattice: the drift-form primal path reads as low as -20.3 at"
-            " (20, alpha = 1.4), with 2,301 sub-nodes <= 0, and -3.6e3 at"
-            " (63, alpha = 1.0); the ramp-corrected dual function reads down to"
-            " -1.3e-13 and -7.5e-13 there.  12 of 48 positive-branch profiles at"
-            " d in {2, 3, 5, 10, 20, 63} raise: (10, 1.55), (20, >= 1.4) and"
-            " (63, >= 1.0)"
-        ),
-    )
     @pytest.mark.parametrize("d, magnitude", [(20, 1.4), (63, 1.0)])
     def test_runs_near_the_myers_edge(self, d, magnitude):
+        # Both eigenfunctions stay positive on the lattice, as the ratios
+        # require.
         alpha = Alpha.positive(magnitude)
         rep = variational_consistency(d, alpha, profile=get_profile(d, alpha))
         assert rep.primal_ratio > 0.0 and rep.dual_ratio > 0.0
+
+    @pytest.mark.parametrize("d, magnitude", _positive_profiles())
+    def test_positive_branch_ratios_sit_below_lambda(self, d, magnitude):
+        # Each ratio is a lower bound for the eigenvalue: against lambda
+        # from a tol = 1e-14 solve, neither may sit above it by more than
+        # rounding, and both sit within 1e-9 relative of the solve.
+        alpha = Alpha.positive(magnitude)
+        rep = variational_consistency(d, alpha, profile=get_profile(d, alpha))
+        lam = get_lambda(d, alpha, tol=1e-14).eigenvalue
+        assert max(rep.primal_ratio, rep.dual_ratio) <= lam * (1.0 + 1e-12)
+        assert rep.worst_gap <= 1e-9 * rep.eigenvalue
+
+    def test_paths_are_monotone_at_step_ends(self):
+        # C f' = lam int_r^1 C f > 0 forces the primal eigenfunction up,
+        # and the dual one falls to 0 at r = 1, to its last step end.
+        alpha = Alpha.positive(1.2)
+        primal = solve_lambda_bar(20, alpha).path
+        dual = solve_lambda_bar(20, alpha, dual=True).path
+        assert np.all(np.diff(primal.f) >= 0.0)
+        assert np.all(np.diff(dual.f) <= 0.0)
+        assert primal.f[0] == 0.0 and dual.f[-1] == 0.0
 
 
 class TestGroundStateSearch:
@@ -545,10 +557,11 @@ class TestGroundStateSearch:
         res = solve_lambda_bar(3, Alpha.negative(1.5))
         assert calls == []
         path = res.path
-        assert len(calls) == 1
+        # One march from each end to the matching point.
+        assert len(calls) == 2
         assert res.path is path
         assert len(path.r) == len(path.fp) == len(path.f)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 class TestSolutionSurface:
@@ -586,6 +599,14 @@ class TestSolutionSurface:
         assert not reduced_problem(2, Alpha.positive(1.0)).singular_end
         with pytest.raises(DomainError):
             EigenPath(prob, 2.0 * PI2 / 4.0)
+        with pytest.raises(DomainError):
+            variational_consistency(2, Alpha.positive(HALF_PI))
+
+    def test_consistency_refuses_the_edge_before_solving(self, monkeypatch):
+        def solved(*args, **kwargs):
+            pytest.fail("both families were solved before the edge was refused")
+
+        monkeypatch.setattr(oracle, "duality_gap", solved)
         with pytest.raises(DomainError):
             variational_consistency(2, Alpha.positive(HALF_PI))
 

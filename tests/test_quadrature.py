@@ -184,6 +184,17 @@ class TestInterpolation:
         pages = SEG._interp_pages(wild)
         assert np.all(np.abs(pages) <= 2.0 * 1e30 + 1e15)
 
+    def test_stacked_row_sets_read_as_each_alone(self):
+        # One set of barycentric weights serves every stacked row set; each
+        # reads bit for bit as it would alone.
+        x = np.random.default_rng(7).uniform(0.0, 1.0, 200)
+        k = SEG.locate(x)
+        sets = np.stack((np.sin(3.0 * SEG.sub)[k], np.exp(SEG.sub)[k] * 1e8))
+        got = SEG.interpolate(x, k, sets)
+        assert got.shape == (2, x.size)
+        for rows, row_got in zip(sets, got):
+            assert np.array_equal(SEG.interpolate(x, k, rows), row_got)
+
     def test_consistency_of_direct_and_interpolated_builds(self):
         v_sub = np.cos(2.0 * SEG.sub)
         direct = SEG.build_cumulative(v_sub, page_means(np.cos(2.0 * SEG.subsub)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NoConvergence, NoRoot
 from .geometry import PI2, Alpha, CurvatureSign, GeometryTriple, log_cosh, make_alpha
 from .quadrature import integrate
-from .searches import bisect_root, first_sign_change
+from .searches import brent_root
 
 import numpy as np
 
@@ -212,6 +212,11 @@ def beta_quadratic_bound(beta: float) -> float:
 # -- positive-branch clamp threshold ------------------------------------------
 
 
+def _clamp_gap(a, s: float):
+    """(pi/(2 s a) + s a/(2 pi)) cos a - 1, for a float or an array of a."""
+    return (math.pi / (2.0 * s * a) + s * a / (2.0 * math.pi)) * np.cos(a) - 1.0
+
+
 # Typed, so a non-int d that equals a cached one is still refused.
 @functools.lru_cache(maxsize=None, typed=True)
 def alpha_clamp_root(d: int) -> float:
@@ -219,26 +224,25 @@ def alpha_clamp_root(d: int) -> float:
 
     This is the largest |alpha| up to which the corrected curvature bound
     is used at face value on the positive branch; beyond it the expression
-    is evaluated at the root instead.  Bracketed by a 1000-cell scan, then
-    bisected to 1e-12; cached per d.
+    is evaluated at the root instead.  Bracketed by one sign scan of 1000
+    cells, then solved by Brent's method to 1e-15, within a few ulps of the
+    root; cached per d.
     """
     if not isinstance(d, int) or d < 2:
         raise DomainError("needs integer d >= 2")
     s = math.sqrt(d - 1.0)
-
-    def f(a: float) -> float:
-        return (math.pi / (2.0 * s * a) + s * a / (2.0 * math.pi)) * math.cos(a) - 1.0
-
     lo, hi = 1e-6, math.pi / 2 - 1e-9
     xs = np.linspace(lo, hi, 1001)
-    try:
-        a, b, fa, fb = first_sign_change(f, xs[1:], f(lo))
-    except NoRoot:
+    fx = _clamp_gap(xs, s)
+    change = np.flatnonzero((fx[1:] == 0.0) | (np.signbit(fx[1:]) != np.signbit(fx[0])))
+    if not change.size:
         raise NoRoot(
             f"no sign change for the clamp threshold at d={d} "
             f"on ({lo}, {hi}) with 1000 cells"
-        ) from None
-    return bisect_root(f, float(a), float(b), fa, fb, tol=1e-12)
+        )
+    i = int(change[0])
+    a, b, fa, fb = (float(v) for v in (xs[i], xs[i + 1], fx[i], fx[i + 1]))
+    return brent_root(lambda x: _clamp_gap(x, s), a, b, fa, fb, tol=1e-15)
 
 
 def chen_wang_sphere_reduced(d: int, alpha: Alpha) -> float:

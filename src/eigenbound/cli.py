@@ -119,7 +119,6 @@ SWEEP_ESTIMATORS = {
     "middle": lambda d, a, p: middle_term(d, a)[0],
     "multiplier": lambda d, a, p: curvature_multiplier(a),
     "combined": lambda d, a, p: combined_lower_bound(_canonical_triple(d, a), profile=p).value,
-    "oracle": lambda d, a, p: solve_lambda_bar(d, a, profile=p).eigenvalue,
 }
 for _name in ESTIMATE_NAMES:
     SWEEP_ESTIMATORS[_name] = _classical_reduced(_name)
@@ -128,6 +127,21 @@ for _name in ESTIMATE_NAMES:
 DEFAULT_SWEEP = (
     "delta1_inv,delta1_star_inv,delta1_prime_inv,delta1_star_prime_inv,middle,combined"
 )
+
+
+def _sweep_point(d: int, x: float, alpha: Alpha, names, estimators: dict) -> list:
+    """[x, then each estimate named in names at (d, alpha)], None where it fails."""
+    try:
+        p = CoefficientProfile(d, alpha)
+    except EigenboundError:
+        return [x] + [None] * len(names)
+    row: list = [x]
+    for name in names:
+        try:
+            row.append(estimators[name](d, alpha, p))
+        except EigenboundError:
+            row.append(None)
+    return row
 
 
 # -- bound --------------------------------------------------------------------
@@ -194,17 +208,6 @@ def _figure_multiplier(args):
     return ["x", "multiplier"], rows
 
 
-def _curve_point(d: int, x: float, alpha: Alpha, names: tuple[str, ...]) -> list:
-    p = CoefficientProfile(d, alpha)
-    row: list = [x]
-    for name in names:
-        try:
-            row.append(SWEEP_ESTIMATORS[name](d, alpha, p))
-        except EigenboundError:
-            row.append(None)
-    return row
-
-
 _POS_CURVES = (
     "delta1_star_inv",
     "delta1_star_prime_inv",
@@ -250,7 +253,7 @@ def _figure_curves(d: int, lo: float, hi: float, names, branch: str, closed: boo
             xs = np.linspace(lo, hi, args.grid)
         else:
             xs = np.linspace(lo, hi, args.grid + 2)[1:-1]
-        rows = [_curve_point(d, float(x), to_alpha(float(x)), names) for x in xs]
+        rows = [_sweep_point(d, float(x), to_alpha(float(x)), names, SWEEP_ESTIMATORS) for x in xs]
         return ["x"] + list(names), rows
 
     return build
@@ -281,21 +284,6 @@ def cmd_figure(args) -> int:
 # -- sweep --------------------------------------------------------------------
 
 
-def _sweep_point(d: int, x: float, names: list[str], estimators: dict) -> list:
-    alpha = _alpha_from_axis(x)
-    try:
-        p = CoefficientProfile(d, alpha)
-    except EigenboundError:
-        return [x] + [None] * len(names)
-    row: list = [x]
-    for name in names:
-        try:
-            row.append(estimators[name](d, alpha, p))
-        except EigenboundError:
-            row.append(None)
-    return row
-
-
 def _sweep_out(template: str | None, d: int, many: bool) -> str | None:
     if template is None:
         return None
@@ -308,10 +296,14 @@ def _sweep_out(template: str | None, d: int, many: bool) -> str | None:
 def cmd_sweep(args) -> int:
     dims = [int(tok) for tok in args.dims.split(",") if tok]
     names = [tok for tok in (args.estimates or DEFAULT_SWEEP).split(",") if tok]
-    unknown = [n for n in names if n not in SWEEP_ESTIMATORS]
+    estimators = {
+        **SWEEP_ESTIMATORS,
+        "oracle": lambda d, a, p: solve_lambda_bar(d, a, profile=p, tol=args.tol).eigenvalue,
+    }
+    unknown = [n for n in names if n not in estimators]
     if unknown:
         raise EigenboundError(
-            f"unknown estimates {unknown}; known: {', '.join(sorted(SWEEP_ESTIMATORS))}"
+            f"unknown estimates {unknown}; known: {', '.join(sorted(estimators))}"
         )
     if args.xmax > HALF_PI:
         raise EigenboundError(
@@ -321,12 +313,8 @@ def cmd_sweep(args) -> int:
     many = len(dims) > 1
     if many and args.out is None:
         raise EigenboundError("--out is required when sweeping several dimensions")
-    estimators = dict(SWEEP_ESTIMATORS)
-    estimators["oracle"] = lambda d, a, p: solve_lambda_bar(
-        d, a, profile=p, tol=args.tol
-    ).eigenvalue
     for d in dims:
-        rows = [_sweep_point(d, float(x), names, estimators) for x in xs]
+        rows = [_sweep_point(d, float(x), _alpha_from_axis(float(x)), names, estimators) for x in xs]
         command = (
             f"sweep --dims {d} --xmin {args.xmin:.17g} --xmax {args.xmax:.17g}"
             f" --grid {args.grid} --estimates {','.join(names)}"

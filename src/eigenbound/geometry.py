@@ -21,7 +21,8 @@ re-integrate the local panel; `primitives_at` and `subsub_primitives`
 read the integral of the in-segment interpolant the tables hold.  On the
 rows the profile pages directly (the Myers edge, where C and 1/C span many
 orders of magnitude inside a segment) that integral is not what the tables
-hold, so both take the `phi_at`/`psi_at` panels there.
+hold: `primitives_at` reads nan there, and `subsub_primitives`, which
+serves the integral tables' own direct pages, takes the panels.
 """
 
 from __future__ import annotations
@@ -269,41 +270,37 @@ class CoefficientProfile:
         return out.reshape(shape)
 
     def primitives_at(self, x, weights=None) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, psi) at the points x from the in-segment interpolant.
+        """(phi, psi) at the points x from the in-segment interpolant, nan in the rows paged directly.
 
         Each is its node table plus the integral of the segment's degree-14
         interpolant through the sub-node values of 1/C or C over the partial
         segment (`Segmentation.partial_weights`, or weights when the caller
         has them for x.ravel() already), which is what the tables hold at
         the sub-nodes.  In the rows paged directly (`paged`) the tables are
-        not that integral, so points there take `phi_at`/`psi_at` panels
-        (`_paged_panels`), and a point on a node reads the node tables.
+        not that integral, so points there read nan, which every extremum
+        solve skips.
         """
         x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        seg = self.seg
-        k, head, tail = seg.partial_weights(flat) if weights is None else weights
+        k, head, tail = self.seg.partial_weights(x.ravel()) if weights is None else weights
         with np.errstate(over="ignore", invalid="ignore"):
             phi = self.phi_nodes[k] + np.einsum("ij,ij->i", head, self.cinv_sub[k])
             psi = self.psi_nodes[k + 1] + np.einsum("ij,ij->i", tail, self.c_sub[k])
-        own = self._paged_panels(k, phi, psi, lambda i: flat[i])
-        if own.size:
-            on = own[flat[own] == seg.nodes[k[own]]]
-            phi[on] = self.phi_nodes[k[on]]
-            psi[on] = self.psi_nodes[k[on]]
+        own = np.isin(k, self.paged)
+        phi[own] = psi[own] = math.nan
         return phi.reshape(x.shape), psi.reshape(x.shape)
 
     def subsub_primitives(self, rows: np.ndarray) -> np.ndarray:
         """phi and psi at the sub-sub points of the segments rows, stacked as (2, m, 15, 15).
 
-        `primitives_at` on seg.subsub[rows], with the partial weights of the
-        fixed fractions XI[j] * XI[m] of each segment
-        (`quadrature.SUBSUB_HEAD`/`SUBSUB_TAIL`) in one product per row.
-        A stored sub-sub point sits up to half an ulp off its fraction,
-        which near r = 1 is ~1e-11 of psi there, so both integrals move to
-        the stored point to first order: by the shift times the
-        interpolated integrand (`quadrature.INTERP_T`).  The paged rows take
-        panels, as in `primitives_at`.
+        The in-segment interpolant's integrals, as in `primitives_at`, with
+        the partial weights of the fixed fractions XI[j] * XI[m] of each
+        segment (`quadrature.SUBSUB_HEAD`/`SUBSUB_TAIL`) in one product per
+        row.  A stored sub-sub point sits up to half an ulp off its
+        fraction, which near r = 1 is ~1e-11 of psi there, so both integrals
+        move to the stored point to first order: by the shift times the
+        interpolated integrand (`quadrature.INTERP_T`).  The rows paged
+        directly (`paged`) take `phi_at`/`psi_at` panels instead: these are
+        the points the integral tables' direct pages read.
         """
         seg = self.seg
         w = seg.width[rows][:, None]
@@ -316,21 +313,12 @@ class CoefficientProfile:
             phi += shift * np.einsum("nq,qc->nc", ci, INTERP_T)
             psi = self.psi_nodes[rows + 1][:, None] + w * np.einsum("nq,qc->nc", c, SUBSUB_TAIL)
             psi -= shift * np.einsum("nq,qc->nc", c, INTERP_T)
-        self._paged_panels(rows, phi, psi, lambda i: seg.subsub[rows[i]].reshape(i.size, -1))
-        return np.stack((phi, psi)).reshape(2, -1, 15, 15)
-
-    def _paged_panels(self, k, phi, psi, points) -> np.ndarray:
-        """`phi_at`/`psi_at` panels for the entries of phi and psi in the paged rows.
-
-        k holds the segment of each entry and points(i) the points of the
-        entries i.  Returns the indices of the entries in paged rows.
-        """
-        own = np.flatnonzero(np.isin(k, self.paged))
+        own = np.flatnonzero(np.isin(rows, self.paged))
         if own.size:
-            y = points(own)
+            y = seg.subsub[rows[own]].reshape(own.size, -1)
             phi[own] = self.phi_at(y)
             psi[own] = self.psi_at(y)
-        return own
+        return np.stack((phi, psi)).reshape(2, -1, 15, 15)
 
     def subsub_coefficients(self, rows: np.ndarray) -> np.ndarray:
         """C and 1/C at the sub-sub points of the segments rows, stacked as (2, m, 15, 15)."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .geometry import HALF_PI, Alpha, CoefficientProfile, CurvatureSign, resolve_profile
 from .quadrature import integrate
-from .searches import bisect_root, brent_root
+from .searches import brent_root
 from .universal import universal_bracket
 
 #: Distance from a vanishing-coefficient end where the right half starts.
@@ -322,8 +322,9 @@ class EigenResult:
         return EigenPath(self.problem, self.eigenvalue)
 
 
+@lru_cache(maxsize=1024)
 def _landmarks(prob: EigenProblem) -> tuple[float, float, float, float]:
-    """(m, log kappa, log lo, log hi) from a trapezoid scan of log C.
+    """(m, log kappa, log lo, log hi) from a trapezoid scan of log C, cached per problem.
 
     With phi = int 1/C from the Dirichlet end and psi = int C from the
     Neumann end, delta = sup phi psi gives Chen's crude bracket
@@ -546,7 +547,7 @@ def derivative_identity_residual(
     k = int(nonpos[0])
     if k == 0:
         raise DegenerateDerivative("f' is not positive up to its first zero")
-    ell = bisect_root(
+    ell = brent_root(
         path.deriv, rs[k - 1], rs[k], fp[k - 1], fp[k], tol=1e-15, max_iter=120
     )
 

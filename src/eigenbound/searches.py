@@ -1,4 +1,4 @@
-"""Golden-section search and root bracketing on intervals."""
+"""Golden-section search and Brent root finding on intervals."""
 
 from __future__ import annotations
 
@@ -40,58 +40,6 @@ def golden_max(f, a: float, b: float, tol: float = 1e-10,
     if f1 >= f2:
         return x1, f1
     return x2, f2
-
-
-def first_sign_change(f, xs: np.ndarray, f0: float) -> tuple[float, float, float, float]:
-    """First interval along xs where sign(f) departs from sign(f0).
-
-    Returns (a, b, fa, fb).  Raises NoRoot when no change occurs.
-    """
-    s0 = math.copysign(1.0, f0)
-    prev_x = None
-    prev_f = f0
-    for x in xs:
-        fx = float(f(x))
-        if fx == 0.0 or math.copysign(1.0, fx) != s0:
-            a = prev_x if prev_x is not None else 0.0
-            return a, float(x), prev_f, fx
-        prev_x = float(x)
-        prev_f = fx
-    raise NoRoot("no sign change over the scan grid")
-
-
-def bisect_root(f, a: float, b: float, fa: float, fb: float,
-                tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisect to a bracket no wider than tol, then return the root of the
-    line through its two end values.
-
-    That root lies in the final bracket; an infinite end value puts it at
-    the other, finite end.  The midpoint is the fallback when the line
-    gives no root inside the bracket.
-    """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        raise NoRoot(f"bisect_root: no sign change on [{a}, {b}]")
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        m = 0.5 * (a + b)
-        fm = float(f(m))
-        if fm == 0.0:
-            return m
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    # Linear interpolation inside the final bracket.
-    if fb != fa:
-        x = a - fa * (b - a) / (fb - fa)
-        if a <= x <= b:
-            return x
-    return 0.5 * (a + b)
 
 
 def brent_root(f, a: float, b: float, fa: float, fb: float,

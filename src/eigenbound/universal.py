@@ -27,11 +27,11 @@ sups live in one stack (`_integrand_stack`), whose tables take one call
 per step for all six.  Their lattice maxes fill sub-node rows only on the
 segments whose node-level bounds (`_BOUNDS`) leave room for a max
 (`_lattice_maxes`); their tables take direct sub-sub pages on the rows the
-spectral guard flags (`Segmentation.pointwise_means`), and points in those
-rows take partial-segment panels (`_integral_at`).  The iteration
-sequences read the smoothing step's tables (`_smooth_step`) and the clamped
-moments' (`_clamped_moments`), and variational_ratio the step's, with no
-integrand panel.
+spectral guard flags (`Segmentation.pointwise_means`), and a point in
+those rows, or in the rows the profile pages, reads nan (`_point_views`).
+The iteration sequences read the smoothing step's tables (`_smooth_step`)
+and the clamped moments' (`_clamped_moments`), and variational_ratio the
+step's.  No off-lattice read takes a panel.
 """
 
 from __future__ import annotations
@@ -283,32 +283,6 @@ def _node_tables(p: CoefficientProfile) -> tuple[np.ndarray, tuple[np.ndarray, n
     return cached
 
 
-def _panel_state(p: CoefficientProfile) -> tuple[np.ndarray, np.ndarray]:
-    """(panel_rows, panel_known), cached per profile: per segment, whether it is paged directly, and whether that is known yet.
-
-    A segment is paged directly for phi and psi (the profile's `paged`) or
-    for the integral tables, where `needs_clip` flags any of the six
-    integrands on its row (`Segmentation.pointwise_means`).
-    """
-    if "panel_rows" not in p._cache:
-        panel = np.zeros(p.seg.n, dtype=bool)
-        panel[p.paged] = True
-        p._cache["panel_rows"] = panel
-        p._cache["panel_known"] = np.zeros(p.seg.n, dtype=bool)
-    return p._cache["panel_rows"], p._cache["panel_known"]
-
-
-def _panel_rows(p: CoefficientProfile, k: np.ndarray) -> np.ndarray:
-    """Whether each segment k is paged directly (`_panel_state`), flagging only the rows not yet known."""
-    panel, known = _panel_state(p)
-    new = np.unique(k[~known[k]])
-    if new.size:
-        part = _integrand_rows(p).reshape(6, p.seg.n, 15)[:, new]
-        panel[new[needs_clip(part.reshape(-1, 15)).reshape(6, -1).any(axis=0)]] = True
-        known[new] = True
-    return panel[k]
-
-
 def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     """(node tables, sub-node rows of the segments rows) of the six integrals, each a (forward, tail) pair.
 
@@ -316,13 +290,13 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     in the slots of `_INTEGRANDS`.  rows defaults to every segment, whose
     tables are cached per profile.  All six integrands' rows go through one
     `Segmentation.pointwise_means` call; rows an in-segment interpolant
-    cannot represent take their means from direct sub-sub values, and are
-    recorded as paged (`_panel_state`).  At the Myers edge the forward
-    integrands C phi^{3/2}, C phi^2 and C^{-1} psi^{1/2} blow up toward
-    r = 1 hard enough to span dozens of orders of magnitude inside the
-    final graded segments; on those rows the panel quadratures then see
-    genuine (positive, monotone) values and stay bounded and sane.  The
-    tail rows reuse the node step's segment integrals.
+    cannot represent take their means from direct sub-sub values.  At the
+    Myers edge the forward integrands C phi^{3/2}, C phi^2 and
+    C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens of
+    orders of magnitude inside the final graded segments; on those rows the
+    panel quadratures then see genuine (positive, monotone) values and stay
+    bounded and sane.  The tail rows reuse the node step's segment
+    integrals.
     """
     whole = isinstance(rows, slice)
     tabs = p._cache.get("delta_tables") if whole else None
@@ -332,10 +306,7 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     vals = _integrand_rows(p)
     ints, nodes = _node_tables(p)
     with np.errstate(all="ignore"):
-        means, paged = seg.pointwise_means(vals.reshape(6, seg.n, 15), lambda rows: _integrand_pages(p, rows), rows)
-        panel, known = _panel_state(p)
-        panel[paged] = True
-        known[rows] = True
+        means, _ = seg.pointwise_means(vals.reshape(6, seg.n, 15), lambda rows: _integrand_pages(p, rows), rows)
         means = means.reshape(2, 3, -1, 15)
         _, forward = seg.build_cumulative(vals[0], means[0], rows, nodes[0])
         _, tail = seg.build_reverse(vals[1], means[1], p.tail_floor, rows, nodes[1], ints[1])
@@ -343,24 +314,6 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     if whole:
         p._cache["delta_tables"] = tabs
     return tabs
-
-
-def _panel_integral(p: CoefficientProfile, name: str, rs: np.ndarray) -> np.ndarray:
-    """Integral `name` at rs from its node table plus a partial-segment panel.
-
-    The panel's integrand reads phi and psi off the in-segment interpolant
-    (`CoefficientProfile.primitives_at`), as the tables' direct pages do.
-    """
-    seg = p.seg
-    d, q = _INTEGRANDS[name]
-
-    def integrand(y):
-        with np.errstate(over="ignore", under="ignore"):
-            k = p._coeff_pair(y)
-        return _integrand_stack(k, np.stack(p.primitives_at(y)))[d, q]
-
-    evaluate = seg.cum_eval if d == 0 else seg.tail_eval
-    return evaluate(_node_tables(p)[1][d][q], integrand, rs)
 
 
 def _table_at(table: np.ndarray, rows: np.ndarray, weights, tail: bool = False) -> np.ndarray:
@@ -378,38 +331,28 @@ def _table_at(table: np.ndarray, rows: np.ndarray, weights, tail: bool = False) 
     return table[k] + np.einsum("ij,ij->i", head, rows[k])
 
 
-def _integral_at(p: CoefficientProfile, name: str, rs: np.ndarray, weights, panel: np.ndarray) -> np.ndarray:
-    """Integral `name` at off-lattice points rs, given their partial weights and which rows are paged directly.
-
-    Each value is read off its table and integrand rows (`_table_at`), with
-    no coefficient evaluated.  On the segments paged directly
-    (`_panel_rows`) the tables are not the interpolant's integral, so points
-    there take partial-segment panels instead (`_panel_integral`).
-    """
-    d, q = _INTEGRANDS[name]
-    out = _table_at(_node_tables(p)[1][d][q], _integrand_rows(p)[d, q], weights, d == 1)
-    if panel.any():
-        out[panel] = _panel_integral(p, name, rs[panel])
-    return out
-
-
 def _point_views(p: CoefficientProfile, rs, names) -> np.ndarray:
     """F and its condition g (`_CONDITIONS`) of functional names[i] at off-lattice points rs[i], as (rows, S, 2).
 
-    One round of reads for an (rows, S) array rs: the partial weights, the
-    segments paged directly (`_panel_rows`), and phi and psi
-    (`CoefficientProfile.primitives_at`, which takes panels in the rows
-    the profile paged), each in one call for all of rs.  Each
-    integral is read once, at the points of the functionals that use it
-    (`_READS`, `_integral_at`), and C and 1/C share one log C at delta's.
+    One round of reads for an (rows, S) array rs: the partial weights and
+    phi and psi (`CoefficientProfile.primitives_at`), each in one call for
+    all of rs.  Each integral is read off its node table and integrand rows
+    (`_table_at`) once, at the points of the functionals that use it
+    (`_READS`), and C and 1/C share one log C at delta's.  In a row that
+    `needs_clip` flags in any of the six integrands the tables hold direct
+    pages, not the interpolant's integral, so F and g read nan there, as
+    phi and psi do in the rows the profile pages: the solve then keeps the
+    lattice max or another sample (`_safe_batch`).
     """
     rs = np.asarray(rs, dtype=float)
-    flat = rs.ravel()
-    weights = p.seg.partial_weights(flat)
-    panel = _panel_rows(p, weights[0]).reshape(rs.shape)
+    weights = p.seg.partial_weights(rs.ravel())
+    vals = _integrand_rows(p)
+    tables = _node_tables(p)[1]
+    segments, at = np.unique(weights[0], return_inverse=True)
+    flagged = needs_clip(vals.reshape(6, p.seg.n, 15)[:, segments].reshape(-1, 15)).reshape(6, -1).any(axis=0)
     out = np.empty(rs.shape + (2,))
     with np.errstate(all="ignore"):
-        phi, psi = (v.reshape(rs.shape) for v in p.primitives_at(flat, weights))
+        phi, psi = (v.reshape(rs.shape) for v in p.primitives_at(rs.ravel(), weights))
         sqrt_phi, sqrt_psi = np.sqrt(phi), np.sqrt(psi)
         k, head, tail = (w.reshape(rs.shape + w.shape[1:]) for w in weights)
         for i, name in enumerate(names):
@@ -418,9 +361,11 @@ def _point_views(p: CoefficientProfile, rs, names) -> np.ndarray:
                 if read == "C":
                     v.C, v.Cinv = p._coeff_pair(rs[i])
                 else:
-                    setattr(v, read, _integral_at(p, read, rs[i], (k[i], head[i], tail[i]), panel[i]))
+                    d, q = _INTEGRANDS[read]
+                    setattr(v, read, _table_at(tables[d][q], vals[d, q], (k[i], head[i], tail[i]), d == 1))
             out[i, :, 0] = _FUNCTIONALS[name](v)
             out[i, :, 1] = _CONDITIONS[name](v)
+    out[flagged[at].reshape(rs.shape)] = math.nan
     return out
 
 
@@ -899,9 +844,10 @@ def iterate_upper(p: CoefficientProfile, n_max: int) -> IterationTrace:
     Both are ratios mu_t / mu_{t-1} of `_clamped_moments`, t = n for
     delta_n' and 2n - 1 for Rayleigh_n, each maxed once over the lattice and
     solved off it (`_stationary_points`) with mu_1 = phi the profile's
-    (`CoefficientProfile.primitives_at`), the other moments off their tables
-    (`_table_at`, nan in a flagged row), the derivatives of
-    `_clamped_moments`, and the condition mu_t' mu_{t-1} - mu_t mu_{t-1}'.
+    (`CoefficientProfile.primitives_at`, nan in a paged row), the other
+    moments off their tables (`_table_at`, nan in a flagged row), the
+    derivatives of `_clamped_moments`, and the condition
+    mu_t' mu_{t-1} - mu_t mu_{t-1}'.
     Per radius both sequences are non-decreasing in n.
     """
     _check_n_max(n_max)

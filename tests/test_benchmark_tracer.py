@@ -86,6 +86,15 @@ def test_traced_report_counts_lattice_points_and_no_panels():
     assert counts["calls.report.build_report"] == 1
     assert counts.get("calls.quadrature.Segmentation.cum_eval", 0) == 0
     assert counts.get("calls.quadrature.Segmentation.tail_eval", 0) == 0
+    # A flat negative-branch report fills every row; its sups' off-lattice
+    # reads in the rows the integral tables page read nan, not panels.
+    counts = traced_counts(
+        "report.build_report(GeometryTriple(63, 2.0, -433.32403533989765))\n"
+        "tracer.counts.update({'calls.' + k: v for k, v in tracer.self_times()[1].items()})"
+    )
+    assert counts["calls.report.build_report"] == 1
+    assert counts.get("calls.quadrature.Segmentation.cum_eval", 0) == 0
+    assert counts.get("calls.quadrature.Segmentation.tail_eval", 0) == 0
 
 
 def test_traced_report_counts_its_profile_sups_and_tables():

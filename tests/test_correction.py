@@ -187,13 +187,14 @@ class TestMiddleTerm:
         g = GeometryTriple(4, 2.0, 3.0 * 1.2**2)
         first = build_report(g)
         scans = []
-        scan = classical.first_sign_change
+        gap = classical._clamp_gap
 
-        def counted(*args):
-            scans.append(args)
-            return scan(*args)
+        def counted(a, s):
+            if np.size(a) > 1:
+                scans.append(a)
+            return gap(a, s)
 
-        monkeypatch.setattr(classical, "first_sign_change", counted)
+        monkeypatch.setattr(classical, "_clamp_gap", counted)
         second = build_report(g)
         assert scans == []
         assert alpha_clamp_root(4) == alpha_clamp_root.__wrapped__(4)

@@ -183,28 +183,27 @@ class TestCoefficientProfile:
 
 class TestPagedRows:
     """phi and psi in the rows the profile pages itself, where the tables
-    are not the in-segment interpolant's integral: `phi_at`/`psi_at`
-    panels."""
+    are not the in-segment interpolant's integral: the integral tables'
+    direct pages take `phi_at`/`psi_at` panels, and off-lattice reads nan."""
 
     @pytest.mark.parametrize("d", [3, 5, 20])
     def test_reads_take_the_panels(self, d):
-        # Sub-node and sub-sub points of every paged row, bit for bit.
+        # Sub-sub points of every paged row take the panels bit for bit;
+        # sub-node and sub-sub points read through `primitives_at` are nan.
         p = get_profile(d, Alpha.positive(HALF_PI))
         rows = p.paged
         y = p.seg.subsub[rows]
         want = np.stack((p.phi_at(y), p.psi_at(y)))
         np.testing.assert_array_equal(p.subsub_primitives(rows), want)
-        np.testing.assert_array_equal(np.stack(p.primitives_at(y)), want)
-        x = p.seg.sub[rows]
-        np.testing.assert_array_equal(np.stack(p.primitives_at(x)), np.stack((p.phi_at(x), p.psi_at(x))))
-
-    @pytest.mark.parametrize("d", [3, 20])
-    def test_node_point_reads_the_node_tables(self, d):
-        p = get_profile(d, Alpha.positive(HALF_PI))
-        k = p.paged
-        phi, psi = p.primitives_at(p.seg.nodes[k])
-        np.testing.assert_array_equal(phi, p.phi_nodes[k])
-        np.testing.assert_array_equal(psi, p.psi_nodes[k])
+        assert np.isnan(np.stack(p.primitives_at(y))).all()
+        x = np.concatenate((p.seg.sub[rows].ravel(), p.seg.nodes[rows]))
+        assert np.isnan(np.stack(p.primitives_at(x))).all()
+        # a point of an unpaged row in the same call reads the interpolant
+        k = rows[0] - 1
+        assert k not in rows
+        phi, psi = p.primitives_at(np.append(x, p.seg.sub[k, 7]))
+        assert phi[-1] == pytest.approx(p.phi_sub[k, 7], rel=1e-13)
+        assert psi[-1] == pytest.approx(p.psi_sub[k, 7], rel=1e-13)
 
     def test_panels_against_mpmath_at_the_myers_edge(self):
         # Four sub-sub points a row, at both ends of each row and between,

@@ -6,14 +6,13 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import FULL, get_lambda, get_profile
 from eigenbound.errors import DomainError, InvalidTestFunction
-from eigenbound.geometry import Alpha, CoefficientProfile, GeometryTriple, HALF_PI
+from eigenbound.geometry import Alpha, CoefficientProfile, GeometryTriple, HALF_PI, alpha_to_curvature
 from eigenbound import quadrature, universal
 from eigenbound.quadrature import Segmentation, needs_clip, page_means
 from eigenbound.report import build_report
@@ -66,16 +65,6 @@ class TestFlatExactValues:
         assert delta1_prime(p) == pytest.approx(delta1_star_prime(p), abs=5e-13)
 
 
-def _point_view(p, rs):
-    """phi, psi and each integral at the off-lattice points rs, read as `_point_views` reads them."""
-    weights = p.seg.partial_weights(rs)
-    panel = universal._panel_rows(p, weights[0])
-    phi, psi = p.primitives_at(rs, weights)
-    return SimpleNamespace(
-        phi=phi, psi=psi, **{name: universal._integral_at(p, name, rs, weights, panel) for name in universal._INTEGRANDS}
-    )
-
-
 class TestPointView:
     """The polish path's contract: evaluated at a lattice point, the
     off-lattice point view of each functional reproduces its lattice value."""
@@ -115,20 +104,24 @@ class TestPointView:
     def test_flagged_rows_match_lattice(self, name):
         # The first and last nine rows are paged directly at (3, -1): there
         # the tables are not the interpolant's integrals (whose A1 is 32%
-        # off in row 0), and points take partial-segment panels instead, in
-        # one batch with a point of an unflagged row.  Deeper right rows
-        # are left out: their tails of psi powers fall below 1e-17, where
-        # the tables' own quadrature error exceeds 1e-12 relative.
+        # off in row 0), so every functional that reads name reads nan at
+        # their points, in one batch with a point of an unflagged row that
+        # still reads its lattice value.
         p = get_profile(3, Alpha.negative(1.0))
         n = p.seg.n
         xs = p.seg.lattice
-        lattice = getattr(_lattice_view(p), name)
-        assert np.flatnonzero(p._cache["panel_rows"]).tolist() == [*range(9), *range(n - 9, n)]
+        flagged = needs_clip(universal._integrand_rows(p).reshape(-1, 15)).reshape(6, n).any(axis=0)
+        assert np.flatnonzero(flagged).tolist() == [*range(9), *range(n - 9, n)]
         rows = np.array([0, 0, 4, 8, n // 2, n - 9, n - 8, n - 7])
         picks = p.seg.n - 1 + 15 * rows + np.array([0, 3, 7, 14, 9, 0, 7, 11])
+        names = [f for f in DELTA_NAMES if name in ("phi", "psi", *universal._READS[f])]
         with np.errstate(all="ignore"):
-            point = getattr(_point_view(p, xs[picks]), name)
-        assert point == pytest.approx(lattice[picks], rel=1e-12, abs=0.0)
+            lattice = [universal._FUNCTIONALS[f](_lattice_view(p))[picks] for f in names]
+            point = universal._point_views(p, np.tile(xs[picks], (len(names), 1)), names)
+        middle = rows == n // 2
+        for f, want, got in zip(names, lattice, point):
+            assert np.isnan(got[~middle]).all(), f
+            assert got[middle, 0] == pytest.approx(want[middle], rel=1e-12, abs=0.0), f
 
 
 def _panel_point_view(p, rs):
@@ -290,6 +283,11 @@ class TestPolish:
 
             monkeypatch.setattr(Segmentation, attr, counted)
         build_report(GeometryTriple(3, 2.0, -1.0))
+        assert len(calls) == 0
+        # A flat negative-branch report fills every row, and here its sups'
+        # off-lattice reads land in rows the integral tables page directly,
+        # where they read nan.
+        build_report(GeometryTriple(63, 2.0, -433.32403533989765))
         assert len(calls) == 0
 
 
@@ -791,6 +789,29 @@ class TestIteration:
                 if min(bounds) < lam * (1.0 - 5e-12):
                     bad.append(f"{name} bound below lambda {lam!r} at d={d} x={x}: {bounds}")
         assert not bad, bad
+
+
+class TestNoPanels:
+    """No off-lattice read at the reference points integrates a partial-segment panel."""
+
+    def test_reference_points_take_no_panels(self, monkeypatch):
+        # Every 8th reference point (d < 1000); all of them with
+        # EIGENBOUND_FULL=1.  Fresh profiles, so the integral tables'
+        # direct pages are built here too.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a partial-segment panel was integrated")
+
+        for attr in ("cum_eval", "tail_eval"):
+            monkeypatch.setattr(Segmentation, attr, refuse)
+        grid = [(int(d), x) for d, x, _ in json.loads(REFERENCE.read_text())["curvature"] if d < 1000]
+        for d, x in grid if FULL else grid[::8]:
+            alpha = _grid_alpha(x)
+            p = CoefficientProfile(d, alpha)
+            build_report(GeometryTriple(d, 2.0, alpha_to_curvature(alpha, d, 2.0)), profile=p)
+            iterate_lower(p, 5)
+            iterate_upper(p, 10)
+            for form in ("primal", "dual"):
+                variational_ratio(lambda r: 1.0 + r * (1.0 - r), p, form)
 
 
 #: (d, signed alpha) -> the five sups (DELTA_NAMES order) computed on the
@@ -1315,7 +1336,6 @@ class TestVariationalRatio:
         p = get_profile(d, Alpha.positive(HALF_PI))
 
         def f(r):
-            r = np.asarray(r, dtype=float)
-            return np.sqrt(p.primitives_at(r.ravel())[0]).reshape(r.shape)
+            return np.sqrt(p.phi_at(r))
 
         assert variational_ratio(f, p, form=form) > 0.0

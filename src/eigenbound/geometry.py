@@ -199,6 +199,7 @@ class CoefficientProfile:
             self.coeff_sub = self._coeff_pair(seg.sub)
             # paged: the segments whose phi and psi rows come from direct pages
             (c_means, ci_means), self.paged = seg.pointwise_means(self.coeff_sub, self.subsub_coefficients)
+            self.is_paged = np.isin(np.arange(seg.n), self.paged)  # as an (n,) mask
             self.c_sub, self.cinv_sub = self.coeff_sub
             self.phi_nodes, phi_sub = seg.build_cumulative(self.cinv_sub, ci_means)
             self.psi_nodes, psi_sub = seg.build_reverse(self.c_sub, c_means, self.tail_floor)
@@ -285,7 +286,7 @@ class CoefficientProfile:
         with np.errstate(over="ignore", invalid="ignore"):
             phi = self.phi_nodes[k] + np.einsum("ij,ij->i", head, self.cinv_sub[k])
             psi = self.psi_nodes[k + 1] + np.einsum("ij,ij->i", tail, self.c_sub[k])
-        own = np.isin(k, self.paged)
+        own = self.is_paged[k]
         phi[own] = psi[own] = math.nan
         return phi.reshape(x.shape), psi.reshape(x.shape)
 
@@ -313,7 +314,7 @@ class CoefficientProfile:
             phi += shift * np.einsum("nq,qc->nc", ci, INTERP_T)
             psi = self.psi_nodes[rows + 1][:, None] + w * np.einsum("nq,qc->nc", c, SUBSUB_TAIL)
             psi -= shift * np.einsum("nq,qc->nc", c, INTERP_T)
-        own = np.flatnonzero(np.isin(rows, self.paged))
+        own = np.flatnonzero(self.is_paged[rows])
         if own.size:
             y = seg.subsub[rows[own]].reshape(own.size, -1)
             phi[own] = self.phi_at(y)

@@ -19,19 +19,19 @@ profile.  Every sup and inf starts from the max or min over the ~18k
 interior lattice points, where the tables are exact, and one solver
 (`_stationary_points`) then solves its stationarity condition between the
 lattice neighbours of the argmax, in two rounds of off-lattice reads shared
-by all the extrema of a call.  Off the lattice a table is its node entry
-plus the integral of the in-segment interpolant through its integrand rows
-(`_table_at`), whose interpolant (`Segmentation.interpolate`) is the
-table's derivative in the conditions.  The six integrands behind the five
-sups live in one stack (`_integrand_stack`), whose tables take one call
-per step for all six.  Their lattice maxes fill sub-node rows only on the
-segments whose node-level bounds (`_BOUNDS`) leave room for a max
-(`_lattice_maxes`); their tables take direct sub-sub pages on the rows the
-spectral guard flags (`Segmentation.pointwise_means`), and a point in
-those rows, or in the rows the profile pages, reads nan (`_point_views`).
-The iteration sequences read the smoothing step's tables (`_smooth_step`)
-and the clamped moments' (`_clamped_moments`), and variational_ratio the
-step's.  No off-lattice read takes a panel.
+by all the extrema of a call.  Every read of a round goes through one
+reader (`_Reads`): a table off the lattice is its node entry plus the
+integral of the in-segment interpolant through its integrand rows, whose
+interpolant is the table's derivative in the conditions.  The six
+integrands behind the five sups live in one stack (`_integrand_stack`),
+whose tables take one call per step for all six.  Their lattice maxes fill
+sub-node rows only on the segments whose node-level bounds (`_BOUNDS`)
+leave room for a max (`_lattice_maxes`); their tables take direct sub-sub
+pages on the rows the spectral guard flags (`_clip_flags`), where the sups
+and iterate_upper read nan and the others read through.  The iteration
+sequences read the smoothing step's tables (`_smooth_step`) and the clamped
+moments' (`_clamped_moments`), and variational_ratio the step's.  No
+off-lattice read takes a panel.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, EigenboundError, InvalidTestFunction
-from .geometry import Alpha, CoefficientProfile, CurvatureSign, resolve_profile
+from .geometry import Alpha, CoefficientProfile, CurvatureSign, log_cosh, resolve_profile
 from .quadrature import DIFF_T, needs_clip
 
 MAX_ITERATIONS = 10
@@ -92,17 +92,6 @@ _CONDITIONS = {
     "delta1_star": lambda v: v.B1 - v.psi * v.B2,
     "delta1_star_prime": lambda v: v.B3 - v.phi * v.psi * v.psi,
 }
-
-#: name -> the integrals each functional and its condition read besides phi
-#: and psi, and "C" where they read C and 1/C (`_point_views`).
-_READS = {
-    "delta": ("C",),
-    "delta1": ("A1", "A2"),
-    "delta1_prime": ("A3",),
-    "delta1_star": ("B1", "B2"),
-    "delta1_star_prime": ("B3",),
-}
-
 
 #: name -> bounds of the functional on each segment [a, b], from views a
 #: and b of its end nodes and e of what all five share: (end-safe, edge,
@@ -218,12 +207,16 @@ def _scrub(p: CoefficientProfile, vals: np.ndarray) -> np.ndarray:
     is below 1e-150 relative to the rest of the table.  The collapse zone
     is confined to 1 - u < ~1e-3 and every bracketing functional decays
     like (1 - u)^2 of its own sup inside it, so zeroing cannot move a sup
-    or an inf.  On the other branches a non-finite value is a bug and is
-    raised as such.
+    or an inf.  On the negative branch the tables overflow once
+    L = log C(1) = (d - 1) log cosh|alpha| passes ~360, as psi(0) grows like
+    e^L; at alpha = 0 a non-finite value is a bug.  Both are raised as such.
     """
     bad = ~np.isfinite(vals)
     if not bad.any():
         return vals
+    if p.alpha.sign is CurvatureSign.NEGATIVE_K:
+        raise EigenboundError(f"the integrand tables overflow the double range past L = (d - 1) log cosh|alpha| ~ 360, and "
+                              f"L = {(p.d - 1) * float(log_cosh(p.alpha.magnitude)):.4g} here (ROADMAP.md, item 10)")
     if p.alpha.sign is not CurvatureSign.POSITIVE_K:
         raise EigenboundError(
             "non-finite integrand table or functional value on a branch where "
@@ -250,12 +243,21 @@ def _integrand_rows(p: CoefficientProfile) -> np.ndarray:
     return vals
 
 
+def _clip_flags(p: CoefficientProfile, k: np.ndarray) -> np.ndarray:
+    """Whether `needs_clip` flags any of the six integrand rows of segment k[i], the rows `_tables` pages; each judged once."""
+    flags = p._cache.setdefault("clip_flags", np.full(p.seg.n, -1, dtype=np.int8))
+    new = np.unique(k[flags[k] < 0])
+    if new.size:
+        flags[new] = needs_clip(_integrand_rows(p)[:, :, new].reshape(-1, 15)).reshape(6, -1).any(axis=0)
+    return flags[k] == 1
+
+
 def _integrand_pages(p: CoefficientProfile, rows: np.ndarray) -> np.ndarray:
     """The six scrubbed integrands at the sub-sub points of the segments rows, as (6, m, 15, 15).
 
     phi and psi are the in-segment interpolant's integrals at the fixed
     fractions of each segment (`CoefficientProfile.subsub_primitives`), as
-    `_point_views` reads them anywhere else in the segment, and C and 1/C
+    `_Reads` reads them anywhere else in the segment, and C and 1/C
     there come from one log C (`CoefficientProfile.subsub_coefficients`).
     """
     with np.errstate(all="ignore"):
@@ -316,56 +318,65 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     return tabs
 
 
-def _table_at(table: np.ndarray, rows: np.ndarray, weights, tail: bool = False) -> np.ndarray:
-    """A node table at off-lattice points, from their partial weights (`Segmentation.partial_weights`).
+class _Reads(_View):
+    """Every off-lattice read of one round of `_stationary_points`, at the points x, each taken at first use.
 
-    Each value is the table at the point's left node plus the integral of
-    its segment's degree-14 interpolant through the integrand rows up to the
-    point, or for a tail table at the right node plus the integral from the
-    point: the integral the table holds at the sub-nodes, continued between
-    them.
+    A table is its node entry plus the integral of its segment's degree-14
+    interpolant through its integrand rows up to the point, or for a tail
+    table from the point (`table`); its derivative is that interpolant's
+    value (`values`).  As a `_View` it holds phi and psi
+    (`CoefficientProfile.primitives_at`), C and 1/C, the integrals of
+    `_INTEGRANDS`, and the points in rows the profile pages (paged, where
+    phi and psi read nan) or `_clip_flags` flags (clipped).
     """
-    k, head, back = weights
-    if tail:
-        return table[k + 1] + np.einsum("ij,ij->i", back, rows[k])
-    return table[k] + np.einsum("ij,ij->i", head, rows[k])
+
+    def __init__(self, p: CoefficientProfile, x: np.ndarray):
+        self.p, self.x = p, x
+        self.k, self._head, self._tail = p.seg.partial_weights(x)
+
+    def _read(self, name):
+        p, k = self.p, self.k
+        if name in ("phi", "psi"):
+            self.phi, self.psi = p.primitives_at(self.x, (k, self._head, self._tail))
+        elif name in ("C", "Cinv"):
+            self.C, self.Cinv = p._coeff_pair(self.x)
+        elif name in ("paged", "clipped"):
+            return p.is_paged[k] if name == "paged" else _clip_flags(p, k)
+        else:
+            d, q = _INTEGRANDS[name]
+            return self.table(_node_tables(p)[1][d][q], _integrand_rows(p)[d, q], tail=d == 1)
+        return getattr(self, name)
+
+    def rows(self, table: np.ndarray, of=()) -> np.ndarray:
+        """Each point's segment entry of table (..., n, ...), after the per-point leading indices of."""
+        return table[(*of, self.k)]
+
+    def table(self, nodes: np.ndarray, rows: np.ndarray, tail: bool = False, of=()) -> np.ndarray:
+        """A node table (..., n + 1) at the points, from its integrand rows (..., n, 15), leading axes indexed as in `rows`."""
+        at, weights = (self.k + 1, self._tail) if tail else (self.k, self._head)
+        return nodes[(*of, at)] + np.einsum("ij,ij->i", weights, self.rows(rows, of))
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """The interpolants through rows (..., points, 15), each point's row of its segment (`rows`), at the points."""
+        return self.p.seg.interpolate(self.x, self.k, rows)
 
 
 def _point_views(p: CoefficientProfile, rs, names) -> np.ndarray:
     """F and its condition g (`_CONDITIONS`) of functional names[i] at off-lattice points rs[i], as (rows, S, 2).
 
-    One round of reads for an (rows, S) array rs: the partial weights and
-    phi and psi (`CoefficientProfile.primitives_at`), each in one call for
-    all of rs.  Each integral is read off its node table and integrand rows
-    (`_table_at`) once, at the points of the functionals that use it
-    (`_READS`), and C and 1/C share one log C at delta's.  In a row that
-    `needs_clip` flags in any of the six integrands the tables hold direct
-    pages, not the interpolant's integral, so F and g read nan there, as
-    phi and psi do in the rows the profile pages: the solve then keeps the
-    lattice max or another sample (`_safe_batch`).
+    One round of reads (`_Reads`) for an (rows, S) array rs: each quantity
+    is read once for all of rs, and functional i keeps row i of its values.
     """
     rs = np.asarray(rs, dtype=float)
-    weights = p.seg.partial_weights(rs.ravel())
-    vals = _integrand_rows(p)
-    tables = _node_tables(p)[1]
-    segments, at = np.unique(weights[0], return_inverse=True)
-    flagged = needs_clip(vals.reshape(6, p.seg.n, 15)[:, segments].reshape(-1, 15)).reshape(6, -1).any(axis=0)
+    reads = _Reads(p, rs.ravel())
     out = np.empty(rs.shape + (2,))
     with np.errstate(all="ignore"):
-        phi, psi = (v.reshape(rs.shape) for v in p.primitives_at(rs.ravel(), weights))
-        sqrt_phi, sqrt_psi = np.sqrt(phi), np.sqrt(psi)
-        k, head, tail = (w.reshape(rs.shape + w.shape[1:]) for w in weights)
         for i, name in enumerate(names):
-            v = SimpleNamespace(phi=phi[i], psi=psi[i], sqrt_phi=sqrt_phi[i], sqrt_psi=sqrt_psi[i])
-            for read in _READS[name]:
-                if read == "C":
-                    v.C, v.Cinv = p._coeff_pair(rs[i])
-                else:
-                    d, q = _INTEGRANDS[read]
-                    setattr(v, read, _table_at(tables[d][q], vals[d, q], (k[i], head[i], tail[i]), d == 1))
-            out[i, :, 0] = _FUNCTIONALS[name](v)
-            out[i, :, 1] = _CONDITIONS[name](v)
-    out[flagged[at].reshape(rs.shape)] = math.nan
+            out[i, :, 0] = _FUNCTIONALS[name](reads).reshape(rs.shape)[i]
+            out[i, :, 1] = _CONDITIONS[name](reads).reshape(rs.shape)[i]
+    # nan in clipped and paged rows: a high read there could push an upper
+    # bound below lam; the solve keeps the lattice max (`_safe_batch`)
+    out[(reads.clipped | reads.paged).reshape(rs.shape)] = math.nan
     return out
 
 
@@ -411,15 +422,12 @@ def _lattice_neighbours(p: CoefficientProfile, j: np.ndarray) -> tuple[np.ndarra
 def _node_view(p: CoefficientProfile) -> _View:
     """phi, psi, C, 1/C and the integrals at every node, 0 and 1 included."""
     tables = {"phi": p.phi_nodes, "psi": p.psi_nodes, **_named(_node_tables(p)[1])}
-    pair = []
 
     def read(name):
-        if name in tables:
-            return tables[name]
-        if not pair:
+        if name not in tables:
             with np.errstate(over="ignore", under="ignore"):
-                pair.extend(p._coeff_pair(p.seg.nodes))
-        return pair[name == "Cinv"]
+                tables["C"], tables["Cinv"] = p._coeff_pair(p.seg.nodes)
+        return tables[name]
 
     return _View(read)
 
@@ -726,7 +734,7 @@ def _smooth_step(p: CoefficientProfile, f_sub: np.ndarray, form: str = "primal")
     """K f = int_0^r 1/C int_s^1 C f on the lattice, or K* f = int_r^1 C int_0^s f / C for "dual".
 
     Returns the step's (nodes, sub-nodes) table and the sub-node rows h of
-    its outer integrand (g / C or C u), which `partial_weights` integrates
+    its outer integrand (g / C or C u), which `_Reads` integrates
     between lattice points.
     """
     seg = p.seg
@@ -746,13 +754,12 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
     Each step divides the new iterate by its ratio's lattice max, so the
     stored samples stay O(1).  Then all n sups are solved off the lattice
     at once (`_stationary_points`): K f_n is the step's table read off its
-    outer integrand rows h_n (`_table_at`), with (K f_n)' = h_n off their
-    interpolant (`Segmentation.interpolate`), and f_n = K f_{n-1} /
-    delta_{n-1} the same way, or sqrt(phi) with f_1' = (1/C) / (2 f_1).
-    The condition h_n f_n - (K f_n) f_n' has the sign of the ratio's slope.
+    outer integrand rows h_n, with (K f_n)' = h_n off their interpolant
+    (`_Reads`), and f_n = K f_{n-1} / delta_{n-1} the same way, or
+    sqrt(phi) with f_1' = (1/C) / (2 f_1).  The condition
+    h_n f_n - (K f_n) f_n' has the sign of the ratio's slope.
     """
     _check_n_max(n_max)
-    seg = p.seg
     with np.errstate(all="ignore"):
         f_nodes = np.sqrt(p.phi_nodes)
         f_sub = np.sqrt(p.phi_sub)
@@ -772,19 +779,17 @@ def iterate_lower(p: CoefficientProfile, n_max: int) -> IterationTrace:
     tables, rows_h, scale = np.array(tables), np.array(rows_h), np.array(deltas)
 
     def point(rs, rows):
-        x = rs.ravel()
-        weights = seg.partial_weights(x)
-        k, head, _ = weights
+        # read through: a high read only lowers 1/delta_n, a low one is not kept
+        reads = _Reads(p, rs.ravel())
         step = np.repeat(rows, rs.shape[1])
         prev = np.maximum(step - 1, 0)
-        kf = tables[step, k] + np.einsum("ij,ij->i", head, rows_h[step, k])
-        f = (tables[prev, k] + np.einsum("ij,ij->i", head, rows_h[prev, k])) / scale[prev]
-        dh, h = seg.interpolate(x, k, rows_h[np.stack((prev, step)), k])
+        kf = reads.table(tables, rows_h, of=(step,))
+        f = reads.table(tables, rows_h, of=(prev,)) / scale[prev]
+        dh, h = reads.values(reads.rows(rows_h, (np.stack((prev, step)),)))
         df = dh / scale[prev]
-        first = np.flatnonzero(step == 0)
-        if first.size:
-            f[first] = np.sqrt(p.primitives_at(x[first], tuple(w[first] for w in weights))[0])
-            df[first] = p._coeff_pair(x[first])[1] / (2.0 * f[first])
+        first = step == 0
+        f[first] = np.sqrt(reads.phi[first])
+        df[first] = reads.Cinv[first] / (2.0 * f[first])
         return np.stack((kf / f, h * f - kf * df), axis=-1)
 
     polished = _stationary_points(p, np.array(j), scale.copy(), point)  # point reads scale
@@ -844,14 +849,12 @@ def iterate_upper(p: CoefficientProfile, n_max: int) -> IterationTrace:
     Both are ratios mu_t / mu_{t-1} of `_clamped_moments`, t = n for
     delta_n' and 2n - 1 for Rayleigh_n, each maxed once over the lattice and
     solved off it (`_stationary_points`) with mu_1 = phi the profile's
-    (`CoefficientProfile.primitives_at`, nan in a paged row), the other
-    moments off their tables (`_table_at`, nan in a flagged row), the
-    derivatives of `_clamped_moments`, and the condition
+    and the other moments off their tables (`_Reads`), the derivatives of
+    `_clamped_moments`, and the condition
     mu_t' mu_{t-1} - mu_t mu_{t-1}'.
     Per radius both sequences are non-decreasing in n.
     """
     _check_n_max(n_max)
-    seg = p.seg
     s, mu, tables = _clamped_moments(p, n_max)
     ts = np.union1d(np.arange(1, n_max + 1), np.arange(1, 2 * n_max, 2))
     with np.errstate(all="ignore"):
@@ -860,17 +863,16 @@ def iterate_upper(p: CoefficientProfile, n_max: int) -> IterationTrace:
     j = np.argmax(rat, axis=1)
 
     def point(rs, rows):
-        x = rs.ravel()
-        weights = seg.partial_weights(x)
-        phi, psi = p.primitives_at(x, weights)
-        psi_s, cinv = psi / s, p._coeff_pair(x)[1]
+        reads = _Reads(p, rs.ravel())
+        phi, psi_s, cinv = reads.phi, reads.psi / s, reads.Cinv
         at, slope, a = [phi], [cinv], [np.ones_like(phi), psi_s * phi]
         for m, (nodes, inner, flagged) in enumerate(tables, start=2):
-            v = _table_at(nodes, inner, weights)
+            v = reads.table(nodes, inner)
             slope.append(cinv * sum(a[i] * a[m - 1 - i] for i in range(m)))
             a.append(psi_s * v)
-            at.append(np.where(flagged[weights[0]], math.nan, v))
-        t, i = np.repeat(ts[rows], rs.shape[1]), np.arange(x.size)
+            # nan in the moment's clipped rows: a high read could push an upper bound below lam
+            at.append(np.where(reads.rows(flagged), math.nan, v))
+        t, i = np.repeat(ts[rows], rs.shape[1]), np.arange(phi.size)
         (num, den), (dnum, dden) = np.array(at)[[t, t - 1], i], np.array(slope)[[t, t - 1], i]
         return np.stack((s * num / den, dnum * den - num * dden), axis=-1)
 
@@ -917,13 +919,10 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
 
     The inf is the lattice min of f over the denominator's table
     (`_smooth_step`), solved off the lattice as the max of -f / den
-    (`_stationary_points`), with den read off its integrand rows h
-    (`_table_at`, no panel) and den' = h, or -h for the dual, off their
-    interpolant (`Segmentation.interpolate`).  f has no derivative, so f'
-    is the interpolant's through f's sub-node values (`quadrature.DIFF_T`).
-    The solve keeps the lattice min, so a misread can only lower the inf;
-    and the rows `needs_clip` flags in h sit at an end where h -> 0, so
-    there the denominator is its node table to within an ulp.
+    (`_stationary_points`), with den read off its integrand rows h and
+    den' = h, or -h for the dual, off their interpolant (`_Reads`, no
+    panel).  f has no derivative, so f' is the interpolant's through f's
+    sub-node values (`quadrature.DIFF_T`).
     """
     if form not in ("primal", "dual"):
         raise DomainError(f"form must be 'primal' or 'dual', got {form!r}")
@@ -945,12 +944,11 @@ def variational_ratio(f, p: CoefficientProfile, form: str = "primal") -> float:
     sign = 1.0 if form == "primal" else -1.0
 
     def point(rs, rows):
-        x = rs.ravel()
-        weights = seg.partial_weights(x)
-        k = weights[0]
-        dv, fvv = _table_at(den_nodes, h_sub, weights, form == "dual"), fv(x)
-        dfw, h = seg.interpolate(x, k, np.stack((f_sub[k] @ DIFF_T, h_sub[k])))
-        df = dfw / seg.width[k]
+        # read through: the solve keeps the lattice min, so a misread only lowers the inf
+        reads = _Reads(p, rs.ravel())
+        dv, fvv = reads.table(den_nodes, h_sub, tail=form == "dual"), fv(reads.x)
+        dfw, h = reads.values(np.stack((reads.rows(f_sub) @ DIFF_T, reads.rows(h_sub))))
+        df = dfw / reads.rows(seg.width)
         # a point where either factor degenerates cannot improve the inf
         ok = (0.0 < dv) & (dv < math.inf) & (fvv > 0.0)
         cond = fvv * sign * h - df * dv

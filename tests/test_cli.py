@@ -138,14 +138,18 @@ class TestBound:
         assert rc == 2
         assert captured.err.startswith("error:")
 
-    @pytest.mark.parametrize("d, K", [(100, "-39600"), (200, "-159200"), (5000, "-4999")])
+    @pytest.mark.parametrize("d, K", [(100, "-39600"), (200, "-159200"), (5000, "-4999"), (1000, "-1000")])
     def test_sech_fixed_point_past_cosh_overflow_is_a_clean_error(self, capsys, d, K):
-        # The sech fixed point theta passes ~710 here, where 1 / cosh(theta)
-        # raised a bare OverflowError.
+        # The sech fixed point theta passes ~710 at the first three, where
+        # 1 / cosh(theta) raised a bare OverflowError.  At all four the
+        # integrand tables overflow first, once L = (d - 1) log cosh|alpha|
+        # passes ~360, and the error names L.
         rc = main(["bound", "-d", str(d), "-D", "2", "-K", K])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
+        L = (d - 1) * math.log(math.cosh(math.sqrt(-float(K) / (d - 1))))
+        assert f"L = {L:.4g} here" in err and "bug" not in err
 
     def test_sphere_edge_solves(self, capsys):
         rc = main(["bound", "-d", "2", "--alpha", str(HALF_PI), "--oracle"])

@@ -114,7 +114,7 @@ class TestPointView:
         assert np.flatnonzero(flagged).tolist() == [*range(9), *range(n - 9, n)]
         rows = np.array([0, 0, 4, 8, n // 2, n - 9, n - 8, n - 7])
         picks = p.seg.n - 1 + 15 * rows + np.array([0, 3, 7, 14, 9, 0, 7, 11])
-        names = [f for f in DELTA_NAMES if name in ("phi", "psi", *universal._READS[f])]
+        names = [f for f in DELTA_NAMES if name in _reads_of(f)]
         with np.errstate(all="ignore"):
             lattice = [universal._FUNCTIONALS[f](_lattice_view(p))[picks] for f in names]
             point = universal._point_views(p, np.tile(xs[picks], (len(names), 1)), names)
@@ -122,6 +122,120 @@ class TestPointView:
         for f, want, got in zip(names, lattice, point):
             assert np.isnan(got[~middle]).all(), f
             assert got[middle, 0] == pytest.approx(want[middle], rel=1e-12, abs=0.0), f
+
+
+def _reads_of(name):
+    """The quantities functional name and its condition read, recorded off a view that reads each as 1."""
+    seen = set()
+
+    def read(q):
+        seen.add(q)
+        return np.ones(1)
+
+    view = universal._View(read)
+    universal._FUNCTIONALS[name](view)
+    universal._CONDITIONS[name](view)
+    return seen
+
+
+#: The four sharpen profiles and the d = 20 Myers edge.
+READ_PROFILES = [(2, Alpha.zero()), (3, Alpha.negative(1.0)), (5, Alpha.negative(1.5)), (5, Alpha.positive(1.0)),
+                 (20, Alpha.positive(HALF_PI))]
+
+
+def _stationary_point_functions(monkeypatch, *calls):
+    """The point function `_stationary_points` receives in each of calls, in order."""
+    points = []
+    solve = universal._stationary_points
+
+    def spy(p, j, best_v, point):
+        points.append(point)
+        return solve(p, j, best_v, point)
+
+    monkeypatch.setattr(universal, "_stationary_points", spy)
+    for call in calls:
+        call()
+    return points
+
+
+class TestReads:
+    """The one off-lattice reader: at lattice points it reads what the tables hold."""
+
+    @pytest.mark.parametrize("d, alpha", READ_PROFILES, ids=["flat", "neg", "neg5", "pos", "edge20"])
+    def test_reads_match_the_lattice(self, d, alpha):
+        p = get_profile(d, alpha)
+        seg = p.seg
+        n_nodes = seg.n - 1
+        rows = np.array([seg.n // 3, seg.n // 2, 2 * seg.n // 3])
+        subs = n_nodes + 15 * rows + np.array([4, 0, 11])
+        picks = np.concatenate(([n_nodes // 4, n_nodes // 2], subs))
+        reads = universal._Reads(p, seg.lattice[picks])
+        assert not (reads.clipped | reads.paged).any()
+        lattice = _lattice_view(p)
+        with np.errstate(all="ignore"):
+            for name in ("phi", "psi", *universal._INTEGRANDS):
+                want = getattr(lattice, name)[picks]
+                np.testing.assert_allclose(getattr(reads, name), want, rtol=1e-12, atol=0.0, err_msg=name)
+            # a table's derivative is its integrand: at the sub-nodes, the rows themselves
+            at_subs = universal._Reads(p, seg.lattice[subs])
+            stack = np.concatenate((universal._integrand_rows(p).reshape(6, seg.n, 15), p.coeff_sub[::-1]))
+            got = at_subs.values(at_subs.rows(stack, (np.arange(8)[:, None],)))
+            np.testing.assert_allclose(got, stack[:, rows, [4, 0, 11]], rtol=1e-12, atol=0.0)
+
+    def test_each_caller_reads_flagged_rows_by_its_rule(self, monkeypatch):
+        # At (3, -1) the sups' integrand rows are flagged in the first and
+        # last nine segments, the clamped moments' in at least the first and
+        # last four, and the smoothing step's outer integrand h in the last
+        # four.  In one batch with a point of a clean row, the sups and
+        # iterate_upper read nan in their flagged rows; iterate_lower and
+        # variational_ratio read through.
+        p = CoefficientProfile(3, Alpha.negative(1.0))
+        seg = p.seg
+        rows = np.array([1, seg.n - 3, seg.n // 2])
+        left, right, clean = seg.sub[rows, 7]
+        assert universal._clip_flags(p, rows).tolist() == [True, True, False]
+        assert all(flagged[rows].tolist() == [True, True, False] for _, _, flagged in universal._clamped_moments(p, 2)[2])
+        with np.errstate(all="ignore"):
+            for f_sub in (np.sqrt(p.phi_sub), 1.0 + seg.sub * (1.0 - seg.sub)):
+                assert needs_clip(universal._smooth_step(p, f_sub)[1])[rows].tolist() == [False, True, False]
+            sups = universal._point_views(p, np.tile([left, right, clean], (5, 1)), DELTA_NAMES)
+        assert np.isnan(sups[:, :2]).all() and np.isfinite(sups[:, 2]).all()
+        upper, lower, primal = _stationary_point_functions(
+            monkeypatch,
+            lambda: iterate_upper(p, 2),
+            lambda: iterate_lower(p, 2),
+            lambda: variational_ratio(lambda r: 1.0 + r * (1.0 - r), p),
+        )
+        with np.errstate(all="ignore"):
+            got = upper(np.array([[left, right, clean]] * 3), np.arange(3)).reshape(3, 3, 2)
+            assert np.isnan(got[:, :2]).all() and np.isfinite(got[:, 2]).all()
+            # the second iterate: f_2 and K f_2 both off the step's tables
+            assert np.isfinite(lower(np.array([[right, clean]]), np.array([1]))).all()
+            assert np.isfinite(primal(np.array([[right, clean]]), np.array([0]))).all()
+
+    @pytest.mark.parametrize("d, alpha", READ_PROFILES, ids=["flat", "neg", "neg5", "pos", "edge20"])
+    def test_clip_flags_are_the_rows_the_tables_page(self, d, alpha):
+        p = CoefficientProfile(d, alpha)
+        with np.errstate(all="ignore"):
+            _, paged = p.seg.pointwise_means(_sub_values(p), _integrand_pages(p))
+        flags = universal._clip_flags(p, np.arange(p.seg.n))
+        np.testing.assert_array_equal(np.flatnonzero(flags), paged)
+
+    def test_each_segment_is_judged_once_per_profile(self, monkeypatch):
+        # Both rounds of the five sups read their flags; the second round's
+        # points lie in segments the first already judged.
+        judged = []
+
+        def counted(v_sub):
+            judged.append(v_sub.shape[0])
+            return needs_clip(v_sub)
+
+        monkeypatch.setattr(universal, "needs_clip", counted)
+        p = CoefficientProfile(3, Alpha.negative(1.0))
+        for name in DELTA_NAMES:
+            universal.functional_sup(p, name)
+        assert len(judged) == 1
+        assert judged[0] == 6 * np.count_nonzero(p._cache["clip_flags"] >= 0)
 
 
 def _panel_point_view(p, rs):

@@ -35,7 +35,6 @@ from .correction import (
     combined_lower_bound,
     comparison_kernel,
     convex_mean,
-    curvature_corrected_bound,
     curvature_kernel,
     curvature_multiplier,
     middle_term,
@@ -133,7 +132,6 @@ __all__ = [
     "combined_lower_bound",
     "comparison_kernel",
     "convex_mean",
-    "curvature_corrected_bound",
     "curvature_kernel",
     "curvature_multiplier",
     "middle_term",

@@ -1,10 +1,11 @@
 """Self-contained verification checks behind the `verify` command.
 
-Each check exercises one cross-cutting invariant of the library at desk
-scale and reports pass/fail with a one-line detail.  The fast suite runs
-in well under a minute; the full suite adds the d = 63 and Myers-edge
-cases.  A check that raises is reported as failed with the exception,
-never aborting the suite.
+Each check `_check_<name>` exercises one cross-cutting invariant of the
+library at desk scale and returns (passed, one-line detail); `run_suite`
+names each result after its check.  The fast suite runs in well under a
+minute; the full suite adds the d = 63 and Myers-edge cases.  A check that
+raises is reported as failed with the exception, never aborting the
+suite.
 """
 
 from __future__ import annotations
@@ -36,14 +37,10 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
-
-
 # -- individual checks --------------------------------------------------------
 
 
-def _check_flat_exact_values() -> CheckResult:
+def _check_flat_exact_values() -> tuple[bool, str]:
     p = CoefficientProfile(2, Alpha.zero())
     b = universal_bracket(2, Alpha.zero(), profile=p)
     lam = solve_lambda_bar(2, Alpha.zero(), profile=p).eigenvalue
@@ -58,39 +55,36 @@ def _check_flat_exact_values() -> CheckResult:
     inv = 1.0 / lam
     chain = 0.25 < 0.375 < inv < 0.427 < 1.0
     worst = max(errs, key=errs.get)
-    return _result(
-        "flat_exact_values",
+    return (
         max(errs.values()) < 1e-6 and chain,
         f"worst {worst} err {errs[worst]:.2e}; chain {'ok' if chain else 'BROKEN'}",
     )
 
 
-def _check_beta_anchors() -> CheckResult:
+def _check_beta_anchors() -> tuple[bool, str]:
     anchors = [(0.0, PI2 / 4.0), (0.5, 3.0), (-0.5, 2.0)]
     errs = [abs(beta_eigenvalue(b).eigenvalue - v) for b, v in anchors]
-    return _result(
-        "beta_anchors",
+    return (
         max(errs) < 1e-8,
         "lambda0 at beta=0, 1/2, -1/2: errors "
         + ", ".join(f"{e:.2e}" for e in errs),
     )
 
 
-def _check_beta_gap_sign() -> CheckResult:
+def _check_beta_gap_sign() -> tuple[bool, str]:
     grid = np.linspace(0.02, 0.5, 25)
     gaps = [
         beta_eigenvalue(float(b)).eigenvalue - beta_quadratic_bound(float(b))
         for b in grid
     ]
     worst = min(gaps)
-    return _result(
-        "beta_gap_sign",
+    return (
         worst >= -1e-8,
         f"min(lambda0 - quadratic estimate) = {worst:.3e} on 25-point grid",
     )
 
 
-def _check_multiplier_signs() -> CheckResult:
+def _check_multiplier_signs() -> tuple[bool, str]:
     m0 = curvature_multiplier(Alpha.zero())
     neg = [curvature_multiplier(Alpha.negative(a)) for a in (0.3, 0.8, 1.5, 3.0)]
     pos = [curvature_multiplier(Alpha.positive(a)) for a in (0.3, 0.8, 1.2, 1.5)]
@@ -99,41 +93,38 @@ def _check_multiplier_signs() -> CheckResult:
         and all(m < 1.0 for m in neg)
         and all(m > 1.0 for m in pos)
     )
-    return _result(
-        "multiplier_signs",
+    return (
         ok,
         f"M(0)-1 = {m0 - 1.0:.2e}; M<1 on K<0 {'ok' if all(m < 1 for m in neg) else 'BROKEN'},"
         f" M>1 on K>0 {'ok' if all(m > 1 for m in pos) else 'BROKEN'}",
     )
 
 
-def _check_kernel_identity() -> CheckResult:
+def _check_kernel_identity() -> tuple[bool, str]:
     errs = []
     for alpha in (Alpha.negative(1.0), Alpha.positive(1.0)):
         lhs = curvature_kernel(alpha, 0.0) * PI2 / 4.0
         rhs = curvature_multiplier(alpha)
         errs.append(abs(lhs - rhs))
-    return _result(
-        "kernel_identity",
+    return (
         max(errs) < 1e-9,
         f"kernel-at-0 times pi^2/4 vs multiplier: errors {errs[0]:.2e}, {errs[1]:.2e}",
     )
 
 
-def _check_duality() -> CheckResult:
+def _check_duality() -> tuple[bool, str]:
     # (20, -10/3) has lambda_bar ~ 1.2e-19, where only relative tolerances
     # keep the two families together.
     pairs = [(d, a) for d in (2, 5) for a in (Alpha.negative(1.0), Alpha.positive(0.8))]
     pairs.append((20, Alpha.negative(10.0 / 3.0)))
     worst = max(duality_gap(d, alpha)[2] for d, alpha in pairs)
-    return _result(
-        "duality",
+    return (
         worst < 1e-9,
         f"max relative primal-dual gap {worst:.2e} on {len(pairs)} pairs",
     )
 
 
-def _check_sandwich() -> CheckResult:
+def _check_sandwich() -> tuple[bool, str]:
     triples = [
         GeometryTriple(2, 1.0, 0.0),
         GeometryTriple(2, 3.14159265, 1.0),
@@ -148,29 +139,27 @@ def _check_sandwich() -> CheckResult:
         bad.extend(f"{g.d},{g.D},{g.K}:{n}" for n, _ in rep.sandwich_violations())
         if rep.upper_violation() is not None:
             bad.append(f"{g.d},{g.D},{g.K}:upper")
-    return _result(
-        "sandwich",
+    return (
         not bad,
         f"{count} valid bounds and the certified upper bound vs oracle on 4 triples;"
         f" violations: {bad or 'none'}",
     )
 
 
-def _check_chain() -> CheckResult:
+def _check_chain() -> tuple[bool, str]:
     cases = [(2, Alpha.zero()), (2, Alpha.positive(1.0)), (5, Alpha.negative(1.5))]
     broken = [
         f"d={d},x={a.signed_x:+g}"
         for d, a in cases
-        if not universal_bracket(d, a).chain_ok(1e-9)
+        if not universal_bracket(d, a).chain_ok()
     ]
-    return _result(
-        "chain",
+    return (
         not broken,
         f"bracket chain on 3 profiles; broken: {broken or 'none'}",
     )
 
 
-def _check_iteration_monotone() -> CheckResult:
+def _check_iteration_monotone() -> tuple[bool, str]:
     p = CoefficientProfile(2, Alpha.zero())
     lows = [1.0 / v for v in iterate_lower(p, 3).lower_sequence]
     ups = iterate_upper(p, 3)
@@ -179,8 +168,7 @@ def _check_iteration_monotone() -> CheckResult:
     dec = all(b <= a * (1.0 + 1e-12) for a, b in zip(highs, highs[1:]))
     ordered = all(hi >= lo for lo, hi in zip(lows, highs))
     gap = abs(ups.upper_sequence[0] - universal_bracket(2, Alpha.zero()).delta1_prime)
-    return _result(
-        "iteration_monotone",
+    return (
         inc and dec and ordered and gap < 1e-6,
         f"lower sequence {'nondecreasing' if inc else 'NOT MONOTONE'};"
         f" upper sequence {'nonincreasing' if dec else 'NOT MONOTONE'};"
@@ -189,55 +177,49 @@ def _check_iteration_monotone() -> CheckResult:
     )
 
 
-def _check_identity_residual() -> CheckResult:
+def _check_identity_residual() -> tuple[bool, str]:
     rep = derivative_identity_residual(2, Alpha.negative(1.0), 0.5)
     worst = max(rep.residual, abs(rep.g_slope_origin), abs(rep.g_end))
-    return _result(
-        "identity_residual",
+    return (
         worst < 1e-6,
         f"integral identity residual {rep.residual:.2e},"
         f" boundary defects {rep.g_slope_origin:.2e}/{rep.g_end:.2e}",
     )
 
 
-def _check_edge_ratios() -> CheckResult:
+def _check_edge_ratios() -> tuple[bool, str]:
     targets = {2: 1.2, 5: 1.27, 63: 1.334}
     errs = {}
     for d, want in targets.items():
         b = universal_bracket(d, Alpha.positive(HALF_PI))
         errs[d] = abs(b.delta1_star / b.delta1_star_prime - want)
     worst = max(errs.values())
-    return _result(
-        "edge_ratios",
+    return (
         worst < 0.01,
         "psi-route ratio at the Myers edge, d=2/5/63 errors "
         + ", ".join(f"{errs[d]:.4f}" for d in (2, 5, 63)),
     )
 
 
-def _check_edge_eigenvalue() -> CheckResult:
+def _check_edge_eigenvalue() -> tuple[bool, str]:
     lam = solve_lambda_bar(63, Alpha.positive(HALF_PI)).eigenvalue
-    return _result(
-        "edge_eigenvalue",
+    return (
         abs(lam - 63.0 * PI2 / 4.0) < 1.0,
         f"reduced eigenvalue at d=63, Myers edge: {lam:.4f} (sphere value"
         f" {63.0 * PI2 / 4.0:.4f})",
     )
 
 
-def _check_edge_duality() -> CheckResult:
+def _check_edge_duality() -> tuple[bool, str]:
     worst = max(duality_gap(d, Alpha.positive(HALF_PI))[2] for d in (2, 5))
-    return _result(
-        "edge_duality", worst < 1e-8, f"max relative primal-dual gap at the edge {worst:.2e}"
-    )
+    return worst < 1e-8, f"max relative primal-dual gap at the edge {worst:.2e}"
 
 
-def _check_sphere_sharp() -> CheckResult:
+def _check_sphere_sharp() -> tuple[bool, str]:
     rep = build_report(GeometryTriple(2, 3.14159265, 1.0), oracle=True)
     _, best = rep.best_lower
     lam = rep.oracle_value
-    return _result(
-        "sphere_sharp",
+    return (
         abs(best - 2.0) < 1e-6 and abs(lam - 2.0) < 1e-6,
         f"unit 2-sphere: best lower {best:.8f}, oracle {lam:.8f} (exact 2)",
     )
@@ -278,10 +260,10 @@ def run_suite(suite: str) -> list[CheckResult]:
         raise ValueError(f"unknown suite {suite!r}; choose from {suite_names()}")
     results = []
     for fn in checks:
-        name = fn.__name__.removeprefix("_check_")
         try:
-            results.append(fn())
+            passed, detail = fn()
         except Exception:
             tail = traceback.format_exc().strip().splitlines()[-1]
-            results.append(_result(name, False, f"raised: {tail}"))
+            passed, detail = False, f"raised: {tail}"
+        results.append(CheckResult(fn.__name__.removeprefix("_check_"), bool(passed), detail))
     return results

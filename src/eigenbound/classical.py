@@ -4,7 +4,9 @@ Ten results from the comparison-geometry literature, each evaluated on the
 manifold scale (so values are directly comparable to lambda_1) from a
 geometry triple (d, D, K).  Negative values of the curvature-linear family
 are returned raw; clamping to 0 happens only in report aggregation so
-dominance relations stay exact.
+dominance relations stay exact.  Each function states its own hypotheses
+and refuses a triple outside them with DomainError; that refusal is the
+estimate's validity (`Estimate.valid_for`).
 
 The module also carries the one-parameter linear-drift model bound (the
 quadratic in beta that is exact at beta = 0 and beta = 1/2) and the
@@ -111,10 +113,9 @@ def chen_wang_negative(g: GeometryTriple) -> float:
 
 @dataclass(frozen=True)
 class SechIterationState:
-    """Trace of the damped fixed-point iteration theta_n = theta1 tanh(theta_{n-1})."""
+    """Start theta1 and limit theta of the fixed-point iteration theta_n = theta1 tanh(theta_{n-1})."""
 
     theta1: float
-    iterates: tuple[float, ...]
     theta: float
 
 
@@ -123,31 +124,21 @@ def sech_fixed_point(g: GeometryTriple) -> tuple[float, SechIterationState]:
 
     theta1 = (d-1) alpha tanh(alpha) / 2.  For theta1 <= 1 the map
     theta1 tanh(theta) is strictly below the identity on (0, inf), so the
-    limit is exactly 0; the iteration is still run briefly so the trace
-    shows the decay, but the limit does not wait for it (the approach is
-    only power-law when theta1 is close to 1).
+    limit is exactly 0 (the approach is only power-law when theta1 is close
+    to 1, so it is not iterated); above 1 the iteration runs from theta1
+    until a step falls below 1e-13.
     """
     _require(g.d > 1, "needs d > 1")
     _require(g.K <= 0.0, "needs K <= 0")
     a = _mag(g)
     theta1 = 0.5 * (g.d - 1) * a * math.tanh(a)
-    iterates = [theta1]
-    theta = theta1
-    if theta1 <= 1.0:
-        for _ in range(5000):
-            theta = theta1 * math.tanh(theta)
-            iterates.append(theta)
-            if theta < 1e-10:
+    theta = 0.0
+    if theta1 > 1.0:
+        theta = theta1
+        for _ in range(10**6):
+            theta, prev = theta1 * math.tanh(theta), theta
+            if abs(theta - prev) < 1e-13:
                 break
-        theta = 0.0
-    else:
-        for n in range(10**6):
-            nxt = theta1 * math.tanh(theta)
-            iterates.append(nxt)
-            if abs(nxt - theta) < 1e-13:
-                theta = nxt
-                break
-            theta = nxt
         else:
             raise NoConvergence(
                 f"sech fixed point did not settle from theta1 = {theta1}"
@@ -155,7 +146,7 @@ def sech_fixed_point(g: GeometryTriple) -> tuple[float, SechIterationState]:
     e = math.exp(-theta)  # 1 / cosh(theta) overflows past theta ~ 710
     sech = 2.0 * e / (1.0 + e * e)
     bound = ((g.d - 1) * a * math.tanh(a) * sech) ** 2 / g.D**2
-    return bound, SechIterationState(theta1, tuple(iterates), theta)
+    return bound, SechIterationState(theta1, theta)
 
 
 # -- curvature-linear family --------------------------------------------------
@@ -181,11 +172,8 @@ def parabola_sup(kappa: float) -> float:
 
 
 def shi_zhang(g: GeometryTriple) -> float:
-    """sup over s in (0,1) of s [4(1-s) pi^2/D^2 + K]: parabola_sup(K D^2/4) * 4/D^2."""
-    x = g.K * g.D**2
-    if g.K > 0.0 and x > (g.d - 1) * PI2 * (1.0 + 1e-12):
-        raise DomainError("K D^2 beyond the diameter cap for positive curvature")
-    return 4.0 / g.D**2 * parabola_sup(0.25 * x)
+    """sup over s in (0,1) of s [4(1-s) pi^2/D^2 + K]: parabola_sup(K D^2/4) * 4/D^2, for any triple."""
+    return 4.0 / g.D**2 * parabola_sup(0.25 * g.K * g.D**2)
 
 
 def csy_quadratic(g: GeometryTriple) -> float:
@@ -265,85 +253,39 @@ def chen_wang_sphere_reduced(d: int, alpha: Alpha) -> float:
 
 @dataclass(frozen=True)
 class Estimate:
-    """One named closed-form bound with its validity predicate."""
+    """One named closed-form bound; compute refuses a triple outside its hypotheses."""
 
     name: str
     label: str
-    requires: object  # GeometryTriple -> bool
     compute: object  # GeometryTriple -> float
 
     def valid_for(self, g: GeometryTriple) -> bool:
-        return bool(self.requires(g))
+        """Whether the triple meets the hypotheses: compute raises no DomainError."""
+        try:
+            self.compute(g)
+        except DomainError:
+            return False
+        return True
 
     def __call__(self, g: GeometryTriple) -> float:
         return float(self.compute(g))
 
 
-def _csy_ok(g: GeometryTriple) -> bool:
-    return abs(g.K) * g.D**2 <= 4.0 + 1e-12
-
-
 ESTIMATES: tuple[Estimate, ...] = (
-    Estimate(
-        "lichnerowicz",
-        "Lichnerowicz (1958)",
-        lambda g: g.d > 1 and g.K >= 0.0,
-        lichnerowicz,
-    ),
-    Estimate(
-        "bbg",
-        "Berard-Besson-Gallot (1985)",
-        lambda g: g.d > 1 and g.K > 0.0,
-        bbg,
-    ),
-    Estimate(
-        "chen_wang_sphere",
-        "Chen-Wang sphere branch (1997)",
-        lambda g: g.d > 1 and g.K >= 0.0,
-        chen_wang_sphere,
-    ),
-    Estimate(
-        "zhong_yang",
-        "Zhong-Yang (1984)",
-        lambda g: g.K >= 0.0,
-        zhong_yang,
-    ),
-    Estimate(
-        "exp_decay",
-        "exponential decay (Yang 1990, Jia 1991)",
-        lambda g: g.K <= 0.0,
-        exp_decay,
-    ),
-    Estimate(
-        "chen_wang_negative",
-        "Chen-Wang hyperbolic branch (1997)",
-        lambda g: g.d > 1 and g.K <= 0.0,
-        chen_wang_negative,
-    ),
+    Estimate("lichnerowicz", "Lichnerowicz (1958)", lichnerowicz),
+    Estimate("bbg", "Berard-Besson-Gallot (1985)", bbg),
+    Estimate("chen_wang_sphere", "Chen-Wang sphere branch (1997)", chen_wang_sphere),
+    Estimate("zhong_yang", "Zhong-Yang (1984)", zhong_yang),
+    Estimate("exp_decay", "exponential decay (Yang 1990, Jia 1991)", exp_decay),
+    Estimate("chen_wang_negative", "Chen-Wang hyperbolic branch (1997)", chen_wang_negative),
     Estimate(
         "sech_fixed_point",
         "sech fixed point (1994, corrected)",
-        lambda g: g.d > 1 and g.K <= 0.0,
         lambda g: sech_fixed_point(g)[0],
     ),
-    Estimate(
-        "linear_combo",
-        "linear curvature combination",
-        lambda g: True,
-        linear_combo,
-    ),
-    Estimate(
-        "shi_zhang",
-        "Shi-Zhang parabola sup (2007)",
-        lambda g: True,
-        shi_zhang,
-    ),
-    Estimate(
-        "csy_quadratic",
-        "Chen-Scacciatelli-Yao quadratic (2001)",
-        _csy_ok,
-        csy_quadratic,
-    ),
+    Estimate("linear_combo", "linear curvature combination", linear_combo),
+    Estimate("shi_zhang", "Shi-Zhang parabola sup (2007)", shi_zhang),
+    Estimate("csy_quadratic", "Chen-Scacciatelli-Yao quadratic (2001)", csy_quadratic),
 )
 
 ESTIMATE_NAMES: tuple[str, ...] = tuple(e.name for e in ESTIMATES)

@@ -39,6 +39,7 @@ from .geometry import (
     GeometryTriple,
     HALF_PI,
     alpha_to_curvature,
+    check_dimension,
 )
 from .oracle import beta_eigenvalue, solve_lambda_bar
 from .report import build_report, render_table, report_records
@@ -98,15 +99,9 @@ def _canonical_triple(d: int, alpha: Alpha) -> GeometryTriple:
 
 
 def _classical_reduced(name: str):
+    """The named estimate at the canonical triple; its refusal is an empty cell."""
     est = get_estimate(name)
-
-    def run(d: int, alpha: Alpha, p: CoefficientProfile) -> float:
-        g = _canonical_triple(d, alpha)
-        if not est.valid_for(g):
-            raise EigenboundError(f"{name} not valid at this point")
-        return est(g)
-
-    return run
+    return lambda d, alpha, p: est(_canonical_triple(d, alpha))
 
 
 SWEEP_ESTIMATORS = {
@@ -149,9 +144,8 @@ def _sweep_point(d: int, x: float, alpha: Alpha, names, estimators: dict) -> lis
 
 def cmd_bound(args) -> int:
     if args.alpha is not None:
-        if args.d < 2 and args.alpha != 0.0:
-            raise EigenboundError("--alpha requires dimension >= 2")
         alpha = _alpha_from_axis(args.alpha)
+        check_dimension(args.d, alpha)
         K = alpha_to_curvature(alpha, args.d, args.D)
     else:
         K = args.K
@@ -349,6 +343,14 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _grid(text: str) -> int:
+    """A --grid value: points per axis, at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads -1e-3 as a negative number, not an option.
 
@@ -390,7 +392,7 @@ def _parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("figure", help="emit curve data behind the standard plots")
     f.add_argument("id", type=int, help="figure number, 1..9")
-    f.add_argument("--grid", type=int, default=200, help="points per axis")
+    f.add_argument("--grid", type=_grid, default=200, help="points per axis")
     f.add_argument("--tol", type=float, default=1e-11, help="oracle relative tolerance")
     f.add_argument("--out", default=None, help="output path (default stdout)")
     f.set_defaults(func=cmd_figure)
@@ -399,7 +401,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--dims", default="2", help="comma-separated dimensions")
     s.add_argument("--xmin", type=float, default=-2.5)
     s.add_argument("--xmax", type=float, default=HALF_PI)
-    s.add_argument("--grid", type=int, default=200, help="points per axis")
+    s.add_argument("--grid", type=_grid, default=200, help="points per axis")
     s.add_argument(
         "--estimates",
         default=None,

@@ -57,6 +57,10 @@ from .universal import delta1_star, delta1_star_prime
 # bracket it multiplies vanishes, so direct evaluation loses digits.
 _NEAR_ONE = 1.0 - 2.0**-20
 
+#: Absolute tolerance of the adaptive integrals behind the multiplier and
+#: both kernels.
+_TOL = 1e-12
+
 # gamma chosen so the convex mean of the two dual bounds is exactly
 # pi^2/4 at alpha = 0 (where they are 8/3 and 4 / 5^{1/3}).
 GAMMA_ZERO = (PI2 / 4.0 - 4.0 * 5.0 ** (-1.0 / 3.0)) / (
@@ -64,7 +68,7 @@ GAMMA_ZERO = (PI2 / 4.0 - 4.0 * 5.0 ** (-1.0 / 3.0)) / (
 )
 
 
-def curvature_multiplier(alpha: Alpha, tol: float = 1e-12) -> float:
+def curvature_multiplier(alpha: Alpha) -> float:
     """M = (pi^2/4) int_0^1 (1-y) cos(pi y/2) / cosh(alpha y)^2 dy.
 
     cosh swaps to cos on the positive branch, where the y = 1 endpoint at
@@ -77,7 +81,7 @@ def curvature_multiplier(alpha: Alpha, tol: float = 1e-12) -> float:
         f = lambda y: (1.0 - y) * np.cos(HALF_PI * y) / np.cos(a * y) ** 2
     else:
         f = lambda y: (1.0 - y) * np.cos(HALF_PI * y) / np.cosh(a * y) ** 2
-    return (PI2 / 4.0) * integrate(f, 0.0, 1.0, tol=tol)
+    return (PI2 / 4.0) * integrate(f, 0.0, 1.0, tol=_TOL)
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ def _limit_at_one(raw) -> float:
     return vals[0]
 
 
-def comparison_kernel(a, da, dda, x: float, tol: float = 1e-12) -> float:
+def comparison_kernel(a, da, dda, x: float) -> float:
     """The iterate-ratio kernel h(x) for the operator a(x)^{-1} d^2/dx^2.
 
     h(x) = (2/pi)^2 { a(x) - sec(pi x/2) [ (1-x) a'(0)
@@ -178,8 +182,8 @@ def comparison_kernel(a, da, dda, x: float, tol: float = 1e-12) -> float:
     def raw(xx: float) -> float:
         bracket = (1.0 - xx) * da0
         if xx > 0.0:
-            bracket += (1.0 - xx) * integrate(head, 0.0, xx, tol=tol)
-        bracket += integrate(tail, xx, 1.0, tol=tol)
+            bracket += (1.0 - xx) * integrate(head, 0.0, xx, tol=_TOL)
+        bracket += integrate(tail, xx, 1.0, tol=_TOL)
         ax = float(probe(np.asarray([xx]))[0])
         return (4.0 / PI2) * (ax - bracket / math.cos(HALF_PI * xx))
 
@@ -188,7 +192,7 @@ def comparison_kernel(a, da, dda, x: float, tol: float = 1e-12) -> float:
     return raw(x)
 
 
-def curvature_kernel(alpha: Alpha, x: float, tol: float = 1e-12) -> float:
+def curvature_kernel(alpha: Alpha, x: float) -> float:
     """Closed-form kernel for the sech^2 / sec^2 coefficient family.
 
     (pi^2/4) h(x) = sech^2(ax) + 2a sec(pi x/2) [ a (1-x) int_0^x q cos(pi y/2)
@@ -217,12 +221,12 @@ def curvature_kernel(alpha: Alpha, x: float, tol: float = 1e-12) -> float:
         inner = 0.0
         if xx > 0.0:
             inner += a * (1.0 - xx) * integrate(
-                lambda y: maps.q(y) * np.cos(HALF_PI * y), 0.0, xx, tol=tol
+                lambda y: maps.q(y) * np.cos(HALF_PI * y), 0.0, xx, tol=_TOL
             )
         inner += integrate(
             lambda y: (-2.0 * maps.p(y) + a * (1.0 - y) * maps.q(y))
             * np.cos(HALF_PI * y),
-            xx, 1.0, tol=tol,
+            xx, 1.0, tol=_TOL,
         )
         base = float(maps.a(np.asarray([xx]))[0])
         return (4.0 / PI2) * (
@@ -264,17 +268,6 @@ def middle_term(d: int, alpha: Alpha) -> tuple[float, CurvatureCorrection]:
     return parabola_sup(kappa), corr
 
 
-def curvature_corrected_bound(g: GeometryTriple) -> tuple[float, CurvatureCorrection]:
-    """The corrected parabola sup on the lambda_1 scale.
-
-    Reduces to the uncorrected parabola sup at K = 0 (multiplier 1) and
-    improves on it for K < 0; for K > 0 past the positivity root the whole
-    term is evaluated at the root, which keeps it continuous there.
-    """
-    value, corr = middle_term(g.d, make_alpha(g))
-    return 4.0 * value / g.D**2, corr
-
-
 @dataclass(frozen=True)
 class CombinedBound:
     """Max of the three certified terms, lambda_1 scale."""
@@ -291,10 +284,14 @@ def combined_lower_bound(
 ) -> CombinedBound:
     """max{ 1/delta1_star, corrected parabola, sphere branch } * 4/D^2.
 
-    The sphere branch participates only for K > 0.  Also carries the
-    dimension-free quadratic bound whenever |K| D^2 <= 4 (better than the
-    parabola term for d >= 10, worse for d <= 7 -- reported, never maxed
-    in, so the three-term certificate stays exactly as stated).
+    The sphere branch participates only for K > 0.  terms["middle"] is the
+    corrected parabola sup on the lambda_1 scale: the uncorrected one at
+    K = 0 (multiplier 1), above it for K < 0, and for K > 0 past the
+    positivity root evaluated at the root, which keeps it continuous there.
+    Also carries the dimension-free quadratic bound wherever its hypothesis
+    |K| D^2 <= 4 holds (better than the parabola term for d >= 10, worse for
+    d <= 7 -- reported, never maxed in, so the three-term certificate stays
+    exactly as stated).
     """
     alpha = make_alpha(g)
     prof = resolve_profile(g.d, alpha, profile)
@@ -309,7 +306,10 @@ def combined_lower_bound(
     else:
         terms["sphere"] = 0.0
     winner = max(("delta1_star", "middle", "sphere"), key=lambda k: terms[k])
-    free = csy_quadratic(g) if abs(g.K) * g.D**2 <= 4.0 else None
+    try:
+        free = csy_quadratic(g)
+    except DomainError:
+        free = None
     return CombinedBound(terms[winner], winner, terms, free, corr)
 
 

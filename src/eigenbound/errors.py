@@ -18,11 +18,7 @@ class MyersViolation(DomainError):
 
 
 class DivergentIntegral(EigenboundError):
-    """An integral is genuinely +inf; the value is carried on the error."""
-
-    def __init__(self, message: str, value: float = float("inf")):
-        super().__init__(message)
-        self.value = value
+    """An adaptive integral met a non-finite panel it cannot narrow further."""
 
 
 class NoConvergence(EigenboundError):

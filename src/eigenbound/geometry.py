@@ -7,8 +7,11 @@ the dimensionless parameter
 
 carried here as a magnitude plus a curvature-sign tag so no complex
 arithmetic ever happens: cosh(i t) = cos(t) and friends are baked into the
-branch tables.  On the normalized interval [0, 1] the comparison
-coefficient is
+branch tables.  Two rules on the inputs live here once each: the Myers cap
+|alpha| <= pi/2 on the positive branch (`Alpha.positive`, which
+`GeometryTriple` reaches through `make_alpha`), and the dimension rule
+(`check_dimension`), which the triple, the profile and the oracle share.
+On the normalized interval [0, 1] the comparison coefficient is
 
     C(s) = cosh(alpha s)**(d-1)   (K < 0)
          = 1                      (alpha = 0)
@@ -82,7 +85,8 @@ class Alpha:
         magnitude = float(magnitude)
         if magnitude > HALF_PI + MYERS_SLACK:
             raise MyersViolation(
-                f"|alpha| = {magnitude} exceeds pi/2 for positive curvature"
+                f"|alpha| = {magnitude} > pi/2 for positive curvature;"
+                " no such manifold exists"
             )
         return Alpha(CurvatureSign.POSITIVE_K, min(magnitude, HALF_PI))
 
@@ -119,19 +123,21 @@ class GeometryTriple:
     K: float
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise DomainError(f"dimension must be an integer >= 1, got {self.d!r}")
+        # make_alpha gives alpha = 0 at d = 1 for every K.
+        check_dimension(self.d, Alpha.zero())
         if not (math.isfinite(self.D) and self.D > 0.0):
             raise DomainError(f"diameter must be finite > 0, got {self.D}")
         if not math.isfinite(self.K):
             raise DomainError(f"curvature bound must be finite, got {self.K}")
-        if self.K > 0.0 and self.d >= 2:
-            mag = (self.D / 2.0) * math.sqrt(self.K / (self.d - 1))
-            if mag > HALF_PI + MYERS_SLACK:
-                raise MyersViolation(
-                    f"(d={self.d}, D={self.D}, K={self.K}) gives |alpha| = {mag}"
-                    " > pi/2; no such manifold exists"
-                )
+        make_alpha(self)  # the Myers cap, in Alpha.positive
+
+
+def check_dimension(d: int, alpha: Alpha) -> None:
+    """The dimension rule: d is an int, not a bool, at least 1, and d = 1 takes only alpha = 0."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
+    if d == 1 and alpha.sign is not CurvatureSign.ZERO:
+        raise DomainError("d = 1 admits only the zero-curvature parameter")
 
 
 def make_alpha(g: GeometryTriple) -> Alpha:
@@ -181,8 +187,7 @@ class CoefficientProfile:
     """
 
     def __init__(self, d: int, alpha: Alpha, segments: int = 4096):
-        if not isinstance(d, int) or d < 1:
-            raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
+        check_dimension(d, alpha)
         self.d = d
         self.alpha = alpha
         self.seg: Segmentation = get_segmentation(segments)
@@ -219,7 +224,7 @@ class CoefficientProfile:
     def _log_coeff(self, x: np.ndarray) -> np.ndarray:
         """log C(x); -inf where C underflows or vanishes."""
         x = np.asarray(x, dtype=float)
-        if self.d == 1 or self.alpha.sign is CurvatureSign.ZERO:
+        if self.alpha.sign is CurvatureSign.ZERO:
             return np.zeros_like(x)
         a = self.alpha.magnitude
         if self.alpha.sign is CurvatureSign.NEGATIVE_K:

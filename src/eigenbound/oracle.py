@@ -41,7 +41,14 @@ from .errors import (
     NoBracket,
     StiffIntegration,
 )
-from .geometry import HALF_PI, Alpha, CoefficientProfile, CurvatureSign, resolve_profile
+from .geometry import (
+    HALF_PI,
+    Alpha,
+    CoefficientProfile,
+    CurvatureSign,
+    check_dimension,
+    resolve_profile,
+)
 from .quadrature import integrate
 from .searches import brent_root
 from .universal import universal_bracket
@@ -73,7 +80,7 @@ KIND_TAN = 2     # F(r) = c1 tan(c2 r)
 
 @dataclass(frozen=True)
 class EigenProblem:
-    """One shooting family: (C f')' + lam C f = 0 on [0, r_end], C = exp(int_0^r F).
+    """One shooting family: (C f')' + lam C f = 0 on [0, 1], C = exp(int_0^r F).
 
     kind (KIND_LINEAR, KIND_TANH or KIND_TAN), c1 and c2 select the drift F
     inside the integration kernel, which marches the Pruefer angle on log C;
@@ -87,8 +94,6 @@ class EigenProblem:
     c2: float
     bc_left: str
     bc_right: str
-    r_end: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in (KIND_LINEAR, KIND_TANH, KIND_TAN):
@@ -100,17 +105,15 @@ class EigenProblem:
                 )
         if self.bc_left == self.bc_right:
             raise DomainError("one end must be Dirichlet and the other Neumann")
-        if not (0.0 < self.r_end <= 1.0):
-            raise DomainError(f"r_end must lie in (0, 1], got {self.r_end}")
         if self.kind != KIND_LINEAR and not self.c2 > 0.0:
             raise DomainError(f"c2 must be positive, got {self.c2}")
-        if self.kind == KIND_TAN and self.c2 * self.r_end > HALF_PI:
+        if self.kind == KIND_TAN and self.c2 > HALF_PI:
             raise DomainError("the tangent drift has a pole inside the domain")
 
     @property
     def singular_end(self) -> bool:
-        """Whether C vanishes at r_end (the Myers edge)."""
-        return self.kind == KIND_TAN and self.c2 * self.r_end == HALF_PI
+        """Whether C vanishes at r = 1 (the Myers edge)."""
+        return self.kind == KIND_TAN and self.c2 == HALF_PI
 
     def drift(self, r):
         r = np.asarray(r, dtype=float)
@@ -130,42 +133,25 @@ class EigenProblem:
         return self.c1 * self.c2 / np.cos(self.c2 * r) ** 2
 
 
-def _check_pair(d: int, alpha: Alpha) -> None:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
-    if d == 1 and alpha.sign is not CurvatureSign.ZERO:
-        raise DomainError("d = 1 admits only the zero-curvature parameter")
-
-
 def reduced_problem(d: int, alpha: Alpha) -> EigenProblem:
     """Dirichlet-at-0 / Neumann-at-1 drift problem for the diameter-scale bound.
 
     The drift is the logarithmic derivative of the model coefficient; at the
     borderline positive parameter C vanishes at r = 1.
     """
-    _check_pair(d, alpha)
-    if d == 1 or alpha.sign is CurvatureSign.ZERO:
-        return EigenProblem(KIND_LINEAR, 0.0, 0.0, DIRICHLET, NEUMANN, label="flat")
+    check_dimension(d, alpha)
+    if alpha.sign is CurvatureSign.ZERO:
+        return EigenProblem(KIND_LINEAR, 0.0, 0.0, DIRICHLET, NEUMANN)
     a = alpha.magnitude
     if alpha.sign is CurvatureSign.NEGATIVE_K:
-        return EigenProblem(
-            KIND_TANH, (d - 1) * a, a, DIRICHLET, NEUMANN, label="tanh drift"
-        )
-    return EigenProblem(KIND_TAN, -(d - 1) * a, a, DIRICHLET, NEUMANN, label="tan drift")
+        return EigenProblem(KIND_TANH, (d - 1) * a, a, DIRICHLET, NEUMANN)
+    return EigenProblem(KIND_TAN, -(d - 1) * a, a, DIRICHLET, NEUMANN)
 
 
 def dual_problem(d: int, alpha: Alpha) -> EigenProblem:
     """Adjoint family: drift sign flipped, boundary conditions swapped."""
     base = reduced_problem(d, alpha)
-    return EigenProblem(
-        base.kind,
-        -base.c1,
-        base.c2,
-        NEUMANN,
-        DIRICHLET,
-        r_end=base.r_end,
-        label=f"dual {base.label}",
-    )
+    return EigenProblem(base.kind, -base.c1, base.c2, NEUMANN, DIRICHLET)
 
 
 def beta_problem(beta: float) -> EigenProblem:
@@ -173,9 +159,7 @@ def beta_problem(beta: float) -> EigenProblem:
     beta = float(beta)
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
-    return EigenProblem(
-        KIND_LINEAR, -2.0 * beta, 0.0, DIRICHLET, NEUMANN, label="linear drift"
-    )
+    return EigenProblem(KIND_LINEAR, -2.0 * beta, 0.0, DIRICHLET, NEUMANN)
 
 
 #: Relative tolerance of an eigenfunction march.  Its absolute tolerance is
@@ -190,9 +174,9 @@ class EigenPath:
     Each half is marched from its end's condition to the matching point m
     of `_landmarks`, in the frame the solve's shots use, at relative
     tolerance PATH_TOL; the right half is scaled so its amplitude meets the
-    left one's at m.  m = r_end marches the left half alone, for a lam off
+    left one's at m.  m = 1 marches the left half alone, for a lam off
     the spectrum, where the halves would not meet.  r, f and fp are the step
-    ends from 0 to r_end, f and C f' read off each step end's angle and log
+    ends from 0 to 1, f and C f' read off each step end's angle and log
     rho, with the left end's normalization: unit slope after a Dirichlet
     start, unit value after a Neumann one.  So f = 0 at a Dirichlet end and
     f' = 0 at a Neumann end, exactly.
@@ -217,10 +201,8 @@ class EigenPath:
         if prob.bc_left == DIRICHLET:
             la += log_kappa  # f'(0) = e^(la - log_kappa) = 1
         halves = [(r, la, s, c)]
-        if m < prob.r_end:
-            rr, lr, sr, cr = _half_march(
-                prob, prob.bc_right, ll, log_kappa, prob.r_end, m
-            )
+        if m < 1.0:
+            rr, lr, sr, cr = _half_march(prob, prob.bc_right, ll, log_kappa, 1.0, m)
             lr += la[-1] - lr[-1]
             halves.append((rr[::-1], lr[::-1], sr[::-1], cr[::-1]))
         r, la, s, c = (np.concatenate(a) for a in zip(*halves))
@@ -334,9 +316,9 @@ def _landmarks(prob: EigenProblem) -> tuple[float, float, float, float]:
     moves fastest with lam.  Sums run in logs, so no scale overflows.
     """
     lc = kernels.log_coeff(prob.kind, prob.c1, prob.c2)
-    r = np.linspace(0.0, prob.r_end, CRUDE_INTERVALS + 1)
+    r = np.linspace(0.0, 1.0, CRUDE_INTERVALS + 1)
     v = np.array([lc(x) for x in r.tolist()])
-    half = math.log(0.5 * prob.r_end / CRUDE_INTERVALS)
+    half = math.log(0.5 / CRUDE_INTERVALS)
     inv = half + np.logaddexp(-v[:-1], -v[1:])
     coef = half + np.logaddexp(v[:-1], v[1:])
     acc = np.logaddexp.accumulate
@@ -364,9 +346,9 @@ def _half_angle(prob, bc, ll, log_kappa, r0, r1, tol):
     """Angle from the condition bc at r0, integrated to r1, at lam = e^ll."""
     c1, shift = _frame(prob, bc, ll, log_kappa)
     theta0 = 0.0
-    if r0 == prob.r_end and prob.singular_end:
-        # e^(-L) ~ (r_end - r)^q near the end: integrate its leading term.
-        r0 = prob.r_end - EDGE_OFFSET
+    if r0 == 1.0 and prob.singular_end:
+        # e^(-L) ~ (1 - r)^q near the end: integrate its leading term.
+        r0 = 1.0 - EDGE_OFFSET
         lc = kernels.log_coeff(prob.kind, c1, prob.c2)(r0)
         theta0 = EDGE_OFFSET * math.exp(-lc - shift) / (1.0 + abs(prob.c1 / prob.c2))
     try:
@@ -419,7 +401,7 @@ def principal_eigenvalue(
 
     def mismatch(ll):
         left = _half_angle(prob, prob.bc_left, ll, log_kappa, 0.0, m, shot_tol)
-        right = _half_angle(prob, prob.bc_right, ll, log_kappa, prob.r_end, m, shot_tol)
+        right = _half_angle(prob, prob.bc_right, ll, log_kappa, 1.0, m, shot_tol)
         return left + right - HALF_PI
 
     fa, fb = mismatch(a), mismatch(b)
@@ -442,7 +424,7 @@ def principal_eigenvalue(
 
 def _bracket_window(d, alpha, profile):
     """The certified bracket cached on profile, as a search window."""
-    b = universal_bracket(d, alpha, profile=resolve_profile(d, alpha, profile))
+    b = universal_bracket(d, alpha, profile=profile)
     if b.lower > 0.0 and math.isfinite(b.upper):
         return b.lower, b.upper
     return None
@@ -460,7 +442,6 @@ def solve_lambda_bar(
 
     With a profile the search starts from its certified bracket.
     """
-    _check_pair(d, alpha)
     prob = dual_problem(d, alpha) if dual else reduced_problem(d, alpha)
     window = None if profile is None else _bracket_window(d, alpha, profile)
     return principal_eigenvalue(prob, tol=tol, window=window)
@@ -478,10 +459,10 @@ def duality_gap(
     The gap is |primal - dual| / max(|primal|, |dual|), so it reads the
     same at every eigenvalue scale.
     """
-    _check_pair(d, alpha)
+    primal_prob, dual_prob = reduced_problem(d, alpha), dual_problem(d, alpha)
     window = None if profile is None else _bracket_window(d, alpha, profile)
-    primal = principal_eigenvalue(reduced_problem(d, alpha), tol=tol, window=window)
-    adjoint = principal_eigenvalue(dual_problem(d, alpha), tol=tol, window=window)
+    primal = principal_eigenvalue(primal_prob, tol=tol, window=window)
+    adjoint = principal_eigenvalue(dual_prob, tol=tol, window=window)
     p_val, d_val = primal.eigenvalue, adjoint.eigenvalue
     return primal, adjoint, abs(p_val - d_val) / max(abs(p_val), abs(d_val))
 
@@ -536,7 +517,7 @@ def derivative_identity_residual(
     prob = reduced_problem(d, alpha)
     base = principal_eigenvalue(prob, tol=tol)
     lam = base.eigenvalue * (1.0 + _IDENTITY_LIFT)
-    path = EigenPath(prob, lam, m=prob.r_end)
+    path = EigenPath(prob, lam, m=1.0)
     rs, fp = path.r, path.fp
 
     nonpos = np.nonzero(fp <= 0.0)[0]

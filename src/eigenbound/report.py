@@ -1,12 +1,12 @@
 """Assembled bound reports for a single geometry triple.
 
 Everything the library certifies about one (d, D, K) input in one place:
-the closed-form estimates with their validity flags, the two-route
-functional bracket, the combined certificate, and (optionally) the
-shooting oracle with its sandwich check.  All report values live on the
-manifold eigenvalue scale; the only arithmetic performed here is the
-4/D^2 scale conversion and clamping negatives to zero for the headline
-lower bound.
+the closed-form estimates, each flagged invalid where it refuses the
+triple, the two-route functional bracket, the combined certificate, and
+(optionally) the shooting oracle with its sandwich check.  All report
+values live on the manifold eigenvalue scale; the only arithmetic
+performed here is the 4/D^2 scale conversion and clamping negatives to
+zero for the headline lower bound.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .classical import ESTIMATES
 from .correction import CombinedBound, combined_lower_bound
+from .errors import DomainError
 from .geometry import Alpha, CoefficientProfile, GeometryTriple, make_alpha, resolve_profile
 from .oracle import EigenResult, solve_lambda_bar
 from .universal import BoundBracket, universal_bracket
@@ -76,10 +77,8 @@ class BoundReport:
             return None
         return self.scale * self.oracle.eigenvalue
 
-    def sandwich_violations(
-        self, slack: float = _SANDWICH_SLACK
-    ) -> list[tuple[str, float]]:
-        """Valid rows above the oracle eigenvalue by more than slack, relatively.
+    def sandwich_violations(self) -> list[tuple[str, float]]:
+        """Valid rows above the oracle eigenvalue by more than _SANDWICH_SLACK, relatively.
 
         Returns (name, relative excess) pairs.  The comparison is scale-free:
         rounding on the reduced scale stays rounding after the 4/D^2 factor.
@@ -90,7 +89,7 @@ class BoundReport:
         return [
             (row.name, (row.value - lam) / lam)
             for row in self.rows
-            if row.valid and math.isfinite(row.value) and row.value > lam * (1.0 + slack)
+            if row.valid and math.isfinite(row.value) and row.value > lam * (1.0 + _SANDWICH_SLACK)
         ]
 
     def upper_violation(self) -> float | None:
@@ -118,8 +117,9 @@ def build_report(
     """Evaluate every applicable bound for the triple.
 
     Rows hold lower bounds only (the bracket carries the upper side).
-    Estimates whose validity predicate rejects the triple appear flagged
-    invalid with a NaN value rather than a misleading number.
+    Each estimate is evaluated once; one that refuses the triple with
+    DomainError appears flagged invalid with a NaN value rather than a
+    misleading number.
     """
     alpha = make_alpha(g)
     prof = resolve_profile(g.d, alpha, profile)
@@ -127,8 +127,10 @@ def build_report(
 
     rows: list[ReportRow] = []
     for est in ESTIMATES:
-        valid = est.valid_for(g)
-        value = est(g) if valid else float("nan")
+        try:
+            value, valid = est(g), True
+        except DomainError:
+            value, valid = math.nan, False
         rows.append(ReportRow(est.name, est.label, value, valid, False))
 
     bracket = universal_bracket(g.d, alpha, profile=prof)

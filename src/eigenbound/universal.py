@@ -289,9 +289,9 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     """(node tables, sub-node rows of the segments rows) of the six integrals, each a (forward, tail) pair.
 
     Node tables are (3, n + 1) and sub-node rows (3, m, 15) per direction,
-    in the slots of `_INTEGRANDS`.  rows defaults to every segment, whose
-    tables are cached per profile.  All six integrands' rows go through one
-    `Segmentation.pointwise_means` call; rows an in-segment interpolant
+    in the slots of `_INTEGRANDS`.  rows defaults to every segment.  All
+    six integrands' rows go through one `Segmentation.pointwise_means`
+    call; rows an in-segment interpolant
     cannot represent take their means from direct sub-sub values.  At the
     Myers edge the forward integrands C phi^{3/2}, C phi^2 and
     C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens of
@@ -300,10 +300,6 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     bounded and sane.  The tail rows reuse the node step's segment
     integrals.
     """
-    whole = isinstance(rows, slice)
-    tabs = p._cache.get("delta_tables") if whole else None
-    if tabs is not None:
-        return tabs
     seg = p.seg
     vals = _integrand_rows(p)
     ints, nodes = _node_tables(p)
@@ -312,10 +308,7 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
         means = means.reshape(2, 3, -1, 15)
         _, forward = seg.build_cumulative(vals[0], means[0], rows, nodes[0])
         _, tail = seg.build_reverse(vals[1], means[1], p.tail_floor, rows, nodes[1], ints[1])
-    tabs = nodes, (forward, tail)
-    if whole:
-        p._cache["delta_tables"] = tabs
-    return tabs
+    return nodes, (forward, tail)
 
 
 class _Reads(_View):
@@ -676,10 +669,11 @@ class BoundBracket:
     def chain(self) -> tuple[float, float, float, float]:
         return (self.crude_lower, self.lower, self.upper, self.crude_upper)
 
-    def chain_ok(self, slack: float = 1e-9) -> bool:
-        """Whether each link of the chain holds up to a relative slack."""
+    def chain_ok(self) -> bool:
+        """Whether each link of the chain holds up to a relative slack of 1e-9."""
         a, b, c, d = self.chain()
-        return a <= b * (1 + slack) and b <= c * (1 + slack) and c <= d * (1 + slack)
+        s = 1.0 + 1e-9
+        return a <= b * s and b <= c * s and c <= d * s
 
 
 def universal_bracket(

@@ -22,8 +22,9 @@ from eigenbound.classical import (
     shi_zhang,
     zhong_yang,
 )
-from eigenbound.errors import DomainError
-from eigenbound.geometry import Alpha, GeometryTriple, HALF_PI
+from eigenbound.errors import DomainError, MyersViolation
+from eigenbound.geometry import MYERS_SLACK, Alpha, GeometryTriple, HALF_PI
+from eigenbound.report import build_report
 
 PI2 = math.pi**2
 
@@ -185,3 +186,30 @@ class TestRegistry:
         csy = get_estimate("csy_quadratic")
         assert csy.valid_for(inside)
         assert not csy.valid_for(outside)
+
+    def test_every_accepted_triple_gets_a_report(self):
+        # The example sits inside the Myers slack (|alpha| = pi/2 + 9e-13),
+        # where shi_zhang once restated the cap more tightly and refused it.
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def triples(draw):
+            d = draw(st.integers(2, 63))
+            D = math.exp(draw(st.floats(math.log(0.01), math.log(100.0))))
+            sign, cap = draw(st.sampled_from([(1.0, HALF_PI + MYERS_SLACK), (-1.0, 5.0)]))
+            a = draw(st.floats(0.0, cap))
+            return d, D, sign * 4.0 * (d - 1) * a * a / D**2
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.example((3, 2.0, 4.934802200550333))
+        @hyp.given(triples())
+        def check(triple):
+            try:
+                g = GeometryTriple(*triple)
+            except MyersViolation:
+                hyp.reject()
+            _, best = build_report(g).best_lower
+            assert 0.0 < best < math.inf
+
+        check()

@@ -261,6 +261,14 @@ class TestFigure:
         assert main(["figure", "12"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["sweep", "--grid", "-1"], ["figure", "7", "--grid", "-3"], ["sweep", "--grid", "0"]])
+    def test_grid_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--grid: must be at least 1" in err and "Traceback" not in err
+
     def test_figure_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["figure", "6", "--grid", "15", "--out", str(a)])
@@ -393,11 +401,11 @@ class TestVerify:
         from eigenbound import checks
         from eigenbound.report import BoundReport
 
-        assert checks._check_sandwich().passed
+        assert checks._check_sandwich()[0]
         monkeypatch.setattr(BoundReport, "upper_violation", lambda self: 0.0308)
-        res = checks._check_sandwich()
-        assert not res.passed
-        assert "2,1.0,0.0:upper" in res.detail
+        passed, detail = checks._check_sandwich()
+        assert not passed
+        assert "2,1.0,0.0:upper" in detail
 
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

@@ -22,7 +22,6 @@ from eigenbound.correction import (
     combined_lower_bound,
     comparison_kernel,
     convex_mean,
-    curvature_corrected_bound,
     curvature_kernel,
     curvature_multiplier,
     middle_term,
@@ -216,15 +215,17 @@ class TestMiddleTerm:
 
 
 class TestCurvatureCorrectedBound:
+    """The corrected parabola sup on the lambda_1 scale, the combined bound's middle term."""
+
     def test_scales_middle_term_by_four_over_diameter_squared(self):
         g = GeometryTriple(3, 2.0, -1.0)
-        value, corr = curvature_corrected_bound(g)
+        combined = combined_lower_bound(g)
         mid, corr_mid = middle_term(3, make_alpha(g))
-        assert value == 4.0 * mid / g.D**2
-        assert corr.multiplier == corr_mid.multiplier
+        assert combined.terms["middle"] == (4.0 / g.D**2) * mid
+        assert combined.correction.multiplier == corr_mid.multiplier
 
     def test_flat_unit_diameter(self):
-        value, _ = curvature_corrected_bound(GeometryTriple(5, 1.0, 0.0))
+        value = combined_lower_bound(GeometryTriple(5, 1.0, 0.0)).terms["middle"]
         assert value == pytest.approx(PI2, rel=1e-12)
 
 

@@ -18,6 +18,7 @@ from eigenbound.geometry import (
     make_alpha,
     resolve_profile,
 )
+from eigenbound.oracle import solve_lambda_bar
 
 
 class TestAlpha:
@@ -179,6 +180,14 @@ class TestCoefficientProfile:
     def test_profile_rejects_mismatched_alpha_type(self):
         with pytest.raises(DomainError):
             CoefficientProfile(0, Alpha.zero())
+
+    @pytest.mark.parametrize("d, alpha", [(True, Alpha.zero()), (1, Alpha.negative(1.0))])
+    def test_profile_takes_the_oracles_dimension_rule(self, d, alpha):
+        # A bool is no dimension, and d = 1 admits only alpha = 0.
+        with pytest.raises(DomainError):
+            CoefficientProfile(d, alpha)
+        with pytest.raises(DomainError):
+            solve_lambda_bar(d, alpha)
 
 
 class TestPagedRows:

@@ -151,7 +151,7 @@ class TestDuality:
 
     def test_dual_flag_solves_adjoint_family(self):
         res = solve_lambda_bar(3, Alpha.negative(1.5), dual=True)
-        assert res.problem.label.startswith("dual")
+        assert res.problem == dual_problem(3, Alpha.negative(1.5))
         assert res.eigenvalue == pytest.approx(
             get_lambda(3, Alpha.negative(1.5)).eigenvalue, abs=1e-9
         )
@@ -186,7 +186,7 @@ class TestScipyCrossCheck:
 
             sol = solve_ivp(
                 rhs,
-                [0.0, prob.r_end],
+                [0.0, 1.0],
                 [0.0, 1.0],
                 method="DOP853",
                 rtol=1e-11,
@@ -595,7 +595,7 @@ class TestSolutionSurface:
 
     def test_positive_edge_is_solved_untrimmed_and_has_no_path(self):
         prob = reduced_problem(2, Alpha.positive(HALF_PI))
-        assert prob.r_end == 1.0 and prob.singular_end
+        assert prob.singular_end
         assert not reduced_problem(2, Alpha.positive(1.0)).singular_end
         with pytest.raises(DomainError):
             EigenPath(prob, 2.0 * PI2 / 4.0)
@@ -624,10 +624,6 @@ class TestValidation:
     def test_rejects_bad_boundary_condition(self):
         with pytest.raises(DomainError):
             EigenProblem(0, 0.0, 0.0, "robin", NEUMANN)
-
-    def test_rejects_bad_domain_end(self):
-        with pytest.raises(DomainError):
-            EigenProblem(0, 0.0, 0.0, DIRICHLET, NEUMANN, r_end=0.0)
 
     def test_rejects_non_integer_dimension(self):
         with pytest.raises(DomainError):

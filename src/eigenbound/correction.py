@@ -11,9 +11,11 @@ The drift correction multiplies the curvature bound K by
 
 with x the signed square of alpha, improves on the uncorrected one in both
 directions.  An independent route to the same multiplier goes through the
-comparison kernel of the iterate ratio f_2/f_1 for a(x)^{-1} d^2/dx^2:
-(pi^2/4) * curvature_kernel(alpha, 0) equals the multiplier.  Both routes
-are kept separate and cross-checked in tests.
+comparison kernel of the iterate ratio f_2/f_1 for a(x)^{-1} d^2/dx^2.
+comparison_kernel is its one implementation, for any positive a;
+curvature_kernel specialises it to the sech^2 / sec^2 family (KernelMaps),
+and (pi^2/4) * curvature_kernel(alpha, 0) equals the multiplier.  Both
+routes are kept separate and cross-checked in tests.
 
 combined_lower_bound takes the max of 1/delta1_star, the corrected
 parabola term, and (for K > 0) the sphere branch, all on the reduced
@@ -35,7 +37,6 @@ import numpy as np
 from .classical import (
     alpha_clamp_root,
     chen_wang_sphere_reduced,
-    csy_quadratic,
     parabola_sup,
 )
 from .errors import DomainError, NonPositiveCoefficient
@@ -193,16 +194,17 @@ def comparison_kernel(a, da, dda, x: float) -> float:
 
 
 def curvature_kernel(alpha: Alpha, x: float) -> float:
-    """Closed-form kernel for the sech^2 / sec^2 coefficient family.
+    """comparison_kernel for the sech^2 / sec^2 coefficient family (KernelMaps).
 
     (pi^2/4) h(x) = sech^2(ax) + 2a sec(pi x/2) [ a (1-x) int_0^x q cos(pi y/2)
                     + int_x^1 (-2p + a (1-y) q) cos(pi y/2) ]
 
     with the sign of the correction flipped (and sech -> sec) on the
-    positive branch.  Real for every curvature sign.  At x = 0 the value
-    times pi^2/4 equals curvature_multiplier(alpha) -- an independent
-    integral, cross-checked in tests.  The positive branch needs
-    |alpha| < pi/2 strictly: at pi/2 the tail integral diverges.
+    positive branch.  Real for every curvature sign, and exactly 4/pi^2 at
+    alpha = 0.  At x = 0 the value times pi^2/4 equals
+    curvature_multiplier(alpha) -- an independent integral, cross-checked
+    in tests.  The positive branch needs |alpha| < pi/2 strictly: at pi/2
+    the tail integral diverges.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"kernel argument must lie in [0, 1], got {x}")
@@ -214,28 +216,7 @@ def curvature_kernel(alpha: Alpha, x: float) -> float:
     if alpha.sign is CurvatureSign.ZERO:
         return 4.0 / PI2
     maps = KernelMaps(alpha)
-    a = alpha.magnitude
-    sgn = 1.0 if alpha.sign is CurvatureSign.POSITIVE_K else -1.0
-
-    def raw(xx: float) -> float:
-        inner = 0.0
-        if xx > 0.0:
-            inner += a * (1.0 - xx) * integrate(
-                lambda y: maps.q(y) * np.cos(HALF_PI * y), 0.0, xx, tol=_TOL
-            )
-        inner += integrate(
-            lambda y: (-2.0 * maps.p(y) + a * (1.0 - y) * maps.q(y))
-            * np.cos(HALF_PI * y),
-            xx, 1.0, tol=_TOL,
-        )
-        base = float(maps.a(np.asarray([xx]))[0])
-        return (4.0 / PI2) * (
-            base - sgn * 2.0 * a * inner / math.cos(HALF_PI * xx)
-        )
-
-    if x > _NEAR_ONE:
-        return _limit_at_one(raw)
-    return raw(x)
+    return comparison_kernel(maps.a, maps.da, maps.dda, x)
 
 
 # -- corrected parabola term and the combined bound ---------------------------
@@ -275,7 +256,6 @@ class CombinedBound:
     value: float
     winner: str
     terms: dict[str, float]
-    dimension_free: float | None
     correction: CurvatureCorrection
 
 
@@ -288,10 +268,8 @@ def combined_lower_bound(
     corrected parabola sup on the lambda_1 scale: the uncorrected one at
     K = 0 (multiplier 1), above it for K < 0, and for K > 0 past the
     positivity root evaluated at the root, which keeps it continuous there.
-    Also carries the dimension-free quadratic bound wherever its hypothesis
-    |K| D^2 <= 4 holds (better than the parabola term for d >= 10, worse for
-    d <= 7 -- reported, never maxed in, so the three-term certificate stays
-    exactly as stated).
+    The dimension-free quadratic bound is not a term: the report carries
+    it as its own `csy_quadratic` row.
     """
     alpha = make_alpha(g)
     prof = resolve_profile(g.d, alpha, profile)
@@ -306,11 +284,7 @@ def combined_lower_bound(
     else:
         terms["sphere"] = 0.0
     winner = max(("delta1_star", "middle", "sphere"), key=lambda k: terms[k])
-    try:
-        free = csy_quadratic(g)
-    except DomainError:
-        free = None
-    return CombinedBound(terms[winner], winner, terms, free, corr)
+    return CombinedBound(terms[winner], winner, terms, corr)
 
 
 # -- convex means of the two dual-route bounds --------------------------------

@@ -151,8 +151,12 @@ def make_alpha(g: GeometryTriple) -> Alpha:
 
 
 def alpha_to_curvature(alpha: Alpha, d: int, D: float) -> float:
-    """Invert make_alpha: the K a given alpha encodes at dimension d, diameter D."""
-    if alpha.sign is CurvatureSign.ZERO or d == 1:
+    """Invert make_alpha: the K a given alpha encodes at dimension d, diameter D.
+
+    The pair (d, alpha) must pass check_dimension.
+    """
+    check_dimension(d, alpha)
+    if alpha.sign is CurvatureSign.ZERO:
         return 0.0
     k = 4.0 * (d - 1) * alpha.magnitude**2 / D**2
     return k if alpha.sign is CurvatureSign.POSITIVE_K else -k

@@ -3,10 +3,12 @@
 Everything the library certifies about one (d, D, K) input in one place:
 the closed-form estimates, each flagged invalid where it refuses the
 triple, the two-route functional bracket, the combined certificate, and
-(optionally) the shooting oracle with its sandwich check.  All report
-values live on the manifold eigenvalue scale; the only arithmetic
-performed here is the 4/D^2 scale conversion and clamping negatives to
-zero for the headline lower bound.
+(optionally) the shooting oracle with its one two-sided sandwich check,
+`BoundReport.sandwich_violations`: every valid row at or below the oracle,
+and the oracle at or below the certified upper bound.  All report values
+live on the manifold eigenvalue scale; the only arithmetic performed here
+is the 4/D^2 scale conversion and clamping negatives to zero for the
+headline lower bound.
 """
 
 from __future__ import annotations
@@ -78,33 +80,26 @@ class BoundReport:
         return self.scale * self.oracle.eigenvalue
 
     def sandwich_violations(self) -> list[tuple[str, float]]:
-        """Valid rows above the oracle eigenvalue by more than _SANDWICH_SLACK, relatively.
+        """Both sides of the oracle sandwich, each at _SANDWICH_SLACK relative.
 
-        Returns (name, relative excess) pairs.  The comparison is scale-free:
-        rounding on the reduced scale stays rounding after the 4/D^2 factor.
+        Returns (name, relative excess) pairs: each valid row above the
+        oracle eigenvalue, then ("bracket_upper", excess) when the oracle
+        sits above the certified upper bound.  Empty without an oracle.
+        The comparison is scale-free: rounding on the reduced scale stays
+        rounding after the 4/D^2 factor.
         """
         if self.oracle is None:
             return []
         lam = self.oracle_value
-        return [
+        bad = [
             (row.name, (row.value - lam) / lam)
             for row in self.rows
             if row.valid and math.isfinite(row.value) and row.value > lam * (1.0 + _SANDWICH_SLACK)
         ]
-
-    def upper_violation(self) -> float | None:
-        """Relative excess of the oracle over the certified upper bound.
-
-        None when there is no oracle or it sits at or below
-        upper * (1 + _SANDWICH_SLACK); the other side of the sandwich check.
-        """
-        if self.oracle is None:
-            return None
         upper = self.scale * self.bracket.upper
-        lam = self.oracle_value
         if lam > upper * (1.0 + _SANDWICH_SLACK):
-            return (lam - upper) / upper
-        return None
+            bad.append(("bracket_upper", (lam - upper) / upper))
+        return bad
 
 
 def build_report(
@@ -224,16 +219,10 @@ def render_table(report: BoundReport) -> str:
         lines.append("")
         lines.append(f"oracle eigenvalue: {_fmt(report.oracle_value)}")
         bad = report.sandwich_violations()
-        over = report.upper_violation()
         if bad:
             worst = ", ".join(f"{n} (+{e:.3g} relative)" for n, e in bad)
             lines.append(f"  SANDWICH VIOLATION: {worst}")
-        if over is not None:
-            lines.append(
-                "  UPPER BOUND VIOLATION: oracle above the certified upper"
-                f" bound (+{over:.3g} relative)"
-            )
-        if not bad and over is None:
+        else:
             lines.append(
                 "  all valid lower bounds sit at or below the oracle value,"
                 " and the oracle at or below the certified upper bound"

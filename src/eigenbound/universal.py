@@ -636,8 +636,6 @@ class BoundBracket:
     bounds by 4/D^2 to reach the manifold eigenvalue scale.
     """
 
-    d: int
-    alpha: Alpha
     delta: float
     delta1: float
     delta1_prime: float
@@ -682,8 +680,6 @@ def universal_bracket(
     """Assemble all five functionals into the two-sided bracket."""
     profile = resolve_profile(d, alpha, profile)
     return BoundBracket(
-        d=d,
-        alpha=alpha,
         delta=delta(profile),
         delta1=delta1(profile),
         delta1_prime=delta1_prime(profile),

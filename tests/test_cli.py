@@ -159,7 +159,7 @@ class TestBound:
 
 
 class TestSandwich:
-    def test_planted_violation_reports_relative_excess(self, capsys):
+    def test_planted_violation_reports_relative_excess(self, capsys, monkeypatch):
         report = build_report(GeometryTriple(2, 2.0, 0.0), oracle=True)
         lam = report.oracle_value
         planted = (
@@ -171,23 +171,27 @@ class TestSandwich:
         assert [n for n, _ in bad] == ["planted"]
         assert bad[0][1] == pytest.approx(1e-3, rel=1e-9)
         assert "SANDWICH VIOLATION: planted (+0.001 relative)" in render_table(report)
+        monkeypatch.setattr("eigenbound.cli.build_report", lambda *a, **k: report)
+        assert main(["bound", "-d", "2", "-D", "2", "-K", "0", "--oracle"]) == 1
+        assert "SANDWICH VIOLATION: planted" in capsys.readouterr().out
 
     def test_oracle_above_upper_bound_is_flagged(self, capsys, monkeypatch):
         report = build_report(GeometryTriple(2, 2.0, 0.0), oracle=True)
-        assert report.upper_violation() is None
+        assert report.sandwich_violations() == []
         upper = report.bracket.upper
         within = replace(report.oracle, eigenvalue=upper * (1.0 + 1e-9))
-        assert replace(report, oracle=within).upper_violation() is None
+        assert replace(report, oracle=within).sandwich_violations() == []
         above = replace(report.oracle, eigenvalue=upper * (1.0 + 1e-3))
         report = replace(report, oracle=above)
-        assert report.upper_violation() == pytest.approx(1e-3, rel=1e-9)
-        assert not report.sandwich_violations()
+        bad = report.sandwich_violations()
+        assert [n for n, _ in bad] == ["bracket_upper"]
+        assert bad[0][1] == pytest.approx(1e-3, rel=1e-9)
         text = render_table(report)
-        assert "UPPER BOUND VIOLATION: oracle above the certified upper bound" in text
+        assert "SANDWICH VIOLATION: bracket_upper (+0.001 relative)" in text
         assert "at or below the oracle" not in text
         monkeypatch.setattr("eigenbound.cli.build_report", lambda *a, **k: report)
         assert main(["bound", "-d", "2", "-D", "2", "-K", "0", "--oracle"]) == 1
-        assert "UPPER BOUND VIOLATION" in capsys.readouterr().out
+        assert "SANDWICH VIOLATION: bracket_upper" in capsys.readouterr().out
 
 
 class TestFigure:
@@ -363,6 +367,14 @@ class TestSweep:
         assert main(["sweep", "--dims", "2,3", "--grid", "4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", ["x", "2,1.5"])
+    def test_malformed_dims_is_a_usage_error(self, capsys, dims):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dims", dims, "--grid", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--dims" in err and "Traceback" not in err
+
     def test_unknown_estimate_is_a_clean_error(self, capsys):
         rc = main(["sweep", "--estimates", "not_a_thing", "--grid", "4"])
         assert rc == 2
@@ -399,13 +411,19 @@ class TestVerify:
 
     def test_sandwich_check_fails_on_upper_violation(self, monkeypatch):
         from eigenbound import checks
-        from eigenbound.report import BoundReport
 
         assert checks._check_sandwich()[0]
-        monkeypatch.setattr(BoundReport, "upper_violation", lambda self: 0.0308)
+        solve = checks.build_report
+
+        def oracle_above_upper(g, **kwargs):
+            rep = solve(g, **kwargs)
+            above = replace(rep.oracle, eigenvalue=rep.bracket.upper * (1.0 + 1e-3))
+            return replace(rep, oracle=above)
+
+        monkeypatch.setattr(checks, "build_report", oracle_above_upper)
         passed, detail = checks._check_sandwich()
         assert not passed
-        assert "2,1.0,0.0:upper" in detail
+        assert "violations: ['2,1.0,0.0:bracket_upper'," in detail
 
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

@@ -100,12 +100,28 @@ class TestComparisonKernel:
 
     @pytest.mark.parametrize("x", [0.0, 0.3, 0.7])
     def test_matches_closed_form_kernel(self, x):
-        # Generic-coefficient route vs. the branch-specialized closed form.
-        alpha = Alpha.negative(1.0)
-        maps = KernelMaps(alpha)
-        generic = comparison_kernel(maps.a, maps.da, maps.dda, x)
-        special = curvature_kernel(alpha, x)
-        assert generic == pytest.approx(special, rel=1e-12)
+        # The sech^2 / sec^2 family's closed form, integrated by scipy.
+        quad = pytest.importorskip("scipy.integrate").quad
+        cos = lambda y: math.cos(math.pi * y / 2.0)
+        for signed in (-3.0, -1.0, 1.0, 1.5):
+            a = abs(signed)
+            if signed > 0:
+                sq, p = lambda y: 1.0 / math.cos(a * y) ** 2, lambda y: math.tan(a * y)
+                q = lambda y: (2.0 - math.cos(2.0 * a * y)) * sq(y) ** 2
+                sgn = 1.0
+            else:
+                sq, p = lambda y: 1.0 / math.cosh(a * y) ** 2, lambda y: math.tanh(a * y)
+                q = lambda y: (2.0 - math.cosh(2.0 * a * y)) * sq(y) ** 2
+                sgn = -1.0
+            head = quad(lambda y: q(y) * cos(y), 0.0, x, epsabs=0.0, epsrel=1e-13)[0]
+            tail = quad(
+                lambda y: (-2.0 * p(y) * sq(y) + a * (1.0 - y) * q(y)) * cos(y),
+                x, 1.0, epsabs=0.0, epsrel=1e-13,
+            )[0]
+            inner = a * (1.0 - x) * head + tail
+            want = (4.0 / PI2) * (sq(x) - sgn * 2.0 * a * inner / cos(x))
+            alpha = Alpha.positive(a) if signed > 0 else Alpha.negative(a)
+            assert curvature_kernel(alpha, x) == pytest.approx(want, rel=1e-11), signed
 
     def test_rejects_sign_changing_coefficient(self):
         a = lambda y: 1.0 - 2.0 * np.asarray(y, dtype=float) ** 2
@@ -256,14 +272,6 @@ class TestCombinedBound:
         neg = combined_lower_bound(GeometryTriple(2, 2.0, -1.0))
         assert pos.terms["sphere"] > 0.0
         assert neg.terms["sphere"] == 0.0
-
-    def test_dimension_free_reported_only_in_window(self):
-        inside = combined_lower_bound(GeometryTriple(3, 2.0, -1.0))
-        outside = combined_lower_bound(GeometryTriple(3, 2.0, -1.5))
-        assert inside.dimension_free is not None
-        assert outside.dimension_free is None
-        # Reported, never maxed in: the certificate is the three terms.
-        assert inside.value == max(inside.terms.values())
 
     def test_profile_argument_reuses_tables(self):
         g = GeometryTriple(3, 2.0, -1.0)

@@ -71,6 +71,12 @@ class TestGeometryTriple:
         assert a.magnitude == pytest.approx(1.0, rel=1e-15)
         assert alpha_to_curvature(a, 5, 2.0) == pytest.approx(-4.0, rel=1e-15)
 
+    def test_alpha_to_curvature_takes_the_dimension_rule(self):
+        assert alpha_to_curvature(Alpha.zero(), 1, 2.0) == 0.0
+        for d, alpha in ((1, Alpha.negative(1.0)), (1, Alpha.positive(0.5)), (0, Alpha.zero())):
+            with pytest.raises(DomainError):
+                alpha_to_curvature(alpha, d, 2.0)
+
     def test_dimension_one_and_flat_reduce_to_zero(self):
         assert make_alpha(GeometryTriple(1, 1.0, 3.0)).sign is CurvatureSign.ZERO
         assert make_alpha(GeometryTriple(4, 1.0, 0.0)).sign is CurvatureSign.ZERO

@@ -284,7 +284,9 @@ def _sweep_out(template: str | None, d: int, many: bool) -> str | None:
 
 
 def cmd_sweep(args) -> int:
-    names = [tok for tok in (args.estimates or DEFAULT_SWEEP).split(",") if tok]
+    names = [tok for tok in args.estimates.split(",") if tok]
+    if not names:
+        raise EigenboundError("--estimates names no estimate")
     estimators = {
         **SWEEP_ESTIMATORS,
         "oracle": lambda d, a, p: solve_lambda_bar(d, a, profile=p, tol=args.tol).eigenvalue,
@@ -294,10 +296,8 @@ def cmd_sweep(args) -> int:
         raise EigenboundError(
             f"unknown estimates {unknown}; known: {', '.join(sorted(estimators))}"
         )
-    if args.xmax > HALF_PI:
-        raise EigenboundError(
-            f"positive-branch axis values cap at pi/2 = {HALF_PI:.6f}, got {args.xmax}"
-        )
+    for x in (args.xmin, args.xmax):
+        _alpha_from_axis(x)  # the Myers cap of Alpha.positive, before any point
     xs = np.linspace(args.xmin, args.xmax, args.grid)
     many = len(args.dims) > 1
     if many and args.out is None:
@@ -347,8 +347,11 @@ def _grid(text: str) -> int:
 
 
 def _dims(text: str) -> list[int]:
-    """A --dims value: comma-separated integers; check_dimension judges each."""
-    return [int(tok) for tok in text.split(",") if tok]
+    """A --dims value: comma-separated integers, at least one; check_dimension judges each."""
+    dims = [int(tok) for tok in text.split(",") if tok]
+    if not dims:
+        raise argparse.ArgumentTypeError(f"names no dimension: {text!r}")
+    return dims
 
 
 class _Parser(argparse.ArgumentParser):
@@ -404,7 +407,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--grid", type=_grid, default=200, help="points per axis")
     s.add_argument(
         "--estimates",
-        default=None,
+        default=DEFAULT_SWEEP,
         help=f"comma-separated estimate names (default {DEFAULT_SWEEP})",
     )
     s.add_argument("--tol", type=float, default=1e-11, help="oracle relative tolerance")
@@ -422,7 +425,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except EigenboundError as exc:
+    except (EigenboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

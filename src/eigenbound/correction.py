@@ -13,7 +13,7 @@ with x the signed square of alpha, improves on the uncorrected one in both
 directions.  An independent route to the same multiplier goes through the
 comparison kernel of the iterate ratio f_2/f_1 for a(x)^{-1} d^2/dx^2.
 comparison_kernel is its one implementation, for any positive a;
-curvature_kernel specialises it to the sech^2 / sec^2 family (KernelMaps),
+curvature_kernel specialises it to the sech^2 / sec^2 family (_kernel_maps),
 and (pi^2/4) * curvature_kernel(alpha, 0) equals the multiplier.  Both
 routes are kept separate and cross-checked in tests.
 
@@ -85,9 +85,8 @@ def curvature_multiplier(alpha: Alpha) -> float:
     return (PI2 / 4.0) * integrate(f, 0.0, 1.0, tol=_TOL)
 
 
-@dataclass(frozen=True)
-class KernelMaps:
-    """The branch coefficient a = sech^2 / sec^2 with its derivative chain.
+def _kernel_maps(alpha: Alpha):
+    """(a, a', a'') of the branch coefficient a = sech^2 / sec^2, as vectorized callables.
 
     negative branch:  p(y) = sech^2(ay) tanh(ay),
                       q(y) = sech^4(ay) [2 - cosh(2ay)],
@@ -97,40 +96,24 @@ class KernelMaps:
                       a' = +2 alpha p,  a'' = +2 alpha^2 q.
     At alpha = 0: a = 1, p = 0, q = 1, both derivatives vanish.
     """
+    m = alpha.magnitude
+    if alpha.sign is CurvatureSign.POSITIVE_K:
+        cos, tan, s = np.cos, np.tan, 2.0
+    else:  # sech = 1 / cosh
+        cos, tan, s = np.cosh, np.tanh, -2.0
 
-    alpha: Alpha
+    def a(y):
+        return 1.0 / cos(m * np.asarray(y)) ** 2
 
-    @property
-    def _pos(self) -> bool:
-        return self.alpha.sign is CurvatureSign.POSITIVE_K
+    def da(y):
+        y = np.asarray(y)
+        return s * m * (tan(m * y) / cos(m * y) ** 2)
 
-    def a(self, y):
-        m = self.alpha.magnitude
-        if self._pos:
-            return 1.0 / np.cos(m * np.asarray(y)) ** 2
-        return 1.0 / np.cosh(m * np.asarray(y)) ** 2
+    def dda(y):
+        y = np.asarray(y)
+        return s * m**2 * ((2.0 - cos(2.0 * m * y)) / cos(m * y) ** 4)
 
-    def p(self, y):
-        m = self.alpha.magnitude
-        if self._pos:
-            return np.tan(m * np.asarray(y)) / np.cos(m * np.asarray(y)) ** 2
-        return np.tanh(m * np.asarray(y)) / np.cosh(m * np.asarray(y)) ** 2
-
-    def q(self, y):
-        m = self.alpha.magnitude
-        if self._pos:
-            c = np.cos(m * np.asarray(y))
-            return (2.0 - np.cos(2.0 * m * np.asarray(y))) / c**4
-        c = np.cosh(m * np.asarray(y))
-        return (2.0 - np.cosh(2.0 * m * np.asarray(y))) / c**4
-
-    def da(self, y):
-        s = 2.0 if self._pos else -2.0
-        return s * self.alpha.magnitude * self.p(y)
-
-    def dda(self, y):
-        s = 2.0 if self._pos else -2.0
-        return s * self.alpha.magnitude**2 * self.q(y)
+    return a, da, dda
 
 
 def _limit_at_one(raw) -> float:
@@ -194,7 +177,7 @@ def comparison_kernel(a, da, dda, x: float) -> float:
 
 
 def curvature_kernel(alpha: Alpha, x: float) -> float:
-    """comparison_kernel for the sech^2 / sec^2 coefficient family (KernelMaps).
+    """comparison_kernel for the sech^2 / sec^2 coefficient family (`_kernel_maps`).
 
     (pi^2/4) h(x) = sech^2(ax) + 2a sec(pi x/2) [ a (1-x) int_0^x q cos(pi y/2)
                     + int_x^1 (-2p + a (1-y) q) cos(pi y/2) ]
@@ -215,8 +198,7 @@ def curvature_kernel(alpha: Alpha, x: float) -> float:
         )
     if alpha.sign is CurvatureSign.ZERO:
         return 4.0 / PI2
-    maps = KernelMaps(alpha)
-    return comparison_kernel(maps.a, maps.da, maps.dda, x)
+    return comparison_kernel(*_kernel_maps(alpha), x)
 
 
 # -- corrected parabola term and the combined bound ---------------------------

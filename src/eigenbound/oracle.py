@@ -51,7 +51,7 @@ from .geometry import (
 )
 from .quadrature import integrate
 from .searches import brent_root
-from .universal import universal_bracket
+from .universal import universal_bracket, variational_ratio
 
 #: Distance from a vanishing-coefficient end where the right half starts.
 EDGE_OFFSET = 1e-4
@@ -459,10 +459,8 @@ def duality_gap(
     The gap is |primal - dual| / max(|primal|, |dual|), so it reads the
     same at every eigenvalue scale.
     """
-    primal_prob, dual_prob = reduced_problem(d, alpha), dual_problem(d, alpha)
-    window = None if profile is None else _bracket_window(d, alpha, profile)
-    primal = principal_eigenvalue(primal_prob, tol=tol, window=window)
-    adjoint = principal_eigenvalue(dual_prob, tol=tol, window=window)
+    primal = solve_lambda_bar(d, alpha, profile=profile, tol=tol)
+    adjoint = solve_lambda_bar(d, alpha, dual=True, profile=profile, tol=tol)
     p_val, d_val = primal.eigenvalue, adjoint.eigenvalue
     return primal, adjoint, abs(p_val - d_val) / max(abs(p_val), abs(d_val))
 
@@ -620,8 +618,6 @@ def variational_consistency(
     starts from its end's condition, so the dual eigenfunction reads 0 at
     r = 1 exactly.
     """
-    from .universal import variational_ratio
-
     p = resolve_profile(d, alpha, profile)
     if reduced_problem(d, alpha).singular_end:
         raise DomainError(

@@ -280,7 +280,7 @@ def _node_tables(p: CoefficientProfile) -> tuple[np.ndarray, tuple[np.ndarray, n
         with np.errstate(all="ignore"):
             ints = seg.segment_integrals(vals)
             forward, _ = seg.build_cumulative(vals[0], np.empty((3, 0, 15)), none, segments=ints[0])
-            tail, _ = seg.build_reverse(vals[1], np.empty((3, 0, 15)), p.tail_floor, none, segments=ints[1])
+            tail, _ = seg.build_reverse(vals[1], np.empty((3, 0, 15)), rows=none, segments=ints[1])
         cached = p._cache["node_tables"] = ints, (forward, tail)
     return cached
 
@@ -319,8 +319,9 @@ class _Reads(_View):
     table from the point (`table`); its derivative is that interpolant's
     value (`values`).  As a `_View` it holds phi and psi
     (`CoefficientProfile.primitives_at`), C and 1/C, the integrals of
-    `_INTEGRANDS`, and the points in rows the profile pages (paged, where
-    phi and psi read nan) or `_clip_flags` flags (clipped).
+    `_INTEGRANDS`, and the points in rows `_clip_flags` flags (clipped).
+    In the rows the profile pages phi and psi read nan, and so does every
+    quantity read from them.
     """
 
     def __init__(self, p: CoefficientProfile, x: np.ndarray):
@@ -333,8 +334,8 @@ class _Reads(_View):
             self.phi, self.psi = p.primitives_at(self.x, (k, self._head, self._tail))
         elif name in ("C", "Cinv"):
             self.C, self.Cinv = p._coeff_pair(self.x)
-        elif name in ("paged", "clipped"):
-            return p.is_paged[k] if name == "paged" else _clip_flags(p, k)
+        elif name == "clipped":
+            return _clip_flags(p, k)
         else:
             d, q = _INTEGRANDS[name]
             return self.table(_node_tables(p)[1][d][q], _integrand_rows(p)[d, q], tail=d == 1)
@@ -367,9 +368,10 @@ def _point_views(p: CoefficientProfile, rs, names) -> np.ndarray:
         for i, name in enumerate(names):
             out[i, :, 0] = _FUNCTIONALS[name](reads).reshape(rs.shape)[i]
             out[i, :, 1] = _CONDITIONS[name](reads).reshape(rs.shape)[i]
-    # nan in clipped and paged rows: a high read there could push an upper
-    # bound below lam; the solve keeps the lattice max (`_safe_batch`)
-    out[(reads.clipped | reads.paged).reshape(rs.shape)] = math.nan
+    # nan in clipped rows, as every functional and condition already reads
+    # in paged rows through phi or psi: a high read there could push an
+    # upper bound below lam; the solve keeps the lattice max (`_safe_batch`)
+    out[reads.clipped.reshape(rs.shape)] = math.nan
     return out
 
 
@@ -679,13 +681,7 @@ def universal_bracket(
 ) -> BoundBracket:
     """Assemble all five functionals into the two-sided bracket."""
     profile = resolve_profile(d, alpha, profile)
-    return BoundBracket(
-        delta=delta(profile),
-        delta1=delta1(profile),
-        delta1_prime=delta1_prime(profile),
-        delta1_star=delta1_star(profile),
-        delta1_star_prime=delta1_star_prime(profile),
-    )
+    return BoundBracket(**{name: functional_sup(profile, name)[1] for name in DELTA_NAMES})
 
 
 # -- iteration sequences ------------------------------------------------------

@@ -132,6 +132,12 @@ class TestBound:
         assert main([*common, f"{flag}={value}", "--out", str(joined)]) == 0
         assert spaced.read_bytes() == joined.read_bytes()
 
+    def test_unwritable_out_is_a_clean_error(self, capsys, tmp_path):
+        rc = main(["bound", "-d", "3", "--out", str(tmp_path / "missing" / "report.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_myers_violation_is_a_clean_error(self, capsys):
         rc = main(["bound", "-d", "3", "-D", "4", "-K", "3"])
         captured = capsys.readouterr()
@@ -367,7 +373,7 @@ class TestSweep:
         assert main(["sweep", "--dims", "2,3", "--grid", "4"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dims", ["x", "2,1.5"])
+    @pytest.mark.parametrize("dims", ["x", "2,1.5", "", ","])
     def test_malformed_dims_is_a_usage_error(self, capsys, dims):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dims", dims, "--grid", "4"])
@@ -380,9 +386,23 @@ class TestSweep:
         assert rc == 2
         assert "not_a_thing" in capsys.readouterr().err
 
+    def test_empty_estimates_is_a_clean_error(self, capsys):
+        rc = main(["sweep", "--estimates", ",,", "--grid", "4"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_axis_cap_at_half_pi(self, capsys):
         rc = main(["sweep", "--xmax", "2.0", "--grid", "4"])
         assert rc == 2
+        assert "pi/2" in capsys.readouterr().err
+
+    def test_axis_ends_take_the_myers_slack(self, capsys):
+        # Both ends go through Alpha.positive, as `bound --alpha` does: a
+        # value within MYERS_SLACK above pi/2 is the edge, and a larger one
+        # at either end is refused before any point is computed.
+        common = ["sweep", "--dims", "2", "--grid", "2", "--estimates", "delta_inv"]
+        assert main([*common, "--xmin", "1", "--xmax", repr(HALF_PI + 5e-13)]) == 0
+        assert main([*common, "--xmin", "2", "--xmax", "1"]) == 2
         assert "pi/2" in capsys.readouterr().err
 
     def test_sweep_rerun_is_byte_identical(self, tmp_path):
@@ -408,6 +428,12 @@ class TestVerify:
         assert payload and all(item["passed"] for item in payload)
         names = [item["name"] for item in payload]
         assert len(names) == len(set(names))
+
+    def test_unwritable_out_is_a_clean_error(self, capsys, tmp_path):
+        rc = main(["verify", "fast", "--out", str(tmp_path / "missing" / "verify.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_sandwich_check_fails_on_upper_violation(self, monkeypatch):
         from eigenbound import checks

@@ -17,7 +17,7 @@ from eigenbound import classical
 from eigenbound.classical import alpha_clamp_root
 from eigenbound.correction import (
     GAMMA_ZERO,
-    KernelMaps,
+    _kernel_maps,
     clamped_correction,
     combined_lower_bound,
     comparison_kernel,
@@ -131,10 +131,10 @@ class TestComparisonKernel:
             comparison_kernel(a, da, dda, 0.5)
 
     def test_rejects_argument_outside_unit_interval(self):
-        maps = KernelMaps(Alpha.negative(1.0))
+        maps = _kernel_maps(Alpha.negative(1.0))
         for x in (-0.1, 1.1):
             with pytest.raises(DomainError):
-                comparison_kernel(maps.a, maps.da, maps.dda, x)
+                comparison_kernel(*maps, x)
 
 
 class TestCurvatureKernel:

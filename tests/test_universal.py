@@ -170,7 +170,7 @@ class TestReads:
         subs = n_nodes + 15 * rows + np.array([4, 0, 11])
         picks = np.concatenate(([n_nodes // 4, n_nodes // 2], subs))
         reads = universal._Reads(p, seg.lattice[picks])
-        assert not (reads.clipped | reads.paged).any()
+        assert not (reads.clipped | p.is_paged[reads.k]).any()
         lattice = _lattice_view(p)
         with np.errstate(all="ignore"):
             for name in ("phi", "psi", *universal._INTEGRANDS):
@@ -181,6 +181,22 @@ class TestReads:
             stack = np.concatenate((universal._integrand_rows(p).reshape(6, seg.n, 15), p.coeff_sub[::-1]))
             got = at_subs.values(at_subs.rows(stack, (np.arange(8)[:, None],)))
             np.testing.assert_allclose(got, stack[:, rows, [4, 0, 11]], rtol=1e-12, atol=0.0)
+
+    def test_paged_rows_read_nan_without_a_mask(self, monkeypatch):
+        # `_point_views` masks only the rows `_clip_flags` flags.  In the rows
+        # the profile pages phi and psi read nan, and every functional and
+        # condition reads one of them, so F and g read nan there anyway.  At
+        # (5, pi/2) every paged row is flagged too, so the flags are switched
+        # off here to see the reads alone, next to a point of a clean row.
+        p = get_profile(5, Alpha.positive(HALF_PI))
+        seg = p.seg
+        rows = np.append(p.paged, seg.n // 2)
+        assert not p.is_paged[rows[-1]]
+        monkeypatch.setattr(universal, "_clip_flags", lambda p, k: np.zeros(k.shape, dtype=bool))
+        with np.errstate(all="ignore"):
+            views = universal._point_views(p, np.tile(seg.sub[rows, 7], (len(DELTA_NAMES), 1)), DELTA_NAMES)
+        assert np.isnan(views[:, :-1]).all()
+        assert np.isfinite(views[:, -1]).all()
 
     def test_each_caller_reads_flagged_rows_by_its_rule(self, monkeypatch):
         # At (3, -1) the sups' integrand rows are flagged in the first and

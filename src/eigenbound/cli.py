@@ -424,6 +424,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.out is not None and not Path(args.out).parent.is_dir():  # every subcommand's, before any work
+            raise EigenboundError(f"--out {args.out}: no directory {Path(args.out).parent}")
         return args.func(args)
     except (EigenboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,9 +23,11 @@ on a shared graded segmentation.  Off the lattice, `phi_at`/`psi_at`
 re-integrate the local panel; `primitives_at` and `subsub_primitives`
 read the integral of the in-segment interpolant the tables hold.  On the
 rows the profile pages directly (the Myers edge, where C and 1/C span many
-orders of magnitude inside a segment) that integral is not what the tables
-hold: `primitives_at` reads nan there, and `subsub_primitives`, which
-serves the integral tables' own direct pages, takes the panels.
+orders of magnitude inside a segment), judged once (`is_paged`) and handed
+to the one means builder (`Segmentation.pointwise_means`), that integral is
+not what the tables hold: `primitives_at` reads nan there, and
+`subsub_primitives`, which serves the integral tables' own direct pages at
+sub-sub points built for their rows only, takes the panels.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .quadrature import (
     SUBSUB_TAU,
     Segmentation,
     get_segmentation,
+    needs_clip,
 )
 
 HALF_PI = math.pi / 2.0
@@ -186,8 +189,9 @@ class CoefficientProfile:
     median of 10 of the 1,120 over those points, with the same maxes.
 
     C and 1/C at the sub-nodes are one (2, n, 15) stack, `coeff_sub`, whose
-    means take one `pointwise_means` call; phi and psi there are another,
-    `prim_sub`.  c_sub, cinv_sub, phi_sub and psi_sub are views into them.
+    means take one `pointwise_means` call, paged where `needs_clip` flags
+    either (`is_paged`); phi and psi there are another, `prim_sub`.  c_sub,
+    cinv_sub, phi_sub and psi_sub are views into them.
     """
 
     def __init__(self, d: int, alpha: Alpha, segments: int = 4096):
@@ -206,9 +210,9 @@ class CoefficientProfile:
         )
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             self.coeff_sub = self._coeff_pair(seg.sub)
-            # paged: the segments whose phi and psi rows come from direct pages
-            (c_means, ci_means), self.paged = seg.pointwise_means(self.coeff_sub, self.subsub_coefficients)
-            self.is_paged = np.isin(np.arange(seg.n), self.paged)  # as an (n,) mask
+            # is_paged: the (n,) mask of segments whose phi and psi rows come from direct pages
+            self.is_paged = needs_clip(self.coeff_sub.reshape(-1, 15)).reshape(2, -1).any(axis=0)
+            c_means, ci_means = seg.pointwise_means(self.coeff_sub, self.subsub_coefficients, self.is_paged)
             self.c_sub, self.cinv_sub = self.coeff_sub
             self.phi_nodes, phi_sub = seg.build_cumulative(self.cinv_sub, ci_means)
             self.psi_nodes, psi_sub = seg.build_reverse(self.c_sub, c_means, self.tail_floor)
@@ -217,11 +221,6 @@ class CoefficientProfile:
         self.phi_total = float(self.phi_nodes[-1])
         self.psi_total = float(self.psi_nodes[0])
         self._cache: dict[str, object] = {}
-
-    def _subsub_shift(self, rows: np.ndarray) -> np.ndarray:
-        """(m, 225) offsets of the stored sub-sub points of the segments rows from their fractions SUBSUB_TAU."""
-        seg = self.seg
-        return (seg.subsub[rows] - seg.nodes[rows][:, None, None]).reshape(-1, SUBSUB_TAU.size) - seg.width[rows][:, None] * SUBSUB_TAU
 
     # -- pointwise coefficient ------------------------------------------------
 
@@ -286,7 +285,7 @@ class CoefficientProfile:
         interpolant through the sub-node values of 1/C or C over the partial
         segment (`Segmentation.partial_weights`, or weights when the caller
         has them for x.ravel() already), which is what the tables hold at
-        the sub-nodes.  In the rows paged directly (`paged`) the tables are
+        the sub-nodes.  In the rows paged directly (`is_paged`) the tables are
         not that integral, so points there read nan, which every extremum
         solve skips.
         """
@@ -305,16 +304,17 @@ class CoefficientProfile:
         The in-segment interpolant's integrals, as in `primitives_at`, with
         the partial weights of the fixed fractions XI[j] * XI[m] of each
         segment (`quadrature.SUBSUB_HEAD`/`SUBSUB_TAIL`) in one product per
-        row.  A stored sub-sub point sits up to half an ulp off its
-        fraction, which near r = 1 is ~1e-11 of psi there, so both integrals
-        move to the stored point to first order: by the shift times the
+        row.  A sub-sub point (`Segmentation.subsub_points`) sits up to half
+        an ulp off its fraction, which near r = 1 is ~1e-11 of psi there, so
+        both integrals move to the point to first order: by the shift times the
         interpolated integrand (`quadrature.INTERP_T`).  The rows paged
-        directly (`paged`) take `phi_at`/`psi_at` panels instead: these are
+        directly (`is_paged`) take `phi_at`/`psi_at` panels instead: these are
         the points the integral tables' direct pages read.
         """
         seg = self.seg
         w = seg.width[rows][:, None]
-        shift = self._subsub_shift(rows)
+        y = seg.subsub_points(rows).reshape(rows.size, -1)
+        shift = (y - seg.nodes[rows][:, None]) - w * SUBSUB_TAU
         ci, c = self.cinv_sub[rows], self.c_sub[rows]
         # einsum, not BLAS: a row's values must not depend on how many rows
         # share the call, so paging in blocks gives what one page would.
@@ -325,15 +325,14 @@ class CoefficientProfile:
             psi -= shift * np.einsum("nq,qc->nc", c, INTERP_T)
         own = np.flatnonzero(self.is_paged[rows])
         if own.size:
-            y = seg.subsub[rows[own]].reshape(own.size, -1)
-            phi[own] = self.phi_at(y)
-            psi[own] = self.psi_at(y)
+            phi[own] = self.phi_at(y[own])
+            psi[own] = self.psi_at(y[own])
         return np.stack((phi, psi)).reshape(2, -1, 15, 15)
 
     def subsub_coefficients(self, rows: np.ndarray) -> np.ndarray:
         """C and 1/C at the sub-sub points of the segments rows, stacked as (2, m, 15, 15)."""
         with np.errstate(over="ignore", under="ignore"):
-            return self._coeff_pair(self.seg.subsub[rows])
+            return self._coeff_pair(self.seg.subsub_points(rows))
 
 
 def resolve_profile(

@@ -12,10 +12,11 @@ by evaluating at it.
 
 `Segmentation` carries a fixed graded partition of [0, 1] (a Chebyshev
 grid, quadratic clustering at both endpoints, thinned between its ends)
-together with the Gauss-Legendre sub-nodes of every segment and the
-sub-sub-nodes needed to integrate up to a sub-node exactly.  Cumulative
-tables built on it give F(x) = int_0^x f at every partition node and every
-sub-node with panel-exact accuracy.
+together with the Gauss-Legendre sub-nodes of every segment, and builds
+the sub-sub-nodes needed to integrate up to a sub-node exactly for the
+rows asked for (`subsub_points`).  Cumulative tables built on it give
+F(x) = int_0^x f at every partition node and every sub-node with
+panel-exact accuracy.
 `cum_eval` and `tail_eval` extend that to arbitrary interior points by
 re-integrating the integrand over part of one segment;
 `partial_weights` does it with no integrand at all, integrating the
@@ -28,9 +29,10 @@ product of its sub-node values with the 15x15 spectral integration matrix
 `SPECTRAL[q, j] = sum_m INTERP[15j+m, q] WH[m]` (Greengard, SIAM J.
 Numer. Anal. 28, 1991), the means of its degree-14 in-segment interpolant.
 A row whose interpolant may overshoot its conditioning cap (`needs_clip`)
-takes sub-sub pages instead: direct ones (`pointwise_means`) when f can be
-evaluated pointwise, clipped interpolated ones (`interp_means`) when f is
-known only at the sub-nodes.  The same interpolant integrated to any
+takes sub-sub pages instead.  One means builder (`pointwise_means`) does
+both, on the rows its caller judged: with direct pages when f can be
+evaluated pointwise, with clipped interpolated ones (`interp_means`) when
+f is known only at the sub-nodes.  The same interpolant integrated to any
 tau in [0, 1] gives W(tau) = tau * partial_means(tau), with
 W(XI[j]) = XI[j] * SPECTRAL[:, j] and W(1) = WH, so off-lattice values on
 a spectral row continue the table between its sub-nodes.
@@ -273,7 +275,8 @@ class Segmentation:
 
     nodes:    (n+1,) partition of [0, 1], `lattice_nodes(n_segments)`
     sub:      (n, 15) GL nodes of each segment
-    subsub:   (n, 15, 15) GL nodes of [node_k, sub_kj] for every sub-node
+    offs:     (n, 15) offsets of the sub-nodes from their segment's left node,
+              from which `subsub_points` builds the rows a page needs
 
     The partition keeps the END_SEGMENTS = 64 end segments of the
     n_segments Chebyshev grid at full resolution and every STRIDE = 4th
@@ -285,14 +288,14 @@ class Segmentation:
     sups on this partition stay within 1.8e-14 relative of the full
     grid's (`CoefficientProfile`).
 
-    Every table takes its means from one product with SPECTRAL, except on
-    the rows flagged by `needs_clip` (a few per table in practice, where a
-    row changes sign or varies by a large factor).  Integrands that can be
-    evaluated pointwise get direct sub-sub pages on those rows only
-    (`pointwise_means`); integrands known only at the sub-nodes
-    (`cumulative_from_sub`, `reverse_from_sub`) are interpolated onto
-    their sub-sub pages (`interp_sub`), clipped (`_interp_pages`) and
-    reduced like direct pages instead.
+    Every table takes its means from one builder, `pointwise_means`: one
+    product with SPECTRAL, except on the rows flagged by `needs_clip` (a
+    few per table in practice, where a row changes sign or varies by a
+    large factor), which the caller judges once and hands over.  Integrands
+    that can be evaluated pointwise get direct sub-sub pages on those rows;
+    integrands known only at the sub-nodes (`cumulative_from_sub`,
+    `reverse_from_sub`) take pages interpolated from their rows
+    (`interp_sub`) and clipped (`_interp_pages`) instead (`interp_means`).
     """
 
     def __init__(self, n_segments: int = 4096):
@@ -306,7 +309,14 @@ class Segmentation:
         # away from the ideal point, which is 1e-16 absolute -- huge against
         # a tail integral of order 1e-9.  Subtraction is exact there.
         self.offs = self.sub - a[:, None]
-        self.subsub = a[:, None, None] + self.offs[:, :, None] * XI[None, None, :]
+        # Freeing a block of all n rows' sub-sub points raises glibc's mmap and
+        # heap-trim thresholds past the tables' 134 KB temporaries, which then
+        # reuse heap pages instead of fresh ones: a report takes 1.4x without.
+        np.empty((self.n, 225))
+
+    def subsub_points(self, rows: np.ndarray) -> np.ndarray:
+        """(m, 15, 15) sub-sub points of the segments rows: [i, j] holds the GL nodes of [node_k, sub_kj], k = rows[i]."""
+        return self.nodes[:-1][rows][:, None, None] + self.offs[rows][:, :, None] * XI
 
     def segment_integrals(self, v_sub: np.ndarray) -> np.ndarray:
         """(..., n) integrals over each segment from integrand values at sub, (..., n, 15).
@@ -408,51 +418,42 @@ class Segmentation:
         return np.clip(pages, -cap, cap)
 
     def interp_means(self, v_sub: np.ndarray) -> np.ndarray:
-        """Within-segment means of the in-segment interpolant of each row.
+        """Within-segment means of the in-segment interpolant of each row: page_means(self._interp_pages(v_sub)) up to rounding.
 
-        Equal to page_means(self._interp_pages(v_sub)) up to rounding:
-        rows the clip provably leaves alone go through SPECTRAL, and only
-        rows flagged by `needs_clip` are paged and clipped.
+        `pointwise_means` pages and clips only the rows `needs_clip` flags,
+        which the clip provably leaves alone.
         """
-        means = v_sub @ SPECTRAL
-        bad = needs_clip(v_sub)
-        if bad.any():
-            means[bad] = page_means(self._interp_pages(v_sub[bad]))
-        return means
+        return self.pointwise_means(v_sub[None], lambda rows: self._interp_pages(v_sub[rows])[None], needs_clip(v_sub))[0]
 
-    def pointwise_means(self, v_subs, pages_at, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Within-segment means of integrands that can be evaluated pointwise.
+    def pointwise_means(self, v_subs, pages_at, paged: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Within-segment means of integrands, from sub-sub pages on the rows paged.
 
         v_subs stacks each integrand's (n, 15) values at the sub-nodes, and
         pages_at(segments) returns all of them at the sub-sub points of
-        those segments, self.subsub[segments], in the same order.  Only the
-        rows of the segments rows, all of them by default, are computed.
-        A row that no integrand flags by `needs_clip` takes v_sub @ SPECTRAL;
-        a row that any of them flags takes direct sub-sub pages for all of
-        them, evaluated PAGE_BLOCK rows at a time.  Returns the (k, m, 15)
-        means of rows, and the indices of the paged segments among them,
-        the rows where the tables are not the integrals of the in-segment
-        interpolant.
+        those segments (`subsub_points`), in the same order.  Only the rows
+        of the segments rows, all of them by default, are computed, and the
+        caller's flags paged mark those among them that take pages for all
+        the integrands, PAGE_BLOCK rows at a time; the others take
+        v_sub @ SPECTRAL.  Returns the (k, m, 15) means of rows.
         """
         segments = np.arange(self.n)[rows]
         part = np.asarray(v_subs)[:, rows]
         # The integrands' rows go through as few products as PRODUCT_ROWS
-        # allows, and one guard.  Each row of a product of two or more rows
-        # rounds as in the product of all n; a lone row would go down
-        # numpy's matrix-vector path, which rounds differently.
+        # allows.  Each row of a product of two or more rows rounds as in
+        # the product of all n; a lone row would go down numpy's
+        # matrix-vector path, which rounds differently.
         means = np.empty(part.shape)
         step = max(1, PRODUCT_ROWS // max(segments.size, 1))
-        # Non-finite rows turn to nan here; needs_clip flags them all.
+        # Non-finite rows turn to nan here; `needs_clip` flags them all.
         with np.errstate(invalid="ignore"):
             for lo in range(0, part.shape[0], step):
                 np.matmul(part[lo : lo + step].reshape(-1, 15), SPECTRAL, out=means[lo : lo + step].reshape(-1, 15))
-        flagged = np.flatnonzero(needs_clip(part.reshape(-1, 15)).reshape(part.shape[:2]).any(axis=0))
-        paged = segments[flagged]
+        flagged = np.flatnonzero(paged)
         for lo in range(0, flagged.size, PAGE_BLOCK):
-            block = slice(lo, lo + PAGE_BLOCK)
-            for m, pages in zip(means, pages_at(paged[block])):
-                m[flagged[block]] = page_means(pages)
-        return means, paged
+            block = flagged[lo : lo + PAGE_BLOCK]
+            for m, pages in zip(means, pages_at(segments[block])):
+                m[block] = page_means(pages)
+        return means
 
     def cumulative_from_sub(self, v_sub: np.ndarray):
         """build_cumulative with the sub-sub level filled by interpolation.

@@ -94,17 +94,15 @@ _CONDITIONS = {
 }
 
 #: name -> bounds of the functional on each segment [a, b], from views a
-#: and b of its end nodes and e of what all five share: (end-safe, edge,
-#: g_hi, g_lo, m_hi).  phi, A1, A3 and B2 rise and psi, A2, B1 and B3 fall,
-#: so the end-safe bound reads each factor at its favourable end, and it
-#: stays finite where phi(0) = 0 or psi(1) = 0: it follows from
+#: and b of its end nodes and e of what all five share, each quantity's
+#: span (`_Span`) among it: (end-safe, edge, m_hi).  phi, A1, A3 and B2 rise and psi, A2, B1 and B3 fall, so the
+#: end-safe bound reads each factor at its favourable end, and it stays
+#: finite where phi(0) = 0 or psi(1) = 0: it follows from
 #: A1 <= phi^{3/2} int_0^r C, A3 <= phi^2 int_0^r C and their duals
 #: B1 <= psi^{3/2} int_r^1 1/C, B3 <= psi^2 int_r^1 1/C (delta has none,
-#: inf).  g_hi and g_lo bound the condition g of
-#: `_CONDITIONS` from above and below, and m_hi bounds the positive factor
-#: m of F' = m g from above, with C and 1/C between their end values (C is
-#: monotone on each branch); they give the mean-value bound of
-#: `_segment_bounds`.
+#: inf).  m_hi bounds the positive factor m of F' = m g from above, with C
+#: and 1/C between their end values (C is monotone on each branch), for the
+#: mean-value bound of `_segment_bounds`.
 #:
 #: The edge bound holds where C does not increase (the positive branch),
 #: and stays finite at r = 1 on the Myers edge, where phi(1) = inf and
@@ -123,42 +121,45 @@ _CONDITIONS = {
 #:           + int_a^r (psi / C)(s) ds <= sqrt(psi(a)) B2(a) + w U, psi falling.
 #:   delta1_star_prime: B3 / psi <= U^2 / 2 likewise, and phi psi <= U.
 _BOUNDS = {
-    "delta": lambda a, b, e: (
-        math.inf,
-        e.u,
-        a.psi * e.cinv_hi - a.phi * e.c_lo,
-        b.psi * e.cinv_lo - b.phi * e.c_hi,
-        1.0,
-    ),
+    "delta": lambda a, b, e: (math.inf, e.u, 1.0),
     "delta1": lambda a, b, e: (
         b.phi * e.head_c + b.sqrt_phi * a.A2,
         a.A1 / a.sqrt_phi + e.w + e.u,
-        a.A2 * b.phi - a.A1,
-        b.A2 * a.phi - b.A1,
-        e.cinv_hi / (2.0 * a.phi * a.sqrt_phi),
+        e.Cinv.hi / (2.0 * a.phi * a.sqrt_phi),
     ),
     "delta1_prime": lambda a, b, e: (
-        b.phi * e.head_c + e.phi_psi,
+        b.phi * e.head_c + (e.phi * e.psi).hi,
         a.A3 / a.phi + e.w + e.u,
-        a.psi * b.phi * b.phi - a.A3,
-        b.psi * a.phi * a.phi - b.A3,
-        e.cinv_hi / (a.phi * a.phi),
+        e.Cinv.hi / (a.phi * a.phi),
     ),
     "delta1_star": lambda a, b, e: (
         a.psi * e.tail_cinv + a.sqrt_psi * b.B2,
         a.sqrt_psi * a.B2 + e.w * e.u + 0.5 * e.u * e.u,
-        a.B1 - b.psi * a.B2,
-        b.B1 - a.psi * b.B2,
-        e.c_hi / (2.0 * b.psi * b.sqrt_psi),
+        e.C.hi / (2.0 * b.psi * b.sqrt_psi),
     ),
     "delta1_star_prime": lambda a, b, e: (
-        a.psi * e.tail_cinv + e.phi_psi,
+        a.psi * e.tail_cinv + (e.phi * e.psi).hi,
         e.u + 0.5 * e.u * e.u,
-        a.B3 - a.phi * b.psi * b.psi,
-        b.B3 - b.phi * a.psi * a.psi,
-        e.c_hi / (b.psi * b.psi),
+        e.C.hi / (b.psi * b.psi),
     ),
 }
+
+
+class _Span:
+    """A range lo <= x <= hi on each segment; a condition of `_CONDITIONS` evaluated on spans bounds itself.
+
+    The conditions multiply only nonnegative quantities, whose products
+    span the products of their ends, and subtract.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
+
+    def __mul__(self, other: "_Span") -> "_Span":
+        return _Span(self.lo * other.lo, self.hi * other.hi)
+
+    def __sub__(self, other: "_Span") -> "_Span":
+        return _Span(self.lo - other.hi, self.hi - other.lo)
 
 
 class _View:
@@ -244,7 +245,7 @@ def _integrand_rows(p: CoefficientProfile) -> np.ndarray:
 
 
 def _clip_flags(p: CoefficientProfile, k: np.ndarray) -> np.ndarray:
-    """Whether `needs_clip` flags any of the six integrand rows of segment k[i], the rows `_tables` pages; each judged once."""
+    """Whether `needs_clip` flags any of the six integrand rows of segment k[i], the rows `_tables` pages; each judged once per profile."""
     flags = p._cache.setdefault("clip_flags", np.full(p.seg.n, -1, dtype=np.int8))
     new = np.unique(k[flags[k] < 0])
     if new.size:
@@ -291,8 +292,8 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     Node tables are (3, n + 1) and sub-node rows (3, m, 15) per direction,
     in the slots of `_INTEGRANDS`.  rows defaults to every segment.  All
     six integrands' rows go through one `Segmentation.pointwise_means`
-    call; rows an in-segment interpolant
-    cannot represent take their means from direct sub-sub values.  At the
+    call; the rows `_clip_flags` flags, which an in-segment interpolant
+    cannot represent, take their means from direct sub-sub values.  At the
     Myers edge the forward integrands C phi^{3/2}, C phi^2 and
     C^{-1} psi^{1/2} blow up toward r = 1 hard enough to span dozens of
     orders of magnitude inside the final graded segments; on those rows the
@@ -304,7 +305,8 @@ def _tables(p: CoefficientProfile, rows=slice(None)) -> tuple:
     vals = _integrand_rows(p)
     ints, nodes = _node_tables(p)
     with np.errstate(all="ignore"):
-        means, _ = seg.pointwise_means(vals.reshape(6, seg.n, 15), lambda rows: _integrand_pages(p, rows), rows)
+        paged = _clip_flags(p, np.arange(seg.n)[rows])
+        means = seg.pointwise_means(vals.reshape(6, seg.n, 15), lambda k: _integrand_pages(p, k), paged, rows)
         means = means.reshape(2, 3, -1, 15)
         _, forward = seg.build_cumulative(vals[0], means[0], rows, nodes[0])
         _, tail = seg.build_reverse(vals[1], means[1], p.tail_floor, rows, nodes[1], ints[1])
@@ -440,23 +442,21 @@ def _segment_bounds(p: CoefficientProfile, view: _View, at_nodes: list[np.ndarra
 
         min(F(a) + w m_hi max(0, g_hi), F(b) + w m_hi max(0, -g_lo))
 
-    on a segment [a, b] of width w, since F' = m g.  A bound that comes out
-    nan (inf - inf, 0 / 0, an m_hi lost to underflow) drops out of the
-    least, so it cannot prune.
+    on a segment [a, b] of width w, since F' = m g, where g, the condition
+    of `_CONDITIONS`, is evaluated on the spans of its quantities (`_Span`).
+    A bound that comes out nan (inf - inf, 0 / 0, an m_hi lost to
+    underflow) drops out of the least, so it cannot prune.
     """
-    names = ("phi", "psi", "sqrt_phi", "sqrt_psi", "C", "Cinv", *_INTEGRANDS)
     seg = p.seg
     w = seg.width
     out = []
     with np.errstate(all="ignore"):
-        a = SimpleNamespace(**{name: getattr(view, name)[:-1] for name in names})
-        b = SimpleNamespace(**{name: getattr(view, name)[1:] for name in names})
+        a = _View(lambda name: getattr(view, name)[:-1])
+        b = _View(lambda name: getattr(view, name)[1:])
         e = SimpleNamespace(
-            c_hi=np.maximum(a.C, b.C),
-            c_lo=np.minimum(a.C, b.C),
-            cinv_hi=np.maximum(a.Cinv, b.Cinv),
-            cinv_lo=np.minimum(a.Cinv, b.Cinv),
-            phi_psi=b.phi * a.psi,
+            # each quantity of a condition is monotone in r: on a segment it spans its end values
+            **{q: _Span(np.minimum(getattr(a, q), getattr(b, q)), np.maximum(getattr(a, q), getattr(b, q)))
+               for q in ("phi", "psi", "C", "Cinv", *_INTEGRANDS)},
             # int_0^b C and int_a^1 1/C
             head_c=p.psi_total - b.psi,
             tail_cinv=p.phi_total - a.phi,
@@ -465,11 +465,12 @@ def _segment_bounds(p: CoefficientProfile, view: _View, at_nodes: list[np.ndarra
         )
         edge = p.alpha.sign is CurvatureSign.POSITIVE_K
         for name, f in zip(DELTA_NAMES, at_nodes):
-            end, at_edge, g_hi, g_lo, m_hi = _BOUNDS[name](a, b, e)
+            end, at_edge, m_hi = _BOUNDS[name](a, b, e)
+            g = _CONDITIONS[name](e)
             # m > 0: an m_hi below the normal range lost its digits to a
             # power of phi or psi past the double range, and bounds nothing
             wm = w * np.where(m_hi >= _TINY, m_hi, math.nan)
-            mean = np.fmin(f[:-1] + wm * np.maximum(g_hi, 0.0), f[1:] + wm * np.maximum(-g_lo, 0.0))
+            mean = np.fmin(f[:-1] + wm * np.maximum(g.hi, 0.0), f[1:] + wm * np.maximum(-g.lo, 0.0))
             bound = np.fmin(end, mean)
             out.append(np.fmin(bound, at_edge) if edge else bound)
     return out
@@ -488,29 +489,21 @@ def _lattice_maxes(p: CoefficientProfile) -> tuple[np.ndarray, np.ndarray]:
     segments whose bound reaches the best interior node value, less
     1e-12 relative, can hold a larger lattice value; the sub-node step fills
     the tables' rows of those segments (`_tables`), or of all of them past
-    FILL_ALL, and evaluates the functionals there.  The lattice lists the
-    nodes first and the rows in order, so the first max among the filled
-    points is np.argmax's over the whole lattice: the same index and value.
+    FILL_ALL, and evaluates the functionals there.  A bound holds its end
+    nodes' values to rounding far inside the 1e-12, so a node that reaches
+    the best keeps both its segments.  The lattice lists the nodes first and
+    the rows in order, so the first max among the filled points is
+    np.argmax's over the whole lattice: the same index and value.
     """
     n = p.seg.n
     view = _node_view(p)
     with np.errstate(all="ignore"):
         at_nodes = [expr(view) for expr in _FUNCTIONALS.values()]
         inner = [_scrub(p, f[1:-1]) for f in at_nodes]
-    floors = [np.max(f) * (1.0 - 1e-12) for f in inner]
-    # Each segment next to a node that reaches its floor keeps its rows; on a
-    # functional flat to rounding that is most of them, and no bound can do
-    # better.
-    hot = np.zeros(n + 1, dtype=bool)
-    for f, floor in zip(inner, floors):
-        hot[1:-1] |= f >= floor
-    rows = slice(None)
-    if np.count_nonzero(hot[:-1] | hot[1:]) <= FILL_ALL * n:
-        keep = np.zeros(n, dtype=bool)
-        for bound, floor in zip(_segment_bounds(p, view, at_nodes), floors):
-            keep |= ~(bound < floor)
-        if np.count_nonzero(keep) <= FILL_ALL * n:
-            rows = np.flatnonzero(keep)
+    keep = np.zeros(n, dtype=bool)
+    for bound, f in zip(_segment_bounds(p, view, at_nodes), inner):
+        keep |= ~(bound < np.max(f) * (1.0 - 1e-12))
+    rows = np.flatnonzero(keep) if np.count_nonzero(keep) <= FILL_ALL * n else slice(None)
     sub = _View({"phi": p.phi_sub[rows], "psi": p.psi_sub[rows], **_named(_tables(p, rows)[1])}.get)
     filled = np.arange(n)[rows]
     j, top = [], []

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eigenbound import cli
 from eigenbound.cli import DEFAULT_SWEEP, main
 from eigenbound.geometry import GeometryTriple
 from eigenbound.report import ReportRow, build_report, render_table
@@ -131,12 +132,6 @@ class TestBound:
         assert main([*common, flag, value, "--out", str(spaced)]) == 0
         assert main([*common, f"{flag}={value}", "--out", str(joined)]) == 0
         assert spaced.read_bytes() == joined.read_bytes()
-
-    def test_unwritable_out_is_a_clean_error(self, capsys, tmp_path):
-        rc = main(["bound", "-d", "3", "--out", str(tmp_path / "missing" / "report.txt")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
 
     def test_myers_violation_is_a_clean_error(self, capsys):
         rc = main(["bound", "-d", "3", "-D", "4", "-K", "3"])
@@ -429,12 +424,6 @@ class TestVerify:
         names = [item["name"] for item in payload]
         assert len(names) == len(set(names))
 
-    def test_unwritable_out_is_a_clean_error(self, capsys, tmp_path):
-        rc = main(["verify", "fast", "--out", str(tmp_path / "missing" / "verify.json")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-
     def test_sandwich_check_fails_on_upper_violation(self, monkeypatch):
         from eigenbound import checks
 
@@ -454,3 +443,27 @@ class TestVerify:
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "leisurely"])
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["bound", "-d", "3"], "build_report"),
+        (["figure", "9", "--grid", "3"], "_sweep_point"),
+        (["sweep", "--dims", "3", "--grid", "3"], "_sweep_point"),
+        (["verify", "fast"], "run_suite"),
+    ],
+    ids=["bound", "figure", "sweep", "verify"],
+)
+def test_unwritable_out_is_a_clean_error(capsys, monkeypatch, tmp_path, argv, work):
+    # An --out directory that does not exist stops the run before any work.
+    def work_started(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, work_started)
+    out = tmp_path / "missing" / "out.txt"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.parent.exists()

@@ -206,8 +206,8 @@ class TestPagedRows:
         # Sub-sub points of every paged row take the panels bit for bit;
         # sub-node and sub-sub points read through `primitives_at` are nan.
         p = get_profile(d, Alpha.positive(HALF_PI))
-        rows = p.paged
-        y = p.seg.subsub[rows]
+        rows = np.flatnonzero(p.is_paged)
+        y = p.seg.subsub_points(rows)
         want = np.stack((p.phi_at(y), p.psi_at(y)))
         np.testing.assert_array_equal(p.subsub_primitives(rows), want)
         assert np.isnan(np.stack(p.primitives_at(y))).all()
@@ -227,11 +227,12 @@ class TestPagedRows:
         # psi.
         d, alpha = 5, Alpha.positive(HALF_PI)
         p = get_profile(d, alpha)
-        rows = p.paged[:-4]
-        assert rows.size == 16 and p.paged[-1] == p.seg.n - 1
+        paged = np.flatnonzero(p.is_paged)
+        rows = paged[:-4]
+        assert rows.size == 16 and paged[-1] == p.seg.n - 1
         cols = np.linspace(0, 224, 4).astype(int)
         phi, psi = (v.reshape(rows.size, -1)[:, cols] for v in p.subsub_primitives(rows))
-        y = p.seg.subsub[rows].reshape(rows.size, -1)[:, cols]
+        y = p.seg.subsub_points(rows).reshape(rows.size, -1)[:, cols]
         mp.mp.dps = 30
         want_phi = np.vectorize(lambda r: float(_mp_phi(d, alpha, mp.mpf(r))))(y)
         want_psi = np.vectorize(lambda r: float(_mp_psi(d, alpha, mp.mpf(r))))(y)

@@ -173,7 +173,7 @@ class TestStackedTables:
 class TestInterpolation:
     def test_smooth_function_page_accuracy(self):
         pages = SEG.interp_sub(np.sin(3.0 * SEG.sub))
-        want = np.sin(3.0 * SEG.subsub)
+        want = np.sin(3.0 * SEG.subsub_points(np.arange(SEG.n)))
         assert pages == pytest.approx(want, abs=1e-12)
 
     def test_page_clamp_bounds_oscillation(self):
@@ -197,7 +197,7 @@ class TestInterpolation:
 
     def test_consistency_of_direct_and_interpolated_builds(self):
         v_sub = np.cos(2.0 * SEG.sub)
-        direct = SEG.build_cumulative(v_sub, page_means(np.cos(2.0 * SEG.subsub)))
+        direct = SEG.build_cumulative(v_sub, page_means(np.cos(2.0 * SEG.subsub_points(np.arange(SEG.n)))))
         interp = SEG.cumulative_from_sub(v_sub)
         assert direct[1] == pytest.approx(interp[1], abs=1e-12)
 

@@ -190,7 +190,7 @@ class TestReads:
         # off here to see the reads alone, next to a point of a clean row.
         p = get_profile(5, Alpha.positive(HALF_PI))
         seg = p.seg
-        rows = np.append(p.paged, seg.n // 2)
+        rows = np.append(np.flatnonzero(p.is_paged), seg.n // 2)
         assert not p.is_paged[rows[-1]]
         monkeypatch.setattr(universal, "_clip_flags", lambda p, k: np.zeros(k.shape, dtype=bool))
         with np.errstate(all="ignore"):
@@ -230,16 +230,23 @@ class TestReads:
             assert np.isfinite(primal(np.array([[right, clean]]), np.array([0]))).all()
 
     @pytest.mark.parametrize("d, alpha", READ_PROFILES, ids=["flat", "neg", "neg5", "pos", "edge20"])
-    def test_clip_flags_are_the_rows_the_tables_page(self, d, alpha):
+    def test_clip_flags_are_the_rows_the_tables_page(self, d, alpha, monkeypatch):
+        # The whole tables page each row `_clip_flags` flags once, in order,
+        # and no other.
         p = CoefficientProfile(d, alpha)
-        with np.errstate(all="ignore"):
-            _, paged = p.seg.pointwise_means(_sub_values(p), _integrand_pages(p))
-        flags = universal._clip_flags(p, np.arange(p.seg.n))
-        np.testing.assert_array_equal(np.flatnonzero(flags), paged)
+        paged, pages = [], universal._integrand_pages
+
+        def recorded(p, rows):
+            paged.extend(rows.tolist())
+            return pages(p, rows)
+
+        monkeypatch.setattr(universal, "_integrand_pages", recorded)
+        universal._tables(p)
+        assert paged == np.flatnonzero(universal._clip_flags(p, np.arange(p.seg.n))).tolist()
 
     def test_each_segment_is_judged_once_per_profile(self, monkeypatch):
-        # Both rounds of the five sups read their flags; the second round's
-        # points lie in segments the first already judged.
+        # The sub-node step pages the rows it fills by their flags, and both
+        # rounds of the five sups read them; no segment is judged twice.
         judged = []
 
         def counted(v_sub):
@@ -250,8 +257,7 @@ class TestReads:
         p = CoefficientProfile(3, Alpha.negative(1.0))
         for name in DELTA_NAMES:
             universal.functional_sup(p, name)
-        assert len(judged) == 1
-        assert judged[0] == 6 * np.count_nonzero(p._cache["clip_flags"] >= 0)
+        assert judged and sum(judged) == 6 * np.count_nonzero(p._cache["clip_flags"] >= 0)
 
 
 def _panel_point_view(p, rs):
@@ -547,7 +553,7 @@ def _integrand_pages(p):
 
 
 def _coefficient_pages(p):
-    return lambda rows: p._coeff_pair(p.seg.subsub[rows])
+    return lambda rows: p._coeff_pair(p.seg.subsub_points(rows))
 
 
 def _flagged(v_subs):
@@ -565,9 +571,8 @@ class TestEdgeTables:
         assert flagged.size > 3 * quadrature.PAGE_BLOCK
         pages = _integrand_pages(p)
         with np.errstate(all="ignore"):
-            got, paged = p.seg.pointwise_means(vals, pages)
+            got = p.seg.pointwise_means(vals, pages, _flagged(vals))
             whole = pages(flagged)
-        np.testing.assert_array_equal(paged, flagged)
         for means, want in zip(got, whole):
             np.testing.assert_array_equal(means[flagged], page_means(want))
 
@@ -613,7 +618,7 @@ class TestEdgeTables:
             (_sub_values(p), _integrand_pages(p)),
         ):
             with np.errstate(all="ignore"):
-                got, _ = p.seg.pointwise_means(vals, pages)
+                got = p.seg.pointwise_means(vals, pages, _flagged(vals))
                 kept = np.flatnonzero(~_flagged(vals))
                 for lo in range(0, kept.size, 512):
                     rows = kept[lo : lo + 512]
@@ -1314,10 +1319,17 @@ class TestPrunedLattice:
         p = CoefficientProfile(d, _grid_alpha(x))
         view = universal._node_view(p)
         with np.errstate(all="ignore"):
-            bounds = universal._segment_bounds(p, view, [expr(view) for expr in universal._FUNCTIONALS.values()])
-        for name, bound, rows in zip(DELTA_NAMES, bounds, _functional_rows(p)):
+            at_nodes = [expr(view) for expr in universal._FUNCTIONALS.values()]
+            bounds = universal._segment_bounds(p, view, at_nodes)
+            # the node values on the lattice, which leaves out 0 and 1
+            inner = [np.concatenate(([-np.inf], universal._scrub(p, f[1:-1]), [-np.inf])) for f in at_nodes]
+        for name, bound, rows, f in zip(DELTA_NAMES, bounds, _functional_rows(p), inner):
             held = np.isnan(bound) | (bound >= rows.max(axis=1) * (1.0 - 1e-12))
             assert held.all(), (name, np.flatnonzero(~held)[:5])
+            # and its end nodes' values, so a node at the max keeps both its
+            # segments; on a profile flat to rounding the bounds round ~1e-15 below
+            ends = np.isnan(bound) | (bound >= np.maximum(f[:-1], f[1:]) * (1.0 - 1e-12))
+            assert ends.all(), (name, np.flatnonzero(~ends)[:5])
 
     @pytest.mark.parametrize("d, x", [(5, -1.0), (10, 0.8), (3, 0.0)])
     def test_sub_node_step_fills_few_rows(self, d, x, monkeypatch):
@@ -1327,9 +1339,9 @@ class TestPrunedLattice:
         filled, rounds = [], []
         means, views = Segmentation.pointwise_means, universal._point_views
 
-        def counted_means(self, v_subs, pages_at, rows=slice(None)):
+        def counted_means(self, v_subs, pages_at, paged, rows=slice(None)):
             filled.append(np.arange(self.n)[rows].size)
-            return means(self, v_subs, pages_at, rows)
+            return means(self, v_subs, pages_at, paged, rows)
 
         def counted_views(*args):
             rounds.append(1)
